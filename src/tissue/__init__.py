@@ -10,19 +10,16 @@ from .errors import (ConfigError, FixedPointError, GeometryError,
 from .geometry import (CellGeometry, Conductivity, EpsilonDomain,
                        build_cell_geometry, make_conductivity,
                        mean_conductivity, tile_domain)
-from .membrane import SolverParams
+from .membrane import SolverParams, Trajectory, simulate, step
 from .nonlinearity import (BoundaryData, Nonlinearity, fit_growth_constants,
                            make_boundary_data, make_nonlinearity, regularize)
-from .micro import (MicroState, MicroSystem, MicroTrajectory, assemble_bulk,
-                    difference_state, dissipation_identity,
-                    elliptic_solve_given_jump, initial_jump, simulate, step)
+from .micro import (BulkOperator, MicroState, MicroSystem, difference_state,
+                    dissipation_identity, elliptic_solve_given_jump,
+                    initial_jump)
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
                        orbit_distance, poincare_map, verify_energy_estimates)
-from .decay import (DecayReport, LyapunovSeries, decay_metrics,
-                    elliptic_stability_constant, fit_rate, lyapunov_series,
-                    poincare_constant)
+from .decay import (DecayReport, LyapunovSeries, decay_metrics, fit_rate,
+                    lyapunov_series)
 from .twoscale import (CellOperator, TwoScaleState, TwoScaleSystem,
-                       TwoScaleTrajectory, assemble_cell_operator,
                        find_periodic_two_scale, initial_two_scale_jump,
-                       simulate_two_scale, two_scale_decay_metrics,
-                       two_scale_step)
+                       simulate_two_scale, two_scale_decay_metrics)

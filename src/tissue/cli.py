@@ -27,9 +27,9 @@ from .micro import (MicroSystem, bulk_l2, gradient_l2, initial_jump, jump_l2,
                     simulate)
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
                        orbit_distance, verify_energy_estimates)
-from .twoscale import (TwoScaleSystem, find_periodic_two_scale,
-                       initial_two_scale_jump, micro_two_scale_gap,
-                       simulate_two_scale, two_scale_decay_metrics)
+from .twoscale import (TwoScaleSystem, initial_two_scale_jump,
+                       micro_two_scale_gap, simulate_two_scale,
+                       two_scale_decay_metrics)
 from .verify import run_invariant_suite
 
 log = logging.getLogger("tissue")
@@ -220,8 +220,9 @@ def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
 
 def _cmd_homogenize(cfg: RunConfig, out: Path, args) -> int:
     system = _two_scale_system(cfg)
-    orbit = find_periodic_two_scale(system, tol=cfg["periodic.tol"],
-                                    max_iters=cfg["periodic.max_iters"])
+    orbit = find_periodic(system, tol=cfg["periodic.tol"],
+                          max_iters=cfg["periodic.max_iters"],
+                          theta=cfg["periodic.theta"])
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
     traj = simulate_two_scale(system, w0, cfg["time.horizon"],

@@ -9,19 +9,17 @@ with an exponential/subexponential classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
-from .micro import (MicroSystem, MicroTrajectory, bulk_l2, gradient_l2,
-                    jump_l2, _secant_slopes)
+from .membrane import Trajectory
+from .micro import bulk_l2, gradient_l2, jump_l2, _secant_slopes
 from .periodic import PeriodicOrbit
 
 __all__ = [
     "DecayReport", "RateFit", "LyapunovSeries", "decay_metrics",
-    "lyapunov_series", "fit_rate", "elliptic_stability_constant",
-    "poincare_constant",
+    "lyapunov_series", "fit_rate", "orbit_gaps",
 ]
 
 
@@ -64,49 +62,56 @@ def _ratio(series: np.ndarray) -> Optional[float]:
     return float(series[-1] / series[0])
 
 
-def decay_metrics(traj: MicroTrajectory, orbit: PeriodicOrbit) -> DecayReport:
-    """Norm gap between a trajectory and the periodically extended orbit.
+def orbit_gaps(traj: Trajectory, orbit: PeriodicOrbit,
+               norms: Callable[[np.ndarray, np.ndarray], dict]):
+    """Per-sample norms of the gap between a trajectory and the orbit.
 
     Both must live on the same grid and time step; the orbit is wrapped in
-    time.  The bulk gap is reconstructed from the jump gap through the
-    precomputed bulk response (the drive cancels in the difference).
+    time.  ``norms(w, w_orbit)`` maps one sample's jumps to a dict of
+    floats that includes ``norm_jump``, to which the decay rate is fitted,
+    and ``lyapunov``, which must not increase.  Returns the columns (name to
+    array), the rate fit and the monotonicity verdict.
     """
-    system = traj.system
-    dt = system.params.dt
+    dt = traj.system.params.dt
     if abs(orbit.dt - dt) > 1e-15:
         raise ValueError("trajectory and orbit use different time steps")
     if orbit.jumps.shape[1] != traj.jumps.shape[1]:
         raise ValueError("trajectory and orbit use different grids")
+    rows = [norms(w, orbit.jump_at_step(int(round(t / dt))))
+            for t, w in zip(traj.ts, traj.jumps)]
+    cols = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    sample_dt = float(traj.ts[1] - traj.ts[0]) if len(rows) > 1 else dt
+    fit = fit_rate(cols["norm_jump"], window=0.4, dt=sample_dt)
+    monotone = bool(np.all(np.diff(cols["lyapunov"]) <= 1e-10))
+    return cols, fit, monotone
+
+
+def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
+    """Norm gap between a resolved trajectory and the periodic orbit.
+
+    The bulk gap is reconstructed from the jump gap through the
+    precomputed bulk response (the drive cancels in the difference).
+    """
+    system = traj.system
     dom = system.domain
     eps = dom.epsilon
     alpha = system.params.alpha
-    n = len(traj.ts)
-    norm_l2 = np.empty(n)
-    norm_grad = np.empty(n)
-    norm_jump = np.empty(n)
-    lyap = np.empty(n)
-    smin = np.empty(n)
-    smax = np.empty(n)
     s = system.weights
-    for i in range(n):
-        step_index = int(round(traj.ts[i] / dt))
-        w_orb = orbit.jump_at_step(step_index)
-        r_w = traj.jumps[i] - w_orb
+
+    def norms(w, w_orb):
+        r_w = w - w_orb
         r_u = system.u_jump @ r_w
-        norm_l2[i] = bulk_l2(dom, r_u)
-        norm_grad[i] = gradient_l2(dom, r_u, r_w, None)
-        norm_jump[i] = jump_l2(dom, r_w)
-        lyap[i] = alpha / eps * float(np.sum(s * r_w * r_w))
-        sec = _secant_slopes(system.law, traj.jumps[i] / eps, w_orb / eps)
-        smin[i] = sec.min(initial=np.inf)
-        smax[i] = sec.max(initial=-np.inf)
-    sample_dt = float(traj.ts[1] - traj.ts[0]) if n > 1 else dt
-    fit = fit_rate(norm_jump, window=0.4, dt=sample_dt)
-    monotone = bool(np.all(np.diff(lyap) <= 1e-10))
-    return DecayReport(ts=traj.ts.copy(), norm_l2=norm_l2, norm_grad=norm_grad,
-                       norm_jump=norm_jump, lyapunov=lyap, fit=fit,
-                       lyapunov_monotone=monotone, secant_min=smin,
-                       secant_max=smax)
+        sec = _secant_slopes(system.law, w / eps, w_orb / eps)
+        return {"norm_l2": bulk_l2(dom, r_u),
+                "norm_grad": gradient_l2(dom, r_u, r_w, None),
+                "norm_jump": jump_l2(dom, r_w),
+                "lyapunov": alpha / eps * float(np.sum(s * r_w * r_w)),
+                "secant_min": sec.min(initial=np.inf),
+                "secant_max": sec.max(initial=-np.inf)}
+
+    cols, fit, monotone = orbit_gaps(traj, orbit, norms)
+    return DecayReport(ts=traj.ts.copy(), fit=fit,
+                       lyapunov_monotone=monotone, **cols)
 
 
 @dataclass
@@ -117,7 +122,7 @@ class LyapunovSeries:
     max_increase: float
 
 
-def lyapunov_series(traj_a: MicroTrajectory, traj_b: MicroTrajectory,
+def lyapunov_series(traj_a: Trajectory, traj_b: Trajectory,
                     slack: float = 1e-10) -> LyapunovSeries:
     """Weighted squared jump gap of two runs of the same discrete system.
 
@@ -162,51 +167,3 @@ def fit_rate(series: np.ndarray, window: float = 0.4, dt: float = 1.0,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
     cls = "exponential" if r2 >= r2_threshold and slope < 0.0 else "subexponential"
     return RateFit(rate=slope, r_squared=r2, classification=cls)
-
-
-def _gradient_matrix(system: MicroSystem) -> np.ndarray:
-    """Dense map from a jump gap to the weighted face slopes of its bulk lift.
-
-    Rows are scaled so the squared 2-norm of the image equals the squared
-    gradient norm of the difference field (zero Dirichlet data).
-    """
-    dom = system.domain
-    faces = dom.faces
-    h = dom.h
-    s_face = h ** (dom.dim - 1)
-    uw = system.u_jump
-    nf = dom.n_facets
-    du = uw[faces.cell_b] - uw[faces.cell_a]
-    memb = np.flatnonzero(faces.membrane)
-    sign = np.where(faces.a_inside[memb], 1.0, -1.0)
-    du[memb, np.arange(nf)] -= sign
-    rows_int = np.sqrt(s_face * h) * du / h
-    bnd = dom.boundary
-    rows_bnd = np.sqrt(s_face * 0.5 * h) * (-uw[bnd.cell]) / (0.5 * h)
-    return np.vstack([rows_int, rows_bnd])
-
-
-def elliptic_stability_constant(system: MicroSystem) -> float:
-    """Largest gradient norm of the bulk lift per unit jump norm.
-
-    Measured exactly on the grid via the top singular value of the lift map;
-    gives the constant in gradient-norm <= C * jump-norm for differences of
-    solutions with equal boundary data.
-    """
-    g = _gradient_matrix(system)
-    scale = np.sqrt(system.weights)
-    gs = g / scale[None, :]
-    m = gs.T @ gs
-    return float(np.sqrt(max(scipy.linalg.eigvalsh(m)[-1], 0.0)))
-
-
-def poincare_constant(system: MicroSystem) -> float:
-    """Largest bulk norm per unit of (gradient norm + jump norm), measured
-    as a generalized eigenvalue on the jump-gap space."""
-    dom = system.domain
-    uw = system.u_jump
-    num = uw.T @ (dom.cell_volume * uw)
-    g = _gradient_matrix(system)
-    den = g.T @ g + np.diag(system.weights)
-    lam = scipy.linalg.eigh(num, den, eigvals_only=True)[-1]
-    return float(np.sqrt(max(lam, 0.0)))

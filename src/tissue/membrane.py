@@ -11,10 +11,15 @@ per facet, with an affine flux response ``q`` whose weighted matrix is
 symmetric negative semidefinite.  Backward Euler plus monotone ``f`` makes
 the Newton matrix symmetric positive definite, which is what gives the
 discrete Lyapunov decrease its unconditional sign.
+
+The time loop (``simulate``, ``step``) and the trajectory record are shared
+by both systems too; a system supplies ``params``, ``stepper`` and
+``state_at``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,10 +63,14 @@ class FluxResponse:
 
 @dataclass
 class StepResult:
+    """Accepted jump of one step; ``balance`` is the energy-balance defect
+    |R(w)·w| of the weighted step residual R tested with that jump."""
+
     jump: np.ndarray
     iterations: int
     residual: float
     used_shift: bool
+    balance: float
     history: list = field(default_factory=list)
 
 
@@ -117,16 +126,16 @@ class JumpStepper:
         drive = self.temporal(t_next)
         if self.law.is_linear:
             return self._linear_step(w_prev, drive, dt)
-        res = self._newton(w_prev, drive, dt, shift=0.0)
+        res, _ = self._newton(w_prev, drive, dt, shift=0.0)
         if res is not None:
             return res
-        res = self._newton(w_prev, drive, dt, shift=self.params.newton_shift)
+        res, history = self._newton(w_prev, drive, dt,
+                                    shift=self.params.newton_shift)
         if res is not None:
-            res.used_shift = True
             return res
         raise NewtonError(
             "Newton failed to converge, including the shifted-Jacobian retry",
-            residuals=self._last_history)
+            residuals=history)
 
     def _linear_step(self, w_prev: np.ndarray, drive: float,
                      dt: float) -> StepResult:
@@ -146,21 +155,21 @@ class JumpStepper:
                 f"linear implicit step residual {rnorm:.3e} above tolerance",
                 residuals=[rnorm])
         return StepResult(jump=w, iterations=1, residual=rnorm,
-                          used_shift=False, history=[rnorm])
+                          used_shift=False, balance=float(abs(resid @ w)),
+                          history=[rnorm])
 
     def _newton(self, w_prev: np.ndarray, drive: float, dt: float,
-                shift: float) -> Optional[StepResult]:
+                shift: float) -> tuple[Optional[StepResult], list]:
+        """The converged step (None if it failed) and the residual history."""
         fl = self.flux
         tol = self._tolerance(w_prev, drive, dt)
         w = w_prev.copy()
         resid = self._weighted_residual(w, w_prev, drive, dt)
         rnorm = float(np.max(np.abs(resid / fl.weights), initial=0.0))
         history = [rnorm]
-        for it in range(1, self.params.newton_max_iter + 1):
+        for _ in range(self.params.newton_max_iter):
             if rnorm <= tol:
-                self._last_history = history
-                return StepResult(jump=w, iterations=it - 1, residual=rnorm,
-                                  used_shift=shift > 0.0, history=history)
+                break
             jac = self._jacobian(w, dt, shift=shift)
             try:
                 dw = cho_solve(cho_factor(jac), -resid)
@@ -182,8 +191,125 @@ class JumpStepper:
             if shift == 0.0 and len(history) > 4 and \
                     history[-1] > 0.9 * history[-2] > 0.0:
                 break
-        self._last_history = history
-        if rnorm <= tol:
-            return StepResult(jump=w, iterations=len(history) - 1, residual=rnorm,
-                              used_shift=shift > 0.0, history=history)
-        return None
+        if rnorm > tol:
+            return None, history
+        return StepResult(jump=w, iterations=len(history) - 1, residual=rnorm,
+                          used_shift=shift > 0.0, balance=float(abs(resid @ w)),
+                          history=history), history
+
+
+class MembraneSystem:
+    """Surface shared by the resolved and two-scale systems.
+
+    A subclass sets ``params``, ``drive`` and the condensed ``flux_map``,
+    binds its law through ``_bind_law`` and provides ``state_at`` and
+    ``lyapunov``.
+    """
+
+    def _bind_law(self, law: Nonlinearity, rate_coeff: float,
+                  arg_scale: float) -> None:
+        self.law = law
+        self.stepper = JumpStepper(self.flux_map, law, self.drive.temporal,
+                                   rate_coeff=rate_coeff, arg_scale=arg_scale,
+                                   params=self.params)
+
+    def with_law(self, law: Nonlinearity):
+        """Rebind the membrane law, reusing the precomputed bulk response."""
+        twin = copy.copy(self)
+        twin._bind_law(law, self.stepper.rate_coeff, self.stepper.arg_scale)
+        return twin
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.flux_map.weights
+
+
+def jump_family(kind: str, x: np.ndarray, scale: float, seed: int = 0,
+                repeat: int = 1) -> np.ndarray:
+    """Built-in initial jump data: ``kind`` is zero, uniform, modulated
+    (cos 2 pi x) or random, of size ``x.size * repeat``; each value of the
+    coordinate ``x`` serves ``repeat`` consecutive jumps."""
+    n = x.size * repeat
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "uniform":
+        return np.full(n, scale)
+    if kind == "modulated":
+        return np.repeat(scale * np.cos(2.0 * np.pi * x), repeat)
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        return scale * rng.uniform(-1.0, 1.0, n)
+    raise ValueError(f"unknown initial jump kind {kind!r}")
+
+
+# -- time loop ----------------------------------------------------------------
+
+@dataclass
+class Trajectory:
+    """Sampled jump history plus per-step solver records.
+
+    Sample 0 is the initial state, then every ``stride`` steps.
+    ``mean_defects`` holds the corrector mean defect per sample of a
+    two-scale run (see ``twoscale.simulate_two_scale``); None otherwise.
+    """
+
+    system: MembraneSystem
+    ts: np.ndarray
+    jumps: np.ndarray                 # (n_samples, n_jumps)
+    stride: int
+    newton_iters: np.ndarray
+    step_residuals: np.ndarray
+    balance_residuals: np.ndarray
+    mean_defects: Optional[np.ndarray] = None
+
+    @property
+    def dt(self) -> float:
+        return self.system.params.dt
+
+    def state(self, i: int):
+        return self.system.state_at(float(self.ts[i]), self.jumps[i])
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+
+def simulate(system: MembraneSystem, w0: np.ndarray, horizon: float,
+             stride: int = 1) -> Trajectory:
+    """Advance from the initial jump over ``horizon`` time units.
+
+    The horizon must be a whole number of steps.  Bulk fields are
+    reconstructed on demand from the sampled jumps.
+    """
+    dt = system.params.dt
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9:
+        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
+    if stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride}")
+    w = np.asarray(w0, dtype=float).reshape(-1)
+    ts = np.zeros(n_steps // stride + 1)
+    jumps = np.empty((ts.size, w.size))
+    jumps[0] = w
+    iters = np.zeros(n_steps, dtype=np.int64)
+    resid = np.zeros(n_steps)
+    balance = np.zeros(n_steps)
+    for n in range(n_steps):
+        t_next = (n + 1) * dt
+        res = system.stepper.step(t_next, w, dt)
+        w = res.jump
+        iters[n] = res.iterations
+        resid[n] = res.residual
+        balance[n] = res.balance
+        if (n + 1) % stride == 0:
+            ts[(n + 1) // stride] = t_next
+            jumps[(n + 1) // stride] = w
+    return Trajectory(system=system, ts=ts, jumps=jumps, stride=stride,
+                      newton_iters=iters, step_residuals=resid,
+                      balance_residuals=balance)
+
+
+def step(system: MembraneSystem, state):
+    """One implicit step of either system from one of its states."""
+    dt = system.params.dt
+    res = system.stepper.step(state.t + dt, state.jump.reshape(-1), dt)
+    return system.state_at(state.t + dt, res.jump)

@@ -11,7 +11,7 @@ step costs one dense factorization of facet size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,12 +20,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveError
 from .geometry import Conductivity, EpsilonDomain
-from .membrane import FluxResponse, JumpStepper, SolverParams, StepResult
+from .membrane import (FluxResponse, MembraneSystem, SolverParams,
+                       jump_family, simulate, step)
 from .nonlinearity import BoundaryData, Nonlinearity
 
 __all__ = [
     "SolverParams", "BulkOperator", "MicroState", "MicroSystem",
-    "MicroTrajectory", "assemble_bulk", "elliptic_solve_given_jump",
+    "elliptic_solve_given_jump",
     "step", "simulate", "initial_jump", "difference_state",
     "dissipation_identity", "bulk_l2", "jump_l2", "gradient_l2",
     "sigma_gradient_energy",
@@ -70,9 +71,9 @@ class BulkOperator:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n)).tocsc()
 
-        # jump coupling: -k on the inner-cell row, +k on the outer-cell row
-        memb = np.flatnonzero(faces.membrane)
-        self.k_facet = k_face[memb][_facet_order(faces, facets, memb)]
+        # jump coupling: -k on the inner-cell row, +k on the outer-cell row;
+        # the geometry enumerates membrane faces in facet order
+        self.k_facet = k_face[faces.membrane]
         nf = len(facets)
         self.B = sp.coo_matrix(
             (np.concatenate([-self.k_facet, self.k_facet]),
@@ -127,32 +128,23 @@ class BulkOperator:
         return q_in, q_out
 
 
-def _facet_order(faces, facets, memb_idx):
-    """Membrane faces are enumerated in facet order already; assert and map."""
-    order = np.arange(len(memb_idx))
-    assert np.array_equal(
-        np.minimum(faces.cell_a[memb_idx], faces.cell_b[memb_idx]),
-        np.minimum(facets.inner_cell, facets.outer_cell))
-    return order
-
-
-def assemble_bulk(domain: EpsilonDomain, cond: Conductivity) -> BulkOperator:
-    return BulkOperator(domain, cond)
-
-
 def elliptic_solve_given_jump(op: BulkOperator, w: np.ndarray,
                               drive: BoundaryData, t: float,
                               tol: float = 1e-10):
     """Solve the bulk problem with a prescribed jump; returns (u, flux).
 
     The membrane flux is the average of the two one-sided discrete fluxes,
-    which the elimination makes equal up to roundoff (asserted here).
+    which the elimination makes equal up to roundoff; a larger gap raises
+    ``LinearSolveError``.
     """
     bvals = drive.values(op.domain.boundary.midpoint, t)
     u = op.solve(w, bvals, tol=tol)
     q_in, q_out = op.one_sided_fluxes(u, w)
     scale = max(1.0, float(np.max(np.abs(q_in), initial=0.0)))
-    assert float(np.max(np.abs(q_in - q_out), initial=0.0)) <= 1e-8 * scale
+    gap = float(np.max(np.abs(q_in - q_out), initial=0.0))
+    if gap > 1e-8 * scale:
+        raise LinearSolveError(
+            f"one-sided membrane fluxes differ by {gap:.3e}", [gap])
     return u, 0.5 * (q_in + q_out)
 
 
@@ -172,7 +164,7 @@ class MicroState:
                             initial=0.0))
 
 
-class MicroSystem:
+class MicroSystem(MembraneSystem):
     """Bulk operator bound to a membrane law and boundary data.
 
     Precomputes the dense flux response of the jump vector (one bulk solve
@@ -184,10 +176,9 @@ class MicroSystem:
                  law: Nonlinearity, drive: BoundaryData, params: SolverParams):
         self.domain = domain
         self.cond = cond
-        self.law = law
         self.drive = drive
         self.params = params
-        self.op = assemble_bulk(domain, cond)
+        self.op = BulkOperator(domain, cond)
 
         nf = domain.n_facets
         s = np.full(nf, domain.facets.measure)
@@ -199,25 +190,8 @@ class MicroSystem:
         response = 0.5 * (response + response.T)
         load = self.op.B.T @ self.u_drive
         self.flux_map = FluxResponse(weights=s, response=response, load=load)
-        self.stepper = JumpStepper(
-            self.flux_map, law, drive.temporal,
-            rate_coeff=params.alpha / domain.epsilon,
-            arg_scale=domain.epsilon, params=params)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.flux_map.weights
-
-    def with_law(self, law: Nonlinearity) -> "MicroSystem":
-        """Rebind the membrane law, reusing the precomputed bulk response."""
-        twin = object.__new__(MicroSystem)
-        twin.__dict__.update(self.__dict__)
-        twin.law = law
-        twin.stepper = JumpStepper(
-            self.flux_map, law, self.drive.temporal,
-            rate_coeff=self.params.alpha / self.domain.epsilon,
-            arg_scale=self.domain.epsilon, params=self.params)
-        return twin
+        self._bind_law(law, rate_coeff=params.alpha / domain.epsilon,
+                       arg_scale=domain.epsilon)
 
     def bulk_at(self, t: float, w: np.ndarray) -> np.ndarray:
         return self.drive.temporal(t) * self.u_drive + self.u_jump @ w
@@ -228,86 +202,11 @@ class MicroSystem:
         return MicroState(t=t, u=u, jump=w.copy(), flux=self.op.flux_density(u, w),
                           trace_in=t_in, trace_out=t_out)
 
-    def advance(self, t: float, w: np.ndarray, dt: float) -> StepResult:
-        return self.stepper.step(t + dt, w, dt)
-
     def lyapunov(self, w_a: np.ndarray, w_b: np.ndarray) -> float:
         """Weighted squared jump distance of two solutions."""
         r = w_a - w_b
         return float(self.params.alpha / self.domain.epsilon
                      * np.sum(self.weights * r * r))
-
-
-def step(system: MicroSystem, state: MicroState) -> MicroState:
-    """One implicit step of the coupled system."""
-    res = system.advance(state.t, state.jump, system.params.dt)
-    return system.state_at(state.t + system.params.dt, res.jump)
-
-
-@dataclass
-class MicroTrajectory:
-    """Sampled jump history plus per-step solver records."""
-
-    system: MicroSystem
-    ts: np.ndarray
-    jumps: np.ndarray                 # (n_samples, n_facets)
-    stride: int
-    newton_iters: np.ndarray = field(default=None)
-    step_residuals: np.ndarray = field(default=None)
-    balance_residuals: np.ndarray = field(default=None)
-
-    @property
-    def dt(self) -> float:
-        return self.system.params.dt
-
-    def state(self, i: int) -> MicroState:
-        return self.system.state_at(float(self.ts[i]), self.jumps[i])
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-
-def simulate(system: MicroSystem, w0: np.ndarray, horizon: float,
-             stride: int = 1) -> MicroTrajectory:
-    """Advance from the initial jump over ``horizon`` time units.
-
-    The horizon must be a whole number of steps.  Samples every ``stride``
-    steps (sample 0 is the initial state); bulk fields are reconstructed on
-    demand from the sampled jumps.
-    """
-    dt = system.params.dt
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9:
-        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
-    ws = [w0.copy()]
-    ts = [0.0]
-    iters = np.zeros(n_steps, dtype=np.int64)
-    resid = np.zeros(n_steps)
-    balance = np.zeros(n_steps)
-    w = w0.copy()
-    for n in range(n_steps):
-        t_next = (n + 1) * dt
-        w_prev = w
-        res = system.stepper.step(t_next, w_prev, dt)
-        w = res.jump
-        iters[n] = res.iterations
-        resid[n] = res.residual
-        balance[n] = _balance_residual(system, w_prev, w, t_next, dt)
-        if (n + 1) % stride == 0:
-            ws.append(w.copy())
-            ts.append(t_next)
-    return MicroTrajectory(system=system, ts=np.asarray(ts),
-                           jumps=np.asarray(ws), stride=stride,
-                           newton_iters=iters, step_residuals=resid,
-                           balance_residuals=balance)
-
-
-def _balance_residual(system: MicroSystem, w_prev: np.ndarray, w: np.ndarray,
-                      t_next: float, dt: float) -> float:
-    """Energy-balance defect of the achieved step: residual tested with w."""
-    drive = system.drive.temporal(t_next)
-    rvec = system.stepper._weighted_residual(w, w_prev, drive, dt)
-    return float(abs(rvec @ w))
 
 
 def initial_jump(domain: EpsilonDomain, kind: str, amplitude: float,
@@ -318,19 +217,8 @@ def initial_jump(domain: EpsilonDomain, kind: str, amplitude: float,
     (cell membrane measure) * amplitude^2 * epsilon, the admissible-data
     requirement of the transient problem.
     """
-    mids = domain.facets.midpoint
-    nf = domain.n_facets
-    eps = domain.epsilon
-    if kind == "zero":
-        return np.zeros(nf)
-    if kind == "uniform":
-        return np.full(nf, eps * amplitude)
-    if kind == "modulated":
-        return eps * amplitude * np.cos(2.0 * np.pi * mids[:, 0])
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        return eps * amplitude * rng.uniform(-1.0, 1.0, nf)
-    raise ValueError(f"unknown initial jump kind {kind!r}")
+    return jump_family(kind, domain.facets.midpoint[:, 0],
+                       domain.epsilon * amplitude, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -347,7 +235,9 @@ class DifferenceState:
 
 
 def difference_state(state_a: MicroState, state_b: MicroState) -> DifferenceState:
-    assert abs(state_a.t - state_b.t) < 1e-12
+    if abs(state_a.t - state_b.t) >= 1e-12:
+        raise ValueError(
+            f"states at different times {state_a.t} and {state_b.t}")
     return DifferenceState(t=state_a.t, jump_a=state_a.jump.copy(),
                            jump_b=state_b.jump.copy())
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FixedPointError
+from .membrane import simulate
 from .micro import MicroSystem, sigma_gradient_energy
 from .nonlinearity import regularize
 
@@ -48,38 +49,14 @@ class PeriodicOrbit:
         return self.jumps[n % self.steps_per_period]
 
 
-def _steps_per_period(system) -> int:
-    dt = system.params.dt
-    n = int(round(1.0 / dt))
-    if abs(n * dt - 1.0) > 1e-9:
-        raise ValueError(f"period 1 is not a multiple of dt={dt}")
-    return n
-
-
 def _weighted_norm(system, w: np.ndarray) -> float:
     return float(np.sqrt(np.sum(system.weights * w * w)))
 
 
 def poincare_map(system, w0: np.ndarray) -> np.ndarray:
     """Advance the jump vector through one full period of the drive."""
-    n = _steps_per_period(system)
-    dt = system.params.dt
-    w = w0.copy()
-    for k in range(n):
-        w = system.stepper.step((k + 1) * dt, w, dt).jump
-    return w
-
-
-def _record_period(system, w0: np.ndarray) -> np.ndarray:
-    n = _steps_per_period(system)
-    dt = system.params.dt
-    out = np.empty((n + 1, w0.size))
-    out[0] = w0
-    w = w0.copy()
-    for k in range(n):
-        w = system.stepper.step((k + 1) * dt, w, dt).jump
-        out[k + 1] = w
-    return out
+    steps = int(round(1.0 / system.params.dt))
+    return simulate(system, w0, 1.0, stride=steps).jumps[-1]
 
 
 def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
@@ -88,24 +65,26 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
     """Damped Picard iteration on the period map.
 
     The defect sequence is nonincreasing (nonexpansiveness of the map); the
-    damping halves automatically if it stalls for 20 iterations, which can
-    happen for laws whose slope degenerates along the way.
+    damping halves, at most once per 20 iterations, while the defect drops
+    by less than 0.1% over the last 20, which can happen for laws whose
+    slope degenerates along the way.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = np.zeros(system.weights.size) if w0 is None else w0.copy()
     defects = []
+    window_start = 0      # index of the defect that opens the stall window
     for it in range(max_iters):
         pw = poincare_map(system, w)
         defect = _weighted_norm(system, pw - w)
         defects.append(defect)
         if defect <= tol:
-            jumps = _record_period(system, w)
-            return PeriodicOrbit(jumps=jumps, dt=system.params.dt,
-                                 defect=defect, method=method_tag,
-                                 iterations=it + 1)
-        if len(defects) > 20 and defects[-1] > 0.999 * defects[-21]:
+            return PeriodicOrbit(jumps=simulate(system, w, 1.0).jumps,
+                                 dt=system.params.dt, defect=defect,
+                                 method=method_tag, iterations=it + 1)
+        if it - window_start >= 20 and defects[-1] > 0.999 * defects[-21]:
             theta = max(theta / 2.0, 1.0 / 64.0)
+            window_start = it
         w = (1.0 - theta) * w + theta * pw
     raise FixedPointError(
         f"no periodic orbit within {max_iters} iterations "
@@ -140,7 +119,10 @@ def find_periodic_regularized(system, deltas: Sequence[float] = (1e-1, 1e-2, 1e-
 def orbit_distance(system, orbit_a: PeriodicOrbit,
                    orbit_b: PeriodicOrbit) -> float:
     """Period-integrated weighted jump-norm distance of two orbits."""
-    assert orbit_a.steps_per_period == orbit_b.steps_per_period
+    if orbit_a.steps_per_period != orbit_b.steps_per_period:
+        raise ValueError(
+            f"orbits have {orbit_a.steps_per_period} and "
+            f"{orbit_b.steps_per_period} steps per period")
     diff = orbit_a.jumps[:-1] - orbit_b.jumps[:-1]
     sq = np.sum(system.weights * diff * diff, axis=1)
     return float(np.sqrt(orbit_a.dt * np.sum(sq)))

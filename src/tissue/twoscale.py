@@ -18,7 +18,7 @@ stacked jump vector, and time stepping reuses the shared implicit driver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,20 +27,18 @@ import scipy.sparse.linalg as spla
 
 from .errors import GeometryError
 from .geometry import CellGeometry, Conductivity
-from .membrane import FluxResponse, JumpStepper, SolverParams
+from .membrane import (FluxResponse, MembraneSystem, SolverParams, Trajectory,
+                       jump_family, simulate)
 from .nonlinearity import BoundaryData, Nonlinearity
 from .periodic import PeriodicOrbit, find_periodic, find_periodic_regularized
-from .decay import RateFit, fit_rate
+from .decay import RateFit, _ratio, orbit_gaps
 
 __all__ = [
-    "CellOperator", "assemble_cell_operator", "TwoScaleSystem",
-    "TwoScaleState", "TwoScaleOrbit", "TwoScaleTrajectory",
-    "two_scale_step", "simulate_two_scale", "find_periodic_two_scale",
-    "two_scale_decay_metrics", "TwoScaleDecayReport", "initial_two_scale_jump",
-    "transient_weak_residual", "periodic_weak_residual",
+    "CellOperator", "TwoScaleSystem", "TwoScaleState", "simulate_two_scale",
+    "find_periodic_two_scale", "two_scale_decay_metrics", "TwoScaleDecayReport",
+    "initial_two_scale_jump", "transient_weak_residual",
+    "periodic_weak_residual",
 ]
-
-TwoScaleOrbit = PeriodicOrbit
 
 
 # -- unit-cell face data ------------------------------------------------------
@@ -130,10 +128,6 @@ class CellOperator:
         return c - d.vol * c.sum()
 
 
-def assemble_cell_operator(cell: CellGeometry, cond: Conductivity) -> CellOperator:
-    return CellOperator(cell, cond)
-
-
 # -- macro grid ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -216,7 +210,7 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
 
 # -- the coupled system -------------------------------------------------------
 
-class TwoScaleSystem:
+class TwoScaleSystem(MembraneSystem):
     """Macro potential, per-node correctors and stacked membrane jumps.
 
     Builds the bulk least-squares sample matrix once, eliminates the linear
@@ -234,11 +228,10 @@ class TwoScaleSystem:
                 f"macro dimension {macro_dim} must match cell dimension {cell.dim}")
         self.cell = cell
         self.cond = cond
-        self.law = law
         self.drive = drive
         self.params = params
         self.macro = _build_macro_grid(macro_dim, macro_res, drive)
-        self.cell_op = assemble_cell_operator(cell, cond)
+        self.cell_op = CellOperator(cell, cond)
         cfd = self.cell_op.data
         self.cfd = cfd
 
@@ -304,24 +297,7 @@ class TwoScaleSystem:
         s2 = np.full(self.n_w, hmac ** dim * cfd.s_facet)
         self.flux_map = FluxResponse(weights=s2, response=np.asarray(response),
                                      load=load)
-        self.stepper = JumpStepper(self.flux_map, law, drive.temporal,
-                                   rate_coeff=params.alpha, arg_scale=1.0,
-                                   params=params)
-
-    # -- generic system surface (shared with the periodic module) ---------
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.flux_map.weights
-
-    def with_law(self, law: Nonlinearity) -> "TwoScaleSystem":
-        twin = object.__new__(TwoScaleSystem)
-        twin.__dict__.update(self.__dict__)
-        twin.law = law
-        twin.stepper = JumpStepper(self.flux_map, law, self.drive.temporal,
-                                   rate_coeff=self.params.alpha, arg_scale=1.0,
-                                   params=self.params)
-        return twin
+        self._bind_law(law, rate_coeff=params.alpha, arg_scale=1.0)
 
     def lyapunov(self, w_a: np.ndarray, w_b: np.ndarray) -> float:
         r = w_a - w_b
@@ -390,60 +366,17 @@ class TwoScaleState:
     flux: np.ndarray
     mean_defect: float
 
-    @property
-    def jump_flat(self) -> np.ndarray:
-        return self.jump.reshape(-1)
-
-
-def two_scale_step(system: TwoScaleSystem, state: TwoScaleState) -> TwoScaleState:
-    res = system.stepper.step(state.t + system.params.dt, state.jump_flat,
-                              system.params.dt)
-    return system.state_at(state.t + system.params.dt, res.jump)
-
-
-@dataclass
-class TwoScaleTrajectory:
-    system: TwoScaleSystem
-    ts: np.ndarray
-    jumps: np.ndarray
-    stride: int
-    newton_iters: np.ndarray = field(default=None)
-    step_residuals: np.ndarray = field(default=None)
-    mean_defects: np.ndarray = field(default=None)
-
-    def state(self, i: int) -> TwoScaleState:
-        return self.system.state_at(float(self.ts[i]), self.jumps[i])
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
 
 def simulate_two_scale(system: TwoScaleSystem, w0: np.ndarray, horizon: float,
-                       stride: int = 1) -> TwoScaleTrajectory:
-    dt = system.params.dt
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9:
-        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
-    w = np.asarray(w0, dtype=float).reshape(-1).copy()
-    ws = [w.copy()]
-    ts = [0.0]
-    iters = np.zeros(n_steps, dtype=np.int64)
-    resid = np.zeros(n_steps)
-    means = [system.state_at(0.0, w).mean_defect]
-    for n in range(n_steps):
-        t_next = (n + 1) * dt
-        res = system.stepper.step(t_next, w, dt)
-        w = res.jump
-        iters[n] = res.iterations
-        resid[n] = res.residual
-        if (n + 1) % stride == 0:
-            ws.append(w.copy())
-            ts.append(t_next)
-            means.append(system.state_at(t_next, w).mean_defect)
-    return TwoScaleTrajectory(system=system, ts=np.asarray(ts),
-                              jumps=np.asarray(ws), stride=stride,
-                              newton_iters=iters, step_residuals=resid,
-                              mean_defects=np.asarray(means))
+                       stride: int = 1) -> Trajectory:
+    """``simulate`` plus the corrector mean defect of every sample."""
+    traj = simulate(system, w0, horizon, stride=stride)
+    traj.mean_defects = _mean_defects(traj)
+    return traj
+
+
+def _mean_defects(traj: Trajectory) -> np.ndarray:
+    return np.array([traj.state(i).mean_defect for i in range(len(traj))])
 
 
 def find_periodic_two_scale(system: TwoScaleSystem, tol: float = 1e-8,
@@ -461,18 +394,8 @@ def find_periodic_two_scale(system: TwoScaleSystem, tol: float = 1e-8,
 def initial_two_scale_jump(system: TwoScaleSystem, kind: str, amplitude: float,
                            seed: int = 0) -> np.ndarray:
     """Built-in initial jump data on (macro node) x (cell facet)."""
-    n, nf = system.n_nodes, system.cfd.n_facets
-    if kind == "zero":
-        return np.zeros(n * nf)
-    if kind == "uniform":
-        return np.full(n * nf, amplitude)
-    if kind == "modulated":
-        prof = np.cos(2.0 * np.pi * system.macro.centers[:, 0])
-        return (amplitude * prof[:, None] * np.ones(nf)[None, :]).reshape(-1)
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        return amplitude * rng.uniform(-1.0, 1.0, n * nf)
-    raise ValueError(f"unknown initial jump kind {kind!r}")
+    return jump_family(kind, system.macro.centers[:, 0], amplitude, seed=seed,
+                       repeat=system.cfd.n_facets)
 
 
 # -- norms and decay ----------------------------------------------------------
@@ -527,58 +450,40 @@ class TwoScaleDecayReport:
             "lyapunov_monotone": self.lyapunov_monotone,
             "max_mean_defect": self.max_mean_defect,
             "final_over_initial": {
-                "norm_macro_h1": _safe_ratio(self.norm_macro_h1),
-                "norm_corrector": _safe_ratio(self.norm_corrector),
-                "norm_corrector_grad": _safe_ratio(self.norm_corrector_grad),
-                "norm_jump": _safe_ratio(self.norm_jump),
+                "norm_macro_h1": _ratio(self.norm_macro_h1),
+                "norm_corrector": _ratio(self.norm_corrector),
+                "norm_corrector_grad": _ratio(self.norm_corrector_grad),
+                "norm_jump": _ratio(self.norm_jump),
             },
         }
 
 
-def _safe_ratio(series: np.ndarray):
-    return float(series[-1] / series[0]) if series[0] > 0 else None
-
-
-def two_scale_decay_metrics(traj: TwoScaleTrajectory,
-                            orbit: TwoScaleOrbit) -> TwoScaleDecayReport:
+def two_scale_decay_metrics(traj: Trajectory,
+                            orbit: PeriodicOrbit) -> TwoScaleDecayReport:
     """Norm gaps between a two-scale trajectory and the periodic orbit:
     macro H1, corrector and corrector-gradient on the product domain, and
     the jump norm whose weighted square is the Lyapunov quantity."""
     system = traj.system
-    dt = system.params.dt
-    if abs(orbit.dt - dt) > 1e-15:
-        raise ValueError("trajectory and orbit use different time steps")
-    if orbit.jumps.shape[1] != traj.jumps.shape[1]:
-        raise ValueError("trajectory and orbit use different grids")
-    n = len(traj.ts)
-    h1 = np.empty(n)
-    cl2 = np.empty(n)
-    cgrad = np.empty(n)
-    jn = np.empty(n)
-    lyap = np.empty(n)
-    mean_defect = 0.0
-    for i in range(n):
-        step_index = int(round(traj.ts[i] / dt))
-        dw_flat = traj.jumps[i] - orbit.jump_at_step(step_index)
+    alpha = system.params.alpha
+
+    def norms(w, w_orb):
+        dw_flat = w - w_orb
         dz = system.lift_jump @ dw_flat
-        du = dz[:system.n_nodes]
         dc = dz[system.n_nodes:].reshape(system.n_nodes, system.n_y)
-        dw = dw_flat.reshape(system.n_nodes, -1)
-        l2, grad = _macro_norms(system, du)
-        h1[i] = np.sqrt(l2 * l2 + grad * grad)
-        cl2[i], cgrad[i] = _corrector_norms(system, dc, dw)
-        jn[i] = _jump_norm(system, dw_flat)
-        lyap[i] = system.params.alpha * jn[i] ** 2
-        state = system.state_at(float(traj.ts[i]), traj.jumps[i])
-        mean_defect = max(mean_defect, state.mean_defect)
-    sample_dt = float(traj.ts[1] - traj.ts[0]) if n > 1 else dt
-    fit = fit_rate(jn, window=0.4, dt=sample_dt)
-    monotone = bool(np.all(np.diff(lyap) <= 1e-10))
-    return TwoScaleDecayReport(ts=traj.ts.copy(), norm_macro_h1=h1,
-                               norm_corrector=cl2, norm_corrector_grad=cgrad,
-                               norm_jump=jn, lyapunov=lyap, fit=fit,
+        l2, grad = _macro_norms(system, dz[:system.n_nodes])
+        cl2, cgrad = _corrector_norms(system, dc,
+                                      dw_flat.reshape(system.n_nodes, -1))
+        jn = _jump_norm(system, dw_flat)
+        return {"norm_macro_h1": np.sqrt(l2 * l2 + grad * grad),
+                "norm_corrector": cl2, "norm_corrector_grad": cgrad,
+                "norm_jump": jn, "lyapunov": alpha * jn ** 2}
+
+    cols, fit, monotone = orbit_gaps(traj, orbit, norms)
+    means = traj.mean_defects if traj.mean_defects is not None \
+        else _mean_defects(traj)
+    return TwoScaleDecayReport(ts=traj.ts.copy(), fit=fit,
                                lyapunov_monotone=monotone,
-                               max_mean_defect=mean_defect)
+                               max_mean_defect=float(np.max(means)), **cols)
 
 
 # -- comparison against the resolved solver ----------------------------------
@@ -643,7 +548,25 @@ def _pack_test(system: TwoScaleSystem, phi: np.ndarray, phi_cell: np.ndarray,
                            phi_jump.reshape(-1)])
 
 
-def transient_weak_residual(system: TwoScaleSystem, traj: TwoScaleTrajectory,
+def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
+              tests: list, dt: float) -> float:
+    """Steps 1..N of the discrete space-time weak form: bulk pairing and law
+    at each step, with the time difference moved onto the test jump."""
+    s2 = system.weights
+    alpha = system.params.alpha
+    total = 0.0
+    for nn in range(1, len(ts)):
+        phi, phic, phiw = tests[nn]
+        tv = _pack_test(system, phi, phic, phiw)
+        w_n = jumps[nn]
+        total += dt * _bulk_pairing(system, float(ts[nn]), w_n, tv)
+        total += dt * float(np.sum(s2 * system.law(w_n) * phiw.reshape(-1)))
+        dphi = phiw.reshape(-1) - tests[nn - 1][2].reshape(-1)
+        total -= alpha * float(np.sum(s2 * jumps[nn - 1] * dphi))
+    return total
+
+
+def transient_weak_residual(system: TwoScaleSystem, traj: Trajectory,
                             test: Callable[[int, float], tuple]) -> float:
     """Residual of the discrete space-time weak form for one test pair.
 
@@ -655,48 +578,26 @@ def transient_weak_residual(system: TwoScaleSystem, traj: TwoScaleTrajectory,
     """
     if traj.stride != 1:
         raise ValueError("weak-form certification needs a stride-1 trajectory")
-    dt = system.params.dt
-    n_steps = len(traj.ts) - 1
-    tests = [test(n, float(traj.ts[n])) for n in range(n_steps + 1)]
+    tests = [test(n, float(t)) for n, t in enumerate(traj.ts)]
     final_jump = np.max(np.abs(tests[-1][2]), initial=0.0)
     scale = max(float(np.max(np.abs(t[2]), initial=0.0)) for t in tests)
     if final_jump > 1e-12 * max(scale, 1.0):
         raise ValueError("test jump part must vanish at the final time")
-    s2 = system.weights
-    alpha = system.params.alpha
-    total = 0.0
-    for nn in range(1, n_steps + 1):
-        phi, phic, phiw = tests[nn]
-        tv = _pack_test(system, phi, phic, phiw)
-        w_n = traj.jumps[nn]
-        total += dt * _bulk_pairing(system, float(traj.ts[nn]), w_n, tv)
-        total += dt * float(np.sum(s2 * system.law(w_n) * phiw.reshape(-1)))
-        dphi = phiw.reshape(-1) - tests[nn - 1][2].reshape(-1)
-        total -= alpha * float(np.sum(s2 * traj.jumps[nn - 1] * dphi))
-    total -= alpha * float(np.sum(s2 * traj.jumps[0] * tests[0][2].reshape(-1)))
-    return total
+    total = _weak_sum(system, traj.ts, traj.jumps, tests, system.params.dt)
+    return total - system.params.alpha * float(
+        np.sum(system.weights * traj.jumps[0] * tests[0][2].reshape(-1)))
 
 
-def periodic_weak_residual(system: TwoScaleSystem, orbit: TwoScaleOrbit,
+def periodic_weak_residual(system: TwoScaleSystem, orbit: PeriodicOrbit,
                            test: Callable[[int, float], tuple]) -> float:
     """Residual of the period-integrated weak form with 1-periodic tests."""
-    dt = orbit.dt
-    n_steps = orbit.steps_per_period
-    tests = [test(n, n * dt) for n in range(n_steps + 1)]
-    for a, b in zip(tests[0], tests[-1]):
-        assert np.allclose(a, b, atol=1e-12), "test pair must be 1-periodic"
-    s2 = system.weights
-    alpha = system.params.alpha
-    total = 0.0
-    for nn in range(1, n_steps + 1):
-        phi, phic, phiw = tests[nn]
-        tv = _pack_test(system, phi, phic, phiw)
-        w_n = orbit.jumps[nn]
-        total += dt * _bulk_pairing(system, nn * dt, w_n, tv)
-        total += dt * float(np.sum(s2 * system.law(w_n) * phiw.reshape(-1)))
-        dphi = phiw.reshape(-1) - tests[nn - 1][2].reshape(-1)
-        total -= alpha * float(np.sum(s2 * orbit.jumps[nn - 1] * dphi))
+    ts = np.arange(orbit.steps_per_period + 1) * orbit.dt
+    tests = [test(n, float(t)) for n, t in enumerate(ts)]
+    if not all(np.allclose(a, b, atol=1e-12)
+               for a, b in zip(tests[0], tests[-1])):
+        raise ValueError("test pair must be 1-periodic")
+    total = _weak_sum(system, ts, orbit.jumps, tests, orbit.dt)
     # periodicity boundary term; bounded by the orbit defect
-    total += alpha * float(np.sum(s2 * (orbit.jumps[-1] - orbit.jumps[0])
-                                  * tests[-1][2].reshape(-1)))
-    return total
+    return total + system.params.alpha * float(
+        np.sum(system.weights * (orbit.jumps[-1] - orbit.jumps[0])
+               * tests[-1][2].reshape(-1)))

@@ -185,6 +185,18 @@ def test_homogenize_artifacts(tmp_path):
     assert lines[1].startswith("t,norm_macro_H1,norm_corrector")
 
 
+def test_homogenize_honours_periodic_theta(tmp_path):
+    iterations = []
+    for theta in (1.0, 0.5):
+        cfg = write_cfg(tmp_path, name=f"theta{theta}.cfg",
+                        **{"periodic.theta": theta})
+        out = tmp_path / f"out{theta}"
+        assert main(["homogenize", "--config", str(cfg), "--out", str(out)]) == 0
+        rep = json.loads((out / "homogenize_report.json").read_text())
+        iterations.append(rep["orbit"]["iterations"])
+    assert iterations[1] > iterations[0]
+
+
 def test_compare_monotone_and_threads(tmp_path):
     cfg = write_cfg(tmp_path, **{"f.kind": "linear", "init.kind": "uniform",
                                  "init.amplitude": 1.0,

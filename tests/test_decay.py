@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import tissue as T
-from tissue.decay import (decay_metrics, elliptic_stability_constant, fit_rate,
-                          lyapunov_series, poincare_constant)
+from tissue.decay import decay_metrics, fit_rate, lyapunov_series
 from tissue.micro import bulk_l2, gradient_l2, initial_jump, jump_l2, simulate
 from tissue.periodic import find_periodic
 
 from conftest import make_micro
+from oracles import elliptic_stability_constant, poincare_constant
 
 
 def test_fit_rate_recovers_geometric_series():

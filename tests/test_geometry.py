@@ -97,6 +97,19 @@ def test_positive_conductivity_required(cell8):
         T.mean_conductivity(cell8, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("dim,resolution,epsilon", [(2, 8, 0.25), (1, 4, 0.5)])
+def test_membrane_faces_enumerated_in_facet_order(dim, resolution, epsilon):
+    # the bulk and cell operators take the k-th membrane face as facet k
+    cell = T.build_cell_geometry(0.25, resolution, dim=dim)
+    for geo in (cell, T.tile_domain(cell, epsilon)):
+        memb = np.flatnonzero(geo.faces.membrane)
+        face_pairs = np.sort([geo.faces.cell_a[memb], geo.faces.cell_b[memb]],
+                             axis=0)
+        facet_pairs = np.sort([geo.facets.inner_cell, geo.facets.outer_cell],
+                              axis=0)
+        assert np.array_equal(face_pairs, facet_pairs)
+
+
 def test_one_dimensional_diagnostic_mode():
     cell = T.build_cell_geometry(0.25, 4, dim=1)
     assert cell.memb_measure == 2.0

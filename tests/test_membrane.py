@@ -1,0 +1,139 @@
+"""The time loop, trajectory record and step shared by both systems."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tissue as T
+from tissue.micro import initial_jump
+from tissue.twoscale import initial_two_scale_jump, simulate_two_scale
+
+from conftest import make_micro
+from test_twoscale import make_two_scale
+
+
+@pytest.fixture(scope="module", params=["micro", "twoscale"])
+def system_and_w0(request, small_domain):
+    if request.param == "micro":
+        system = make_micro(small_domain, law=("sin",))
+        return system, initial_jump(small_domain, "random", 5.0, seed=3)
+    system = make_two_scale(law=("sin",))
+    return system, initial_two_scale_jump(system, "random", 5.0, seed=3)
+
+
+def _balance_defect(system, w_prev, w, t):
+    """|R(w)·w| recomputed from the public pieces of the step equation."""
+    st = system.stepper
+    fl = system.flux_map
+    dt = system.params.dt
+    rate = st.rate_coeff * (w - w_prev) / dt
+    resid = (fl.weights * (rate + system.law(w / st.arg_scale))
+             + fl.response @ w - system.drive.temporal(t) * fl.load)
+    return float(abs(resid @ w))
+
+
+def test_simulate_records_balance_residuals(system_and_w0):
+    system, w0 = system_and_w0
+    traj = T.simulate(system, w0, 0.2)
+    assert traj.balance_residuals.shape == (20,)
+    for n in range(20):
+        expected = _balance_defect(system, traj.jumps[n], traj.jumps[n + 1],
+                                   float(traj.ts[n + 1]))
+        assert traj.balance_residuals[n] == expected
+
+
+def test_step_matches_one_step_simulate(system_and_w0):
+    system, w0 = system_and_w0
+    state = system.state_at(0.0, w0)
+    nxt = T.step(system, state)
+    traj = T.simulate(system, w0, system.params.dt)
+    assert nxt.t == traj.ts[1]
+    assert np.array_equal(nxt.jump.reshape(-1), traj.jumps[1])
+
+
+def test_simulate_samples_every_stride(system_and_w0):
+    system, w0 = system_and_w0
+    full = T.simulate(system, w0, 0.3)
+    strided = T.simulate(system, w0, 0.3, stride=4)
+    assert np.array_equal(strided.jumps, full.jumps[::4])
+    assert np.array_equal(strided.ts, full.ts[::4])
+    assert np.array_equal(strided.newton_iters, full.newton_iters)
+
+
+def test_simulate_rejects_bad_stride(system_and_w0):
+    system, w0 = system_and_w0
+    with pytest.raises(ValueError, match="stride"):
+        T.simulate(system, w0, 0.1, stride=0)
+
+
+def test_simulate_two_scale_is_simulate_plus_mean_defects():
+    system = make_two_scale(law=("sin",))
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=4)
+    plain = T.simulate(system, w0, 0.2, stride=5)
+    traj = simulate_two_scale(system, w0, 0.2, stride=5)
+    assert np.array_equal(traj.jumps, plain.jumps)
+    assert plain.mean_defects is None
+    expected = [system.state_at(float(t), w).mean_defect
+                for t, w in zip(traj.ts, traj.jumps)]
+    assert traj.mean_defects.tolist() == expected
+
+
+def test_with_law_shares_the_bulk_response(small_domain):
+    system = make_micro(small_domain, law=("sin",))
+    twin = system.with_law(T.make_nonlinearity("linear", kappa=2.0))
+    assert twin.flux_map is system.flux_map
+    assert twin.stepper is not system.stepper
+    assert twin.stepper.law is twin.law
+    assert system.law.kind == "sin"
+    assert (twin.stepper.rate_coeff, twin.stepper.arg_scale) == \
+        (system.stepper.rate_coeff, system.stepper.arg_scale)
+
+
+_OPTIMIZED_CHECKS = """
+import numpy as np
+import tissue as T
+from tissue.micro import MicroState, elliptic_solve_given_jump
+from tissue.periodic import PeriodicOrbit
+from tissue.twoscale import periodic_weak_residual
+
+if __debug__:
+    raise SystemExit("asserts are live: not running under -O")
+
+def raises(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc:
+        return
+    raise SystemExit(f"{fn.__name__} did not raise {exc.__name__}")
+
+z = np.zeros(2)
+raises(ValueError, T.difference_state, MicroState(0.0, z, z, z, z, z),
+       MicroState(0.5, z, z, z, z, z))
+orbit = lambda n: PeriodicOrbit(np.zeros((n + 1, 2)), 1.0 / n, 0.0, "x", 0)
+raises(ValueError, T.orbit_distance, None, orbit(2), orbit(4))
+raises(ValueError, periodic_weak_residual, None, orbit(2),
+       lambda n, t: (np.full(1, n), np.zeros(1), np.zeros(1)))
+
+cell = T.build_cell_geometry(0.25, 4)
+dom = T.tile_domain(cell, 0.5)
+op = T.BulkOperator(dom, T.make_conductivity(cell, 1.0, 1.0))
+op.one_sided_fluxes = lambda u, w: (np.zeros(dom.n_facets),
+                                    np.ones(dom.n_facets))
+raises(T.LinearSolveError, elliptic_solve_given_jump, op,
+       np.zeros(dom.n_facets), T.make_boundary_data(), 0.0)
+print("ok")
+"""
+
+
+def test_caller_errors_survive_python_optimize():
+    """The checks raise typed errors, not asserts that ``-O`` strips."""
+    src = Path(T.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.strip() == "ok"

@@ -17,7 +17,7 @@ from oracles import (DenseLinearStepper, dense_bulk, dense_elliptic,
 
 def test_assembly_matches_dense_loops(small_domain):
     cond = T.make_conductivity(small_domain.cell, 2.0, 1.0)
-    op = T.assemble_bulk(small_domain, cond)
+    op = T.BulkOperator(small_domain, cond)
     A_d, B_d, k_d, _ = dense_bulk(small_domain, cond)
     assert np.max(np.abs(op.A.toarray() - A_d)) < 1e-14
     assert np.max(np.abs(op.B.toarray() - B_d)) < 1e-14
@@ -26,7 +26,7 @@ def test_assembly_matches_dense_loops(small_domain):
 
 def test_operator_symmetry(small_domain):
     cond = T.make_conductivity(small_domain.cell, 3.0, 0.5)
-    op = T.assemble_bulk(small_domain, cond)
+    op = T.BulkOperator(small_domain, cond)
     asym = abs(op.A - op.A.T).max()
     assert asym < 1e-14
 
@@ -36,7 +36,7 @@ def test_hand_assembled_1d_two_cells():
     cell = T.build_cell_geometry(0.25, 4, dim=1)
     dom = T.tile_domain(cell, 0.5)
     cond = T.make_conductivity(cell, 2.0, 1.0)
-    op = T.assemble_bulk(dom, cond)
+    op = T.BulkOperator(dom, cond)
     h = 0.125
     k_in = 2.0 / h          # face between two inclusion cells
     k_out = 1.0 / h         # face between two outer cells
@@ -56,7 +56,7 @@ def test_hand_assembled_1d_two_cells():
 
 def test_affine_dirichlet_reproduced_exactly(small_domain):
     cond = T.make_conductivity(small_domain.cell, 1.0, 1.0)
-    op = T.assemble_bulk(small_domain, cond)
+    op = T.BulkOperator(small_domain, cond)
     drive = T.make_boundary_data("affine", "constant", 1.0)
     u, q = elliptic_solve_given_jump(op, np.zeros(small_domain.n_facets),
                                      drive, 0.0)
@@ -65,7 +65,7 @@ def test_affine_dirichlet_reproduced_exactly(small_domain):
 
 def test_constant_dirichlet_gives_constant(small_domain):
     cond = T.make_conductivity(small_domain.cell, 2.0, 1.0)
-    op = T.assemble_bulk(small_domain, cond)
+    op = T.BulkOperator(small_domain, cond)
     drive = T.make_boundary_data("constant", "constant", 3.0)
     u, q = elliptic_solve_given_jump(op, np.zeros(small_domain.n_facets),
                                      drive, 0.0)
@@ -75,7 +75,7 @@ def test_constant_dirichlet_gives_constant(small_domain):
 
 def test_prescribed_jump_flux_matches_dense(small_domain):
     cond = T.make_conductivity(small_domain.cell, 2.0, 1.0)
-    op = T.assemble_bulk(small_domain, cond)
+    op = T.BulkOperator(small_domain, cond)
     drive = T.make_boundary_data("constant", "constant", 0.0)
     rng = np.random.default_rng(3)
     w = rng.uniform(-1, 1, small_domain.n_facets)
@@ -88,7 +88,7 @@ def test_prescribed_jump_flux_matches_dense(small_domain):
 
 def test_superposition(small_domain):
     cond = T.make_conductivity(small_domain.cell, 2.0, 1.0)
-    op = T.assemble_bulk(small_domain, cond)
+    op = T.BulkOperator(small_domain, cond)
     d1 = T.make_boundary_data("affine", "constant", 1.0)
     d0 = T.make_boundary_data("constant", "constant", 0.0)
     rng = np.random.default_rng(4)
@@ -193,7 +193,7 @@ def test_newton_budget_exhaustion_raises_with_history(small_domain):
 def test_linear_solve_tolerance_violation_raises(small_domain):
     from tissue.errors import LinearSolveError
     cond = T.make_conductivity(small_domain.cell, 2.0, 1.0)
-    op = T.assemble_bulk(small_domain, cond)
+    op = T.BulkOperator(small_domain, cond)
     bvals = np.ones(len(small_domain.boundary))
     with pytest.raises(LinearSolveError) as err:
         op.solve(np.zeros(small_domain.n_facets), bvals, tol=1e-30)

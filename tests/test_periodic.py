@@ -4,6 +4,7 @@ import scipy.linalg
 
 import tissue as T
 from tissue.errors import FixedPointError
+from tissue.membrane import StepResult
 from tissue.micro import initial_jump, jump_l2, simulate
 from tissue.periodic import (find_periodic, find_periodic_regularized,
                              orbit_distance, poincare_map,
@@ -84,6 +85,35 @@ def test_picard_defects_nonincreasing(small_domain):
     defects = err.value.defects
     assert len(defects) == 8
     assert all(b <= a * (1 + 1e-9) for a, b in zip(defects, defects[1:]))
+
+
+class _SlowPeriodMap:
+    """Stub system whose period map contracts by ``q`` toward a fixed point,
+    in two steps of the stub stepper."""
+
+    weights = np.ones(3)
+    params = T.SolverParams(dt=0.5)
+    target = np.array([1.0, -2.0, 0.5])
+
+    def __init__(self, q):
+        self.per_step = np.sqrt(q)
+        self.stepper = self
+
+    def step(self, t_next, w_prev, dt):
+        w = self.target + self.per_step * (w_prev - self.target)
+        return StepResult(jump=w, iterations=1, residual=0.0,
+                          used_shift=False, balance=0.0)
+
+
+def test_stalled_picard_halves_damping_once_per_window():
+    q = 1.0 - 1e-5     # the defect falls by under 0.1% per 20 iterations
+    with pytest.raises(FixedPointError) as err:
+        find_periodic(_SlowPeriodMap(q), tol=1e-12, max_iters=65)
+    d = np.asarray(err.value.defects)
+    # a Picard step with damping theta scales the defect by 1 - theta (1 - q)
+    thetas = (1.0 - d[1:] / d[:-1]) / (1.0 - q)
+    expected = np.repeat([1.0, 0.5, 0.25, 0.125], [20, 20, 20, 4])
+    assert np.allclose(thetas, expected, rtol=1e-3)
 
 
 def test_orbit_time_shift_consistency(small_domain):

@@ -5,11 +5,11 @@ import tissue as T
 from tissue.errors import GeometryError
 from tissue.micro import MicroSystem, initial_jump, simulate
 from tissue.periodic import find_periodic, orbit_distance
-from tissue.twoscale import (TwoScaleSystem, assemble_cell_operator,
+from tissue.twoscale import (CellOperator, TwoScaleSystem,
                              find_periodic_two_scale, initial_two_scale_jump,
                              micro_two_scale_gap, periodic_weak_residual,
                              simulate_two_scale, transient_weak_residual,
-                             two_scale_decay_metrics, two_scale_step)
+                             two_scale_decay_metrics)
 
 from oracles import DenseTwoScale
 
@@ -31,14 +31,14 @@ def make_two_scale(cell=None, cond=(1.0, 1.0), law=("sin",),
 def test_cell_operator_constants_in_kernel():
     cell = T.build_cell_geometry(0.25, 8)
     cond = T.make_conductivity(cell, 3.0, 1.0)
-    op = assemble_cell_operator(cell, cond)
+    op = CellOperator(cell, cond)
     assert op.row_sum_defect() <= 1e-12
 
 
 def test_cell_operator_no_corrector_without_contrast_or_jump():
     cell = T.build_cell_geometry(0.25, 8)
     cond = T.make_conductivity(cell, 2.0, 2.0)
-    op = assemble_cell_operator(cell, cond)
+    op = CellOperator(cell, cond)
     c = op.corrector_for(np.array([1.0, 0.0]), np.zeros(len(cell.facets)))
     assert np.max(np.abs(c)) < 1e-14
 
@@ -46,7 +46,7 @@ def test_cell_operator_no_corrector_without_contrast_or_jump():
 def test_cell_operator_contrast_induces_corrector():
     cell = T.build_cell_geometry(0.25, 8)
     cond = T.make_conductivity(cell, 5.0, 1.0)
-    op = assemble_cell_operator(cell, cond)
+    op = CellOperator(cell, cond)
     c = op.corrector_for(np.array([1.0, 0.0]), np.zeros(len(cell.facets)))
     assert np.max(np.abs(c)) > 1e-3
     assert abs(op.data.vol * c.sum()) < 1e-14
@@ -55,7 +55,7 @@ def test_cell_operator_contrast_induces_corrector():
 def test_cell_operator_1d_hand_assembly():
     cell = T.build_cell_geometry(0.25, 4, dim=1)
     cond = T.make_conductivity(cell, 2.0, 1.0)
-    op = assemble_cell_operator(cell, cond)
+    op = CellOperator(cell, cond)
     h = 0.25
     # periodic faces 0|1, 1|2, 2|3, 3|0 with conductivities set by the
     # phases (cells 1,2 inside): membrane, interior, membrane, exterior
@@ -78,7 +78,7 @@ def test_constant_drive_zero_state():
     st = system.state_at(0.0, np.zeros(system.n_w))
     assert np.max(np.abs(st.macro - 4.0)) < 1e-12
     assert np.max(np.abs(st.corrector)) < 1e-12
-    nxt = two_scale_step(system, st)
+    nxt = T.step(system, st)
     assert np.max(np.abs(nxt.jump)) < 1e-13
     assert np.max(np.abs(nxt.macro - 4.0)) < 1e-12
 
