@@ -232,14 +232,22 @@ def build_cell_geometry(margin: float, resolution: int, dim: int = 2) -> CellGeo
     return geo
 
 
+def _require(ok, what: str) -> None:
+    if not ok:
+        raise GeometryError(f"inconsistent geometry: {what}")
+
+
 def _check_cell(geo: CellGeometry) -> None:
-    assert abs(geo.area_int + geo.area_out - 1.0) < 1e-15
+    _require(abs(geo.area_int + geo.area_out - 1.0) < 1e-15,
+             "phase areas do not sum to 1")
     facets = geo.facets
     # normals point from the inclusion into the outer phase, per facet
-    assert np.all(geo.inside[facets.inner_cell])
-    assert not np.any(geo.inside[facets.outer_cell])
+    _require(np.all(geo.inside[facets.inner_cell])
+             and not np.any(geo.inside[facets.outer_cell]),
+             "a facet normal does not point out of the inclusion")
     # discrete membrane measure agrees with the analytic perimeter
-    assert abs(len(facets) * facets.measure - geo.memb_measure) < 1e-12
+    _require(abs(len(facets) * facets.measure - geo.memb_measure) < 1e-12,
+             "facet measures miss the membrane measure")
 
 
 @dataclass(frozen=True)
@@ -267,7 +275,8 @@ def mean_conductivity(cell: CellGeometry, sigma_int: float,
 def make_conductivity(cell: CellGeometry, sigma_int: float,
                       sigma_out: float) -> Conductivity:
     mean = mean_conductivity(cell, sigma_int, sigma_out)
-    assert min(sigma_int, sigma_out) <= mean <= max(sigma_int, sigma_out)
+    _require(min(sigma_int, sigma_out) <= mean <= max(sigma_int, sigma_out),
+             f"mean conductivity {mean} outside the phase values")
     return Conductivity(sigma_int=sigma_int, sigma_out=sigma_out, mean=mean)
 
 
@@ -324,11 +333,11 @@ class EpsilonDomain:
 
 
 def tile_domain(cell: CellGeometry, epsilon: float,
-                max_cells: int = 65536, max_facets: int = 4096) -> EpsilonDomain:
+                max_cells: int = 65536) -> EpsilonDomain:
     """Tile the unit domain with scaled periodic cells.
 
-    The tiling must close exactly (``1/epsilon`` integral) and the resulting
-    unknown counts must fit the dense precompute budget of the solvers.
+    The tiling must close exactly (``1/epsilon`` integral) and the bulk
+    unknown count must fit ``max_cells``.
     """
     if epsilon <= 0:
         raise GeometryError(f"epsilon must be positive, got {epsilon}")
@@ -341,6 +350,14 @@ def tile_domain(cell: CellGeometry, epsilon: float,
     n = copies * cell.resolution
     dim = cell.dim
     n_cells = n ** dim
+    if n_cells > max_cells:
+        # minimum-degree fill of the bulk factor, measured on the 2D tiling
+        # at 4096 and 16384 cells: about 3 n log2 n nonzeros of 12 bytes
+        factor_mb = 36 * n_cells * np.log2(n_cells) / 1e6
+        raise GeometryError(
+            f"unknown budget exceeded: {n_cells} cells (limit {max_cells}); "
+            f"each sparse bulk factorization would need about "
+            f"{factor_mb:.1f} MB")
 
     # inclusion mask repeats per tile
     band = np.tile((np.arange(cell.resolution) >= round(cell.margin * cell.resolution))
@@ -357,12 +374,6 @@ def tile_domain(cell: CellGeometry, epsilon: float,
     facets = _facets_from_faces(faces, h, dim, centers)
 
     n_facets = len(facets)
-    if n_cells > max_cells or n_facets > max_facets:
-        dense_bytes = 8 * (n_cells * n_facets + n_facets * n_facets)
-        raise GeometryError(
-            f"unknown budget exceeded: {n_cells} cells / {n_facets} facets "
-            f"(limits {max_cells} / {max_facets}); dense flux-response "
-            f"precompute would need about {dense_bytes / 1e6:.0f} MB")
 
     # boundary faces: cells on the outer rim, one face per exposed side
     bc, bax, bsg, bmid = [], [], [], []
@@ -407,10 +418,13 @@ def _check_domain(dom: EpsilonDomain) -> None:
     copies = round(1.0 / dom.epsilon)
     expected = dom.cell.memb_measure * dom.epsilon ** (dom.dim - 1) * copies ** dom.dim
     # equivalently |cell membrane| * |domain| / epsilon
-    assert abs(expected - dom.cell.memb_measure / dom.epsilon) < 1e-12
-    assert abs(dom.memb_measure - expected) < 1e-12
+    _require(abs(expected - dom.cell.memb_measure / dom.epsilon) < 1e-12
+             and abs(dom.memb_measure - expected) < 1e-12,
+             "tiled membrane measure is not |cell membrane| / epsilon")
     facets = dom.facets
-    assert np.all(dom.inside[facets.inner_cell])
-    assert not np.any(dom.inside[facets.outer_cell])
+    _require(np.all(dom.inside[facets.inner_cell])
+             and not np.any(dom.inside[facets.outer_cell]),
+             "a facet normal does not point out of the inclusion")
     # no boundary cell belongs to the inclusion (keeps the Dirichlet gap)
-    assert not np.any(dom.inside[dom.boundary.cell])
+    _require(not np.any(dom.inside[dom.boundary.cell]),
+             "an inclusion cell touches the boundary")

@@ -12,6 +12,12 @@ symmetric negative semidefinite.  Backward Euler plus monotone ``f`` makes
 the Newton matrix symmetric positive definite, which is what gives the
 discrete Lyapunov decrease its unconditional sign.
 
+The stepper reaches the flux response only through the ``FluxMap``
+protocol: a product with the response and a factorization of the response
+plus a diagonal.  ``FluxResponse`` holds the response as a dense matrix;
+from 400 facets up the resolved solver keeps it condensed in the sparse bulk
+operator instead (``micro.SeriesFlux``).
+
 The time loop (``simulate``, ``step``) and the trajectory record are shared
 by both systems too; a system supplies ``params``, ``stepper`` and
 ``state_at``.
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -48,17 +54,46 @@ class SolverParams:
             raise ValueError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class FluxResponse:
+class FluxMap(Protocol):
     """Affine membrane flux map after bulk elimination.
 
-    In facet-weighted form:  diag(weights) q(w, t) = drive(t) * load - response @ w
-    with ``response`` dense symmetric positive semidefinite.
+    In facet-weighted form:  diag(weights) q(w, t) = drive(t) * load - R w
+    with a symmetric positive semidefinite response R.  ``apply(w)`` is
+    R w; ``factor(d)`` factors diag(d) + R for a positive ``d``, and its
+    ``solve(r)`` returns x with (diag(d) + R) x = r.
     """
+
+    weights: np.ndarray
+    load: np.ndarray
+
+    def apply(self, w: np.ndarray) -> np.ndarray: ...
+
+    def factor(self, d: np.ndarray): ...
+
+
+class _CholeskyFactor:
+    def __init__(self, mat: np.ndarray):
+        self._cf = cho_factor(mat)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return cho_solve(self._cf, r)
+
+
+@dataclass(frozen=True)
+class FluxResponse:
+    """``FluxMap`` with the response R held as a dense matrix."""
 
     weights: np.ndarray
     response: np.ndarray
     load: np.ndarray
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        return self.response @ w
+
+    def factor(self, d: np.ndarray) -> _CholeskyFactor:
+        mat = self.response.copy()
+        mat[np.diag_indices_from(mat)] += d
+        return _CholeskyFactor(mat)
 
 
 @dataclass
@@ -77,7 +112,7 @@ class StepResult:
 class JumpStepper:
     """Advances the jump vector by one implicit step via Newton."""
 
-    def __init__(self, flux: FluxResponse, law: Nonlinearity,
+    def __init__(self, flux: FluxMap, law: Nonlinearity,
                  temporal: Callable[[float], float], rate_coeff: float,
                  arg_scale: float, params: SolverParams):
         self.flux = flux
@@ -86,7 +121,7 @@ class JumpStepper:
         self.rate_coeff = rate_coeff
         self.arg_scale = arg_scale
         self.params = params
-        self._linear_factor: Optional[tuple] = None
+        self._linear_factor: Optional[tuple] = None   # (key, factor)
 
     # -- residual and Jacobian -------------------------------------------
 
@@ -95,17 +130,14 @@ class JumpStepper:
         fl = self.flux
         rate = self.rate_coeff * (w - w_prev) / dt
         return (fl.weights * (rate + self.law(w / self.arg_scale))
-                + fl.response @ w - drive * fl.load)
+                + fl.apply(w) - drive * fl.load)
 
-    def _jacobian(self, w: np.ndarray, dt: float,
-                  shift: float = 0.0) -> np.ndarray:
-        fl = self.flux
-        diag = fl.weights * (self.rate_coeff / dt
-                             + (self.law.deriv(w / self.arg_scale) + shift)
-                             / self.arg_scale)
-        jac = fl.response.copy()
-        jac[np.diag_indices_from(jac)] += diag
-        return jac
+    def _jacobian_diagonal(self, w: np.ndarray, dt: float,
+                           shift: float = 0.0) -> np.ndarray:
+        """The Newton matrix is this diagonal plus the flux response."""
+        return self.flux.weights * (self.rate_coeff / dt
+                                    + (self.law.deriv(w / self.arg_scale)
+                                       + shift) / self.arg_scale)
 
     def _tolerance(self, w_prev: np.ndarray, drive: float, dt: float) -> float:
         # reference: flux/data scale, not the (much larger) Jacobian scale;
@@ -142,12 +174,10 @@ class JumpStepper:
         fl = self.flux
         key = (dt, self.law.linear_slope, self.law.shift)
         if self._linear_factor is None or self._linear_factor[0] != key:
-            jac = fl.response.copy()
-            jac[np.diag_indices_from(jac)] += fl.weights * (
-                self.rate_coeff / dt + self.law.linear_slope / self.arg_scale)
-            self._linear_factor = (key, cho_factor(jac))
+            self._linear_factor = (key, fl.factor(fl.weights * (
+                self.rate_coeff / dt + self.law.linear_slope / self.arg_scale)))
         rhs = fl.weights * self.rate_coeff / dt * w_prev + drive * fl.load
-        w = cho_solve(self._linear_factor[1], rhs)
+        w = self._linear_factor[1].solve(rhs)
         resid = self._weighted_residual(w, w_prev, drive, dt)
         rnorm = float(np.max(np.abs(resid / fl.weights), initial=0.0))
         if rnorm > self._tolerance(w_prev, drive, dt):
@@ -170,9 +200,9 @@ class JumpStepper:
         for _ in range(self.params.newton_max_iter):
             if rnorm <= tol:
                 break
-            jac = self._jacobian(w, dt, shift=shift)
+            diag = self._jacobian_diagonal(w, dt, shift=shift)
             try:
-                dw = cho_solve(cho_factor(jac), -resid)
+                dw = fl.factor(diag).solve(-resid)
             except np.linalg.LinAlgError:
                 break
             # backtracking keeps the overshoot of strongly convex laws in check

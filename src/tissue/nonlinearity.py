@@ -178,7 +178,10 @@ def fit_growth_constants(fn, s_max: float = 50.0,
             "is too flat for the required tail-slope behavior")
     lin = 0.0
     # defensive re-check of the fitted bound at every sample
-    assert np.all(fn(s) * s >= quad * s * s - lin * np.abs(s) - 1e-12)
+    if not np.all(fn(s) * s >= quad * s * s - lin * np.abs(s) - 1e-12):
+        raise NonlinearityError(
+            "fitted growth bound fails at a sample; the law does not "
+            "evaluate consistently")
     return quad, lin
 
 

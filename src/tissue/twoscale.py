@@ -202,7 +202,8 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
                 side_of[j, d, 1] = fid
                 fid += 1
     grad = sp.coo_matrix((vals, (rows, cols)), shape=(fid, n)).tocsr()
-    assert np.all(side_of >= 0)
+    if not np.all(side_of >= 0):
+        raise GeometryError("a macro node side has no gradient sample face")
     return MacroGrid(dim=dim, res=res, spacing=h, centers=centers, grad=grad,
                      grad_load=np.asarray(loads), side_of=side_of,
                      face_axis=np.asarray(axes))

@@ -53,6 +53,19 @@ def dense_bulk(dom, cond):
     return A, B, k_facet, k_bnd
 
 
+def dense_response(system):
+    """Dense flux response diag(k) - B^T A^-1 B of a resolved system."""
+    A, B, k_facet, _ = dense_bulk(system.domain, system.cond)
+    return np.diag(k_facet) - B.T @ scipy.linalg.solve(A, B, assume_a="pos")
+
+
+def dense_lift(system):
+    """Dense map from a jump vector to the bulk field it induces at zero
+    boundary data: A^-1 B."""
+    A, B, _, _ = dense_bulk(system.domain, system.cond)
+    return scipy.linalg.solve(A, B, assume_a="pos")
+
+
 def dense_boundary_load(dom, cond, drive, t: float, k_bnd: float) -> np.ndarray:
     rhs = np.zeros(dom.n_cells)
     vals = drive.values(dom.boundary.midpoint, t)
@@ -271,7 +284,7 @@ def _gradient_matrix(system) -> np.ndarray:
     faces = dom.faces
     h = dom.h
     s_face = h ** (dom.dim - 1)
-    uw = system.u_jump
+    uw = dense_lift(system)
     nf = dom.n_facets
     du = uw[faces.cell_b] - uw[faces.cell_a]
     memb = np.flatnonzero(faces.membrane)
@@ -301,7 +314,7 @@ def poincare_constant(system) -> float:
     """Largest bulk norm per unit of (gradient norm + jump norm), measured
     as a generalized eigenvalue on the jump-gap space."""
     dom = system.domain
-    uw = system.u_jump
+    uw = dense_lift(system)
     num = uw.T @ (dom.cell_volume * uw)
     g = _gradient_matrix(system)
     den = g.T @ g + np.diag(system.weights)

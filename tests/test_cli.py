@@ -227,6 +227,13 @@ def test_verify_exit_code_and_report(tmp_path):
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_verify_bulk_solve_reads_linear_tol():
+    from tissue.errors import LinearSolveError
+    from tissue.verify import run_invariant_suite
+    with pytest.raises(LinearSolveError, match="bulk solve residual"):
+        run_invariant_suite(finalize_config({"solver.linear_tol": 1e-30}))
+
+
 def test_solver_failure_exit_code(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

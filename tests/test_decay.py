@@ -134,6 +134,20 @@ def test_lyapunov_series_matches_direct_quadratic_form(small_domain):
         assert ls.values[i] == pytest.approx(direct, rel=1e-12)
 
 
+def test_lyapunov_series_on_two_scale_runs():
+    from tissue.twoscale import initial_two_scale_jump
+    from test_twoscale import make_two_scale
+    system = make_two_scale(law=("sin",))
+    wa = initial_two_scale_jump(system, "random", 5.0, seed=8)
+    wb = initial_two_scale_jump(system, "random", 5.0, seed=9)
+    ta = simulate(system, wa, 0.3, stride=5)
+    tb = simulate(system, wb, 0.3, stride=5)
+    ls = lyapunov_series(ta, tb)
+    assert ls.monotone and ls.values[-1] < ls.values[0]
+    assert ls.values.tolist() == [system.lyapunov(a, b)
+                                  for a, b in zip(ta.jumps, tb.jumps)]
+
+
 def test_gradient_bounded_by_measured_stability_constant(small_domain):
     system = make_micro(small_domain, law=("sin",))
     const = elliptic_stability_constant(system)

@@ -32,7 +32,7 @@ def _balance_defect(system, w_prev, w, t):
     dt = system.params.dt
     rate = st.rate_coeff * (w - w_prev) / dt
     resid = (fl.weights * (rate + system.law(w / st.arg_scale))
-             + fl.response @ w - system.drive.temporal(t) * fl.load)
+             + fl.apply(w) - system.drive.temporal(t) * fl.load)
     return float(abs(resid @ w))
 
 
@@ -94,9 +94,13 @@ def test_with_law_shares_the_bulk_response(small_domain):
 
 
 _OPTIMIZED_CHECKS = """
+from dataclasses import replace
+from types import SimpleNamespace
 import numpy as np
 import tissue as T
+from tissue.geometry import _check_domain
 from tissue.micro import MicroState, elliptic_solve_given_jump
+from tissue.nonlinearity import fit_growth_constants
 from tissue.periodic import PeriodicOrbit
 from tissue.twoscale import periodic_weak_residual
 
@@ -125,6 +129,17 @@ op.one_sided_fluxes = lambda u, w: (np.zeros(dom.n_facets),
                                     np.ones(dom.n_facets))
 raises(T.LinearSolveError, elliptic_solve_given_jump, op,
        np.zeros(dom.n_facets), T.make_boundary_data(), 0.0)
+
+raises(T.GeometryError, T.make_conductivity,
+       SimpleNamespace(area_int=2.0, area_out=-1.0), 1.0, 2.0)
+raises(T.GeometryError, _check_domain, replace(dom, memb_measure=0.0))
+calls = []
+
+def drifting_law(s):
+    calls.append(s)
+    return s if len(calls) == 1 else 0.5 * s
+
+raises(T.NonlinearityError, fit_growth_constants, drifting_law)
 print("ok")
 """
 
