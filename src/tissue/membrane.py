@@ -14,9 +14,17 @@ discrete Lyapunov decrease its unconditional sign.
 
 The stepper reaches the flux response only through the ``FluxMap``
 protocol: a product with the response and a factorization of the response
-plus a diagonal.  ``FluxResponse`` holds the response as a dense matrix;
-from 400 facets up the resolved solver keeps it condensed in the sparse bulk
-operator instead (``micro.SeriesFlux``).
+plus a diagonal.  Three implementations:
+
+- ``FluxResponse`` holds the response as a dense matrix (the resolved
+  solver below 400 facets);
+- ``micro.SeriesFlux`` keeps it condensed in the sparse bulk operator (the
+  resolved solver from 400 facets up);
+- ``twoscale.NodeFlux`` keeps it as one cell-sized block per macro node
+  plus a correction of macro rank (the two-scale solver).
+
+A factorization is a fresh object per call, so one system can be stepped
+from several threads.
 
 The time loop (``simulate``, ``step``) and the trajectory record are shared
 by both systems too; a system supplies ``params``, ``stepper`` and

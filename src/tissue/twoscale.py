@@ -10,9 +10,14 @@ the computed states, and the jump-gap Lyapunov quantity is nonincreasing
 for monotone membrane laws.  Corner-based macro gradient sampling keeps the
 macro operator free of checkerboard kernels on coarse grids.
 
-As in the resolved solver, the linear bulk (macro potential plus all
-correctors) is eliminated once into a dense affine flux response of the
-stacked jump vector, and time stepping reuses the shared implicit driver.
+Every macro node shares one cell, and a node's corrector and jumps see the
+macro potential only through the node's corner-averaged macro gradient.
+The correctors are therefore eliminated per node with the one cell
+factorization (FE^2 / HMM structure), leaving a flux response of the
+stacked jumps that is block diagonal up to a correction of macro rank
+(``NodeFlux``).  Each Newton step factors a banded matrix plus a macro-sized
+capacitance matrix; no stacked-bulk factorization or dense facet-sized
+response is formed.  Time stepping reuses the shared implicit stepper.
 """
 
 from __future__ import annotations
@@ -24,19 +29,21 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import (cho_factor, cho_solve, cho_solve_banded,
+                          cholesky_banded)
 
 from .errors import GeometryError
 from .geometry import CellGeometry, Conductivity
-from .membrane import (FluxResponse, MembraneSystem, SolverParams, Trajectory,
-                       jump_family, simulate)
+from .membrane import (MembraneSystem, SolverParams, Trajectory, jump_family,
+                       simulate)
 from .nonlinearity import BoundaryData, Nonlinearity
 from .periodic import PeriodicOrbit, find_periodic, find_periodic_regularized
 from .decay import RateFit, _ratio, orbit_gaps
 
 __all__ = [
-    "CellOperator", "TwoScaleSystem", "TwoScaleState", "simulate_two_scale",
-    "find_periodic_two_scale", "two_scale_decay_metrics", "TwoScaleDecayReport",
-    "initial_two_scale_jump", "transient_weak_residual",
+    "CellOperator", "NodeFlux", "TwoScaleSystem", "TwoScaleState",
+    "simulate_two_scale", "find_periodic_two_scale", "two_scale_decay_metrics",
+    "TwoScaleDecayReport", "initial_two_scale_jump", "transient_weak_residual",
     "periodic_weak_residual",
 ]
 
@@ -133,8 +140,8 @@ class CellOperator:
 @dataclass(frozen=True)
 class MacroGrid:
     """Uniform coarse grid over the unit domain: Dirichlet boundary faces,
-    two-point face gradients and the per-node face lookup used for corner
-    gradient sampling."""
+    two-point face gradients, the per-node face lookup used for corner
+    gradient sampling and the per-node corner-averaged gradient."""
 
     dim: int
     res: int
@@ -144,6 +151,8 @@ class MacroGrid:
     grad_load: np.ndarray          # boundary contribution per unit drive
     side_of: np.ndarray            # (n_nodes, dim, 2) face ids
     face_axis: np.ndarray
+    mean_grad: np.ndarray          # (n_nodes * dim, n_nodes), row j * dim + d
+    mean_grad_load: np.ndarray     # its boundary contribution per unit drive
 
     @property
     def n_nodes(self) -> int:
@@ -204,9 +213,88 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
     grad = sp.coo_matrix((vals, (rows, cols)), shape=(fid, n)).tocsr()
     if not np.all(side_of >= 0):
         raise GeometryError("a macro node side has no gradient sample face")
+    grad_load = np.asarray(loads)
+    # the corner samples of node j along axis d average its two side faces
+    sides = side_of.reshape(n * dim, 2)
+    mean_grad = 0.5 * (grad[sides[:, 0]] + grad[sides[:, 1]]).toarray()
+    mean_grad_load = 0.5 * (grad_load[sides[:, 0]] + grad_load[sides[:, 1]])
     return MacroGrid(dim=dim, res=res, spacing=h, centers=centers, grad=grad,
-                     grad_load=np.asarray(loads), side_of=side_of,
-                     face_axis=np.asarray(axes))
+                     grad_load=grad_load, side_of=side_of,
+                     face_axis=np.asarray(axes), mean_grad=mean_grad,
+                     mean_grad_load=mean_grad_load)
+
+
+# -- per-node condensed flux map ----------------------------------------------
+
+class NodeFlux:
+    """Flux map of the stacked jumps with the cell problems eliminated.
+
+    Node j's corrector sees the rest of the system only through its jumps
+    w_j and its mean macro gradient g_j = (Gbar u)_j, so eliminating it
+    leaves one (n_facets x n_facets) block R_b on w_j and one
+    (n_facets x dim) coupling V to g_j, shared by every node; eliminating
+    the macro potential u through its Schur complement S gives
+
+        R = blockdiag(R_b) - (I x V) Gbar S^-1 Gbar' (I x V)'.
+
+    The Newton matrix diag(d) + R is the banded B = blockdiag(R_b) +
+    diag(d) minus a correction of macro rank; ``factor`` solves it by
+    Woodbury with the capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V)
+    Gbar, which has one row per macro node.
+    """
+
+    def __init__(self, weights: np.ndarray, load: np.ndarray,
+                 r_block: np.ndarray, v: np.ndarray, mean_grad: np.ndarray,
+                 schur: np.ndarray):
+        self.weights = weights
+        self.load = load
+        self.r_block = r_block
+        self.v = v
+        self.mean_grad = mean_grad
+        self.schur = schur
+        nf = r_block.shape[0]
+        self.n_nodes = weights.size // nf
+        # Gbar S^-1 Gbar', the macro coupling of the node gradients
+        self._coupling = mean_grad @ cho_solve(cho_factor(schur), mean_grad.T)
+        # upper band storage of blockdiag(R_b): bandwidth n_facets - 1, zero
+        # across node blocks
+        rows, cols = np.triu_indices(nf)
+        band = np.zeros((nf, nf))
+        band[nf - 1 + rows - cols, cols] = r_block[rows, cols]
+        self._band = np.tile(band, self.n_nodes)
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        wr = w.reshape(self.n_nodes, -1)
+        g = (self._coupling @ (wr @ self.v).reshape(-1)) \
+            .reshape(self.n_nodes, -1)
+        return (wr @ self.r_block - g @ self.v.T).reshape(-1)
+
+    def factor(self, d: np.ndarray) -> "_NodeFactor":
+        return _NodeFactor(self, d)
+
+
+class _NodeFactor:
+    def __init__(self, flux: NodeFlux, d: np.ndarray):
+        self.flux = flux
+        n, dim = flux.n_nodes, flux.v.shape[1]
+        ab = flux._band.copy()
+        ab[-1] += d
+        self.band = (cholesky_banded(ab, overwrite_ab=True), False)
+        # B^-1 (I x V), one (n_facets x dim) block per node
+        self.bv = cho_solve_banded(self.band, np.tile(flux.v, (n, 1))) \
+            .reshape(n, -1, dim)
+        vbv = np.einsum("fi,nfk->nik", flux.v, self.bv)
+        gr = flux.mean_grad.reshape(n, dim, n)
+        cap = flux.schur - flux.mean_grad.T @ np.einsum(
+            "nik,nkm->nim", vbv, gr).reshape(n * dim, n)
+        self.cap = cho_factor(cap)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        fl = self.flux
+        y = cho_solve_banded(self.band, r)
+        t = fl.mean_grad.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
+        g = (fl.mean_grad @ cho_solve(self.cap, t)).reshape(fl.n_nodes, -1)
+        return y + np.einsum("nfk,nk->nf", self.bv, g).reshape(-1)
 
 
 # -- the coupled system -------------------------------------------------------
@@ -214,9 +302,13 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
 class TwoScaleSystem(MembraneSystem):
     """Macro potential, per-node correctors and stacked membrane jumps.
 
-    Builds the bulk least-squares sample matrix once, eliminates the linear
-    block (macro plus correctors) through a sparse factorization, and hands
-    the resulting dense flux response to the shared implicit stepper.
+    Builds the bulk least-squares sample matrix once (the weak-form
+    certificates pair with it).  The correctors are eliminated per node
+    through the single cell factorization, the macro potential through its
+    node-sized Schur complement; the stepper gets the result as a
+    ``NodeFlux``.  ``lift_jump`` and ``lift_drive`` reconstruct the macro
+    potential and the correctors from the jumps; ``lift_jump`` is dense
+    (n_z x n_w), hence the ``max_jumps`` budget.
     """
 
     def __init__(self, cell: CellGeometry, cond: Conductivity,
@@ -232,18 +324,21 @@ class TwoScaleSystem(MembraneSystem):
         self.drive = drive
         self.params = params
         self.macro = _build_macro_grid(macro_dim, macro_res, drive)
+        n_nodes = self.macro.n_nodes
+        n_w = n_nodes * len(cell.facets)
+        if n_w > max_jumps:
+            lift_mb = n_nodes * (1 + cell.n_cells) * n_w * 8 / 1e6
+            raise GeometryError(
+                f"stacked jump count {n_w} exceeds budget {max_jumps}; the "
+                f"dense jump lift would need {lift_mb:.1f} MB")
         self.cell_op = CellOperator(cell, cond)
         cfd = self.cell_op.data
         self.cfd = cfd
 
-        n_nodes = self.macro.n_nodes
         dim = macro_dim
         self.n_nodes = n_nodes
         self.n_y = cfd.n_y
-        self.n_w = n_nodes * cfd.n_facets
-        if self.n_w > max_jumps:
-            raise GeometryError(
-                f"stacked jump count {self.n_w} exceeds budget {max_jumps}")
+        self.n_w = n_w
 
         hmac = self.macro.spacing
         cell_weight = hmac ** dim / 2 ** dim
@@ -272,32 +367,57 @@ class TwoScaleSystem(MembraneSystem):
         self.samples = sp.vstack(blocks, format="csr")
         self.sample_load = np.concatenate(loads)
 
-        n_z = n_nodes + n_nodes * self.n_y
-        self._iz = np.arange(n_z)
-        self._iw = np.arange(n_z, n_z + self.n_w)
-        gram = (self.samples.T @ self.samples).tocsc()
-        k_zz = gram[self._iz][:, self._iz]
-        k_zw = gram[self._iz][:, self._iw]
-        k_ww = gram[self._iw][:, self._iw]
-        rhs = self.samples.T @ self.sample_load
-        r_z, r_w = rhs[self._iz], rhs[self._iw]
+        # The stacked corrector block of every node is hmac^dim times the
+        # cell operator, and the corner samples reach it only through the
+        # node's mean macro gradient g_j and its jumps w_j.  One cell solve
+        # against the face drives of a unit g (axis_select) and a unit w
+        # (slope_w) gives node j's corrector -(x_g g_j + x_w w_j); ``resp``
+        # is the energy Hessian left in (g_j, w_j).
+        hdim = hmac ** dim
+        drives = sp.hstack([cfd.axis_select, cfd.slope_w]).toarray()
+        wdrives = (cfd.vol * cfd.sigma_face)[:, None] * drives
+        rhs = cfd.slope_c.T @ wdrives
+        x = self.cell_op._lu.solve(rhs)
+        x_g, x_w = x[:, :dim], x[:, dim:]
+        cross = hdim * (rhs.T @ x)
+        resp = hdim * (drives.T @ wdrives) - cross
+        resp = 0.5 * (resp + resp.T)
+        v, r_block = resp[dim:, :dim], resp[dim:, dim:]
+        e_g = 0.5 * (cross[:dim, :dim] + cross[:dim, :dim].T)
 
-        # exact mean penalty: loads are orthogonal to per-node constants
-        mean_rows = sp.kron(eye_nodes, sp.csr_matrix(np.full((1, self.n_y),
-                                                             cfd.vol)))
-        pad = sp.csr_matrix((n_nodes, n_nodes))
-        mean_rows = sp.hstack([pad, mean_rows], format="csr")
-        pen = (cond.mean * hmac ** dim) * (mean_rows.T @ mean_rows)
-        self._lu_z = spla.splu((k_zz + pen).tocsc())
+        # macro Schur complement S = K_uu - Gbar' (I x e_g) Gbar, with K_uu
+        # the (node-sized) macro block of the sample Gram matrix, and the
+        # drive's load on the macro rows
+        gbar = self.macro.mean_grad
+        gbar_load = self.macro.mean_grad_load
+        t_macro = self.samples[:, :n_nodes]
+        gr = gbar.reshape(n_nodes, dim, n_nodes)
+        schur = (t_macro.T @ t_macro).toarray() - gbar.T @ np.einsum(
+            "ik,nkm->nim", e_g, gr).reshape(n_nodes * dim, n_nodes)
+        schur = 0.5 * (schur + schur.T)
+        load_u = t_macro.T @ self.sample_load \
+            - gbar.T @ (gbar_load.reshape(n_nodes, dim) @ e_g).reshape(-1)
+        schur_cf = cho_factor(schur)
 
-        self.lift_jump = -self._lu_z.solve(k_zw.toarray())
-        self.lift_drive = -self._lu_z.solve(r_z)
-        response = k_ww.toarray() + k_zw.T @ self.lift_jump
-        response = 0.5 * (response + response.T)
-        load = -(k_zw.T @ self.lift_drive + r_w)
-        s2 = np.full(self.n_w, hmac ** dim * cfd.s_facet)
-        self.flux_map = FluxResponse(weights=s2, response=np.asarray(response),
-                                     load=load)
+        # lifts: the macro potential from S^-1 Gbar' (I x V)', then each
+        # node's corrector from its mean gradient and its own jumps
+        lift_u = -cho_solve(schur_cf, np.einsum(
+            "jim,fi->mjf", gr, v).reshape(n_nodes, n_w))
+        g_w = (gbar @ lift_u).reshape(n_nodes, dim, n_w)
+        lift_c = -np.einsum("yi,jiw->jyw", x_g, g_w).reshape(
+            n_nodes, self.n_y, n_nodes, cfd.n_facets)
+        nodes = np.arange(n_nodes)
+        lift_c[nodes, :, nodes, :] -= x_w
+        self.lift_jump = np.vstack([lift_u, lift_c.reshape(-1, n_w)])
+        u_drive = -cho_solve(schur_cf, load_u)
+        g_drive = (gbar @ u_drive + gbar_load).reshape(n_nodes, dim)
+        self.lift_drive = np.concatenate([u_drive,
+                                          -(g_drive @ x_g.T).reshape(-1)])
+
+        s2 = np.full(n_w, hdim * cfd.s_facet)
+        self.flux_map = NodeFlux(weights=s2, load=-(g_drive @ v.T).reshape(-1),
+                                 r_block=r_block, v=v, mean_grad=gbar,
+                                 schur=schur)
         self._bind_law(law, rate_coeff=params.alpha, arg_scale=1.0)
 
     def lyapunov(self, w_a: np.ndarray, w_b: np.ndarray) -> float:
@@ -319,7 +439,7 @@ class TwoScaleSystem(MembraneSystem):
         corr = corr - means[:, None]
         drive = self.drive.temporal(t)
         flux = (drive * self.flux_map.load
-                - self.flux_map.response @ w) / self.weights
+                - self.flux_map.apply(w)) / self.weights
         return TwoScaleState(t=t, macro=macro, corrector=corr,
                              jump=w.reshape(self.n_nodes, -1).copy(),
                              flux=flux.reshape(self.n_nodes, -1),
@@ -327,12 +447,9 @@ class TwoScaleSystem(MembraneSystem):
 
     def mean_gradients(self, macro: np.ndarray, drive_factor: float) -> np.ndarray:
         """Per-node macro gradient averaged over the corner samples."""
-        g = self.macro.grad @ macro + drive_factor * self.macro.grad_load
-        out = np.empty((self.n_nodes, self.macro.dim))
-        for d in range(self.macro.dim):
-            out[:, d] = 0.5 * (g[self.macro.side_of[:, d, 0]]
-                               + g[self.macro.side_of[:, d, 1]])
-        return out
+        mac = self.macro
+        return (mac.mean_grad @ macro + drive_factor * mac.mean_grad_load) \
+            .reshape(self.n_nodes, mac.dim)
 
     def one_sided_membrane_fluxes(self, state: "TwoScaleState"):
         """Per-facet fluxes computed from either trace side (continuity check)."""
@@ -341,18 +458,14 @@ class TwoScaleSystem(MembraneSystem):
         half = 0.5 * cfd.spacing
         gbar = self.mean_gradients(state.macro, self.drive.temporal(state.t))
         facets = self.cell.facets
-        q_in = np.empty((self.n_nodes, cfd.n_facets))
-        q_out = np.empty_like(q_in)
-        for j in range(self.n_nodes):
-            c = state.corrector[j]
-            w = state.jump[j]
-            gd = gbar[j][facets.axis] * facets.sign
-            c_in = c[facets.inner_cell]
-            c_out = c[facets.outer_cell]
-            trace_in = ((so - si) * gd * half + si * c_in
-                        + so * (c_out - w)) / (si + so)
-            q_in[j] = si * (gd + (trace_in - c_in) / half)
-            q_out[j] = so * (gd + (c_out - trace_in - w) / half)
+        w = state.jump
+        gd = gbar[:, facets.axis] * facets.sign
+        c_in = state.corrector[:, facets.inner_cell]
+        c_out = state.corrector[:, facets.outer_cell]
+        trace_in = ((so - si) * gd * half + si * c_in
+                    + so * (c_out - w)) / (si + so)
+        q_in = si * (gd + (trace_in - c_in) / half)
+        q_out = so * (gd + (c_out - trace_in - w) / half)
         return q_in, q_out
 
 
@@ -419,11 +532,8 @@ def _corrector_norms(system: TwoScaleSystem, dc: np.ndarray, dw: np.ndarray):
     cfd = system.cfd
     hdim = system.macro.spacing ** system.macro.dim
     l2 = float(np.sqrt(hdim * cfd.vol * np.sum(dc * dc)))
-    acc = 0.0
-    for j in range(system.n_nodes):
-        slopes = cfd.slope_c @ dc[j] + cfd.slope_w @ dw[j]
-        acc += float(np.sum(slopes * slopes))
-    grad = float(np.sqrt(hdim * cfd.vol * acc))
+    slopes = cfd.slope_c @ dc.T + cfd.slope_w @ dw.T      # (faces, nodes)
+    grad = float(np.sqrt(hdim * cfd.vol * np.sum(slopes * slopes)))
     return l2, grad
 
 

@@ -2,13 +2,20 @@
 
 Everything here is assembled from first principles with plain loops and
 solved with dense factorizations, independent of the production assembly
-and Schur elimination paths.
+and Schur elimination paths.  The exception is ``dense_two_scale``: it
+starts from the production sample matrix (checked against loops by
+``test_bulk_hessian_matches_dense_loops``) and eliminates the whole stacked
+(macro, corrector) block at once, independent of the per-node condensation.
 """
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 def face_coefficient(dom, cond, face_idx: int) -> float:
@@ -270,6 +277,38 @@ class DenseTwoScale:
         x = scipy.linalg.solve(M, rhs)
         return x[:self.n_nodes], \
             x[self.n_nodes:nz].reshape(self.n_nodes, self.n_y), x[nz:]
+
+
+def dense_two_scale(system):
+    """Stacked elimination of the two-scale bulk: the Gram matrix of the
+    samples, the per-node mean penalty and one sparse factorization of the
+    whole (macro, correctors) block, solved against every jump column.
+
+    Returns the dense response, load, jump lift and drive lift, with the
+    production meaning of each.
+    """
+    n_nodes, n_y = system.n_nodes, system.n_y
+    n_z = n_nodes + n_nodes * n_y
+    iz, iw = np.arange(n_z), np.arange(n_z, n_z + system.n_w)
+    gram = (system.samples.T @ system.samples).tocsc()
+    k_zz, k_zw = gram[iz][:, iz], gram[iz][:, iw]
+    k_ww = gram[iw][:, iw]
+    rhs = system.samples.T @ system.sample_load
+    r_z, r_w = rhs[iz], rhs[iw]
+    # exact mean penalty: loads are orthogonal to per-node constants
+    mean_rows = sp.kron(sp.eye(n_nodes),
+                        sp.csr_matrix(np.full((1, n_y), system.cfd.vol)))
+    mean_rows = sp.hstack([sp.csr_matrix((n_nodes, n_nodes)), mean_rows])
+    pen = system.cond.mean * system.macro.spacing ** system.macro.dim \
+        * (mean_rows.T @ mean_rows)
+    lu = spla.splu((k_zz + pen).tocsc())
+    lift_jump = -lu.solve(k_zw.toarray())
+    lift_drive = -lu.solve(r_z)
+    response = k_ww.toarray() + k_zw.T @ lift_jump
+    return types.SimpleNamespace(
+        response=0.5 * (response + response.T),
+        load=-(k_zw.T @ lift_drive + r_w),
+        lift_jump=lift_jump, lift_drive=lift_drive)
 
 
 # -- dense decay constants ------------------------------------------------------

@@ -3,14 +3,15 @@ import pytest
 
 import tissue as T
 from tissue.errors import NonlinearityError
-from tissue.membrane import FluxResponse, JumpStepper
+from tissue.membrane import FluxResponse
 from tissue.micro import (DENSE_BELOW_FACETS, MicroSystem, SeriesFlux,
                           bulk_l2, difference_state, dissipation_identity,
                           elliptic_solve_given_jump, gradient_l2,
                           initial_jump, jump_l2, sigma_gradient_energy,
                           simulate, step)
 
-from conftest import make_micro
+from conftest import (force_shifted_retry, make_micro, rel_gap, steps_agree,
+                      stepper_on)
 from oracles import (DenseLinearStepper, dense_bulk, dense_elliptic,
                      dense_response, dense_sigma_gradient_energy)
 
@@ -359,10 +360,6 @@ def test_secant_range_reported(small_domain):
 
 # -- sparse series-conductance flux against the dense response ---------------
 
-def _rel_gap(got, want):
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
-
 def _series_flux(system):
     return SeriesFlux(system.op, system.weights, system.flux_map.load)
 
@@ -372,21 +369,13 @@ def _oracle_flux(system):
                         load=system.flux_map.load)
 
 
-def _stepper(system, flux):
-    """The system's stepper on another implementation of its flux map."""
-    st = system.stepper
-    return JumpStepper(flux, system.law, system.drive.temporal,
-                       rate_coeff=st.rate_coeff, arg_scale=st.arg_scale,
-                       params=system.params)
-
-
 def test_series_flux_apply_matches_dense_response(small_domain):
     system = make_micro(small_domain, cond=(2.0, 1.0))
     flux, response = _series_flux(system), dense_response(system)
     rng = np.random.default_rng(31)
     for w in rng.normal(size=(3, small_domain.n_facets)):
-        assert _rel_gap(flux.apply(w), response @ w) <= 1e-12
-        assert _rel_gap(system.flux_map.apply(w), response @ w) <= 1e-12
+        assert rel_gap(flux.apply(w), response @ w) <= 1e-12
+        assert rel_gap(system.flux_map.apply(w), response @ w) <= 1e-12
 
 
 def test_series_factor_solves_shifted_dense_response(small_domain):
@@ -400,18 +389,7 @@ def test_series_factor_solves_shifted_dense_response(small_domain):
         d = scale * rng.uniform(0.5, 2.0, small_domain.n_facets)
         r = rng.normal(size=small_domain.n_facets)
         want = np.linalg.solve(response + np.diag(d), r)
-        assert _rel_gap(flux.factor(d).solve(r), want) <= 1e-12
-
-
-def _steps_agree(stepper_a, stepper_b, w, dt, n_steps=3):
-    for n in range(n_steps):
-        t = (n + 1) * dt
-        a = stepper_a.step(t, w, dt)
-        b = stepper_b.step(t, w, dt)
-        assert (a.iterations, a.used_shift) == (b.iterations, b.used_shift)
-        assert _rel_gap(a.jump, b.jump) <= 1e-12
-        w = a.jump
-    return a
+        assert rel_gap(flux.factor(d).solve(r), want) <= 1e-12
 
 
 @pytest.mark.parametrize("law,kw", [("sin", {}), ("cubic", {}), ("tanh", {}),
@@ -419,20 +397,18 @@ def _steps_agree(stepper_a, stepper_b, w, dt, n_steps=3):
 def test_series_step_matches_dense_response_step(small_domain, law, kw):
     system = make_micro(small_domain, cond=(2.0, 1.0), law=(law,), dt=0.05, **kw)
     w0 = initial_jump(small_domain, "random", 5.0, seed=33)
-    _steps_agree(_stepper(system, _series_flux(system)),
-                 _stepper(system, _oracle_flux(system)), w0, 0.05)
+    steps_agree(stepper_on(system, _series_flux(system)),
+                stepper_on(system, _oracle_flux(system)), w0, 0.05)
 
 
 def test_series_shifted_retry_matches_dense_response(small_domain):
     system = make_micro(small_domain, cond=(2.0, 1.0), law=("cubic",), dt=0.05)
-    steppers = (_stepper(system, _series_flux(system)),
-                _stepper(system, _oracle_flux(system)))
+    steppers = (stepper_on(system, _series_flux(system)),
+                stepper_on(system, _oracle_flux(system)))
     for st in steppers:
-        # the unshifted Newton pass fails, so every step takes the retry
-        st._newton = lambda w, drive, dt, shift, run=st._newton: \
-            (None, []) if shift == 0.0 else run(w, drive, dt, shift)
+        force_shifted_retry(st)
     w0 = initial_jump(small_domain, "random", 5.0, seed=34)
-    assert _steps_agree(*steppers, w0, 0.05).used_shift
+    assert steps_agree(*steppers, w0, 0.05).used_shift
 
 
 def test_sixteenth_cell_size_takes_a_sparse_sin_step(cell8):

@@ -1,17 +1,21 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import tissue as T
 from tissue.errors import GeometryError
+from tissue.membrane import FluxResponse
 from tissue.micro import MicroSystem, initial_jump, simulate
 from tissue.periodic import find_periodic, orbit_distance
-from tissue.twoscale import (CellOperator, TwoScaleSystem,
+from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              find_periodic_two_scale, initial_two_scale_jump,
                              micro_two_scale_gap, periodic_weak_residual,
                              simulate_two_scale, transient_weak_residual,
                              two_scale_decay_metrics)
 
-from oracles import DenseTwoScale
+from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
+from oracles import DenseTwoScale, dense_two_scale
 
 
 def make_two_scale(cell=None, cond=(1.0, 1.0), law=("sin",),
@@ -129,6 +133,96 @@ def test_linear_step_matches_dense_monolithic_oracle(dim, macro_res, cell_res):
     macro, corr = system.recover(0.37, res.jump)
     assert np.max(np.abs(macro - macro_d)) < 1e-9
     assert np.max(np.abs(corr - corr_d)) < 1e-9
+
+
+# -- per-node condensation against the stacked dense elimination -------------
+
+# (dim, macro_res, cell_res, conductivity contrast); the last has 1024 jumps
+CONDENSATION_GRID = [(2, 4, 8, (1.0, 1.0)), (2, 2, 4, (2.0, 1.0)),
+                     (1, 2, 4, (2.0, 1.0)), (2, 1, 4, (1.0, 3.0)),
+                     (1, 5, 8, (1.0, 1.0)), (2, 8, 8, (1.0, 1.0))]
+
+
+@pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
+def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
+                                                     cond):
+    system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
+                            cell_res=cell_res)
+    dense = dense_two_scale(system)
+    flux = system.flux_map
+    assert isinstance(flux, NodeFlux)
+    rng = np.random.default_rng(40)
+    for w in rng.normal(size=(2, system.n_w)):
+        assert rel_gap(flux.apply(w), dense.response @ w) <= 1e-12
+    for scale in (1e-2, 1.0, 1e3):
+        d = scale * rng.uniform(0.5, 2.0, system.n_w)
+        r = rng.normal(size=system.n_w)
+        want = np.linalg.solve(dense.response + np.diag(d), r)
+        assert rel_gap(flux.factor(d).solve(r), want) <= 1e-12
+    assert rel_gap(flux.load, dense.load) <= 1e-12
+    assert rel_gap(system.lift_jump, dense.lift_jump) <= 1e-12
+    assert rel_gap(system.lift_drive, dense.lift_drive) <= 1e-12
+
+
+def _oracle_stepper(system):
+    dense = dense_two_scale(system)
+    return stepper_on(system, FluxResponse(weights=system.weights,
+                                           response=dense.response,
+                                           load=dense.load))
+
+
+@pytest.mark.parametrize("law,kw", [("sin", {}), ("cubic", {}), ("tanh", {}),
+                                    ("linear", {"kappa": 2.0})])
+def test_node_flux_step_matches_dense_response_step(law, kw):
+    system = make_two_scale(cond=(2.0, 1.0), law=(law,), dt=0.05, **kw)
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=41)
+    steps_agree(system.stepper, _oracle_stepper(system), w0, 0.05)
+
+
+def test_node_flux_shifted_retry_matches_dense_response():
+    system = make_two_scale(cond=(2.0, 1.0), law=("cubic",), dt=0.05)
+    steppers = (stepper_on(system, system.flux_map), _oracle_stepper(system))
+    for st in steppers:
+        force_shifted_retry(st)
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=42)
+    assert steps_agree(*steppers, w0, 0.05).used_shift
+
+
+def test_1024_jump_sin_step_matches_dense_response_step():
+    system = make_two_scale(macro_res=8, cell_res=8, dt=1e-3)
+    assert system.n_w == 1024
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=43)
+    steps_agree(system.stepper, _oracle_stepper(system), w0, 1e-3, n_steps=1)
+
+
+def test_shared_system_threads_match_serial_runs():
+    # one system (and its linear twin, whose stepper caches its factor)
+    # stepped from two threads at once
+    system = make_two_scale(cond=(2.0, 1.0), law=("sin",))
+    linear = T.make_nonlinearity("linear", kappa=1.0)
+    w0s = [initial_two_scale_jump(system, "random", 3.0, seed=s)
+           for s in (44, 45)]
+    serial_twin = system.with_law(linear)
+    serial = [T.simulate(sys_, w0, 0.3).jumps
+              for sys_ in (system, serial_twin) for w0 in w0s]
+    shared_twin = system.with_law(linear)
+    runs = [(sys_, w0) for sys_ in (system, shared_twin) for w0 in w0s]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda run: T.simulate(*run, 0.3).jumps,
+                                 runs))
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+def test_jump_budget_rejection_reports_lift_memory():
+    cell = T.build_cell_geometry(0.25, 8)
+    cond = T.make_conductivity(cell, 1.0, 1.0)
+    # 64 nodes x (1 + 64 cells) x 1024 jumps x 8 bytes
+    with pytest.raises(GeometryError,
+                       match=r"1024 exceeds budget 512.* 34\.1 MB"):
+        TwoScaleSystem(cell, cond, T.make_nonlinearity("sin"),
+                       T.make_boundary_data(), T.SolverParams(),
+                       macro_res=8, max_jumps=512)
 
 
 def test_bulk_hessian_matches_dense_loops():
