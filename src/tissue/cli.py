@@ -196,10 +196,9 @@ def _load_orbit(cfg: RunConfig, out: Path, system) -> PeriodicOrbit:
     data = np.loadtxt(lines[2:], delimiter=",")
     jumps = data[:, 1:]
     dt = float(data[1, 0] - data[0, 0])
-    diff = jumps[-1] - jumps[0]
-    defect = float(np.sqrt(np.sum(system.weights * diff * diff)))
-    return PeriodicOrbit(jumps=jumps, dt=dt, defect=defect, method="loaded",
-                         iterations=0)
+    return PeriodicOrbit(jumps=jumps, dt=dt,
+                         defect=system.jump_norm(jumps[-1] - jumps[0]),
+                         method="loaded", iterations=0)
 
 
 def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
@@ -209,8 +208,8 @@ def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
                       seed=cfg["seed"])
     traj = simulate(system, w0, cfg["time.horizon"], stride=cfg["output.stride"])
     report = decay_metrics(traj, orbit)
-    rows = zip(report.ts, report.norm_l2, report.norm_grad, report.norm_jump,
-               report.lyapunov)
+    rows = zip(report.ts, *(report.columns[k] for k in (
+        "norm_l2", "norm_grad", "norm_jump", "lyapunov")))
     _write_csv(out / "decay.csv", cfg,
                ["t", "norm_L2", "norm_grad", "norm_jump", "E"], rows)
     _write_json(out / "decay_report.json", cfg, report.as_dict())
@@ -228,8 +227,7 @@ def _cmd_homogenize(cfg: RunConfig, out: Path, args) -> int:
     traj = simulate_two_scale(system, w0, cfg["time.horizon"],
                               stride=cfg["output.stride"])
     report = two_scale_decay_metrics(traj, orbit)
-    rows = zip(report.ts, report.norm_macro_h1, report.norm_corrector,
-               report.norm_corrector_grad, report.norm_jump, report.lyapunov)
+    rows = zip(report.ts, *report.columns.values())
     _write_csv(out / "homogenize.csv", cfg,
                ["t", "norm_macro_H1", "norm_corrector", "norm_corrector_grad",
                 "norm_jump", "lyapunov"], rows)

@@ -1,25 +1,27 @@
 """Convergence of transients to the periodic attractor.
 
-Measures the bulk, gradient and jump norms of the gap between a trajectory
-and the periodic orbit, the weighted jump energy of a pair of solutions (the
-quantity the scheme provably never increases), and a log-linear rate fit
-with an exponential/subexponential classification.
+One report path serves both systems.  A system supplies ``gap_norms(w,
+w_orbit)``: the norms of the gap between one sample of a trajectory and the
+orbit at the same time, including the jump norm ``norm_jump`` and the
+stored membrane energy of the gap ``lyapunov`` (the quantity the scheme
+provably never increases).  ``decay_metrics`` collects them per sample and
+fits a log-linear rate with an exponential/subexponential classification.
+``lyapunov_series`` tracks the same energy between two runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .membrane import Trajectory
-from .micro import bulk_l2, gradient_l2, jump_l2, _secant_slopes
 from .periodic import PeriodicOrbit
 
 __all__ = [
     "DecayReport", "RateFit", "LyapunovSeries", "decay_metrics",
-    "lyapunov_series", "fit_rate", "orbit_gaps",
+    "lyapunov_series", "fit_rate",
 ]
 
 
@@ -32,86 +34,65 @@ class RateFit:
 
 @dataclass
 class DecayReport:
+    """Per-sample gap norms between a trajectory and the periodic orbit.
+
+    ``columns`` maps each name that the system's ``gap_norms`` returns to
+    its series, in that order.  ``max_mean_defect`` is the largest
+    corrector mean defect of a two-scale run (see
+    ``twoscale.two_scale_decay_metrics``); None otherwise.
+    """
+
     ts: np.ndarray
-    norm_l2: np.ndarray
-    norm_grad: np.ndarray
-    norm_jump: np.ndarray
-    lyapunov: np.ndarray
+    columns: dict
     fit: RateFit
     lyapunov_monotone: bool
-    secant_min: np.ndarray
-    secant_max: np.ndarray
+    max_mean_defect: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "rate": self.fit.rate,
             "r_squared": self.fit.r_squared,
             "classification": self.fit.classification,
             "lyapunov_monotone": self.lyapunov_monotone,
-            "final_over_initial": {
-                "norm_l2": _ratio(self.norm_l2),
-                "norm_grad": _ratio(self.norm_grad),
-                "norm_jump": _ratio(self.norm_jump),
-            },
+            "final_over_initial": _ratios(
+                {k: v for k, v in self.columns.items()
+                 if k.startswith("norm_")}),
         }
+        if self.max_mean_defect is not None:
+            out["max_mean_defect"] = self.max_mean_defect
+        return out
 
 
-def _ratio(series: np.ndarray) -> Optional[float]:
-    if series[0] <= 0.0:
-        return None
-    return float(series[-1] / series[0])
+def _ratios(norms: dict) -> dict:
+    """Last over first sample of each norm series.  A series that starts at
+    or below 1e-12 times the largest first sample is zero up to roundoff,
+    so its ratio is noise and it gets None."""
+    floor = 1e-12 * max(float(v[0]) for v in norms.values())
+    return {k: float(v[-1] / v[0]) if v[0] > floor else None
+            for k, v in norms.items()}
 
 
-def orbit_gaps(traj: Trajectory, orbit: PeriodicOrbit,
-               norms: Callable[[np.ndarray, np.ndarray], dict]):
-    """Per-sample norms of the gap between a trajectory and the orbit.
+def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
+    """Gap norms between a trajectory and the periodic orbit, per sample.
 
     Both must live on the same grid and time step; the orbit is wrapped in
-    time.  ``norms(w, w_orbit)`` maps one sample's jumps to a dict of
-    floats that includes ``norm_jump``, to which the decay rate is fitted,
-    and ``lyapunov``, which must not increase.  Returns the columns (name to
-    array), the rate fit and the monotonicity verdict.
+    time.  The rate is fitted to ``norm_jump``, and ``lyapunov`` must not
+    increase.
     """
-    dt = traj.system.params.dt
+    system = traj.system
+    dt = system.params.dt
     if abs(orbit.dt - dt) > 1e-15:
         raise ValueError("trajectory and orbit use different time steps")
     if orbit.jumps.shape[1] != traj.jumps.shape[1]:
         raise ValueError("trajectory and orbit use different grids")
-    rows = [norms(w, orbit.jump_at_step(int(round(t / dt))))
+    rows = [system.gap_norms(w, orbit.jump_at_step(int(round(t / dt))))
             for t, w in zip(traj.ts, traj.jumps)]
     cols = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     sample_dt = float(traj.ts[1] - traj.ts[0]) if len(rows) > 1 else dt
     fit = fit_rate(cols["norm_jump"], window=0.4, dt=sample_dt)
     monotone = bool(np.all(np.diff(cols["lyapunov"]) <= 1e-10))
-    return cols, fit, monotone
-
-
-def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
-    """Norm gap between a resolved trajectory and the periodic orbit.
-
-    The bulk gap is reconstructed from the jump gap by one bulk solve (the
-    drive cancels in the difference).
-    """
-    system = traj.system
-    dom = system.domain
-    eps = dom.epsilon
-    alpha = system.params.alpha
-    s = system.weights
-
-    def norms(w, w_orb):
-        r_w = w - w_orb
-        r_u = system.op.lift(r_w)
-        sec = _secant_slopes(system.law, w / eps, w_orb / eps)
-        return {"norm_l2": bulk_l2(dom, r_u),
-                "norm_grad": gradient_l2(dom, r_u, r_w, None),
-                "norm_jump": jump_l2(dom, r_w),
-                "lyapunov": alpha / eps * float(np.sum(s * r_w * r_w)),
-                "secant_min": sec.min(initial=np.inf),
-                "secant_max": sec.max(initial=-np.inf)}
-
-    cols, fit, monotone = orbit_gaps(traj, orbit, norms)
-    return DecayReport(ts=traj.ts.copy(), fit=fit,
-                       lyapunov_monotone=monotone, **cols)
+    return DecayReport(ts=traj.ts.copy(), columns=cols, fit=fit,
+                       lyapunov_monotone=monotone)
 
 
 @dataclass

@@ -72,6 +72,12 @@ class MembraneFacets:
         n = len(self)
         return np.arange(n), n + np.arange(n)
 
+    def point_out_of(self, inside: np.ndarray) -> bool:
+        """Whether every normal points out of the inclusion, given the
+        per-cell inclusion mask ``inside``."""
+        return bool(np.all(inside[self.inner_cell])
+                    and not np.any(inside[self.outer_cell]))
+
 
 def _grid_inside_mask(n: int, lo: int, hi: int, dim: int) -> np.ndarray:
     """Boolean mask (flat, C order) of cells with every index in [lo, hi)."""
@@ -241,9 +247,7 @@ def _check_cell(geo: CellGeometry) -> None:
     _require(abs(geo.area_int + geo.area_out - 1.0) < 1e-15,
              "phase areas do not sum to 1")
     facets = geo.facets
-    # normals point from the inclusion into the outer phase, per facet
-    _require(np.all(geo.inside[facets.inner_cell])
-             and not np.any(geo.inside[facets.outer_cell]),
+    _require(facets.point_out_of(geo.inside),
              "a facet normal does not point out of the inclusion")
     # discrete membrane measure agrees with the analytic perimeter
     _require(abs(len(facets) * facets.measure - geo.memb_measure) < 1e-12,
@@ -262,6 +266,12 @@ class Conductivity:
     def harmonic(self) -> float:
         """Series combination seen by a membrane facet (half cell each side)."""
         return 2.0 * self.sigma_int * self.sigma_out / (self.sigma_int + self.sigma_out)
+
+    def on_faces(self, inside: np.ndarray, faces: FaceSet) -> np.ndarray:
+        """Per-face conductivity: the phase value of the face's cells, the
+        harmonic value on membrane faces."""
+        sig_cells = np.where(inside, self.sigma_int, self.sigma_out)
+        return np.where(faces.membrane, self.harmonic, sig_cells[faces.cell_a])
 
 
 def mean_conductivity(cell: CellGeometry, sigma_int: float,
@@ -360,13 +370,8 @@ def tile_domain(cell: CellGeometry, epsilon: float,
             f"{factor_mb:.1f} MB")
 
     # inclusion mask repeats per tile
-    band = np.tile((np.arange(cell.resolution) >= round(cell.margin * cell.resolution))
-                   & (np.arange(cell.resolution) < cell.resolution - round(cell.margin * cell.resolution)),
-                   copies)
-    if dim == 1:
-        inside = band
-    else:
-        inside = (band[:, None] & band[None, :]).ravel()
+    inside = np.tile(cell.inside.reshape((cell.resolution,) * dim),
+                     (copies,) * dim).ravel()
 
     h = epsilon / cell.resolution
     centers = _cell_centers(n, h, dim)
@@ -421,9 +426,7 @@ def _check_domain(dom: EpsilonDomain) -> None:
     _require(abs(expected - dom.cell.memb_measure / dom.epsilon) < 1e-12
              and abs(dom.memb_measure - expected) < 1e-12,
              "tiled membrane measure is not |cell membrane| / epsilon")
-    facets = dom.facets
-    _require(np.all(dom.inside[facets.inner_cell])
-             and not np.any(dom.inside[facets.outer_cell]),
+    _require(dom.facets.point_out_of(dom.inside),
              "a facet normal does not point out of the inclusion")
     # no boundary cell belongs to the inclusion (keeps the Dirichlet gap)
     _require(not np.any(dom.inside[dom.boundary.cell]),

@@ -26,9 +26,11 @@ plus a diagonal.  Three implementations:
 A factorization is a fresh object per call, so one system can be stepped
 from several threads.
 
-The time loop (``simulate``, ``step``) and the trajectory record are shared
-by both systems too; a system supplies ``params``, ``stepper`` and
-``state_at``.
+The time loop (``simulate``, ``step``), the trajectory record and the
+decay report (``decay.decay_metrics``) are shared by both systems too; a
+system supplies ``params``, ``stepper``, ``state_at`` and ``gap_norms``.
+The stored membrane energy (``lyapunov``) and the weighted jump norm
+(``jump_norm``) are the same for both and live on ``MembraneSystem``.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ class MembraneSystem:
 
     A subclass sets ``params``, ``drive`` and the condensed ``flux_map``,
     binds its law through ``_bind_law`` and provides ``state_at`` and
-    ``lyapunov``.
+    ``gap_norms(w, w_orbit)``, the per-sample norms of the decay report.
     """
 
     def _bind_law(self, law: Nonlinearity, rate_coeff: float,
@@ -260,6 +262,16 @@ class MembraneSystem:
     @property
     def weights(self) -> np.ndarray:
         return self.flux_map.weights
+
+    def lyapunov(self, w_a: np.ndarray, w_b: np.ndarray) -> float:
+        """Stored membrane energy of the gap of two solutions: the weighted
+        squared jump distance times the rate coefficient."""
+        r = w_a - w_b
+        return float(self.stepper.rate_coeff * np.sum(self.weights * r * r))
+
+    def jump_norm(self, w: np.ndarray) -> float:
+        """Weighted jump norm, sqrt(sum(weights * w^2))."""
+        return float(np.sqrt(np.sum(self.weights * w * w)))
 
 
 def jump_family(kind: str, x: np.ndarray, scale: float, seed: int = 0,

@@ -54,9 +54,7 @@ class BulkOperator:
         faces = domain.faces
         facets = domain.facets
 
-        sig = np.where(domain.inside, cond.sigma_int, cond.sigma_out)
-        k_face = np.where(faces.membrane, cond.harmonic,
-                          sig[faces.cell_a]) * s_face / h
+        k_face = cond.on_faces(domain.inside, faces) * s_face / h
 
         rows, cols, vals = [], [], []
         a, b = faces.cell_a, faces.cell_b
@@ -300,11 +298,24 @@ class MicroSystem(MembraneSystem):
         return MicroState(t=t, u=u, jump=w.copy(), flux=self.op.flux_density(u, w),
                           trace_in=t_in, trace_out=t_out)
 
-    def lyapunov(self, w_a: np.ndarray, w_b: np.ndarray) -> float:
-        """Weighted squared jump distance of two solutions."""
-        r = w_a - w_b
-        return float(self.params.alpha / self.domain.epsilon
-                     * np.sum(self.weights * r * r))
+    def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
+        """Bulk, gradient and jump norms and stored energy of the gap between
+        two solutions, and the extreme secant slopes of the law across it.
+
+        The bulk gap is reconstructed from the jump gap by one bulk solve
+        (the drive cancels in the difference).
+        """
+        dom = self.domain
+        eps = dom.epsilon
+        r_w = w - w_orbit
+        r_u = self.op.lift(r_w)
+        sec = _secant_slopes(self.law, w / eps, w_orbit / eps)
+        return {"norm_l2": bulk_l2(dom, r_u),
+                "norm_grad": gradient_l2(dom, r_u, r_w, None),
+                "norm_jump": jump_l2(dom, r_w),
+                "lyapunov": self.lyapunov(w, w_orbit),
+                "secant_min": sec.min(initial=np.inf),
+                "secant_max": sec.max(initial=-np.inf)}
 
 
 def initial_jump(domain: EpsilonDomain, kind: str, amplitude: float,
@@ -431,9 +442,7 @@ def sigma_gradient_energy(domain: EpsilonDomain, cond: Conductivity,
                           u: np.ndarray, w: np.ndarray,
                           boundary_values: Optional[np.ndarray] = None) -> float:
     """Conductivity-weighted squared gradient energy (not a norm)."""
-    faces = domain.faces
-    sig_cells = np.where(domain.inside, cond.sigma_int, cond.sigma_out)
-    sig_face = np.where(faces.membrane, cond.harmonic, sig_cells[faces.cell_a])
+    sig_face = cond.on_faces(domain.inside, domain.faces)
     si, vi, sb, vb = _face_differences(domain, u, w, boundary_values)
     sig_bnd = cond.sigma_out
     return float(np.sum(vi * sig_face * si * si)

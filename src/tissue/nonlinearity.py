@@ -293,10 +293,6 @@ class BoundaryData:
     def gradient_rate(self, points: np.ndarray, t: float) -> np.ndarray:
         return self.spatial_gradient(points) * self.temporal_rate(t)
 
-    @property
-    def is_static(self) -> bool:
-        return self.temporal_kind == "constant"
-
 
 def make_boundary_data(spatial: str = "affine", temporal: str = "sin",
                        amplitude: float = 1.0, offset: float = 0.0) -> BoundaryData:

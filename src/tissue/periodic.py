@@ -49,10 +49,6 @@ class PeriodicOrbit:
         return self.jumps[n % self.steps_per_period]
 
 
-def _weighted_norm(system, w: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(system.weights * w * w)))
-
-
 def poincare_map(system, w0: np.ndarray) -> np.ndarray:
     """Advance the jump vector through one full period of the drive."""
     steps = int(round(1.0 / system.params.dt))
@@ -76,7 +72,7 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
     window_start = 0      # index of the defect that opens the stall window
     for it in range(max_iters):
         pw = poincare_map(system, w)
-        defect = _weighted_norm(system, pw - w)
+        defect = system.jump_norm(pw - w)
         defects.append(defect)
         if defect <= tol:
             return PeriodicOrbit(jumps=simulate(system, w, 1.0).jumps,

@@ -38,12 +38,12 @@ from .membrane import (MembraneSystem, SolverParams, Trajectory, jump_family,
                        simulate)
 from .nonlinearity import BoundaryData, Nonlinearity
 from .periodic import PeriodicOrbit, find_periodic, find_periodic_regularized
-from .decay import RateFit, _ratio, orbit_gaps
+from .decay import DecayReport, decay_metrics
 
 __all__ = [
     "CellOperator", "NodeFlux", "TwoScaleSystem", "TwoScaleState",
     "simulate_two_scale", "find_periodic_two_scale", "two_scale_decay_metrics",
-    "TwoScaleDecayReport", "initial_two_scale_jump", "transient_weak_residual",
+    "initial_two_scale_jump", "transient_weak_residual",
     "periodic_weak_residual",
 ]
 
@@ -71,7 +71,6 @@ class CellFaceData:
     vol: float                        # cell-grid cell volume
     s_facet: float                    # membrane facet measure
     spacing: float
-    memb_faces: np.ndarray            # face index of each membrane facet
 
 
 def _cell_face_data(cell: CellGeometry, cond: Conductivity) -> CellFaceData:
@@ -81,8 +80,7 @@ def _cell_face_data(cell: CellGeometry, cond: Conductivity) -> CellFaceData:
     h = cell.spacing
     n_y = cell.n_cells
     nfa = len(faces)
-    sig_cells = np.where(cell.inside, cond.sigma_int, cond.sigma_out)
-    sigma_face = np.where(faces.membrane, cond.harmonic, sig_cells[faces.cell_a])
+    sigma_face = cond.on_faces(cell.inside, faces)
 
     rows = np.concatenate([np.arange(nfa), np.arange(nfa)])
     cols = np.concatenate([faces.cell_a, faces.cell_b])
@@ -100,7 +98,7 @@ def _cell_face_data(cell: CellGeometry, cond: Conductivity) -> CellFaceData:
     return CellFaceData(n_y=n_y, n_faces=nfa, n_facets=nf, axis=faces.axis,
                         sigma_face=sigma_face, slope_c=slope_c, slope_w=slope_w,
                         axis_select=axis_select, vol=h ** dim,
-                        s_facet=facets.measure, spacing=h, memb_faces=memb)
+                        s_facet=facets.measure, spacing=h)
 
 
 class CellOperator:
@@ -150,7 +148,6 @@ class MacroGrid:
     grad: sp.csr_matrix            # (n_faces, n_nodes)
     grad_load: np.ndarray          # boundary contribution per unit drive
     side_of: np.ndarray            # (n_nodes, dim, 2) face ids
-    face_axis: np.ndarray
     mean_grad: np.ndarray          # (n_nodes * dim, n_nodes), row j * dim + d
     mean_grad_load: np.ndarray     # its boundary contribution per unit drive
 
@@ -172,7 +169,7 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
 
     centers = np.array([[(i + 0.5) * h for i in idx]
                         for idx in itertools.product(range(res), repeat=dim)])
-    rows, cols, vals, loads, axes = [], [], [], [], []
+    rows, cols, vals, loads = [], [], [], []
     side_of = np.full((n, dim, 2), -1, dtype=np.int64)
     fid = 0
     for d in range(dim):
@@ -186,7 +183,6 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
                 cols += [j, k]
                 vals += [-1.0 / h, 1.0 / h]
                 loads.append(0.0)
-                axes.append(d)
                 side_of[j, d, 1] = fid
                 side_of[k, d, 0] = fid
                 fid += 1
@@ -197,7 +193,6 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
                 cols.append(j)
                 vals.append(2.0 / h)
                 loads.append(-2.0 / h * float(drive.spatial(np.array([mid]))[0]))
-                axes.append(d)
                 side_of[j, d, 0] = fid
                 fid += 1
             if idx[d] == res - 1:
@@ -207,7 +202,6 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
                 cols.append(j)
                 vals.append(-2.0 / h)
                 loads.append(2.0 / h * float(drive.spatial(np.array([mid]))[0]))
-                axes.append(d)
                 side_of[j, d, 1] = fid
                 fid += 1
     grad = sp.coo_matrix((vals, (rows, cols)), shape=(fid, n)).tocsr()
@@ -220,8 +214,7 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
     mean_grad_load = 0.5 * (grad_load[sides[:, 0]] + grad_load[sides[:, 1]])
     return MacroGrid(dim=dim, res=res, spacing=h, centers=centers, grad=grad,
                      grad_load=grad_load, side_of=side_of,
-                     face_axis=np.asarray(axes), mean_grad=mean_grad,
-                     mean_grad_load=mean_grad_load)
+                     mean_grad=mean_grad, mean_grad_load=mean_grad_load)
 
 
 # -- per-node condensed flux map ----------------------------------------------
@@ -420,9 +413,19 @@ class TwoScaleSystem(MembraneSystem):
                                  schur=schur)
         self._bind_law(law, rate_coeff=params.alpha, arg_scale=1.0)
 
-    def lyapunov(self, w_a: np.ndarray, w_b: np.ndarray) -> float:
-        r = w_a - w_b
-        return float(self.params.alpha * np.sum(self.weights * r * r))
+    def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
+        """Macro H1, corrector and corrector-gradient norms (on the product
+        domain) of the gap between two solutions, its jump norm and its
+        stored energy alpha * norm_jump^2."""
+        dw = w - w_orbit
+        dz = self.lift_jump @ dw
+        dc = dz[self.n_nodes:].reshape(self.n_nodes, self.n_y)
+        l2, grad = _macro_norms(self, dz[:self.n_nodes])
+        cl2, cgrad = _corrector_norms(self, dc, dw.reshape(self.n_nodes, -1))
+        jn = self.jump_norm(dw)
+        return {"norm_macro_h1": np.sqrt(l2 * l2 + grad * grad),
+                "norm_corrector": cl2, "norm_corrector_grad": cgrad,
+                "norm_jump": jn, "lyapunov": self.params.alpha * jn ** 2}
 
     # -- state reconstruction ---------------------------------------------
 
@@ -537,64 +540,14 @@ def _corrector_norms(system: TwoScaleSystem, dc: np.ndarray, dw: np.ndarray):
     return l2, grad
 
 
-def _jump_norm(system: TwoScaleSystem, dw_flat: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(system.weights * dw_flat * dw_flat)))
-
-
-@dataclass
-class TwoScaleDecayReport:
-    ts: np.ndarray
-    norm_macro_h1: np.ndarray
-    norm_corrector: np.ndarray
-    norm_corrector_grad: np.ndarray
-    norm_jump: np.ndarray
-    lyapunov: np.ndarray
-    fit: RateFit
-    lyapunov_monotone: bool
-    max_mean_defect: float
-
-    def as_dict(self) -> dict:
-        return {
-            "rate": self.fit.rate,
-            "r_squared": self.fit.r_squared,
-            "classification": self.fit.classification,
-            "lyapunov_monotone": self.lyapunov_monotone,
-            "max_mean_defect": self.max_mean_defect,
-            "final_over_initial": {
-                "norm_macro_h1": _ratio(self.norm_macro_h1),
-                "norm_corrector": _ratio(self.norm_corrector),
-                "norm_corrector_grad": _ratio(self.norm_corrector_grad),
-                "norm_jump": _ratio(self.norm_jump),
-            },
-        }
-
-
 def two_scale_decay_metrics(traj: Trajectory,
-                            orbit: PeriodicOrbit) -> TwoScaleDecayReport:
-    """Norm gaps between a two-scale trajectory and the periodic orbit:
-    macro H1, corrector and corrector-gradient on the product domain, and
-    the jump norm whose weighted square is the Lyapunov quantity."""
-    system = traj.system
-    alpha = system.params.alpha
-
-    def norms(w, w_orb):
-        dw_flat = w - w_orb
-        dz = system.lift_jump @ dw_flat
-        dc = dz[system.n_nodes:].reshape(system.n_nodes, system.n_y)
-        l2, grad = _macro_norms(system, dz[:system.n_nodes])
-        cl2, cgrad = _corrector_norms(system, dc,
-                                      dw_flat.reshape(system.n_nodes, -1))
-        jn = _jump_norm(system, dw_flat)
-        return {"norm_macro_h1": np.sqrt(l2 * l2 + grad * grad),
-                "norm_corrector": cl2, "norm_corrector_grad": cgrad,
-                "norm_jump": jn, "lyapunov": alpha * jn ** 2}
-
-    cols, fit, monotone = orbit_gaps(traj, orbit, norms)
+                            orbit: PeriodicOrbit) -> DecayReport:
+    """``decay_metrics`` plus the largest corrector mean defect of the run."""
+    report = decay_metrics(traj, orbit)
     means = traj.mean_defects if traj.mean_defects is not None \
         else _mean_defects(traj)
-    return TwoScaleDecayReport(ts=traj.ts.copy(), fit=fit,
-                               lyapunov_monotone=monotone,
-                               max_mean_defect=float(np.max(means)), **cols)
+    report.max_mean_defect = float(np.max(means))
+    return report
 
 
 # -- comparison against the resolved solver ----------------------------------

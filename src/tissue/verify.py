@@ -48,9 +48,8 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     closure = abs(copies * per_cell - dom.memb_measure)
     record("tiling_closure", closure <= 1e-12, f"defect {closure:.2e}")
 
-    normals_ok = bool(np.all(dom.inside[dom.facets.inner_cell])
-                      and not np.any(dom.inside[dom.facets.outer_cell]))
-    record("facet_normals_point_outward", normals_ok, "per-facet orientation")
+    record("facet_normals_point_outward", dom.facets.point_out_of(dom.inside),
+           "per-facet orientation")
 
     fine = build_cell_geometry(cell.margin, 2 * cell.resolution, dim=cell.dim)
     stable = (fine.area_int == cell.area_int

@@ -38,9 +38,9 @@ def test_trajectory_started_on_orbit_stays(small_domain):
     traj = simulate(system, orbit.jumps[0].copy(), 2.0)
     report = decay_metrics(traj, orbit)
     tol = 100 * orbit.defect + 1e-12
-    assert np.max(report.norm_l2) < tol
-    assert np.max(report.norm_grad) < tol
-    assert np.max(report.norm_jump) < tol
+    assert np.max(report.columns["norm_l2"]) < tol
+    assert np.max(report.columns["norm_grad"]) < tol
+    assert np.max(report.columns["norm_jump"]) < tol
 
 
 def test_decay_metrics_requires_matching_grid(small_domain, default_domain):
@@ -155,7 +155,8 @@ def test_gradient_bounded_by_measured_stability_constant(small_domain):
     w0 = initial_jump(small_domain, "random", 5.0, seed=8)
     traj = simulate(system, w0, 2.0, stride=4)
     report = decay_metrics(traj, orbit)
-    assert np.all(report.norm_grad <= const * report.norm_jump + 1e-10)
+    cols = report.columns
+    assert np.all(cols["norm_grad"] <= const * cols["norm_jump"] + 1e-10)
 
 
 def test_bulk_bounded_by_poincare_constant(small_domain):
@@ -165,8 +166,9 @@ def test_bulk_bounded_by_poincare_constant(small_domain):
     w0 = initial_jump(small_domain, "random", 5.0, seed=9)
     traj = simulate(system, w0, 2.0, stride=4)
     report = decay_metrics(traj, orbit)
-    bound = cp * (report.norm_grad + report.norm_jump) + 1e-10
-    assert np.all(report.norm_l2 <= bound)
+    cols = report.columns
+    bound = cp * (cols["norm_grad"] + cols["norm_jump"]) + 1e-10
+    assert np.all(cols["norm_l2"] <= bound)
 
 
 def test_secant_extremes_within_law_slope_range(small_domain):
@@ -175,5 +177,35 @@ def test_secant_extremes_within_law_slope_range(small_domain):
     w0 = initial_jump(small_domain, "random", 5.0, seed=10)
     traj = simulate(system, w0, 1.0, stride=10)
     report = decay_metrics(traj, orbit)
-    assert np.all(report.secant_min >= -1e-12)
-    assert np.all(report.secant_max <= 2.0 + 1e-12)
+    assert np.all(report.columns["secant_min"] >= -1e-12)
+    assert np.all(report.columns["secant_max"] <= 2.0 + 1e-12)
+
+
+def test_resolved_decay_report_keys(small_domain):
+    system = make_micro(small_domain, law=("sin",))
+    orbit = find_periodic(system, tol=1e-9)
+    w0 = initial_jump(small_domain, "random", 5.0, seed=11)
+    report = decay_metrics(simulate(system, w0, 0.5, stride=10), orbit)
+    assert list(report.columns) == ["norm_l2", "norm_grad", "norm_jump",
+                                    "lyapunov", "secant_min", "secant_max"]
+    assert report.max_mean_defect is None
+    out = report.as_dict()
+    assert set(out) == {"rate", "r_squared", "classification",
+                        "lyapunov_monotone", "final_over_initial"}
+    assert set(out["final_over_initial"]) == {"norm_l2", "norm_grad",
+                                              "norm_jump"}
+
+
+def test_system_lyapunov_matches_stored_energy_formula(small_domain):
+    from tissue.twoscale import TwoScaleSystem
+    micro = make_micro(small_domain, law=("sin",), alpha=1.7)
+    two = TwoScaleSystem(small_domain.cell, micro.cond, micro.law, micro.drive,
+                         micro.params, macro_res=2)
+    rng = np.random.default_rng(4)
+    alpha = micro.params.alpha
+    for system, coeff in ((micro, alpha / small_domain.epsilon),
+                          (two, alpha)):
+        a, b = rng.uniform(-1.0, 1.0, (2, system.weights.size))
+        r = a - b
+        assert system.lyapunov(a, b) == float(
+            coeff * np.sum(system.weights * r * r))

@@ -104,6 +104,9 @@ class _SlowPeriodMap:
         return StepResult(jump=w, iterations=1, residual=0.0,
                           used_shift=False, balance=0.0)
 
+    def jump_norm(self, w):
+        return float(np.sqrt(np.sum(self.weights * w * w)))
+
 
 def test_stalled_picard_halves_damping_once_per_window():
     q = 1.0 - 1e-5     # the defect falls by under 0.1% per 20 iterations

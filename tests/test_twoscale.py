@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tissue as T
+from tissue.decay import decay_metrics
 from tissue.errors import GeometryError
 from tissue.membrane import FluxResponse
 from tissue.micro import MicroSystem, initial_jump, simulate
@@ -332,8 +333,8 @@ def test_two_scale_trajectory_on_orbit_stays():
     traj = simulate_two_scale(system, orbit.jumps[0].copy(), 2.0)
     rep = two_scale_decay_metrics(traj, orbit)
     tol = 100 * max(orbit.defect, 1e-12)
-    assert np.max(rep.norm_macro_h1) < tol
-    assert np.max(rep.norm_jump) < tol
+    assert np.max(rep.columns["norm_macro_h1"]) < tol
+    assert np.max(rep.columns["norm_jump"]) < tol
 
 
 def test_two_scale_linear_rate_matches_dense_eigen_oracle():
@@ -374,6 +375,45 @@ def test_two_scale_decay_report(small_domain):
         assert ratios[key] < 1e-3
     assert rep.lyapunov_monotone
     assert rep.max_mean_defect <= 1e-12
+
+
+def test_decay_metrics_serves_two_scale_runs():
+    system = make_two_scale(law=("sin",), macro_res=2)
+    orbit = find_periodic_two_scale(system, tol=1e-9)
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=5)
+    traj = simulate(system, w0, 1.0, stride=10)     # no mean defects recorded
+    plain = decay_metrics(traj, orbit)
+    full = two_scale_decay_metrics(traj, orbit)
+    names = ["norm_macro_h1", "norm_corrector", "norm_corrector_grad",
+             "norm_jump", "lyapunov"]
+    assert list(plain.columns) == list(full.columns) == names
+    for name in names:
+        assert np.array_equal(plain.columns[name], full.columns[name]), name
+    assert plain.fit == full.fit
+    assert plain.lyapunov_monotone == full.lyapunov_monotone
+    assert plain.max_mean_defect is None
+    assert 0.0 <= full.max_mean_defect <= 1e-12
+    keys = {"rate", "r_squared", "classification", "lyapunov_monotone",
+            "final_over_initial"}
+    assert set(plain.as_dict()) == keys
+    assert set(full.as_dict()) == keys | {"max_mean_defect"}
+    assert set(full.as_dict()["final_over_initial"]) == set(names[:4])
+
+
+def test_roundoff_level_norm_has_no_ratio():
+    # a per-node uniform jump does not couple to the macro potential, so the
+    # macro gap is zero up to roundoff throughout
+    system = make_two_scale(law=("sin",), macro_res=2)
+    orbit = find_periodic_two_scale(system, tol=1e-9)
+    w0 = initial_two_scale_jump(system, "modulated", 1.0)
+    traj = simulate_two_scale(system, w0, 2.0, stride=10)
+    rep = two_scale_decay_metrics(traj, orbit)
+    cols = rep.columns
+    assert cols["norm_macro_h1"][0] <= 1e-12 * cols["norm_jump"][0]
+    ratios = rep.as_dict()["final_over_initial"]
+    assert ratios["norm_macro_h1"] is None
+    for name in ("norm_corrector", "norm_corrector_grad", "norm_jump"):
+        assert ratios[name] == float(cols[name][-1] / cols[name][0])
 
 
 # -- weak form -----------------------------------------------------------------------

@@ -1,0 +1,65 @@
+"""Run the default-config artifact set and print a digest of every file.
+
+Usage:  python tools/artifact_digest.py OUT_DIR
+
+Every run goes through ``tissue.cli.main`` with ``--threads 1``:
+
+- the empty configuration (``OUT_DIR/default``): simulate, periodic, decay,
+  homogenize, compare and verify, plus ``periodic --method delta`` in its
+  own directory (``OUT_DIR/default_delta``);
+- ``init.kind = modulated`` with ``time.horizon = 2.0``
+  (``OUT_DIR/modulated``): simulate, homogenize and compare.
+
+Prints each subcommand's exit code, then one ``sha256  path`` line per file
+under OUT_DIR, sorted by path.  A refactor that must leave the artifacts
+byte-identical is checked by one ``diff`` of two such outputs.  The tissue
+package is imported from the ``src`` directory next to this script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tissue.cli import main  # noqa: E402
+
+CONFIGS = {
+    "default": "",
+    "modulated": "init.kind = modulated\ntime.horizon = 2.0\n",
+}
+
+# (config, output directory, subcommand and its extra arguments)
+RUNS = [
+    ("default", "default", ["simulate"]),
+    ("default", "default", ["periodic"]),
+    ("default", "default_delta", ["periodic", "--method", "delta"]),
+    ("default", "default", ["decay"]),
+    ("default", "default", ["homogenize"]),
+    ("default", "default", ["compare"]),
+    ("default", "default", ["verify"]),
+    ("modulated", "modulated", ["simulate"]),
+    ("modulated", "modulated", ["homogenize"]),
+    ("modulated", "modulated", ["compare"]),
+]
+
+
+def run_all(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in CONFIGS.items():
+        (out / f"{name}.cfg").write_text(text)
+    for cfg, sub, cmd in RUNS:
+        code = main(cmd + ["--config", str(out / f"{cfg}.cfg"),
+                           "--out", str(out / sub), "--threads", "1"])
+        print(f"exit {code}  {sub}: {' '.join(cmd)}", flush=True)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/artifact_digest.py OUT_DIR")
+    run_all(Path(sys.argv[1]))
