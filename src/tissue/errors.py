@@ -36,7 +36,7 @@ class LinearSolveError(TissueError):
 
 
 class NewtonError(TissueError):
-    """Newton iteration failed, including the shifted-Jacobian retry."""
+    """The implicit step iteration failed, including the shifted retry."""
 
     def __init__(self, message: str, residuals=None):
         super().__init__(message)

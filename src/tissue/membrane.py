@@ -1,4 +1,4 @@
-"""Backward-Euler Newton driver for the membrane jump dynamics.
+"""Backward-Euler driver for the membrane jump dynamics.
 
 Both the resolved-microstructure solver and the two-scale solver reduce, at
 every implicit time step, to the same structure: the bulk potential is a
@@ -9,22 +9,21 @@ step solves
 
 per facet, with an affine flux response ``q`` whose weighted matrix is
 symmetric negative semidefinite.  Backward Euler plus monotone ``f`` makes
-the Newton matrix symmetric positive definite, which is what gives the
+every pass matrix symmetric positive definite, which is what gives the
 discrete Lyapunov decrease its unconditional sign.
 
 The stepper reaches the flux response only through the ``FluxMap``
 protocol: a product with the response and a factorization of the response
-plus a diagonal.  Three implementations:
+plus a diagonal.  Two implementations:
 
-- ``FluxResponse`` holds the response as a dense matrix (the resolved
-  solver below 400 facets);
 - ``micro.SeriesFlux`` keeps it condensed in the sparse bulk operator (the
-  resolved solver from 400 facets up);
+  resolved solver);
 - ``twoscale.NodeFlux`` keeps it as one cell-sized block per macro node
   plus a correction of macro rank (the two-scale solver).
 
-A factorization is a fresh object per call, so one system can be stepped
-from several threads.
+A step iterates with one factor frozen per stepper (``JumpStepper``).  Its
+factors are never modified after they are built, so one system can be
+stepped from several threads.
 
 The time loop (``simulate``, ``step``), the trajectory record and the
 decay report (``decay.decay_metrics``) are shared by both systems too; a
@@ -40,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NewtonError
 from .nonlinearity import Nonlinearity
@@ -81,46 +79,41 @@ class FluxMap(Protocol):
     def factor(self, d: np.ndarray): ...
 
 
-class _CholeskyFactor:
-    def __init__(self, mat: np.ndarray):
-        self._cf = cho_factor(mat)
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cf, r)
-
-
-@dataclass(frozen=True)
-class FluxResponse:
-    """``FluxMap`` with the response R held as a dense matrix."""
-
-    weights: np.ndarray
-    response: np.ndarray
-    load: np.ndarray
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        return self.response @ w
-
-    def factor(self, d: np.ndarray) -> _CholeskyFactor:
-        mat = self.response.copy()
-        mat[np.diag_indices_from(mat)] += d
-        return _CholeskyFactor(mat)
-
-
 @dataclass
 class StepResult:
     """Accepted jump of one step; ``balance`` is the energy-balance defect
-    |R(w)·w| of the weighted step residual R tested with that jump."""
+    |R(w)·w| of the weighted step residual R tested with that jump, and
+    ``factorizations`` counts the factors of the pass matrix built during
+    the step."""
 
     jump: np.ndarray
     iterations: int
     residual: float
     used_shift: bool
     balance: float
+    factorizations: int = 0
     history: list = field(default_factory=list)
 
 
 class JumpStepper:
-    """Advances the jump vector by one implicit step via Newton."""
+    """Advances the jump vector by one implicit step.
+
+    With a = rate_coeff/dt and eps = arg_scale, each pass of the step's loop
+    solves, for a slope c,
+
+        (diag(weights (a + c/eps)) + R) w+
+            = weights (a w_prev + c w/eps - f(w/eps)) + drive load,
+
+    whose fixed point is the step's solution for any c.  The residual at
+    w+ is weights (f(w+/eps) - f(w/eps) - c (w+ - w)/eps), so a pass needs
+    no product with R.  By default c is the law's slope at zero and the
+    factor is frozen: built once, on the first step at ``params.dt`` (the
+    chord or simplified Newton method).  A pass takes c = f'(w/eps) and a
+    fresh factor instead, as Newton does, when the frozen factor would
+    contract by less than a half, max |f'(w/eps) - c| > (alpha/dt + c)/2,
+    when dt is not ``params.dt``, and in the shifted retry, which adds
+    ``newton_shift`` to every slope.  A linear law converges in one pass.
+    """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
                  temporal: Callable[[float], float], rate_coeff: float,
@@ -131,111 +124,122 @@ class JumpStepper:
         self.rate_coeff = rate_coeff
         self.arg_scale = arg_scale
         self.params = params
-        self._linear_factor: Optional[tuple] = None   # (key, factor)
-
-    # -- residual and Jacobian -------------------------------------------
+        self._slope = float(law.deriv(0.0))
+        self._load_scale = float(np.max(np.abs(flux.load / flux.weights),
+                                        initial=0.0))
+        # built on first use: a factor is as costly as the system set-up
+        self._frozen = None
 
     def _weighted_residual(self, w: np.ndarray, w_prev: np.ndarray,
-                           drive: float, dt: float) -> np.ndarray:
+                           f_w: np.ndarray, drive: float,
+                           dt: float) -> np.ndarray:
+        """The step residual at w, given the law values f_w = f(w/eps)."""
         fl = self.flux
         rate = self.rate_coeff * (w - w_prev) / dt
-        return (fl.weights * (rate + self.law(w / self.arg_scale))
-                + fl.apply(w) - drive * fl.load)
+        return fl.weights * (rate + f_w) + fl.apply(w) - drive * fl.load
 
-    def _jacobian_diagonal(self, w: np.ndarray, dt: float,
-                           shift: float = 0.0) -> np.ndarray:
-        """The Newton matrix is this diagonal plus the flux response."""
-        return self.flux.weights * (self.rate_coeff / dt
-                                    + (self.law.deriv(w / self.arg_scale)
-                                       + shift) / self.arg_scale)
-
-    def _tolerance(self, w_prev: np.ndarray, drive: float, dt: float) -> float:
+    def _tolerance(self, w_prev: np.ndarray, f_prev: np.ndarray, drive: float,
+                   dt: float) -> float:
         # reference: flux/data scale, not the (much larger) Jacobian scale;
         # the floor term covers roundoff of the rate term at that scale
-        fl = self.flux
-        scale = max(
-            1.0,
-            abs(drive) * float(np.max(np.abs(fl.load / fl.weights), initial=0.0)),
-            float(np.max(np.abs(self.law(w_prev / self.arg_scale)), initial=0.0)),
-        )
+        scale = max(1.0, abs(drive) * self._load_scale,
+                    float(np.abs(f_prev).max(initial=0.0)))
         floor = 10.0 * np.finfo(float).eps * self.rate_coeff / dt \
-            * max(1.0, float(np.max(np.abs(w_prev), initial=0.0)))
+            * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
         return self.params.newton_tol * scale + floor
-
-    # -- stepping ---------------------------------------------------------
 
     def step(self, t_next: float, w_prev: np.ndarray, dt: float) -> StepResult:
         drive = self.temporal(t_next)
-        if self.law.is_linear:
-            return self._linear_step(w_prev, drive, dt)
-        res, _ = self._newton(w_prev, drive, dt, shift=0.0)
+        res, _, built = self._iterate(w_prev, drive, dt, shift=0.0)
         if res is not None:
             return res
-        res, history = self._newton(w_prev, drive, dt,
-                                    shift=self.params.newton_shift)
+        res, history, _ = self._iterate(
+            w_prev, drive, dt, shift=self.params.newton_shift)
         if res is not None:
+            res.factorizations += built
             return res
         raise NewtonError(
-            "Newton failed to converge, including the shifted-Jacobian retry",
+            "implicit step failed to converge, including the shifted retry",
             residuals=history)
 
-    def _linear_step(self, w_prev: np.ndarray, drive: float,
-                     dt: float) -> StepResult:
-        fl = self.flux
-        key = (dt, self.law.linear_slope, self.law.shift)
-        if self._linear_factor is None or self._linear_factor[0] != key:
-            self._linear_factor = (key, fl.factor(fl.weights * (
-                self.rate_coeff / dt + self.law.linear_slope / self.arg_scale)))
-        rhs = fl.weights * self.rate_coeff / dt * w_prev + drive * fl.load
-        w = self._linear_factor[1].solve(rhs)
-        resid = self._weighted_residual(w, w_prev, drive, dt)
-        rnorm = float(np.max(np.abs(resid / fl.weights), initial=0.0))
-        if rnorm > self._tolerance(w_prev, drive, dt):
-            raise NewtonError(
-                f"linear implicit step residual {rnorm:.3e} above tolerance",
-                residuals=[rnorm])
-        return StepResult(jump=w, iterations=1, residual=rnorm,
-                          used_shift=False, balance=float(abs(resid @ w)),
-                          history=[rnorm])
-
-    def _newton(self, w_prev: np.ndarray, drive: float, dt: float,
-                shift: float) -> tuple[Optional[StepResult], list]:
-        """The converged step (None if it failed) and the residual history."""
-        fl = self.flux
-        tol = self._tolerance(w_prev, drive, dt)
-        w = w_prev.copy()
-        resid = self._weighted_residual(w, w_prev, drive, dt)
-        rnorm = float(np.max(np.abs(resid / fl.weights), initial=0.0))
-        history = [rnorm]
+    def _iterate(self, w_prev: np.ndarray, drive: float, dt: float,
+                 shift: float) -> tuple[Optional[StepResult], list, int]:
+        """The converged step (None if it failed), the residual history and
+        the number of factors built."""
+        fl, law, eps = self.flux, self.law, self.arg_scale
+        a = self.rate_coeff / dt
+        c0 = self._slope
+        may_freeze = shift == 0.0 and dt == self.params.dt
+        # a pass with a linear law's own slope solves the step equation itself
+        exact = law.is_linear and shift == 0.0
+        w, s = w_prev, w_prev / eps
+        f_w = law(s)
+        tol = self._tolerance(w_prev, f_w, drive, dt)
+        base = fl.weights * a * w_prev + drive * fl.load
+        g = None                # residual per unit weight at w, once known
+        rnorm = np.inf
+        history: list = []
+        built = 0
         for _ in range(self.params.newton_max_iter):
-            if rnorm <= tol:
-                break
-            diag = self._jacobian_diagonal(w, dt, shift=shift)
+            if exact:
+                fresh, c = not may_freeze, c0
+            else:
+                slope = law.deriv(s) + shift
+                fresh = not may_freeze or float(
+                    np.abs(slope - c0).max(initial=0.0)) > 0.5 * (a * eps + c0)
+                c = slope if fresh else c0
             try:
-                dw = fl.factor(diag).solve(-resid)
+                factor = None if fresh else self._frozen
+                if factor is None:
+                    factor = fl.factor(fl.weights * (a + c / eps))
+                    built += 1
+                    if not fresh:
+                        self._frozen = factor
+                w_full = factor.solve(
+                    base if exact else base + fl.weights * (c * s - f_w))
             except np.linalg.LinAlgError:
                 break
-            # backtracking keeps the overshoot of strongly convex laws in check
+            # a Newton pass backtracks, which keeps the overshoot of strongly
+            # convex laws in check; G(w + l d) = (1 - l) G(w) + the law terms
+            search = fresh and not exact
+            if search and g is None:
+                g = self._weighted_residual(w, w_prev, f_w, drive, dt) \
+                    / fl.weights
+                rnorm = float(np.abs(g).max(initial=0.0))
             step_len = 1.0
-            for _ in range(8):
-                w_try = w + step_len * dw
-                resid_try = self._weighted_residual(w_try, w_prev, drive, dt)
-                rnorm_try = float(np.max(np.abs(resid_try / fl.weights),
-                                         initial=0.0))
+            for _ in range(8 if search else 1):
+                w_try = w_full if step_len == 1.0 \
+                    else w + step_len * (w_full - w)
+                s_try = w_try / eps
+                f_try = law(s_try)
+                if exact:
+                    g_try, rnorm_try = None, 0.0
+                    break
+                g_try = f_try - f_w - c * (s_try - s)
+                if step_len < 1.0:
+                    g_try += (1.0 - step_len) * g
+                rnorm_try = float(np.abs(g_try).max(initial=0.0))
                 if rnorm_try < rnorm or rnorm_try <= tol:
                     break
                 step_len *= 0.5
-            w, resid, rnorm = w_try, resid_try, rnorm_try
+            w, s, f_w, g, rnorm = w_try, s_try, f_try, g_try, rnorm_try
             history.append(rnorm)
+            if rnorm <= tol:
+                # the estimate leaves out the solve's roundoff: accept on the
+                # residual itself, or iterate on from it
+                resid = self._weighted_residual(w, w_prev, f_w, drive, dt)
+                g = resid / fl.weights
+                rnorm = history[-1] = float(np.abs(g).max(initial=0.0))
+                if rnorm <= tol:
+                    return StepResult(
+                        jump=w, iterations=len(history), residual=rnorm,
+                        used_shift=shift > 0.0, balance=float(abs(resid @ w)),
+                        factorizations=built, history=history), history, built
             # stagnation: bail out so the caller retries with a shift
             if shift == 0.0 and len(history) > 4 and \
                     history[-1] > 0.9 * history[-2] > 0.0:
                 break
-        if rnorm > tol:
-            return None, history
-        return StepResult(jump=w, iterations=len(history) - 1, residual=rnorm,
-                          used_shift=shift > 0.0, balance=float(abs(resid @ w)),
-                          history=history), history
+        return None, history, built
 
 
 class MembraneSystem:

@@ -4,13 +4,12 @@ the dynamic membrane condition on the tiled membrane.
 Finite volumes on the fitted grid.  Bulk unknowns are cell averages; each
 membrane facet carries a jump unknown and its two trace values follow from
 the facet-local flux-continuity elimination, which keeps the bulk operator
-symmetric positive definite.  Time stepping is backward Euler with Newton on
-the jump vector.  The bulk stays a sparse operator: each Newton iteration
-condenses the linearized membrane into series face conductances, so its
-matrix has the sparsity pattern of the bulk operator and one sparse
-factorization of bulk size solves it; the jump update follows facet by facet.
-Small systems, where a dense facet-sized factorization is cheaper, keep the
-flux response as a dense matrix instead.
+symmetric positive definite.  Time stepping is backward Euler on the jump
+vector, iterated by the shared stepper.  The bulk stays a sparse operator:
+a factor of the stepper's matrix condenses the membrane diagonal into
+series face conductances, which keeps the sparsity pattern of the bulk
+operator, so one sparse factorization of bulk size solves it; the jump
+update follows facet by facet.  No facet-sized dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveError
 from .geometry import Conductivity, EpsilonDomain
-from .membrane import (FluxResponse, MembraneSystem, SolverParams,
-                       jump_family, simulate, step)
+from .membrane import (MembraneSystem, SolverParams, jump_family, simulate,
+                       step)
 from .nonlinearity import BoundaryData, Nonlinearity
 
 __all__ = [
@@ -140,7 +139,7 @@ class SeriesFlux:
     """Flux map of the jump vector with the bulk kept sparse.
 
     The response is R = diag(k) - B^T A^-1 B for the membrane face
-    conductances k.  Eliminating the jump from the Newton system of
+    conductances k.  Eliminating the jump from a system with the pass matrix
     diag(d) + R leaves A - B diag(1/(d + k)) B^T on the bulk unknowns: A
     with each membrane face's conductance k replaced by the series value
     k d / (k + d), so it keeps A's sparsity pattern.
@@ -151,7 +150,7 @@ class SeriesFlux:
         self.op = op
         self.weights = weights
         self.load = load
-        # every Newton matrix has A's pattern, so A's fill-reducing order
+        # every pass matrix has A's pattern, so A's fill-reducing order
         # serves them all: they are assembled in that order and factored
         # without a new ordering
         new = op.lu.perm_c                     # position of each cell
@@ -245,30 +244,12 @@ class MicroState:
                             initial=0.0))
 
 
-def _dense_flux(op: BulkOperator, weights: np.ndarray,
-                load: np.ndarray) -> FluxResponse:
-    """The flux response as a dense matrix: one bulk solve per facet."""
-    nf = op.k_facet.size
-    response = np.diag(op.k_facet) - op.B.T @ op.lift(np.eye(nf))
-    return FluxResponse(weights=weights, load=load,
-                        response=0.5 * (response + response.T))
-
-
-# Below this many facets a Newton iteration is cheaper with the dense
-# facet-sized Cholesky than with the sparse bulk factorization.  Measured on
-# the 8x8 cell with one BLAS thread: 2.3 against 4.3 ms per sin step at 256
-# facets, break-even at 400, 33 against 14 ms at 784.
-DENSE_BELOW_FACETS = 400
-
-
 class MicroSystem(MembraneSystem):
     """Bulk operator bound to a membrane law and boundary data.
 
     Precomputes the bulk factorization and the separable boundary response.
-    From ``DENSE_BELOW_FACETS`` facets up, the flux response of the jump
-    vector stays condensed in the sparse bulk operator (``SeriesFlux``) and
-    no facet-sized dense matrix is formed; below it, the response is a
-    dense ``FluxResponse``.
+    The flux response of the jump vector stays condensed in the sparse bulk
+    operator (``SeriesFlux``).
     """
 
     def __init__(self, domain: EpsilonDomain, cond: Conductivity,
@@ -283,9 +264,7 @@ class MicroSystem(MembraneSystem):
         b_spatial = self.op.boundary_load(
             drive.spatial(domain.boundary.midpoint))
         self.u_drive = self.op.lu.solve(b_spatial)
-        flux = SeriesFlux if domain.n_facets >= DENSE_BELOW_FACETS \
-            else _dense_flux
-        self.flux_map = flux(self.op, s, self.op.B.T @ self.u_drive)
+        self.flux_map = SeriesFlux(self.op, s, self.op.B.T @ self.u_drive)
         self._bind_law(law, rate_coeff=params.alpha / domain.epsilon,
                        arg_scale=domain.epsilon)
 

@@ -15,9 +15,10 @@ macro potential only through the node's corner-averaged macro gradient.
 The correctors are therefore eliminated per node with the one cell
 factorization (FE^2 / HMM structure), leaving a flux response of the
 stacked jumps that is block diagonal up to a correction of macro rank
-(``NodeFlux``).  Each Newton step factors a banded matrix plus a macro-sized
-capacitance matrix; no stacked-bulk factorization or dense facet-sized
-response is formed.  Time stepping reuses the shared implicit stepper.
+(``NodeFlux``).  A factor of the stepper's pass matrix is a banded Cholesky
+plus a Cholesky of a macro-sized capacitance matrix; no stacked-bulk
+factorization or dense facet-sized response is formed.  Time stepping
+reuses the shared implicit stepper.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ class NodeFlux:
 
         R = blockdiag(R_b) - (I x V) Gbar S^-1 Gbar' (I x V)'.
 
-    The Newton matrix diag(d) + R is the banded B = blockdiag(R_b) +
+    A pass matrix diag(d) + R is the banded B = blockdiag(R_b) +
     diag(d) minus a correction of macro rank; ``factor`` solves it by
     Woodbury with the capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V)
     Gbar, which has one row per macro node.
@@ -416,16 +417,16 @@ class TwoScaleSystem(MembraneSystem):
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
         """Macro H1, corrector and corrector-gradient norms (on the product
         domain) of the gap between two solutions, its jump norm and its
-        stored energy alpha * norm_jump^2."""
+        stored energy."""
         dw = w - w_orbit
         dz = self.lift_jump @ dw
         dc = dz[self.n_nodes:].reshape(self.n_nodes, self.n_y)
         l2, grad = _macro_norms(self, dz[:self.n_nodes])
         cl2, cgrad = _corrector_norms(self, dc, dw.reshape(self.n_nodes, -1))
-        jn = self.jump_norm(dw)
         return {"norm_macro_h1": np.sqrt(l2 * l2 + grad * grad),
                 "norm_corrector": cl2, "norm_corrector_grad": cgrad,
-                "norm_jump": jn, "lyapunov": self.params.alpha * jn ** 2}
+                "norm_jump": self.jump_norm(dw),
+                "lyapunov": self.lyapunov(w, w_orbit)}
 
     # -- state reconstruction ---------------------------------------------
 

@@ -67,9 +67,9 @@ def stepper_on(system, flux):
 
 
 def force_shifted_retry(stepper):
-    """Make the unshifted Newton pass fail, so every step takes the retry."""
-    stepper._newton = lambda w, drive, dt, shift, run=stepper._newton: \
-        (None, []) if shift == 0.0 else run(w, drive, dt, shift)
+    """Make the unshifted iteration fail, so every step takes the retry."""
+    stepper._iterate = lambda w, drive, dt, shift, run=stepper._iterate: \
+        (None, [], 0) if shift == 0.0 else run(w, drive, dt, shift)
 
 
 def steps_agree(stepper_a, stepper_b, w, dt, n_steps=3):

@@ -11,6 +11,7 @@ starts from the production sample matrix (checked against loops by
 from __future__ import annotations
 
 import types
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -64,6 +65,65 @@ def dense_response(system):
     """Dense flux response diag(k) - B^T A^-1 B of a resolved system."""
     A, B, k_facet, _ = dense_bulk(system.domain, system.cond)
     return np.diag(k_facet) - B.T @ scipy.linalg.solve(A, B, assume_a="pos")
+
+
+class CholeskyFactor:
+    def __init__(self, mat: np.ndarray):
+        self._cf = scipy.linalg.cho_factor(mat)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(self._cf, r)
+
+
+@dataclass(frozen=True)
+class FluxResponse:
+    """``FluxMap`` with the response R held as a dense matrix."""
+
+    weights: np.ndarray
+    response: np.ndarray
+    load: np.ndarray
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        return self.response @ w
+
+    def factor(self, d: np.ndarray) -> CholeskyFactor:
+        mat = self.response.copy()
+        mat[np.diag_indices_from(mat)] += d
+        return CholeskyFactor(mat)
+
+
+def dense_newton_step(flux: FluxResponse, law, rate_coeff: float,
+                      arg_scale: float, w_prev: np.ndarray, drive: float,
+                      dt: float, tol: float = 1e-14, max_iter: int = 100):
+    """Implicit step by plain Newton with dense solves and halving line
+    search on the 2-norm of the weighted residual
+
+        weights (rate_coeff (w - w_prev)/dt + f(w/arg_scale)) + R w
+            - drive load,
+
+    iterated until the Newton update is below ``tol`` relative."""
+    wts, resp = flux.weights, flux.response
+
+    def resid(w):
+        return (wts * (rate_coeff * (w - w_prev) / dt + law(w / arg_scale))
+                + resp @ w - drive * flux.load)
+
+    w = w_prev.copy()
+    r = resid(w)
+    for _ in range(max_iter):
+        jac = resp + np.diag(wts * (rate_coeff / dt
+                                    + law.deriv(w / arg_scale) / arg_scale))
+        dw = np.linalg.solve(jac, -r)
+        step_len = 1.0
+        while True:
+            r_try = resid(w + step_len * dw)
+            if np.linalg.norm(r_try) < np.linalg.norm(r) or step_len < 1e-3:
+                break
+            step_len *= 0.5
+        w, r = w + step_len * dw, r_try
+        if np.max(np.abs(step_len * dw)) <= tol * max(1.0, np.max(np.abs(w))):
+            return w
+    raise RuntimeError("dense Newton reference did not converge")
 
 
 def dense_lift(system):

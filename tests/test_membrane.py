@@ -82,6 +82,27 @@ def test_simulate_two_scale_is_simulate_plus_mean_defects():
     assert traj.mean_defects.tolist() == expected
 
 
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("law,kw", [("linear", {"kappa": 1.0}), ("sin", {})])
+def test_run_at_params_dt_factors_once(stack, law, kw, cell8, default_domain):
+    # 256 jumps on either stack at the default dt: the first step builds the
+    # frozen factor and every later step reuses it
+    if stack == "micro":
+        system = make_micro(default_domain, law=(law,), dt=1e-3, **kw)
+        w = initial_jump(default_domain, "random", 5.0, seed=6)
+    else:
+        system = make_two_scale(cell=cell8, law=(law,), dt=1e-3, macro_res=4,
+                                **kw)
+        w = initial_two_scale_jump(system, "random", 5.0, seed=6)
+    dt = system.params.dt
+    counts = []
+    for n in range(100):
+        res = system.stepper.step((n + 1) * dt, w, dt)
+        w = res.jump
+        counts.append(res.factorizations)
+    assert counts[0] == 1 and sum(counts) == 1
+
+
 def test_with_law_shares_the_bulk_response(small_domain):
     system = make_micro(small_domain, law=("sin",))
     twin = system.with_law(T.make_nonlinearity("linear", kappa=2.0))

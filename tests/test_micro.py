@@ -1,10 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import tissue as T
 from tissue.errors import NonlinearityError
-from tissue.membrane import FluxResponse
-from tissue.micro import (DENSE_BELOW_FACETS, MicroSystem, SeriesFlux,
+from tissue.micro import (MicroSystem, SeriesFlux,
                           bulk_l2, difference_state, dissipation_identity,
                           elliptic_solve_given_jump, gradient_l2,
                           initial_jump, jump_l2, sigma_gradient_energy,
@@ -12,8 +14,9 @@ from tissue.micro import (DENSE_BELOW_FACETS, MicroSystem, SeriesFlux,
 
 from conftest import (force_shifted_retry, make_micro, rel_gap, steps_agree,
                       stepper_on)
-from oracles import (DenseLinearStepper, dense_bulk, dense_elliptic,
-                     dense_response, dense_sigma_gradient_energy)
+from oracles import (DenseLinearStepper, FluxResponse, dense_bulk,
+                     dense_elliptic, dense_response,
+                     dense_sigma_gradient_energy)
 
 
 # -- assembly ------------------------------------------------------------------
@@ -422,9 +425,22 @@ def test_sixteenth_cell_size_takes_a_sparse_sin_step(cell8):
     assert res.iterations >= 1 and np.all(np.isfinite(res.jump))
 
 
-def test_dense_response_only_below_the_crossover(small_domain, cell8):
-    assert small_domain.n_facets < DENSE_BELOW_FACETS
-    assert isinstance(make_micro(small_domain).flux_map, FluxResponse)
-    dom = T.tile_domain(cell8, 0.2)
-    assert dom.n_facets == DENSE_BELOW_FACETS
-    assert isinstance(make_micro(dom).flux_map, SeriesFlux)
+def test_shared_256_facet_system_threads_match_serial_runs(default_domain):
+    # more threads than cores, switching often, race to build the stepper's
+    # frozen factor on their first step and then share it and the bulk
+    # factorization op.lu
+    w0s = [initial_jump(default_domain, "random", 5.0, seed=s)
+           for s in (46, 47, 48, 49)]
+    serial_system = make_micro(default_domain, dt=1e-3)
+    serial = [simulate(serial_system, w0, 0.1).jumps for w0 in w0s]
+    shared = make_micro(default_domain, dt=1e-3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(
+                lambda w0: simulate(shared, w0, 0.1).jumps, w0s, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)

@@ -1,0 +1,74 @@
+"""``tools/artifact_diff.py`` on small artifact directories."""
+
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+_spec = importlib.util.spec_from_file_location("artifact_diff", _PATH)
+artifact_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_diff)
+
+
+def _write(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def _diff(tmp_path, files_a, files_b):
+    out = io.StringIO()
+    n = artifact_diff.diff_dirs(_write(tmp_path / "a", files_a),
+                                _write(tmp_path / "b", files_b), out=out)
+    return n, out.getvalue().splitlines()
+
+
+def test_rel_dev_has_an_absolute_floor():
+    assert artifact_diff.rel_dev(1.0, 1.0) == 0.0
+    assert artifact_diff.rel_dev(2.0, 2.0 + 2e-6) == pytest.approx(1e-6,
+                                                                  rel=1e-5)
+    # roundoff in a roundoff-sized value is no deviation
+    assert artifact_diff.rel_dev(1e-15, 3e-15) == 0.0
+    assert artifact_diff.rel_dev(0.0, 2e-12) == pytest.approx(0.5)
+
+
+def test_csv_columns_and_comment_lines(tmp_path):
+    a = "# tissue 0.1 config aaaa\nt,x,y\n0.0,1.0,2.0\n0.5,4.0,5e-16\n"
+    b = "# tissue 0.1 config bbbb\nt,x,y\n0.0,1.0,2.0\n0.5,4.004,1e-15\n"
+    n, lines = _diff(tmp_path, {"run/s.csv": a}, {"run/s.csv": b})
+    assert n == 0
+    assert lines[0].startswith("run/s.csv  max rel 9.990e-04")
+    assert lines[0].endswith("at x")
+    assert lines[1:] == [f"    x  {artifact_diff.rel_dev(4.0, 4.004):.3e}"]
+
+
+def test_json_numbers_and_non_numeric_differences(tmp_path):
+    a = {"rate": -2.0, "fit": {"class": "exponential", "r2": [0.99, 1.0]},
+         "flag": True, "gone": 1}
+    b = {"rate": -2.0000002, "fit": {"class": "subexponential",
+                                     "r2": [0.99, 1.0]},
+         "flag": True}
+    n, lines = _diff(tmp_path, {"r.json": json.dumps(a)},
+                     {"r.json": json.dumps(b)})
+    assert n == 2
+    assert lines[0].startswith("r.json  max rel 1.00")
+    assert lines[0].endswith("at /rate")
+    assert "    differs: /gone: in one file only" in lines
+    assert "    differs: /fit/class: 'exponential' against " \
+        "'subexponential'" in lines
+
+
+def test_missing_files_and_changed_shape(tmp_path):
+    n, lines = _diff(tmp_path,
+                     {"one.csv": "t,x\n0,1\n1,2\n", "only_a.json": "{}",
+                      "notes.txt": "ignored"},
+                     {"one.csv": "t,x\n0,1\n"})
+    assert n == 2
+    assert lines[0] == "one.csv  max rel 0.000e+00"
+    assert lines[1] == "    differs: 2 rows against 1"
+    assert lines[2].startswith("only_a.json  only in ")

@@ -1,12 +1,12 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tissue as T
-from tissue.decay import decay_metrics
+from tissue.decay import decay_metrics, lyapunov_series
 from tissue.errors import GeometryError
-from tissue.membrane import FluxResponse
 from tissue.micro import MicroSystem, initial_jump, simulate
 from tissue.periodic import find_periodic, orbit_distance
 from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
@@ -16,7 +16,7 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              two_scale_decay_metrics)
 
 from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
-from oracles import DenseTwoScale, dense_two_scale
+from oracles import DenseTwoScale, FluxResponse, dense_two_scale
 
 
 def make_two_scale(cell=None, cond=(1.0, 1.0), law=("sin",),
@@ -197,7 +197,7 @@ def test_1024_jump_sin_step_matches_dense_response_step():
 
 
 def test_shared_system_threads_match_serial_runs():
-    # one system (and its linear twin, whose stepper caches its factor)
+    # one system and its linear twin, each stepper with its frozen factor,
     # stepped from two threads at once
     system = make_two_scale(cond=(2.0, 1.0), law=("sin",))
     linear = T.make_nonlinearity("linear", kappa=1.0)
@@ -398,6 +398,19 @@ def test_decay_metrics_serves_two_scale_runs():
     assert set(plain.as_dict()) == keys
     assert set(full.as_dict()) == keys | {"max_mean_defect"}
     assert set(full.as_dict()["final_over_initial"]) == set(names[:4])
+
+
+def test_report_lyapunov_column_is_the_lyapunov_series():
+    system = make_two_scale(law=("sin",), macro_res=2)
+    orbit = find_periodic_two_scale(system, tol=1e-9)
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=5)
+    traj = simulate(system, w0, 2.0, stride=10)
+    dt = system.params.dt
+    on_orbit = replace(traj, jumps=np.array(
+        [orbit.jump_at_step(int(round(t / dt))) for t in traj.ts]))
+    report = decay_metrics(traj, orbit)
+    assert report.columns["lyapunov"].tolist() == \
+        lyapunov_series(traj, on_orbit).values.tolist()
 
 
 def test_roundoff_level_norm_has_no_ratio():
