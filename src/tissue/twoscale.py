@@ -17,8 +17,11 @@ factorization (FE^2 / HMM structure), leaving a flux response of the
 stacked jumps that is block diagonal up to a correction of macro rank
 (``NodeFlux``).  A factor of the stepper's pass matrix is a banded Cholesky
 plus a Cholesky of a macro-sized capacitance matrix; no stacked-bulk
-factorization or dense facet-sized response is formed.  Time stepping
-reuses the shared implicit stepper.
+factorization or dense facet-sized response is formed.  States are rebuilt
+the same way: one macro-sized solve with the Schur factor gives the macro
+potential, and each node's corrector follows from its mean gradient and its
+own jumps through the two cell responses, so no map of the stacked jumps is
+stored.  Time stepping reuses the shared implicit stepper.
 """
 
 from __future__ import annotations
@@ -234,12 +237,13 @@ class NodeFlux:
     A pass matrix diag(d) + R is the banded B = blockdiag(R_b) +
     diag(d) minus a correction of macro rank; ``factor`` solves it by
     Woodbury with the capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V)
-    Gbar, which has one row per macro node.
+    Gbar, which has one row per macro node.  ``schur_cf`` is the Cholesky
+    factor of S.
     """
 
     def __init__(self, weights: np.ndarray, load: np.ndarray,
                  r_block: np.ndarray, v: np.ndarray, mean_grad: np.ndarray,
-                 schur: np.ndarray):
+                 schur: np.ndarray, schur_cf: tuple):
         self.weights = weights
         self.load = load
         self.r_block = r_block
@@ -249,7 +253,7 @@ class NodeFlux:
         nf = r_block.shape[0]
         self.n_nodes = weights.size // nf
         # Gbar S^-1 Gbar', the macro coupling of the node gradients
-        self._coupling = mean_grad @ cho_solve(cho_factor(schur), mean_grad.T)
+        self._coupling = mean_grad @ cho_solve(schur_cf, mean_grad.T)
         # upper band storage of blockdiag(R_b): bandwidth n_facets - 1, zero
         # across node blocks
         rows, cols = np.triu_indices(nf)
@@ -300,15 +304,14 @@ class TwoScaleSystem(MembraneSystem):
     certificates pair with it).  The correctors are eliminated per node
     through the single cell factorization, the macro potential through its
     node-sized Schur complement; the stepper gets the result as a
-    ``NodeFlux``.  ``lift_jump`` and ``lift_drive`` reconstruct the macro
-    potential and the correctors from the jumps; ``lift_jump`` is dense
-    (n_z x n_w), hence the ``max_jumps`` budget.
+    ``NodeFlux``.  ``recover`` rebuilds the macro potential and the
+    correctors of a jump vector from the same factors: one Schur solve,
+    then one product of size n_y x (dim + n_facets) per node.
     """
 
     def __init__(self, cell: CellGeometry, cond: Conductivity,
                  law: Nonlinearity, drive: BoundaryData, params: SolverParams,
-                 macro_res: int = 4, macro_dim: Optional[int] = None,
-                 max_jumps: int = 4096):
+                 macro_res: int = 4, macro_dim: Optional[int] = None):
         macro_dim = cell.dim if macro_dim is None else macro_dim
         if macro_dim != cell.dim:
             raise GeometryError(
@@ -320,11 +323,6 @@ class TwoScaleSystem(MembraneSystem):
         self.macro = _build_macro_grid(macro_dim, macro_res, drive)
         n_nodes = self.macro.n_nodes
         n_w = n_nodes * len(cell.facets)
-        if n_w > max_jumps:
-            lift_mb = n_nodes * (1 + cell.n_cells) * n_w * 8 / 1e6
-            raise GeometryError(
-                f"stacked jump count {n_w} exceeds budget {max_jumps}; the "
-                f"dense jump lift would need {lift_mb:.1f} MB")
         self.cell_op = CellOperator(cell, cond)
         cfd = self.cell_op.data
         self.cfd = cfd
@@ -389,29 +387,19 @@ class TwoScaleSystem(MembraneSystem):
         schur = (t_macro.T @ t_macro).toarray() - gbar.T @ np.einsum(
             "ik,nkm->nim", e_g, gr).reshape(n_nodes * dim, n_nodes)
         schur = 0.5 * (schur + schur.T)
-        load_u = t_macro.T @ self.sample_load \
+        self._load_u = t_macro.T @ self.sample_load \
             - gbar.T @ (gbar_load.reshape(n_nodes, dim) @ e_g).reshape(-1)
-        schur_cf = cho_factor(schur)
+        # the factors that ``_fields`` rebuilds states from
+        self._schur_cf = cho_factor(schur)
+        self._x_g, self._x_w = x_g, x_w
 
-        # lifts: the macro potential from S^-1 Gbar' (I x V)', then each
-        # node's corrector from its mean gradient and its own jumps
-        lift_u = -cho_solve(schur_cf, np.einsum(
-            "jim,fi->mjf", gr, v).reshape(n_nodes, n_w))
-        g_w = (gbar @ lift_u).reshape(n_nodes, dim, n_w)
-        lift_c = -np.einsum("yi,jiw->jyw", x_g, g_w).reshape(
-            n_nodes, self.n_y, n_nodes, cfd.n_facets)
-        nodes = np.arange(n_nodes)
-        lift_c[nodes, :, nodes, :] -= x_w
-        self.lift_jump = np.vstack([lift_u, lift_c.reshape(-1, n_w)])
-        u_drive = -cho_solve(schur_cf, load_u)
-        g_drive = (gbar @ u_drive + gbar_load).reshape(n_nodes, dim)
-        self.lift_drive = np.concatenate([u_drive,
-                                          -(g_drive @ x_g.T).reshape(-1)])
-
+        # flux load: the node gradients of a unit drive at zero jumps
+        g_drive = self.mean_gradients(-cho_solve(self._schur_cf, self._load_u),
+                                      1.0)
         s2 = np.full(n_w, hdim * cfd.s_facet)
         self.flux_map = NodeFlux(weights=s2, load=-(g_drive @ v.T).reshape(-1),
                                  r_block=r_block, v=v, mean_grad=gbar,
-                                 schur=schur)
+                                 schur=schur, schur_cf=self._schur_cf)
         self._bind_law(law, rate_coeff=params.alpha, arg_scale=1.0)
 
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
@@ -419,9 +407,8 @@ class TwoScaleSystem(MembraneSystem):
         domain) of the gap between two solutions, its jump norm and its
         stored energy."""
         dw = w - w_orbit
-        dz = self.lift_jump @ dw
-        dc = dz[self.n_nodes:].reshape(self.n_nodes, self.n_y)
-        l2, grad = _macro_norms(self, dz[:self.n_nodes])
+        du, dc = self._fields(dw, 0.0)
+        l2, grad = _macro_norms(self, du)
         cl2, cgrad = _corrector_norms(self, dc, dw.reshape(self.n_nodes, -1))
         return {"norm_macro_h1": np.sqrt(l2 * l2 + grad * grad),
                 "norm_corrector": cl2, "norm_corrector_grad": cgrad,
@@ -430,11 +417,19 @@ class TwoScaleSystem(MembraneSystem):
 
     # -- state reconstruction ---------------------------------------------
 
+    def _fields(self, w: np.ndarray, drive: float):
+        """Macro potential and per-node correctors of the jumps ``w`` at the
+        drive factor ``drive``: u = -S^-1 (Gbar' vec(W V) + drive load_u),
+        then node j's corrector -(x_g g_j + x_w w_j)."""
+        wr = w.reshape(self.n_nodes, -1)
+        rhs = self.macro.mean_grad.T @ (wr @ self.flux_map.v).reshape(-1) \
+            + drive * self._load_u
+        macro = -cho_solve(self._schur_cf, rhs)
+        g = self.mean_gradients(macro, drive)
+        return macro, -(g @ self._x_g.T + wr @ self._x_w.T)
+
     def recover(self, t: float, w: np.ndarray):
-        z = self.lift_jump @ w + self.drive.temporal(t) * self.lift_drive
-        macro = z[:self.n_nodes]
-        corr = z[self.n_nodes:].reshape(self.n_nodes, self.n_y)
-        return macro, corr
+        return self._fields(w, self.drive.temporal(t))
 
     def state_at(self, t: float, w: np.ndarray) -> "TwoScaleState":
         macro, corr = self.recover(t, w)

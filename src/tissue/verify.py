@@ -2,7 +2,9 @@
 
 Runs the structural checks of every solver layer on the configured problem
 with a coarsened time step, so a full sweep stays under a minute.  Each
-check returns (name, passed, detail); the CLI maps any failure to exit
+check records (name, passed, detail, value): ``value`` holds the measured
+defect, gap or residual as a number (None where there is none), ``detail``
+only text that does not move at roundoff.  The CLI maps any failure to exit
 code 4.
 """
 
@@ -32,8 +34,9 @@ def _verify_params(cfg: RunConfig) -> SolverParams:
 def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     checks = []
 
-    def record(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+    def record(name, passed, detail, value=None):
+        checks.append({"name": name, "passed": bool(passed), "detail": detail,
+                       "value": None if value is None else float(value)})
 
     cell = cfg.build_cell()
     dom = cfg.build_domain(cell)
@@ -46,7 +49,7 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     per_cell = cell.memb_measure * dom.epsilon ** (cell.dim - 1)
     copies = round(1.0 / dom.epsilon) ** cell.dim
     closure = abs(copies * per_cell - dom.memb_measure)
-    record("tiling_closure", closure <= 1e-12, f"defect {closure:.2e}")
+    record("tiling_closure", closure <= 1e-12, "measure defect", closure)
 
     record("facet_normals_point_outward", dom.facets.point_out_of(dom.inside),
            "per-facet orientation")
@@ -61,7 +64,7 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     record("mean_conductivity_bounds",
            min(cond.sigma_int, cond.sigma_out) <= cond.mean
            <= max(cond.sigma_int, cond.sigma_out),
-           f"mean {cond.mean}")
+           "mean conductivity", cond.mean)
 
     # membrane law ------------------------------------------------------------
     cert = law.certificate
@@ -73,12 +76,12 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     fd = (law(s + 1e-5) - law(s - 1e-5)) / 2e-5
     scale = np.maximum(np.abs(law.deriv(s)), 1.0)
     rel = float(np.max(np.abs(fd - law.deriv(s)) / scale))
-    record("law_derivative_consistency", rel <= 1e-6, f"max rel gap {rel:.2e}")
+    record("law_derivative_consistency", rel <= 1e-6, "max rel gap", rel)
 
     twice = regularize(regularize(law, 0.03), 0.04)
     once = regularize(law, 0.07)
     gap = float(np.max(np.abs(twice(s) - once(s))))
-    record("regularize_composition", gap <= 1e-14, f"pointwise gap {gap:.2e}")
+    record("regularize_composition", gap <= 1e-14, "pointwise gap", gap)
 
     # bulk solver ---------------------------------------------------------------
     cond_uniform = make_conductivity(cell, 1.0, 1.0)
@@ -90,27 +93,26 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
                                      sys_uniform.drive, 0.0,
                                      tol=params.linear_tol)
     aff = float(np.max(np.abs(u - dom.centers[:, 0])))
-    record("affine_exactness_uniform_sigma", aff <= 1e-10, f"max error {aff:.2e}")
+    record("affine_exactness_uniform_sigma", aff <= 1e-10, "max error", aff)
 
     system = MicroSystem(dom, cond, law, drive, params)
     asym = abs(system.op.A - system.op.A.T).max()
-    record("bulk_operator_symmetry", asym <= 1e-14, f"max asymmetry {asym:.2e}")
+    record("bulk_operator_symmetry", asym <= 1e-14, "max asymmetry", asym)
 
     rng = np.random.default_rng(cfg["seed"])
     w_probe = dom.epsilon * rng.uniform(-1, 1, dom.n_facets)
     st = system.state_at(0.25, w_probe)
     q_in, q_out = system.op.one_sided_fluxes(st.u, st.jump)
     qgap = float(np.max(np.abs(q_in - q_out), initial=0.0))
-    record("flux_continuity", qgap <= 1e-8, f"max one-sided gap {qgap:.2e}")
-    record("trace_consistency", st.consistency_error() <= 1e-12,
-           f"max |outer-inner-jump| {st.consistency_error():.2e}")
+    record("flux_continuity", qgap <= 1e-8, "max one-sided gap", qgap)
+    trace = st.consistency_error()
+    record("trace_consistency", trace <= 1e-12, "max |outer-inner-jump|", trace)
 
     drive0 = make_boundary_data("constant", "constant", 0.0)
     sys0 = MicroSystem(dom, cond, law, drive0, params)
     traj0 = simulate(sys0, np.zeros(dom.n_facets), 10 * params.dt)
-    record("zero_data_zero_solution",
-           float(np.max(np.abs(traj0.jumps))) <= 1e-13,
-           f"max jump {float(np.max(np.abs(traj0.jumps))):.2e}")
+    zero_jump = float(np.max(np.abs(traj0.jumps)))
+    record("zero_data_zero_solution", zero_jump <= 1e-13, "max jump", zero_jump)
 
     # dynamics -----------------------------------------------------------------
     wa = initial_jump(dom, "random", cfg["init.amplitude"], seed=cfg["seed"])
@@ -118,18 +120,18 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     ta = simulate(system, wa, 1.0)
     tb = simulate(system, wb, 1.0)
     ls = lyapunov_series(ta, tb)
-    record("lyapunov_nonincreasing", ls.monotone,
-           f"max per-step increase {ls.max_increase:.2e}")
+    record("lyapunov_nonincreasing", ls.monotone, "max per-step increase",
+           ls.max_increase)
 
     pa = dissipation_identity(
         difference_state(ta.state(len(ta) - 2), tb.state(len(tb) - 2)),
         difference_state(ta.state(len(ta) - 1), tb.state(len(tb) - 1)), system)
     record("dissipation_identity", abs(pa["residual_sum"]) <= 1e-8,
-           f"terms sum {pa['residual_sum']:.2e}")
+           "terms sum", pa["residual_sum"])
 
     tneg = simulate(_negated(system), -wa, 1.0)
     odd = float(np.max(np.abs(tneg.jumps + ta.jumps)))
-    record("odd_symmetry", odd <= 1e-10, f"max mismatch {odd:.2e}")
+    record("odd_symmetry", odd <= 1e-10, "max mismatch", odd)
 
     lin_law = make_nonlinearity("linear", kappa=cfg["f.kappa"])
     base = MicroSystem(dom, cond, lin_law, drive, params)
@@ -140,23 +142,23 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     tb1 = simulate(base, wa, 0.2)
     tb2 = simulate(scaled, wa, 0.2)
     sgap = float(np.max(np.abs(tb1.jumps - tb2.jumps)))
-    record("common_factor_scaling", sgap <= 1e-10, f"max jump gap {sgap:.2e}")
+    record("common_factor_scaling", sgap <= 1e-10, "max jump gap", sgap)
 
     # periodic ----------------------------------------------------------------
     orbit = find_periodic(system, tol=1e-7, max_iters=200)
     record("periodic_defect", orbit.defect <= 1e-7,
-           f"defect {orbit.defect:.2e} in {orbit.iterations} iterations")
+           f"defect after {orbit.iterations} iterations", orbit.defect)
 
     # two-scale ----------------------------------------------------------------
     ts = TwoScaleSystem(cell, cond, law, drive, params,
                         macro_res=cfg["macro.resolution"],
                         macro_dim=cfg["macro.dimension"])
-    record("cell_operator_kernel", ts.cell_op.row_sum_defect() <= 1e-12,
-           f"row-sum defect {ts.cell_op.row_sum_defect():.2e}")
+    row_sum = ts.cell_op.row_sum_defect()
+    record("cell_operator_kernel", row_sum <= 1e-12, "row-sum defect", row_sum)
     w0 = initial_two_scale_jump(ts, "random", 1.0, seed=cfg["seed"])
     ttraj = simulate_two_scale(ts, w0, 0.2, stride=1)
-    record("corrector_zero_mean", float(ttraj.mean_defects.max()) <= 1e-12,
-           f"max mean {float(ttraj.mean_defects.max()):.2e}")
+    max_mean = float(ttraj.mean_defects.max())
+    record("corrector_zero_mean", max_mean <= 1e-12, "max mean", max_mean)
 
     rngt = np.random.default_rng(cfg["seed"] + 2)
     phi = rngt.normal(size=ts.n_nodes)
@@ -170,8 +172,7 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
 
     res = transient_weak_residual(ts, ttraj, test)
     scale = max(1.0, float(np.max(np.abs(ttraj.jumps))))
-    record("two_scale_weak_form", abs(res) <= 1e-8 * scale,
-           f"residual {res:.2e}")
+    record("two_scale_weak_form", abs(res) <= 1e-8 * scale, "residual", res)
 
     return checks
 

@@ -344,8 +344,9 @@ def dense_two_scale(system):
     samples, the per-node mean penalty and one sparse factorization of the
     whole (macro, correctors) block, solved against every jump column.
 
-    Returns the dense response, load, jump lift and drive lift, with the
-    production meaning of each.
+    Returns the dense response and load of the production flux map, and the
+    jump lift and drive lift of the (macro, corrector) block that
+    ``TwoScaleSystem.recover`` applies without forming them.
     """
     n_nodes, n_y = system.n_nodes, system.n_y
     n_z = n_nodes + n_nodes * n_y

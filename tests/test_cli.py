@@ -225,6 +225,14 @@ def test_verify_exit_code_and_report(tmp_path):
     assert "lyapunov_nonincreasing" in names
     assert "two_scale_weak_form" in names
     assert all(c["passed"] for c in rep["checks"])
+    # measured numbers sit in "value", so reports compare number by number
+    for c in rep["checks"]:
+        value = c["value"]
+        assert value is None or (isinstance(value, (int, float))
+                                 and not isinstance(value, bool))
+    values = {c["name"]: c["value"] for c in rep["checks"]}
+    assert values["two_scale_weak_form"] is not None
+    assert values["refinement_stability"] is None
 
 
 def test_verify_bulk_solve_reads_linear_tol():

@@ -13,7 +13,8 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              find_periodic_two_scale, initial_two_scale_jump,
                              micro_two_scale_gap, periodic_weak_residual,
                              simulate_two_scale, transient_weak_residual,
-                             two_scale_decay_metrics)
+                             two_scale_decay_metrics, _corrector_norms,
+                             _macro_norms)
 
 from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
 from oracles import DenseTwoScale, FluxResponse, dense_two_scale
@@ -161,8 +162,26 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
         want = np.linalg.solve(dense.response + np.diag(d), r)
         assert rel_gap(flux.factor(d).solve(r), want) <= 1e-12
     assert rel_gap(flux.load, dense.load) <= 1e-12
-    assert rel_gap(system.lift_jump, dense.lift_jump) <= 1e-12
-    assert rel_gap(system.lift_drive, dense.lift_drive) <= 1e-12
+    # matrix-free reconstruction against the stacked (macro, corrector) lift
+    drive = system.drive.temporal(0.37)
+    for w in rng.normal(size=(2, system.n_w)):
+        macro, corr = system.recover(0.37, w)
+        want = dense.lift_jump @ w + drive * dense.lift_drive
+        assert rel_gap(np.concatenate([macro, corr.reshape(-1)]), want) \
+            <= 1e-12
+    # decay norms of a gap against norms of its dense lift
+    w, w_orbit = rng.normal(size=(2, system.n_w))
+    dw = w - w_orbit
+    dz = dense.lift_jump @ dw
+    l2, grad = _macro_norms(system, dz[:system.n_nodes])
+    cl2, cgrad = _corrector_norms(
+        system, dz[system.n_nodes:].reshape(system.n_nodes, system.n_y),
+        dw.reshape(system.n_nodes, -1))
+    norms = system.gap_norms(w, w_orbit)
+    got = [norms[k] for k in ("norm_macro_h1", "norm_corrector",
+                              "norm_corrector_grad")]
+    assert rel_gap(np.array(got), np.array([np.hypot(l2, grad), cl2, cgrad])) \
+        <= 1e-12
 
 
 def _oracle_stepper(system):
@@ -215,15 +234,19 @@ def test_shared_system_threads_match_serial_runs():
         assert np.array_equal(a, b)
 
 
-def test_jump_budget_rejection_reports_lift_memory():
-    cell = T.build_cell_geometry(0.25, 8)
-    cond = T.make_conductivity(cell, 1.0, 1.0)
-    # 64 nodes x (1 + 64 cells) x 1024 jumps x 8 bytes
-    with pytest.raises(GeometryError,
-                       match=r"1024 exceeds budget 512.* 34\.1 MB"):
-        TwoScaleSystem(cell, cond, T.make_nonlinearity("sin"),
-                       T.make_boundary_data(), T.SolverParams(),
-                       macro_res=8, max_jumps=512)
+def test_9216_jumps_past_the_old_lift_budget_step_and_rebuild_correctors():
+    # 576 nodes x 16 facets; a dense jump lift would take 2.8 GB here
+    system = make_two_scale(cond=(2.0, 1.0), macro_res=24, cell_res=8,
+                            dt=1e-3)
+    assert system.n_w == 9216
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=47)
+    traj = simulate_two_scale(system, w0, 3e-3)
+    assert len(traj) == 4
+    assert float(traj.mean_defects.max()) <= 1e-12
+    st = traj.state(len(traj) - 1)
+    grads = system.mean_gradients(st.macro, system.drive.temporal(st.t))
+    for g, w, corr in zip(grads, st.jump, st.corrector):
+        assert rel_gap(corr, system.cell_op.corrector_for(g, w)) <= 1e-12
 
 
 def test_bulk_hessian_matches_dense_loops():
