@@ -138,12 +138,11 @@ class JumpStepper:
         rate = self.rate_coeff * (w - w_prev) / dt
         return fl.weights * (rate + f_w) + fl.apply(w) - drive * fl.load
 
-    def _tolerance(self, w_prev: np.ndarray, f_prev: np.ndarray, drive: float,
+    def _tolerance(self, w_prev: np.ndarray, f_max: float, drive: float,
                    dt: float) -> float:
         # reference: flux/data scale, not the (much larger) Jacobian scale;
         # the floor term covers roundoff of the rate term at that scale
-        scale = max(1.0, abs(drive) * self._load_scale,
-                    float(np.abs(f_prev).max(initial=0.0)))
+        scale = max(1.0, abs(drive) * self._load_scale, f_max)
         floor = 10.0 * np.finfo(float).eps * self.rate_coeff / dt \
             * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
         return self.params.newton_tol * scale + floor
@@ -174,7 +173,13 @@ class JumpStepper:
         exact = law.is_linear and shift == 0.0
         w, s = w_prev, w_prev / eps
         f_w = law(s)
-        tol = self._tolerance(w_prev, f_w, drive, dt)
+        f_max = float(np.abs(f_w).max(initial=0.0))
+        if not np.isfinite(f_max):
+            # no pass can converge, and an infinite tolerance would accept
+            # any finite residual: fail the attempt on its starting residual
+            g = self._weighted_residual(w, w_prev, f_w, drive, dt) / fl.weights
+            return None, [float(np.abs(g).max())], 0
+        tol = self._tolerance(w_prev, f_max, drive, dt)
         base = fl.weights * a * w_prev + drive * fl.load
         g = None                # residual per unit weight at w, once known
         rnorm = np.inf
@@ -235,9 +240,11 @@ class JumpStepper:
                         jump=w, iterations=len(history), residual=rnorm,
                         used_shift=shift > 0.0, balance=float(abs(resid @ w)),
                         factorizations=built, history=history), history, built
-            # stagnation: bail out so the caller retries with a shift
-            if shift == 0.0 and len(history) > 4 and \
-                    history[-1] > 0.9 * history[-2] > 0.0:
+            # a non-finite pass or stagnation: bail out, so that the caller
+            # retries with a shift or raises
+            if not np.isfinite(rnorm) or (shift == 0.0 and len(history) > 4
+                                          and history[-1] > 0.9 * history[-2]
+                                          > 0.0):
                 break
         return None, history, built
 

@@ -22,6 +22,11 @@ the same way: one macro-sized solve with the Schur factor gives the macro
 potential, and each node's corrector follows from its mean gradient and its
 own jumps through the two cell responses, so no map of the stacked jumps is
 stored.  Time stepping reuses the shared implicit stepper.
+
+Every factor is built, and checked for finiteness, by a checked scipy call
+at set-up (the Schur factor in ``TwoScaleSystem``, the pass factors in
+``_NodeFactor``).  The per-pass and per-state solves with those factors call
+LAPACK's ``pbtrs``/``potrs`` directly, without scipy's per-call checks.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import (cho_factor, cho_solve, cho_solve_banded,
-                          cholesky_banded)
+                          cholesky_banded, get_lapack_funcs)
 
 from .errors import GeometryError
 from .geometry import CellGeometry, Conductivity
@@ -50,6 +55,21 @@ __all__ = [
     "initial_two_scale_jump", "transient_weak_residual",
     "periodic_weak_residual",
 ]
+
+
+# resolved once; they read the factor and solve in a copy of the right-hand
+# side, so a shared factor is never written
+_PBTRS, _POTRS = get_lapack_funcs(("pbtrs", "potrs"), dtype=np.float64)
+
+
+def _lapack_solve(routine, factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``cho_solve``/``cho_solve_banded`` without their per-call checks: the
+    factor ``(c, lower)`` was checked when it was built."""
+    x, info = routine(factor[0], b, lower=factor[1])
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"LAPACK {routine.__name__} failed with info {info}")
+    return x
 
 
 # -- unit-cell face data ------------------------------------------------------
@@ -272,6 +292,11 @@ class NodeFlux:
 
 
 class _NodeFactor:
+    """Factor of diag(d) + R: the banded Cholesky of B = blockdiag(R_b) +
+    diag(d), B^-1 (I x V) and the capacitance Cholesky.  The checked scipy
+    calls that build them here are the factors' only finiteness check;
+    ``solve``, once per pass, calls LAPACK directly."""
+
     def __init__(self, flux: NodeFlux, d: np.ndarray):
         self.flux = flux
         n, dim = flux.n_nodes, flux.v.shape[1]
@@ -289,9 +314,10 @@ class _NodeFactor:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         fl = self.flux
-        y = cho_solve_banded(self.band, r)
+        y = _lapack_solve(_PBTRS, self.band, r)
         t = fl.mean_grad.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
-        g = (fl.mean_grad @ cho_solve(self.cap, t)).reshape(fl.n_nodes, -1)
+        g = (fl.mean_grad @ _lapack_solve(_POTRS, self.cap, t)) \
+            .reshape(fl.n_nodes, -1)
         return y + np.einsum("nfk,nk->nf", self.bv, g).reshape(-1)
 
 
@@ -424,7 +450,7 @@ class TwoScaleSystem(MembraneSystem):
         wr = w.reshape(self.n_nodes, -1)
         rhs = self.macro.mean_grad.T @ (wr @ self.flux_map.v).reshape(-1) \
             + drive * self._load_u
-        macro = -cho_solve(self._schur_cf, rhs)
+        macro = -_lapack_solve(_POTRS, self._schur_cf, rhs)
         g = self.mean_gradients(macro, drive)
         return macro, -(g @ self._x_g.T + wr @ self._x_w.T)
 

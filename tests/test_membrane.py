@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,46 @@ def test_run_at_params_dt_factors_once(stack, law, kw, cell8, default_domain):
         w = res.jump
         counts.append(res.factorizations)
     assert counts[0] == 1 and sum(counts) == 1
+
+
+def _cubic_system(stack, domain):
+    if stack == "micro":
+        system = make_micro(domain, law=("cubic",))
+        return system, initial_jump(domain, "random", 1.0, seed=7)
+    system = make_two_scale(law=("cubic",))
+    return system, initial_two_scale_jump(system, "random", 1.0, seed=7)
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("bad", [np.nan, 1e120])
+def test_non_finite_step_raises_newton_error(stack, bad, small_domain):
+    # a NaN, or a jump whose cubic law value overflows, fails both attempts
+    # at once with the starting residual recorded
+    system, w = _cubic_system(stack, small_domain)
+    w[3] = bad
+    dt = system.params.dt
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(T.NewtonError) as err:
+        system.stepper.step(dt, w, dt)
+    assert len(err.value.residuals) == 1
+    assert not np.isfinite(err.value.residuals[0])
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_non_finite_pass_ends_the_attempt(stack, small_domain):
+    # a law that is finite at the start of the step only: the first pass's
+    # residual estimate is NaN, and the attempt ends there
+    system, w = _cubic_system(stack, small_domain)
+    calls = []
+
+    def finite_once(s):
+        calls.append(s)
+        return s ** 3 if len(calls) == 1 else np.full_like(s, np.nan)
+
+    twin = system.with_law(replace(system.law, base=finite_once))
+    dt = system.params.dt
+    res, history, _ = twin.stepper._iterate(w, 1.0, dt, shift=0.0)
+    assert res is None and len(history) == 1 and np.isnan(history[0])
 
 
 def test_with_law_shares_the_bulk_response(small_domain):

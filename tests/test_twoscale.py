@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cho_solve_banded
 
 import tissue as T
 from tissue.decay import decay_metrics, lyapunov_series
@@ -182,6 +183,34 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
                               "norm_corrector_grad")]
     assert rel_gap(np.array(got), np.array([np.hypot(l2, grad), cl2, cgrad])) \
         <= 1e-12
+
+
+@pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
+def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
+                                                          cell_res, cond):
+    # the per-pass and per-state solves call pbtrs/potrs directly; the
+    # checked scipy wrappers around the same routines give the same bits
+    system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
+                            cell_res=cell_res)
+    fl = system.flux_map
+    rng = np.random.default_rng(48)
+    for scale in (1e-2, 1e3):
+        f = fl.factor(scale * rng.uniform(0.5, 2.0, system.n_w))
+        assert f.band[0].flags.f_contiguous and f.cap[0].flags.f_contiguous
+        for r in rng.normal(size=(2, system.n_w)):
+            y = cho_solve_banded(f.band, r)
+            t = fl.mean_grad.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
+            g = (fl.mean_grad @ cho_solve(f.cap, t)).reshape(fl.n_nodes, -1)
+            want = y + np.einsum("nfk,nk->nf", f.bv, g).reshape(-1)
+            assert np.array_equal(f.solve(r), want)
+    assert system._schur_cf[0].flags.f_contiguous
+    drive = system.drive.temporal(0.37)
+    for w in rng.normal(size=(2, system.n_w)):
+        rhs = system.macro.mean_grad.T \
+            @ (w.reshape(system.n_nodes, -1) @ fl.v).reshape(-1) \
+            + drive * system._load_u
+        macro, _ = system.recover(0.37, w)
+        assert np.array_equal(macro, -cho_solve(system._schur_cf, rhs))
 
 
 def _oracle_stepper(system):
