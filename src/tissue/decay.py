@@ -29,7 +29,7 @@ __all__ = [
 class RateFit:
     rate: Optional[float]
     r_squared: Optional[float]
-    classification: str        # exponential | subexponential | reached_floor
+    classification: str  # exponential|subexponential|reached_floor|too_few_samples
 
 
 @dataclass
@@ -129,9 +129,12 @@ def fit_rate(series: np.ndarray, window: float = 0.4, dt: float = 1.0,
     """Least-squares slope of the log series over the trailing window.
 
     The rate is per unit of ``dt``-scaled time.  A nonpositive value inside
-    the window means the series reached its floor and no rate is reported.
+    the window means the series reached its floor, and a series of fewer
+    than two samples has no slope; neither reports a rate.
     """
     series = np.asarray(series, dtype=float)
+    if series.size < 2:
+        return RateFit(rate=None, r_squared=None, classification="too_few_samples")
     m = max(2, int(np.ceil(window * series.size)))
     tail = series[-m:]
     if np.any(tail <= 0.0):

@@ -319,7 +319,6 @@ class Trajectory:
     jumps: np.ndarray                 # (n_samples, n_jumps)
     stride: int
     newton_iters: np.ndarray
-    step_residuals: np.ndarray
     balance_residuals: np.ndarray
     mean_defects: Optional[np.ndarray] = None
 
@@ -352,21 +351,18 @@ def simulate(system: MembraneSystem, w0: np.ndarray, horizon: float,
     jumps = np.empty((ts.size, w.size))
     jumps[0] = w
     iters = np.zeros(n_steps, dtype=np.int64)
-    resid = np.zeros(n_steps)
     balance = np.zeros(n_steps)
     for n in range(n_steps):
         t_next = (n + 1) * dt
         res = system.stepper.step(t_next, w, dt)
         w = res.jump
         iters[n] = res.iterations
-        resid[n] = res.residual
         balance[n] = res.balance
         if (n + 1) % stride == 0:
             ts[(n + 1) // stride] = t_next
             jumps[(n + 1) // stride] = w
     return Trajectory(system=system, ts=ts, jumps=jumps, stride=stride,
-                      newton_iters=iters, step_residuals=resid,
-                      balance_residuals=balance)
+                      newton_iters=iters, balance_residuals=balance)
 
 
 def step(system: MembraneSystem, state):

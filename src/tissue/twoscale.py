@@ -13,18 +13,18 @@ macro operator free of checkerboard kernels on coarse grids.
 Every macro node shares one cell, and a node's corrector and jumps see the
 macro potential only through the node's corner-averaged macro gradient.
 The correctors are therefore eliminated per node with the one cell
-factorization (FE^2 / HMM structure), leaving a flux response of the
-stacked jumps that is block diagonal up to a correction of macro rank
-(``NodeFlux``).  A factor of the stepper's pass matrix is a banded Cholesky
-plus a Cholesky of a macro-sized capacitance matrix; no stacked-bulk
-factorization or dense facet-sized response is formed.  States are rebuilt
-the same way: one macro-sized solve with the Schur factor gives the macro
-potential, and each node's corrector follows from its mean gradient and its
-own jumps through the two cell responses, so no map of the stacked jumps is
-stored.  Time stepping reuses the shared implicit stepper.
+factorization (FE^2 / HMM structure), and the macro potential once, in
+``NodeFlux.macro_fields``, with the Cholesky factor of its Schur complement:
+the flux response of the stacked jumps, its drive load and every rebuilt
+state go through it, and no macro coupling matrix is formed.  A factor of
+the stepper's pass matrix is a banded Cholesky plus a Cholesky of a
+macro-sized capacitance matrix.  Each node's corrector follows from its
+mean gradient and its own jumps through the two cell responses, so no map
+of the stacked jumps is stored.  Time stepping reuses the shared implicit
+stepper.
 
 Every factor is built, and checked for finiteness, by a checked scipy call
-at set-up (the Schur factor in ``TwoScaleSystem``, the pass factors in
+at set-up (the Schur factor in ``NodeFlux``, the pass factors in
 ``_NodeFactor``).  The per-pass and per-state solves with those factors call
 LAPACK's ``pbtrs``/``potrs`` directly, without scipy's per-call checks.
 """
@@ -38,8 +38,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import (cho_factor, cho_solve, cho_solve_banded,
-                          cholesky_banded, get_lapack_funcs)
+from scipy.linalg import (cho_factor, cho_solve_banded, cholesky_banded,
+                          get_lapack_funcs)
 
 from .errors import GeometryError
 from .geometry import CellGeometry, Conductivity
@@ -243,49 +243,72 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
 
 # -- per-node condensed flux map ----------------------------------------------
 
+def _minus_node_blocks(base: np.ndarray, gbar: np.ndarray,
+                       blocks: np.ndarray) -> np.ndarray:
+    """base - Gbar' blockdiag(M_j) Gbar for (dim x dim) node blocks M_j,
+    one per node or one shared by every node."""
+    n, dim = base.shape[0], gbar.shape[0] // base.shape[0]
+    gr = gbar.reshape(n, dim, n)
+    m = np.einsum("nik,nkm->nim", np.broadcast_to(blocks, (n, dim, dim)), gr)
+    return base - gbar.T @ m.reshape(n * dim, n)
+
+
 class NodeFlux:
     """Flux map of the stacked jumps with the cell problems eliminated.
 
     Node j's corrector sees the rest of the system only through its jumps
     w_j and its mean macro gradient g_j = (Gbar u)_j, so eliminating it
     leaves one (n_facets x n_facets) block R_b on w_j and one
-    (n_facets x dim) coupling V to g_j, shared by every node; eliminating
-    the macro potential u through its Schur complement S gives
-
-        R = blockdiag(R_b) - (I x V) Gbar S^-1 Gbar' (I x V)'.
-
-    A pass matrix diag(d) + R is the banded B = blockdiag(R_b) +
-    diag(d) minus a correction of macro rank; ``factor`` solves it by
-    Woodbury with the capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V)
-    Gbar, which has one row per macro node.  ``schur_cf`` is the Cholesky
-    factor of S.
+    (n_facets x dim) coupling V to g_j, shared by every node.  The flux of
+    the jumps W (one row per node) is W R_b + G V' at their node gradients
+    G, which ``macro_fields`` gets through the Cholesky factor of the macro
+    Schur complement S; R = blockdiag(R_b) - (I x V) Gbar S^-1 Gbar'
+    (I x V)' is never formed.  A pass matrix diag(d) + R is the banded B =
+    blockdiag(R_b) + diag(d) minus a correction of macro rank; ``factor``
+    solves it by Woodbury with a capacitance matrix of macro size.
     """
 
-    def __init__(self, weights: np.ndarray, load: np.ndarray,
-                 r_block: np.ndarray, v: np.ndarray, mean_grad: np.ndarray,
-                 schur: np.ndarray, schur_cf: tuple):
+    def __init__(self, weights: np.ndarray, r_block: np.ndarray,
+                 v: np.ndarray, macro: MacroGrid, schur: np.ndarray,
+                 load_u: np.ndarray):
         self.weights = weights
-        self.load = load
         self.r_block = r_block
         self.v = v
-        self.mean_grad = mean_grad
+        self.macro = macro
         self.schur = schur
+        self.schur_cf = cho_factor(schur)
+        self.load_u = load_u
         nf = r_block.shape[0]
-        self.n_nodes = weights.size // nf
-        # Gbar S^-1 Gbar', the macro coupling of the node gradients
-        self._coupling = mean_grad @ cho_solve(schur_cf, mean_grad.T)
+        self.n_nodes = macro.n_nodes
         # upper band storage of blockdiag(R_b): bandwidth n_facets - 1, zero
         # across node blocks
         rows, cols = np.triu_indices(nf)
         band = np.zeros((nf, nf))
         band[nf - 1 + rows - cols, cols] = r_block[rows, cols]
         self._band = np.tile(band, self.n_nodes)
+        # the flux load of a unit drive at zero jumps
+        self.load = -(self.macro_fields(np.zeros(weights.size), 1.0)[1]
+                      @ v.T).reshape(-1)
+
+    def macro_fields(self, w: np.ndarray, drive: float):
+        """Macro potential u = -S^-1 (Gbar' vec(W V) + drive load_u) of the
+        jumps ``w`` at drive factor ``drive``, and its node gradients
+        Gbar u + drive gbar_load (corner-averaged), one row per node."""
+        wr = w.reshape(self.n_nodes, -1)
+        gbar = self.macro.mean_grad
+        rhs = gbar.T @ (wr @ self.v).reshape(-1)
+        if drive:   # ``apply`` (drive 0) runs on every step
+            rhs += drive * self.load_u
+        u = -_lapack_solve(_POTRS, self.schur_cf, rhs)
+        g = gbar @ u
+        if drive:
+            g += drive * self.macro.mean_grad_load
+        return u, g.reshape(self.n_nodes, -1)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        wr = w.reshape(self.n_nodes, -1)
-        g = (self._coupling @ (wr @ self.v).reshape(-1)) \
-            .reshape(self.n_nodes, -1)
-        return (wr @ self.r_block - g @ self.v.T).reshape(-1)
+        _, g = self.macro_fields(w, 0.0)
+        return (w.reshape(self.n_nodes, -1) @ self.r_block
+                + g @ self.v.T).reshape(-1)
 
     def factor(self, d: np.ndarray) -> "_NodeFactor":
         return _NodeFactor(self, d)
@@ -293,9 +316,10 @@ class NodeFlux:
 
 class _NodeFactor:
     """Factor of diag(d) + R: the banded Cholesky of B = blockdiag(R_b) +
-    diag(d), B^-1 (I x V) and the capacitance Cholesky.  The checked scipy
-    calls that build them here are the factors' only finiteness check;
-    ``solve``, once per pass, calls LAPACK directly."""
+    diag(d), B^-1 (I x V) and the Cholesky of the capacitance matrix
+    S - Gbar' blockdiag(V' B_j^-1 V) Gbar, assembled like S itself.  The
+    checked scipy calls that build them here are the factors' only
+    finiteness check; ``solve``, once per pass, calls LAPACK directly."""
 
     def __init__(self, flux: NodeFlux, d: np.ndarray):
         self.flux = flux
@@ -307,16 +331,15 @@ class _NodeFactor:
         self.bv = cho_solve_banded(self.band, np.tile(flux.v, (n, 1))) \
             .reshape(n, -1, dim)
         vbv = np.einsum("fi,nfk->nik", flux.v, self.bv)
-        gr = flux.mean_grad.reshape(n, dim, n)
-        cap = flux.schur - flux.mean_grad.T @ np.einsum(
-            "nik,nkm->nim", vbv, gr).reshape(n * dim, n)
-        self.cap = cho_factor(cap)
+        self.cap = cho_factor(
+            _minus_node_blocks(flux.schur, flux.macro.mean_grad, vbv))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         fl = self.flux
+        gbar = fl.macro.mean_grad
         y = _lapack_solve(_PBTRS, self.band, r)
-        t = fl.mean_grad.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
-        g = (fl.mean_grad @ _lapack_solve(_POTRS, self.cap, t)) \
+        t = gbar.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
+        g = (gbar @ _lapack_solve(_POTRS, self.cap, t)) \
             .reshape(fl.n_nodes, -1)
         return y + np.einsum("nfk,nk->nf", self.bv, g).reshape(-1)
 
@@ -331,8 +354,8 @@ class TwoScaleSystem(MembraneSystem):
     through the single cell factorization, the macro potential through its
     node-sized Schur complement; the stepper gets the result as a
     ``NodeFlux``.  ``recover`` rebuilds the macro potential and the
-    correctors of a jump vector from the same factors: one Schur solve,
-    then one product of size n_y x (dim + n_facets) per node.
+    correctors of a jump vector from ``NodeFlux.macro_fields`` (one Schur
+    solve), then one product of size n_y x (dim + n_facets) per node.
     """
 
     def __init__(self, cell: CellGeometry, cond: Conductivity,
@@ -396,7 +419,7 @@ class TwoScaleSystem(MembraneSystem):
         wdrives = (cfd.vol * cfd.sigma_face)[:, None] * drives
         rhs = cfd.slope_c.T @ wdrives
         x = self.cell_op._lu.solve(rhs)
-        x_g, x_w = x[:, :dim], x[:, dim:]
+        self._x_g, self._x_w = x[:, :dim], x[:, dim:]
         cross = hdim * (rhs.T @ x)
         resp = hdim * (drives.T @ wdrives) - cross
         resp = 0.5 * (resp + resp.T)
@@ -407,25 +430,13 @@ class TwoScaleSystem(MembraneSystem):
         # the (node-sized) macro block of the sample Gram matrix, and the
         # drive's load on the macro rows
         gbar = self.macro.mean_grad
-        gbar_load = self.macro.mean_grad_load
         t_macro = self.samples[:, :n_nodes]
-        gr = gbar.reshape(n_nodes, dim, n_nodes)
-        schur = (t_macro.T @ t_macro).toarray() - gbar.T @ np.einsum(
-            "ik,nkm->nim", e_g, gr).reshape(n_nodes * dim, n_nodes)
-        schur = 0.5 * (schur + schur.T)
-        self._load_u = t_macro.T @ self.sample_load \
-            - gbar.T @ (gbar_load.reshape(n_nodes, dim) @ e_g).reshape(-1)
-        # the factors that ``_fields`` rebuilds states from
-        self._schur_cf = cho_factor(schur)
-        self._x_g, self._x_w = x_g, x_w
-
-        # flux load: the node gradients of a unit drive at zero jumps
-        g_drive = self.mean_gradients(-cho_solve(self._schur_cf, self._load_u),
-                                      1.0)
-        s2 = np.full(n_w, hdim * cfd.s_facet)
-        self.flux_map = NodeFlux(weights=s2, load=-(g_drive @ v.T).reshape(-1),
-                                 r_block=r_block, v=v, mean_grad=gbar,
-                                 schur=schur, schur_cf=self._schur_cf)
+        schur = _minus_node_blocks((t_macro.T @ t_macro).toarray(), gbar, e_g)
+        load_u = t_macro.T @ self.sample_load - gbar.T @ (
+            self.macro.mean_grad_load.reshape(n_nodes, dim) @ e_g).reshape(-1)
+        self.flux_map = NodeFlux(weights=np.full(n_w, hdim * cfd.s_facet),
+                                 r_block=r_block, v=v, macro=self.macro,
+                                 schur=0.5 * (schur + schur.T), load_u=load_u)
         self._bind_law(law, rate_coeff=params.alpha, arg_scale=1.0)
 
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
@@ -433,7 +444,7 @@ class TwoScaleSystem(MembraneSystem):
         domain) of the gap between two solutions, its jump norm and its
         stored energy."""
         dw = w - w_orbit
-        du, dc = self._fields(dw, 0.0)
+        du, dc, _ = self._fields(dw, 0.0)
         l2, grad = _macro_norms(self, du)
         cl2, cgrad = _corrector_norms(self, dc, dw.reshape(self.n_nodes, -1))
         return {"norm_macro_h1": np.sqrt(l2 * l2 + grad * grad),
@@ -444,44 +455,33 @@ class TwoScaleSystem(MembraneSystem):
     # -- state reconstruction ---------------------------------------------
 
     def _fields(self, w: np.ndarray, drive: float):
-        """Macro potential and per-node correctors of the jumps ``w`` at the
-        drive factor ``drive``: u = -S^-1 (Gbar' vec(W V) + drive load_u),
-        then node j's corrector -(x_g g_j + x_w w_j)."""
+        """Macro potential, per-node correctors and node gradients of the
+        jumps ``w`` at the drive factor ``drive``; node j's corrector is
+        -(x_g g_j + x_w w_j)."""
+        macro, g = self.flux_map.macro_fields(w, drive)
         wr = w.reshape(self.n_nodes, -1)
-        rhs = self.macro.mean_grad.T @ (wr @ self.flux_map.v).reshape(-1) \
-            + drive * self._load_u
-        macro = -_lapack_solve(_POTRS, self._schur_cf, rhs)
-        g = self.mean_gradients(macro, drive)
-        return macro, -(g @ self._x_g.T + wr @ self._x_w.T)
+        return macro, -(g @ self._x_g.T + wr @ self._x_w.T), g
 
     def recover(self, t: float, w: np.ndarray):
-        return self._fields(w, self.drive.temporal(t))
+        return self._fields(w, self.drive.temporal(t))[:2]
 
     def state_at(self, t: float, w: np.ndarray) -> "TwoScaleState":
-        macro, corr = self.recover(t, w)
+        macro, corr, g = self._fields(w, self.drive.temporal(t))
         means = self.cfd.vol * corr.sum(axis=1)
         defect = float(np.max(np.abs(means), initial=0.0))
         corr = corr - means[:, None]
-        drive = self.drive.temporal(t)
-        flux = (drive * self.flux_map.load
-                - self.flux_map.apply(w)) / self.weights
-        return TwoScaleState(t=t, macro=macro, corrector=corr,
-                             jump=w.reshape(self.n_nodes, -1).copy(),
-                             flux=flux.reshape(self.n_nodes, -1),
-                             mean_defect=defect)
-
-    def mean_gradients(self, macro: np.ndarray, drive_factor: float) -> np.ndarray:
-        """Per-node macro gradient averaged over the corner samples."""
-        mac = self.macro
-        return (mac.mean_grad @ macro + drive_factor * mac.mean_grad_load) \
-            .reshape(self.n_nodes, mac.dim)
+        wr, fl = w.reshape(self.n_nodes, -1), self.flux_map
+        flux = -(wr @ fl.r_block + g @ fl.v.T) / self.weights.reshape(wr.shape)
+        return TwoScaleState(t=t, macro=macro, corrector=corr, jump=wr.copy(),
+                             flux=flux, mean_defect=defect)
 
     def one_sided_membrane_fluxes(self, state: "TwoScaleState"):
         """Per-facet fluxes computed from either trace side (continuity check)."""
         cfd = self.cfd
         si, so = self.cond.sigma_int, self.cond.sigma_out
         half = 0.5 * cfd.spacing
-        gbar = self.mean_gradients(state.macro, self.drive.temporal(state.t))
+        _, gbar = self.flux_map.macro_fields(state.jump,
+                                             self.drive.temporal(state.t))
         facets = self.cell.facets
         w = state.jump
         gd = gbar[:, facets.axis] * facets.sign

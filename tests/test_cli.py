@@ -185,6 +185,27 @@ def test_homogenize_artifacts(tmp_path):
     assert lines[1].startswith("t,norm_macro_H1,norm_corrector")
 
 
+def _strict_json(path: Path) -> dict:
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("cmd,report", [("decay", "decay_report.json"),
+                                        ("homogenize",
+                                         "homogenize_report.json")])
+def test_one_sample_decay_report_is_strict_json(tmp_path, cmd, report):
+    # 5 steps at stride 10 leave only the initial sample: no rate to fit
+    cfg = write_cfg(tmp_path, **{"time.horizon": 0.05})
+    out = tmp_path / "out"
+    if cmd == "decay":
+        assert main(["periodic", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+    rep = _strict_json(out / report)
+    assert rep["rate"] is None and rep["r_squared"] is None
+    assert rep["classification"] == "too_few_samples"
+
+
 def test_homogenize_honours_periodic_theta(tmp_path):
     iterations = []
     for theta in (1.0, 0.5):

@@ -1,14 +1,18 @@
-"""``tools/artifact_diff.py`` on small artifact directories."""
+"""``tools/artifact_diff.py`` on small artifact directories and a smoke run
+of ``tools/twoscale_sizes.py``."""
 
 import importlib.util
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
-_spec = importlib.util.spec_from_file_location("artifact_diff", _PATH)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+_spec = importlib.util.spec_from_file_location("artifact_diff",
+                                               _TOOLS / "artifact_diff.py")
 artifact_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(artifact_diff)
 
@@ -72,3 +76,15 @@ def test_missing_files_and_changed_shape(tmp_path):
     assert lines[0] == "one.csv  max rel 0.000e+00"
     assert lines[1] == "    differs: 2 rows against 1"
     assert lines[2].startswith("only_a.json  only in ")
+
+
+def test_twoscale_sizes_prints_one_row_per_resolution():
+    out = subprocess.run([sys.executable, str(_TOOLS / "twoscale_sizes.py"),
+                          "2"], capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("# ") and "one BLAS thread" in lines[0]
+    assert lines[1].startswith("| `macro.resolution` | jumps | set-up (s)")
+    assert len(lines) == 4
+    cells = [c.strip() for c in lines[3].strip("|").split("|")]
+    assert cells[:2] == ["2", "64"]
+    assert all(float(c) > 0.0 for c in cells[2:])

@@ -170,6 +170,10 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
         want = dense.lift_jump @ w + drive * dense.lift_drive
         assert rel_gap(np.concatenate([macro, corr.reshape(-1)]), want) \
             <= 1e-12
+        # the state's flux comes from its own node gradients, not ``apply``
+        flux = system.state_at(0.37, w).flux.reshape(-1)
+        want = (drive * dense.load - dense.response @ w) / system.weights
+        assert rel_gap(flux, want) <= 1e-12
     # decay norms of a gap against norms of its dense lift
     w, w_orbit = rng.normal(size=(2, system.n_w))
     dw = w - w_orbit
@@ -193,24 +197,24 @@ def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
     system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
                             cell_res=cell_res)
     fl = system.flux_map
+    gbar = fl.macro.mean_grad
     rng = np.random.default_rng(48)
     for scale in (1e-2, 1e3):
         f = fl.factor(scale * rng.uniform(0.5, 2.0, system.n_w))
         assert f.band[0].flags.f_contiguous and f.cap[0].flags.f_contiguous
         for r in rng.normal(size=(2, system.n_w)):
             y = cho_solve_banded(f.band, r)
-            t = fl.mean_grad.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
-            g = (fl.mean_grad @ cho_solve(f.cap, t)).reshape(fl.n_nodes, -1)
+            t = gbar.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
+            g = (gbar @ cho_solve(f.cap, t)).reshape(fl.n_nodes, -1)
             want = y + np.einsum("nfk,nk->nf", f.bv, g).reshape(-1)
             assert np.array_equal(f.solve(r), want)
-    assert system._schur_cf[0].flags.f_contiguous
+    assert fl.schur_cf[0].flags.f_contiguous
     drive = system.drive.temporal(0.37)
     for w in rng.normal(size=(2, system.n_w)):
-        rhs = system.macro.mean_grad.T \
-            @ (w.reshape(system.n_nodes, -1) @ fl.v).reshape(-1) \
-            + drive * system._load_u
+        rhs = gbar.T @ (w.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1) \
+            + drive * fl.load_u
         macro, _ = system.recover(0.37, w)
-        assert np.array_equal(macro, -cho_solve(system._schur_cf, rhs))
+        assert np.array_equal(macro, -cho_solve(fl.schur_cf, rhs))
 
 
 def _oracle_stepper(system):
@@ -273,7 +277,9 @@ def test_9216_jumps_past_the_old_lift_budget_step_and_rebuild_correctors():
     assert len(traj) == 4
     assert float(traj.mean_defects.max()) <= 1e-12
     st = traj.state(len(traj) - 1)
-    grads = system.mean_gradients(st.macro, system.drive.temporal(st.t))
+    mac = system.macro
+    grads = (mac.mean_grad @ st.macro + system.drive.temporal(st.t)
+             * mac.mean_grad_load).reshape(system.n_nodes, -1)
     for g, w, corr in zip(grads, st.jump, st.corrector):
         assert rel_gap(corr, system.cell_op.corrector_for(g, w)) <= 1e-12
 
