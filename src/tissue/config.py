@@ -26,14 +26,6 @@ _TEMPORAL = ("constant", "sin", "offset_sin")
 _INIT = ("zero", "uniform", "modulated", "random")
 
 
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_floats(raw: str) -> tuple:
     return tuple(float(p) for p in raw.replace(",", " ").split())
 

@@ -128,14 +128,15 @@ def fit_rate(series: np.ndarray, window: float = 0.4, dt: float = 1.0,
              r2_threshold: float = 0.99) -> RateFit:
     """Least-squares slope of the log series over the trailing window.
 
-    The rate is per unit of ``dt``-scaled time.  A nonpositive value inside
-    the window means the series reached its floor, and a series of fewer
-    than two samples has no slope; neither reports a rate.
+    The rate is per unit of ``dt``-scaled time.  The window holds at least
+    three samples, since a line through two fits exactly.  A nonpositive
+    value inside the window means the series reached its floor, and a
+    series of fewer than three samples gets no fit; neither reports a rate.
     """
     series = np.asarray(series, dtype=float)
-    if series.size < 2:
+    if series.size < 3:
         return RateFit(rate=None, r_squared=None, classification="too_few_samples")
-    m = max(2, int(np.ceil(window * series.size)))
+    m = max(3, int(np.ceil(window * series.size)))
     tail = series[-m:]
     if np.any(tail <= 0.0):
         return RateFit(rate=None, r_squared=None, classification="reached_floor")

@@ -1,10 +1,11 @@
 """Periodic unit cell, tiled domain and membrane facet bookkeeping.
 
-The unit cell is the unit square (or interval in the 1D diagnostic mode)
-containing a centered axis-aligned inclusion.  The membrane is the inclusion
-boundary; it falls on grid lines by construction so every membrane facet
-separates exactly one interior cell from one exterior cell and carries two
-trace unknowns.  All measures are analytic, not quadrature.
+The unit cell is the unit square or interval containing a centered
+axis-aligned inclusion.  The membrane is the inclusion boundary; it falls on
+grid lines by construction so every membrane facet separates exactly one
+interior cell from one exterior cell and carries two trace unknowns.  All
+measures are analytic, not quadrature.  One dimension-generic grid path
+(cells in C order, faces axis by axis) serves both dimensions.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ class BoundaryFaceSet:
     """Outer boundary faces of a Dirichlet domain: owner cell and midpoint."""
 
     cell: np.ndarray
-    axis: np.ndarray
-    sign: np.ndarray            # +1: face on the high side of the cell
     midpoint: np.ndarray        # (n_faces, dim)
 
     def __len__(self) -> int:
@@ -53,8 +52,7 @@ class MembraneFacets:
     """Membrane facets with inner/outer cell pairs and normals.
 
     The unit normal points from the inner (inclusion) side to the outer
-    side; ``axis``/``sign`` encode it for axis-aligned facets.  The two
-    trace unknowns of facet ``k`` are indexed ``(k, n_facets + k)``.
+    side; ``axis``/``sign`` encode it for axis-aligned facets.
     """
 
     inner_cell: np.ndarray
@@ -67,11 +65,6 @@ class MembraneFacets:
     def __len__(self) -> int:
         return self.inner_cell.size
 
-    @property
-    def trace_index_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self)
-        return np.arange(n), n + np.arange(n)
-
     def point_out_of(self, inside: np.ndarray) -> bool:
         """Whether every normal points out of the inclusion, given the
         per-cell inclusion mask ``inside``."""
@@ -79,46 +72,30 @@ class MembraneFacets:
                     and not np.any(inside[self.outer_cell]))
 
 
+def _flat_ids(n: int, dim: int) -> np.ndarray:
+    """Flat (C order) index of every cell, shaped as the grid."""
+    return np.arange(n ** dim).reshape((n,) * dim)
+
+
 def _grid_inside_mask(n: int, lo: int, hi: int, dim: int) -> np.ndarray:
     """Boolean mask (flat, C order) of cells with every index in [lo, hi)."""
     idx = np.arange(n)
     band = (idx >= lo) & (idx < hi)
-    if dim == 1:
-        return band
-    return (band[:, None] & band[None, :]).ravel()
+    return np.all(np.meshgrid(*[band] * dim, indexing="ij"), axis=0).ravel()
 
 
 def _interior_faces(n: int, dim: int, inside: np.ndarray,
                     periodic: bool) -> FaceSet:
-    """Enumerate grid faces between cell pairs, wrapping when periodic."""
+    """Enumerate grid faces between cell pairs, axis by axis with cells in
+    flat order, wrapping when periodic."""
+    ids = _flat_ids(n, dim)
+    first = np.arange(n if periodic else n - 1)
     cell_a, cell_b, axis = [], [], []
-    if dim == 1:
-        last = n if periodic else n - 1
-        i = np.arange(last)
-        cell_a.append(i)
-        cell_b.append((i + 1) % n)
-        axis.append(np.zeros(last, dtype=np.int64))
-    else:
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        flat = (ii * n + jj).ravel()
-        # axis 0: neighbor (i+1, j)
-        if periodic:
-            keep = np.ones(n * n, dtype=bool)
-        else:
-            keep = (ii < n - 1).ravel()
-        nb0 = ((ii + 1) % n * n + jj).ravel()
-        cell_a.append(flat[keep])
-        cell_b.append(nb0[keep])
-        axis.append(np.zeros(keep.sum(), dtype=np.int64))
-        # axis 1: neighbor (i, j+1)
-        if periodic:
-            keep = np.ones(n * n, dtype=bool)
-        else:
-            keep = (jj < n - 1).ravel()
-        nb1 = (ii * n + (jj + 1) % n).ravel()
-        cell_a.append(flat[keep])
-        cell_b.append(nb1[keep])
-        axis.append(np.ones(keep.sum(), dtype=np.int64))
+    for d in range(dim):
+        a_d = ids.take(first, axis=d).ravel()
+        cell_a.append(a_d)
+        cell_b.append(np.roll(ids, -1, axis=d).take(first, axis=d).ravel())
+        axis.append(np.full(a_d.size, d, dtype=np.int64))
     a = np.concatenate(cell_a)
     b = np.concatenate(cell_b)
     ax = np.concatenate(axis)
@@ -144,12 +121,12 @@ def _facets_from_faces(faces: FaceSet, h: float, dim: int,
                           sign=sign, midpoint=mid, measure=measure)
 
 
-def _cell_centers(n: int, h: float, dim: int) -> np.ndarray:
+def cell_centers(n: int, h: float, dim: int) -> np.ndarray:
+    """(n**dim, dim) centers of a grid of n cells of spacing h per axis, in
+    flat (C) order."""
     x = (np.arange(n) + 0.5) * h
-    if dim == 1:
-        return x[:, None]
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    return np.column_stack([g.ravel() for g in
+                            np.meshgrid(*[x] * dim, indexing="ij")])
 
 
 @dataclass(frozen=True)
@@ -222,7 +199,7 @@ def build_cell_geometry(margin: float, resolution: int, dim: int = 2) -> CellGeo
     inside = _grid_inside_mask(resolution, lo, hi, dim)
     faces = _interior_faces(resolution, dim, inside, periodic=True)
     h = 1.0 / resolution
-    centers = _cell_centers(resolution, h, dim)
+    centers = cell_centers(resolution, h, dim)
     facets = _facets_from_faces(faces, h, dim, centers)
 
     side = 1.0 - 2.0 * margin
@@ -374,42 +351,26 @@ def tile_domain(cell: CellGeometry, epsilon: float,
                      (copies,) * dim).ravel()
 
     h = epsilon / cell.resolution
-    centers = _cell_centers(n, h, dim)
+    centers = cell_centers(n, h, dim)
     faces = _interior_faces(n, dim, inside, periodic=False)
     facets = _facets_from_faces(faces, h, dim, centers)
 
     n_facets = len(facets)
 
-    # boundary faces: cells on the outer rim, one face per exposed side
-    bc, bax, bsg, bmid = [], [], [], []
-    if dim == 1:
-        bc = [0, n - 1]
-        bax = [0, 0]
-        bsg = [-1, 1]
-        bmid = [[0.0], [1.0]]
-    else:
-        idx = np.arange(n)
-        for axis_i, sign_i in ((0, -1), (0, 1), (1, -1), (1, 1)):
-            if axis_i == 0:
-                cells = (0 if sign_i < 0 else n - 1) * n + idx
-                mids = np.column_stack([np.full(n, 0.0 if sign_i < 0 else 1.0),
-                                        (idx + 0.5) * h])
-            else:
-                cells = idx * n + (0 if sign_i < 0 else n - 1)
-                mids = np.column_stack([(idx + 0.5) * h,
-                                        np.full(n, 0.0 if sign_i < 0 else 1.0)])
+    # boundary faces: per axis, the low then the high end of the grid, each
+    # with its rim cells in flat order; a midpoint is the cell center moved
+    # onto the boundary along that axis
+    ids = _flat_ids(n, dim)
+    bc, bmid = [], []
+    for d in range(dim):
+        for end, pos in ((0, 0.0), (n - 1, 1.0)):
+            cells = ids.take(end, axis=d).ravel()
+            mids = centers[cells]
+            mids[:, d] = pos
             bc.append(cells)
-            bax.append(np.full(n, axis_i))
-            bsg.append(np.full(n, sign_i))
             bmid.append(mids)
-        bc = np.concatenate(bc)
-        bax = np.concatenate(bax)
-        bsg = np.concatenate(bsg)
-        bmid = np.vstack(bmid)
-    boundary = BoundaryFaceSet(cell=np.asarray(bc, dtype=np.int64),
-                               axis=np.asarray(bax, dtype=np.int64),
-                               sign=np.asarray(bsg, dtype=np.int64),
-                               midpoint=np.asarray(bmid, dtype=float))
+    boundary = BoundaryFaceSet(cell=np.concatenate(bc),
+                               midpoint=np.concatenate(bmid))
 
     memb_measure = n_facets * facets.measure
     dom = EpsilonDomain(cell=cell, epsilon=epsilon, n=n, h=h, inside=inside,

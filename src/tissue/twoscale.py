@@ -42,7 +42,7 @@ from scipy.linalg import (cho_factor, cho_solve_banded, cholesky_banded,
                           get_lapack_funcs)
 
 from .errors import GeometryError
-from .geometry import CellGeometry, Conductivity
+from .geometry import CellGeometry, Conductivity, cell_centers
 from .membrane import (MembraneSystem, SolverParams, Trajectory, jump_family,
                        simulate)
 from .nonlinearity import BoundaryData, Nonlinearity
@@ -187,22 +187,17 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
         raise GeometryError(f"macro resolution must be >= 1, got {res}")
     h = 1.0 / res
     n = res ** dim
-
-    def flat(idx):
-        return idx[0] if dim == 1 else idx[0] * res + idx[1]
-
-    centers = np.array([[(i + 0.5) * h for i in idx]
-                        for idx in itertools.product(range(res), repeat=dim)])
+    centers = cell_centers(res, h, dim)
     rows, cols, vals, loads = [], [], [], []
     side_of = np.full((n, dim, 2), -1, dtype=np.int64)
     fid = 0
+    # face ids: per axis and node (flat order), the face to the next node,
+    # then the low and the high boundary face
     for d in range(dim):
-        for idx in itertools.product(range(res), repeat=dim):
-            j = flat(idx)
+        stride = res ** (dim - 1 - d)       # flat step to the next node on d
+        for j, idx in enumerate(itertools.product(range(res), repeat=dim)):
             if idx[d] + 1 < res:
-                nb = list(idx)
-                nb[d] += 1
-                k = flat(tuple(nb))
+                k = j + stride
                 rows += [fid, fid]
                 cols += [j, k]
                 vals += [-1.0 / h, 1.0 / h]
@@ -210,24 +205,19 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
                 side_of[j, d, 1] = fid
                 side_of[k, d, 0] = fid
                 fid += 1
-            if idx[d] == 0:
-                mid = [(i + 0.5) * h for i in idx]
-                mid[d] = 0.0
-                rows.append(fid)
-                cols.append(j)
-                vals.append(2.0 / h)
-                loads.append(-2.0 / h * float(drive.spatial(np.array([mid]))[0]))
-                side_of[j, d, 0] = fid
-                fid += 1
-            if idx[d] == res - 1:
-                mid = [(i + 0.5) * h for i in idx]
-                mid[d] = 1.0
-                rows.append(fid)
-                cols.append(j)
-                vals.append(-2.0 / h)
-                loads.append(2.0 / h * float(drive.spatial(np.array([mid]))[0]))
-                side_of[j, d, 1] = fid
-                fid += 1
+            # (side, grid end, boundary coordinate, sign of the node's entry)
+            for side, end, pos, sgn in ((0, 0, 0.0, 1.0),
+                                        (1, res - 1, 1.0, -1.0)):
+                if idx[d] == end:
+                    mid = centers[j].copy()
+                    mid[d] = pos
+                    rows.append(fid)
+                    cols.append(j)
+                    vals.append(sgn * 2.0 / h)
+                    loads.append(-sgn * 2.0 / h
+                                 * float(drive.spatial(mid[None])[0]))
+                    side_of[j, d, side] = fid
+                    fid += 1
     grad = sp.coo_matrix((vals, (rows, cols)), shape=(fid, n)).tocsr()
     if not np.all(side_of >= 0):
         raise GeometryError("a macro node side has no gradient sample face")
@@ -584,25 +574,17 @@ def macro_on_fine_grid(system: TwoScaleSystem, state: TwoScaleState,
     from scipy.interpolate import RegularGridInterpolator
 
     mac = system.macro
-    res, h = mac.res, mac.spacing
+    res, dim, h = mac.res, mac.dim, mac.spacing
     knots = np.concatenate([[0.0], (np.arange(res) + 0.5) * h, [1.0]])
-    drive_val = system.drive.temporal(state.t)
-    if mac.dim == 1:
-        vals = np.empty(res + 2)
-        vals[1:-1] = state.macro
-        for pos, k in ((0.0, 0), (1.0, res + 1)):
-            vals[k] = drive_val * float(
-                system.drive.spatial(np.array([[pos]]))[0])
-        interp = RegularGridInterpolator((knots,), vals, method="linear")
-        return interp(points)
-    vals = np.empty((res + 2, res + 2))
-    vals[1:-1, 1:-1] = state.macro.reshape(res, res)
-    xx, yy = np.meshgrid(knots, knots, indexing="ij")
-    edge = np.ones_like(xx, dtype=bool)
-    edge[1:-1, 1:-1] = False
-    pts = np.column_stack([xx[edge], yy[edge]])
-    vals[edge] = drive_val * system.drive.spatial(pts)
-    interp = RegularGridInterpolator((knots, knots), vals, method="linear")
+    inner = (slice(1, -1),) * dim
+    vals = np.empty((res + 2,) * dim)
+    vals[inner] = state.macro.reshape((res,) * dim)
+    edge = np.ones(vals.shape, dtype=bool)
+    edge[inner] = False
+    pts = np.column_stack([g[edge] for g in
+                           np.meshgrid(*[knots] * dim, indexing="ij")])
+    vals[edge] = system.drive.temporal(state.t) * system.drive.spatial(pts)
+    interp = RegularGridInterpolator((knots,) * dim, vals, method="linear")
     return interp(points)
 
 

@@ -32,6 +32,19 @@ def test_fit_rate_floored_series():
     assert fit.rate is None
 
 
+def test_fit_rate_short_series_is_not_an_exact_two_point_fit():
+    # four samples fit over three: not log-linear, so not exponential
+    fit = fit_rate([1.0, 0.5, 0.26, 0.1])
+    assert fit.r_squared == pytest.approx(0.988, abs=1e-3)
+    assert fit.classification == "subexponential"
+
+
+def test_fit_rate_two_samples_are_too_few():
+    fit = fit_rate([1.0, 0.5])
+    assert fit.rate is None and fit.r_squared is None
+    assert fit.classification == "too_few_samples"
+
+
 def test_trajectory_started_on_orbit_stays(small_domain):
     system = make_micro(small_domain, law=("sin",))
     orbit = find_periodic(system, tol=1e-10)

@@ -57,9 +57,6 @@ def test_facet_normals_and_traces(default_domain):
     f = default_domain.facets
     assert np.all(default_domain.inside[f.inner_cell])
     assert not np.any(default_domain.inside[f.outer_cell])
-    inner_ids, outer_ids = f.trace_index_pairs
-    assert len(set(inner_ids) & set(outer_ids)) == 0
-    assert len(inner_ids) == default_domain.n_facets
 
 
 def test_boundary_gap(default_domain):

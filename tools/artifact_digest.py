@@ -8,7 +8,10 @@ Every run goes through ``tissue.cli.main`` with ``--threads 1``:
   homogenize, compare and verify, plus ``periodic --method delta`` in its
   own directory (``OUT_DIR/default_delta``);
 - ``init.kind = modulated`` with ``time.horizon = 2.0``
-  (``OUT_DIR/modulated``): simulate, homogenize and compare.
+  (``OUT_DIR/modulated``): simulate, homogenize and compare;
+- the same in dimension 1 (``geometry.dimension = 1``,
+  ``macro.dimension = 1``; ``OUT_DIR/dim1``): simulate, periodic, decay,
+  homogenize, compare and verify.
 
 Prints each subcommand's exit code, then one ``sha256  path`` line per file
 under OUT_DIR, sorted by path.  A refactor that must leave the artifacts
@@ -29,6 +32,8 @@ from tissue.cli import main  # noqa: E402
 CONFIGS = {
     "default": "",
     "modulated": "init.kind = modulated\ntime.horizon = 2.0\n",
+    "dim1": "geometry.dimension = 1\nmacro.dimension = 1\n"
+            "init.kind = modulated\ntime.horizon = 2.0\n",
 }
 
 # (config, output directory, subcommand and its extra arguments)
@@ -43,6 +48,12 @@ RUNS = [
     ("modulated", "modulated", ["simulate"]),
     ("modulated", "modulated", ["homogenize"]),
     ("modulated", "modulated", ["compare"]),
+    ("dim1", "dim1", ["simulate"]),
+    ("dim1", "dim1", ["periodic"]),
+    ("dim1", "dim1", ["decay"]),
+    ("dim1", "dim1", ["homogenize"]),
+    ("dim1", "dim1", ["compare"]),
+    ("dim1", "dim1", ["verify"]),
 ]
 
 
