@@ -43,6 +43,8 @@ import numpy as np
 from .errors import NewtonError
 from .nonlinearity import Nonlinearity
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -143,7 +145,7 @@ class JumpStepper:
         # reference: flux/data scale, not the (much larger) Jacobian scale;
         # the floor term covers roundoff of the rate term at that scale
         scale = max(1.0, abs(drive) * self._load_scale, f_max)
-        floor = 10.0 * np.finfo(float).eps * self.rate_coeff / dt \
+        floor = 10.0 * _EPS * self.rate_coeff / dt \
             * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
         return self.params.newton_tol * scale + floor
 
@@ -189,7 +191,9 @@ class JumpStepper:
             if exact:
                 fresh, c = not may_freeze, c0
             else:
-                slope = law.deriv(s) + shift
+                slope = law.deriv(s)
+                if shift:
+                    slope = slope + shift
                 fresh = not may_freeze or float(
                     np.abs(slope - c0).max(initial=0.0)) > 0.5 * (a * eps + c0)
                 c = slope if fresh else c0
@@ -309,7 +313,8 @@ def jump_family(kind: str, x: np.ndarray, scale: float, seed: int = 0,
 class Trajectory:
     """Sampled jump history plus per-step solver records.
 
-    Sample 0 is the initial state, then every ``stride`` steps.
+    Sample 0 is the initial state, then every ``stride`` steps.  The step
+    records are ``StepResult`` fields, one entry per step.
     ``mean_defects`` holds the corrector mean defect per sample of a
     two-scale run (see ``twoscale.simulate_two_scale``); None otherwise.
     """
@@ -318,8 +323,10 @@ class Trajectory:
     ts: np.ndarray
     jumps: np.ndarray                 # (n_samples, n_jumps)
     stride: int
-    newton_iters: np.ndarray
-    balance_residuals: np.ndarray
+    newton_iters: np.ndarray          # StepResult.iterations
+    used_shift: np.ndarray
+    factorizations: np.ndarray
+    balance_residuals: np.ndarray     # StepResult.balance
     mean_defects: Optional[np.ndarray] = None
 
     @property
@@ -351,18 +358,23 @@ def simulate(system: MembraneSystem, w0: np.ndarray, horizon: float,
     jumps = np.empty((ts.size, w.size))
     jumps[0] = w
     iters = np.zeros(n_steps, dtype=np.int64)
+    shifted = np.zeros(n_steps, dtype=bool)
+    factors = np.zeros(n_steps, dtype=np.int64)
     balance = np.zeros(n_steps)
     for n in range(n_steps):
         t_next = (n + 1) * dt
         res = system.stepper.step(t_next, w, dt)
         w = res.jump
         iters[n] = res.iterations
+        shifted[n] = res.used_shift
+        factors[n] = res.factorizations
         balance[n] = res.balance
         if (n + 1) % stride == 0:
             ts[(n + 1) // stride] = t_next
             jumps[(n + 1) // stride] = w
     return Trajectory(system=system, ts=ts, jumps=jumps, stride=stride,
-                      newton_iters=iters, balance_residuals=balance)
+                      newton_iters=iters, used_shift=shifted,
+                      factorizations=factors, balance_residuals=balance)
 
 
 def step(system: MembraneSystem, state):

@@ -69,10 +69,14 @@ class Nonlinearity:
     linear_slope: Optional[float] = None    # set iff the law is exactly linear
 
     def __call__(self, s):
-        return self.base(s) + self.shift * np.asarray(s)
+        if self.shift:      # adding a zero shift is exact: skip it
+            return self.base(s) + self.shift * np.asarray(s)
+        return self.base(s)
 
     def deriv(self, s):
-        return self.base_deriv(s) + self.shift
+        if self.shift:
+            return self.base_deriv(s) + self.shift
+        return self.base_deriv(s)
 
     @property
     def is_linear(self) -> bool:

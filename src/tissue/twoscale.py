@@ -17,16 +17,17 @@ factorization (FE^2 / HMM structure), and the macro potential once, in
 ``NodeFlux.macro_fields``, with the Cholesky factor of its Schur complement:
 the flux response of the stacked jumps, its drive load and every rebuilt
 state go through it, and no macro coupling matrix is formed.  A factor of
-the stepper's pass matrix is a banded Cholesky plus a Cholesky of a
-macro-sized capacitance matrix.  Each node's corrector follows from its
-mean gradient and its own jumps through the two cell responses, so no map
-of the stacked jumps is stored.  Time stepping reuses the shared implicit
-stepper.
+the stepper's pass matrix is one stack of node-block inverses, each built
+from the block's Cholesky factor, plus a Cholesky of a macro-sized
+capacitance matrix.  Each node's corrector follows from its mean gradient
+and its own jumps through the two cell responses, so no map of the stacked
+jumps is stored.  Time stepping reuses the shared implicit stepper.
 
-Every factor is built, and checked for finiteness, by a checked scipy call
-at set-up (the Schur factor in ``NodeFlux``, the pass factors in
-``_NodeFactor``).  The per-pass and per-state solves with those factors call
-LAPACK's ``pbtrs``/``potrs`` directly, without scipy's per-call checks.
+Every factor is checked for finiteness and positive definiteness once,
+when it is built (the Schur factor in ``NodeFlux``, the pass factors in
+``_NodeFactor``), and is read-only from then on.  The per-pass and
+per-state solves with those factors are stacked matrix products and
+LAPACK's ``potrs``, called directly, without scipy's per-call checks.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import (cho_factor, cho_solve_banded, cholesky_banded,
-                          get_lapack_funcs)
+from scipy.linalg import cho_factor, get_lapack_funcs
 
 from .errors import GeometryError
 from .geometry import CellGeometry, Conductivity, cell_centers
@@ -57,19 +57,25 @@ __all__ = [
 ]
 
 
-# resolved once; they read the factor and solve in a copy of the right-hand
-# side, so a shared factor is never written
-_PBTRS, _POTRS = get_lapack_funcs(("pbtrs", "potrs"), dtype=np.float64)
+# resolved once; potrs reads the factor and solves in a copy of the
+# right-hand side, so a shared factor is never written
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _lapack_solve(routine, factor: tuple, b: np.ndarray) -> np.ndarray:
-    """``cho_solve``/``cho_solve_banded`` without their per-call checks: the
-    factor ``(c, lower)`` was checked when it was built."""
-    x, info = routine(factor[0], b, lower=factor[1])
+def _cho_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``cho_solve`` without its per-call checks: the factor ``(c, lower)``
+    was checked when it was built."""
+    x, info = _POTRS(factor[0], b, lower=factor[1])
     if info != 0:
-        raise np.linalg.LinAlgError(
-            f"LAPACK {routine.__name__} failed with info {info}")
+        raise np.linalg.LinAlgError(f"LAPACK potrs failed with info {info}")
     return x
+
+
+def _read_only_cho_factor(a: np.ndarray) -> tuple:
+    """``cho_factor`` (checked: finite, positive definite), frozen."""
+    factor = cho_factor(a)
+    factor[0].flags.writeable = False
+    return factor
 
 
 # -- unit-cell face data ------------------------------------------------------
@@ -253,9 +259,10 @@ class NodeFlux:
     the jumps W (one row per node) is W R_b + G V' at their node gradients
     G, which ``macro_fields`` gets through the Cholesky factor of the macro
     Schur complement S; R = blockdiag(R_b) - (I x V) Gbar S^-1 Gbar'
-    (I x V)' is never formed.  A pass matrix diag(d) + R is the banded B =
-    blockdiag(R_b) + diag(d) minus a correction of macro rank; ``factor``
-    solves it by Woodbury with a capacitance matrix of macro size.
+    (I x V)' is never formed.  A pass matrix diag(d) + R is the block
+    diagonal B = blockdiag(R_b + diag(d_j)) minus a correction of macro
+    rank; ``factor`` solves it by Woodbury with a capacitance matrix of
+    macro size.
     """
 
     def __init__(self, weights: np.ndarray, r_block: np.ndarray,
@@ -266,16 +273,9 @@ class NodeFlux:
         self.v = v
         self.macro = macro
         self.schur = schur
-        self.schur_cf = cho_factor(schur)
+        self.schur_cf = _read_only_cho_factor(schur)
         self.load_u = load_u
-        nf = r_block.shape[0]
         self.n_nodes = macro.n_nodes
-        # upper band storage of blockdiag(R_b): bandwidth n_facets - 1, zero
-        # across node blocks
-        rows, cols = np.triu_indices(nf)
-        band = np.zeros((nf, nf))
-        band[nf - 1 + rows - cols, cols] = r_block[rows, cols]
-        self._band = np.tile(band, self.n_nodes)
         # the flux load of a unit drive at zero jumps
         self.load = -(self.macro_fields(np.zeros(weights.size), 1.0)[1]
                       @ v.T).reshape(-1)
@@ -289,7 +289,7 @@ class NodeFlux:
         rhs = gbar.T @ (wr @ self.v).reshape(-1)
         if drive:   # ``apply`` (drive 0) runs on every step
             rhs += drive * self.load_u
-        u = -_lapack_solve(_POTRS, self.schur_cf, rhs)
+        u = -_cho_solve(self.schur_cf, rhs)
         g = gbar @ u
         if drive:
             g += drive * self.macro.mean_grad_load
@@ -305,33 +305,45 @@ class NodeFlux:
 
 
 class _NodeFactor:
-    """Factor of diag(d) + R: the banded Cholesky of B = blockdiag(R_b) +
-    diag(d), B^-1 (I x V) and the Cholesky of the capacitance matrix
-    S - Gbar' blockdiag(V' B_j^-1 V) Gbar, assembled like S itself.  The
-    checked scipy calls that build them here are the factors' only
-    finiteness check; ``solve``, once per pass, calls LAPACK directly."""
+    """Factor of diag(d) + R: the stack of node-block inverses B_j^-1 of
+    B_j = R_b + diag(d_j), each solved from the block's Cholesky factor
+    (LAPACK ``potrf``/``potrs``, which give the same bits for any BLAS
+    thread count), the stack B_j^-1 V and the Cholesky of the
+    capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V) Gbar, assembled
+    like S itself.  The build is the factors' only check: a non-finite d
+    raises ValueError, a block that is not positive definite LinAlgError.
+    The held arrays are read-only; ``solve``, once per pass, is stacked
+    products and one ``potrs``."""
 
     def __init__(self, flux: NodeFlux, d: np.ndarray):
         self.flux = flux
-        n, dim = flux.n_nodes, flux.v.shape[1]
-        ab = flux._band.copy()
-        ab[-1] += d
-        self.band = (cholesky_banded(ab, overwrite_ab=True), False)
-        # B^-1 (I x V), one (n_facets x dim) block per node
-        self.bv = cho_solve_banded(self.band, np.tile(flux.v, (n, 1))) \
-            .reshape(n, -1, dim)
-        vbv = np.einsum("fi,nfk->nik", flux.v, self.bv)
-        self.cap = cho_factor(
-            _minus_node_blocks(flux.schur, flux.macro.mean_grad, vbv))
+        nf = flux.r_block.shape[0]
+        d = np.asarray(d, dtype=float).reshape(flux.n_nodes, nf)
+        if not np.isfinite(d).all():
+            raise ValueError("pass diagonal must be finite")
+        self.inv = np.empty((flux.n_nodes, nf, nf))
+        eye = np.eye(nf)
+        for inv, dj in zip(self.inv, d):
+            c, info = _POTRF(flux.r_block + np.diag(dj))
+            if info == 0:
+                inv[...], info = _POTRS(c, eye)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"a node block is not positive definite (info {info})")
+        self.bv = self.inv @ flux.v
+        self.cap = _read_only_cho_factor(_minus_node_blocks(
+            flux.schur, flux.macro.mean_grad, flux.v.T @ self.bv))
+        self.inv.flags.writeable = self.bv.flags.writeable = False
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         fl = self.flux
+        n = fl.n_nodes
         gbar = fl.macro.mean_grad
-        y = _lapack_solve(_PBTRS, self.band, r)
-        t = gbar.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
-        g = (gbar @ _lapack_solve(_POTRS, self.cap, t)) \
-            .reshape(fl.n_nodes, -1)
-        return y + np.einsum("nfk,nk->nf", self.bv, g).reshape(-1)
+        y = self.inv @ r.reshape(n, -1, 1)
+        t = gbar.T @ (y.reshape(n, -1) @ fl.v).reshape(-1)
+        g = gbar @ _cho_solve(self.cap, t)
+        y += self.bv @ g.reshape(n, -1, 1)
+        return y.reshape(-1)
 
 
 # -- the coupled system -------------------------------------------------------

@@ -13,7 +13,7 @@ import tissue as T
 from tissue.micro import initial_jump
 from tissue.twoscale import initial_two_scale_jump, simulate_two_scale
 
-from conftest import make_micro
+from conftest import force_shifted_retry, make_micro
 from test_twoscale import make_two_scale
 
 
@@ -102,6 +102,28 @@ def test_run_at_params_dt_factors_once(stack, law, kw, cell8, default_domain):
         w = res.jump
         counts.append(res.factorizations)
     assert counts[0] == 1 and sum(counts) == 1
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_simulate_keeps_per_step_solver_records(stack, cell8, default_domain):
+    # a default ``sin`` run builds its one frozen factor on the first step;
+    # a twin forced into the shifted retry shows it on every step, with a
+    # fresh factor per pass
+    if stack == "micro":
+        system = make_micro(default_domain, law=("sin",), dt=1e-3)
+        w0 = initial_jump(default_domain, "random", 5.0, seed=8)
+    else:
+        system = make_two_scale(cell=cell8, law=("sin",), dt=1e-3,
+                                macro_res=4)
+        w0 = initial_two_scale_jump(system, "random", 5.0, seed=8)
+    traj = T.simulate(system, w0, 0.02)
+    assert traj.factorizations.tolist() == [1] + [0] * 19
+    assert not traj.used_shift.any()
+    twin = system.with_law(system.law)
+    force_shifted_retry(twin.stepper)
+    traj = T.simulate(twin, w0, 0.003)
+    assert traj.used_shift.tolist() == [True] * 3
+    assert np.array_equal(traj.factorizations, traj.newton_iters)
 
 
 def _cubic_system(stack, domain):

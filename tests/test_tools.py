@@ -88,3 +88,12 @@ def test_twoscale_sizes_prints_one_row_per_resolution():
     cells = [c.strip() for c in lines[3].strip("|").split("|")]
     assert cells[:2] == ["2", "64"]
     assert all(float(c) > 0.0 for c in cells[2:])
+
+
+@pytest.mark.parametrize("args", [["--help"], ["4", "x"], ["0"]])
+def test_twoscale_sizes_rejects_bad_arguments_with_usage(args):
+    out = subprocess.run([sys.executable, str(_TOOLS / "twoscale_sizes.py"),
+                          *args], capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("usage: ") and "Traceback" not in out.stderr
+    assert out.stdout == ""

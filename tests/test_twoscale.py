@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cho_solve_banded
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 import tissue as T
 from tissue.decay import decay_metrics, lyapunov_series
@@ -192,22 +196,31 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
 @pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
 def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
                                                           cell_res, cond):
-    # the per-pass and per-state solves call pbtrs/potrs directly; the
-    # checked scipy wrappers around the same routines give the same bits
+    # a pass solve applies the stacked node-block inverses: it matches
+    # per-node scipy Cholesky solves through the same Woodbury steps; the
+    # per-state Schur solve calls potrs directly and gives the checked
+    # wrapper's bits
     system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
                             cell_res=cell_res)
     fl = system.flux_map
+    n = fl.n_nodes
     gbar = fl.macro.mean_grad
     rng = np.random.default_rng(48)
     for scale in (1e-2, 1e3):
-        f = fl.factor(scale * rng.uniform(0.5, 2.0, system.n_w))
-        assert f.band[0].flags.f_contiguous and f.cap[0].flags.f_contiguous
+        d = scale * rng.uniform(0.5, 2.0, system.n_w)
+        f = fl.factor(d)
+        assert f.cap[0].flags.f_contiguous
+        blocks = [cho_factor(fl.r_block + np.diag(dj))
+                  for dj in d.reshape(n, -1)]
+        bv = np.array([cho_solve(b, fl.v) for b in blocks])
+        cap = cho_factor(fl.schur - gbar.T @ block_diag(*(fl.v.T @ bv))
+                         @ gbar)
         for r in rng.normal(size=(2, system.n_w)):
-            y = cho_solve_banded(f.band, r)
-            t = gbar.T @ (y.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)
-            g = (gbar @ cho_solve(f.cap, t)).reshape(fl.n_nodes, -1)
-            want = y + np.einsum("nfk,nk->nf", f.bv, g).reshape(-1)
-            assert np.array_equal(f.solve(r), want)
+            y = np.array([cho_solve(b, rj)
+                          for b, rj in zip(blocks, r.reshape(n, -1))])
+            g = gbar @ cho_solve(cap, gbar.T @ (y @ fl.v).reshape(-1))
+            want = y + np.einsum("nfk,nk->nf", bv, g.reshape(n, -1))
+            assert rel_gap(f.solve(r), want.reshape(-1)) <= 1e-13
     assert fl.schur_cf[0].flags.f_contiguous
     drive = system.drive.temporal(0.37)
     for w in rng.normal(size=(2, system.n_w)):
@@ -215,6 +228,76 @@ def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
             + drive * fl.load_u
         macro, _ = system.recover(0.37, w)
         assert np.array_equal(macro, -cho_solve(fl.schur_cf, rhs))
+
+
+def test_node_factor_build_checks_its_input():
+    # a non-finite pass diagonal is a ValueError, an indefinite node block
+    # a LinAlgError, which the stepper takes as a failed pass
+    system = make_two_scale()
+    fl = system.flux_map
+    d = np.ones(system.n_w)
+    for bad in (np.nan, np.inf):
+        d[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fl.factor(d)
+    # a diagonal that makes one node block indefinite
+    d = np.ones(system.n_w)
+    d[fl.r_block.shape[0]:2 * fl.r_block.shape[0]] = \
+        -2.0 * np.abs(fl.r_block).sum()
+    with pytest.raises(np.linalg.LinAlgError):
+        fl.factor(d)
+
+
+_FACTOR_BITS = """
+import hashlib
+import numpy as np
+import tissue as T
+cell = T.build_cell_geometry(0.25, 8)
+system = T.TwoScaleSystem(cell, T.make_conductivity(cell, 2.0, 1.0),
+                          T.make_nonlinearity("sin"), T.make_boundary_data(),
+                          T.SolverParams(), macro_res=4)
+rng = np.random.default_rng(50)
+f = system.flux_map.factor(rng.uniform(0.5, 2.0, system.n_w))
+print(hashlib.sha256(f.solve(rng.normal(size=system.n_w)).tobytes())
+      .hexdigest())
+"""
+
+
+def test_pass_factor_bits_do_not_depend_on_the_blas_thread_count():
+    # artifacts are byte-identical run to run; the node-block inverses must
+    # not take a threaded LAPACK path whose roundoff depends on the threads
+    src = Path(T.__file__).resolve().parents[1]
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               **{name: threads for name in ("OPENBLAS_NUM_THREADS",
+                                             "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS")}}
+        out = subprocess.run([sys.executable, "-c", _FACTOR_BITS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_held_factors_are_read_only():
+    # the factors a system shares cannot be written, and stepping and state
+    # rebuilds still run on them
+    system = make_two_scale(cond=(2.0, 1.0))
+    fl = system.flux_map
+    w = initial_two_scale_jump(system, "random", 3.0, seed=49)
+    dt = system.params.dt
+    w = system.stepper.step(dt, w, dt).jump
+    frozen = system.stepper._frozen
+    held = [fl.schur_cf[0], frozen.inv, frozen.bv, frozen.cap[0]]
+    for arr in held:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    traj = simulate_two_scale(system, w, 5 * dt)
+    assert traj.factorizations.sum() == 0
+    macro, corr = system.recover(0.37, traj.jumps[-1])
+    assert np.isfinite(macro).all() and np.isfinite(corr).all()
 
 
 def _oracle_stepper(system):

@@ -2,6 +2,9 @@
 
 Usage:  python tools/twoscale_sizes.py [RESOLUTION ...]     (default 4 8 16 32)
 
+Each RESOLUTION is a positive integer; any other argument (``--help``
+included) prints the usage line and exits with status 2.
+
 Each resolution runs in its own Python process, one after another, with
 OPENBLAS_NUM_THREADS=1 (and the OpenMP and MKL equivalents) set in that
 process's environment before numpy loads.  The system is the default
@@ -29,6 +32,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+USAGE = "usage: python tools/twoscale_sizes.py [RESOLUTION ...]"
 REPEATS = 5
 STEPS = 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -107,6 +111,9 @@ def main(argv: list[str]) -> None:
     if argv[:1] == ["--measure"]:
         print(json.dumps(measure(int(argv[1]))))
         return
+    if not all(a.isdecimal() and int(a) > 0 for a in argv):
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     resolutions = [int(a) for a in argv] or [4, 8, 16, 32]
     print(f"# {platform.machine()}, {os.cpu_count()} CPUs, Python "
           f"{platform.python_version()}; CPU times, median of {REPEATS}, "
