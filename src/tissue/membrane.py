@@ -23,7 +23,9 @@ plus a diagonal.  Two implementations:
 
 A step iterates with one factor frozen per stepper (``JumpStepper``).  Its
 factors are never modified after they are built, so one system can be
-stepped from several threads.
+stepped from several threads.  ``simulate`` hands each step the previous
+``StepResult``, from whose jumps the step extrapolates its first iterate;
+the stepper itself keeps no state between steps.
 
 The time loop (``simulate``, ``step``), the trajectory record and the
 decay report (``decay.decay_metrics``) are shared by both systems too; a
@@ -86,7 +88,9 @@ class StepResult:
     """Accepted jump of one step; ``balance`` is the energy-balance defect
     |R(w)·w| of the weighted step residual R tested with that jump, and
     ``factorizations`` counts the factors of the pass matrix built during
-    the step."""
+    the step.  ``dt`` is the step's length and ``prior`` holds the accepted
+    jumps before ``jump`` at that step length, newest first, at most two
+    (references, not copies): the next step extrapolates from them."""
 
     jump: np.ndarray
     iterations: int
@@ -95,6 +99,8 @@ class StepResult:
     balance: float
     factorizations: int = 0
     history: list = field(default_factory=list)
+    dt: float = 0.0
+    prior: tuple = ()
 
 
 class JumpStepper:
@@ -115,6 +121,13 @@ class JumpStepper:
     contract by less than a half, max |f'(w/eps) - c| > (alpha/dt + c)/2,
     when dt is not ``params.dt``, and in the shifted retry, which adds
     ``newton_shift`` to every slope.  A linear law converges in one pass.
+
+    ``step`` takes the jump to step from, or the previous step's
+    ``StepResult``.  From a result of the same dt, the first pass starts at
+    the extrapolation of the accepted jumps, 3 w_n - 3 w_n-1 + w_n-2 (or
+    2 w_n - w_n-1 with two of them), whose error is O(dt^3) against the
+    O(dt) of w_n, so a step takes fewer passes.  The step equation and its
+    tolerance are those of w_n, and the shifted retry starts from w_n.
     """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
@@ -149,24 +162,37 @@ class JumpStepper:
             * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
         return self.params.newton_tol * scale + floor
 
-    def step(self, t_next: float, w_prev: np.ndarray, dt: float) -> StepResult:
+    def step(self, t_next: float, w_prev: np.ndarray | StepResult,
+             dt: float) -> StepResult:
+        prior = ()
+        if isinstance(w_prev, StepResult):
+            if w_prev.dt == dt:
+                prior = w_prev.prior
+            w_prev = w_prev.jump
+        start = None
+        # a linear law's exact pass does not depend on where it starts
+        if prior and not self.law.is_linear:
+            start = 3.0 * (w_prev - prior[0]) + prior[1] if len(prior) == 2 \
+                else 2.0 * w_prev - prior[0]
         drive = self.temporal(t_next)
-        res, _, built = self._iterate(w_prev, drive, dt, shift=0.0)
-        if res is not None:
-            return res
-        res, history, _ = self._iterate(
-            w_prev, drive, dt, shift=self.params.newton_shift)
-        if res is not None:
+        res, _, built = self._iterate(w_prev, drive, dt, 0.0, start)
+        if res is None:
+            res, history, _ = self._iterate(
+                w_prev, drive, dt, shift=self.params.newton_shift)
+            if res is None:
+                raise NewtonError("implicit step failed to converge, "
+                                  "including the shifted retry",
+                                  residuals=history)
             res.factorizations += built
-            return res
-        raise NewtonError(
-            "implicit step failed to converge, including the shifted retry",
-            residuals=history)
+        res.prior = (w_prev,) + prior[:1]
+        return res
 
     def _iterate(self, w_prev: np.ndarray, drive: float, dt: float,
-                 shift: float) -> tuple[Optional[StepResult], list, int]:
+                 shift: float, start: Optional[np.ndarray] = None
+                 ) -> tuple[Optional[StepResult], list, int]:
         """The converged step (None if it failed), the residual history and
-        the number of factors built."""
+        the number of factors built.  The first pass starts from ``start``
+        when given and the law is finite there, and from w_prev otherwise."""
         fl, law, eps = self.flux, self.law, self.arg_scale
         a = self.rate_coeff / dt
         c0 = self._slope
@@ -183,6 +209,11 @@ class JumpStepper:
             return None, [float(np.abs(g).max())], 0
         tol = self._tolerance(w_prev, f_max, drive, dt)
         base = fl.weights * a * w_prev + drive * fl.load
+        if start is not None:
+            s_start = start / eps
+            f_start = law(s_start)
+            if np.isfinite(f_start).all():
+                w, s, f_w = start, s_start, f_start
         g = None                # residual per unit weight at w, once known
         rnorm = np.inf
         history: list = []
@@ -243,7 +274,8 @@ class JumpStepper:
                     return StepResult(
                         jump=w, iterations=len(history), residual=rnorm,
                         used_shift=shift > 0.0, balance=float(abs(resid @ w)),
-                        factorizations=built, history=history), history, built
+                        factorizations=built, history=history, dt=dt), \
+                        history, built
             # a non-finite pass or stagnation: bail out, so that the caller
             # retries with a shift or raises
             if not np.isfinite(rnorm) or (shift == 0.0 and len(history) > 4
@@ -361,9 +393,11 @@ def simulate(system: MembraneSystem, w0: np.ndarray, horizon: float,
     shifted = np.zeros(n_steps, dtype=bool)
     factors = np.zeros(n_steps, dtype=np.int64)
     balance = np.zeros(n_steps)
+    res = w
     for n in range(n_steps):
         t_next = (n + 1) * dt
-        res = system.stepper.step(t_next, w, dt)
+        # continuing from the last result starts from the extrapolated jump
+        res = system.stepper.step(t_next, res, dt)
         w = res.jump
         iters[n] = res.iterations
         shifted[n] = res.used_shift

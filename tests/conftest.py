@@ -68,8 +68,9 @@ def stepper_on(system, flux):
 
 def force_shifted_retry(stepper):
     """Make the unshifted iteration fail, so every step takes the retry."""
-    stepper._iterate = lambda w, drive, dt, shift, run=stepper._iterate: \
-        (None, [], 0) if shift == 0.0 else run(w, drive, dt, shift)
+    stepper._iterate = \
+        lambda w, drive, dt, shift, start=None, run=stepper._iterate: \
+        (None, [], 0) if shift == 0.0 else run(w, drive, dt, shift, start)
 
 
 def steps_agree(stepper_a, stepper_b, w, dt, n_steps=3):

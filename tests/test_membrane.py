@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import tissue as T
+from tissue.membrane import StepResult
 from tissue.micro import initial_jump
 from tissue.twoscale import initial_two_scale_jump, simulate_two_scale
 
-from conftest import force_shifted_retry, make_micro
+from conftest import force_shifted_retry, make_micro, rel_gap
 from test_twoscale import make_two_scale
 
 
@@ -83,18 +84,33 @@ def test_simulate_two_scale_is_simulate_plus_mean_defects():
     assert traj.mean_defects.tolist() == expected
 
 
+def _default_dt_system(stack, law, kw, cell8, default_domain, seed):
+    """256 jumps on either stack at the default dt, from a random start of
+    amplitude 5."""
+    if stack == "micro":
+        system = make_micro(default_domain, law=(law,), dt=1e-3, **kw)
+        return system, initial_jump(default_domain, "random", 5.0, seed=seed)
+    system = make_two_scale(cell=cell8, law=(law,), dt=1e-3, macro_res=4,
+                            **kw)
+    return system, initial_two_scale_jump(system, "random", 5.0, seed=seed)
+
+
+def _plain_steps(system, w, n_steps):
+    """Step from each accepted jump as a plain array, which starts every
+    iteration at the previous jump."""
+    dt = system.params.dt
+    results = []
+    for n in range(n_steps):
+        results.append(system.stepper.step((n + 1) * dt, w, dt))
+        w = results[-1].jump
+    return results
+
+
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])
 @pytest.mark.parametrize("law,kw", [("linear", {"kappa": 1.0}), ("sin", {})])
 def test_run_at_params_dt_factors_once(stack, law, kw, cell8, default_domain):
-    # 256 jumps on either stack at the default dt: the first step builds the
-    # frozen factor and every later step reuses it
-    if stack == "micro":
-        system = make_micro(default_domain, law=(law,), dt=1e-3, **kw)
-        w = initial_jump(default_domain, "random", 5.0, seed=6)
-    else:
-        system = make_two_scale(cell=cell8, law=(law,), dt=1e-3, macro_res=4,
-                                **kw)
-        w = initial_two_scale_jump(system, "random", 5.0, seed=6)
+    # the first step builds the frozen factor and every later step reuses it
+    system, w = _default_dt_system(stack, law, kw, cell8, default_domain, 6)
     dt = system.params.dt
     counts = []
     for n in range(100):
@@ -124,6 +140,71 @@ def test_simulate_keeps_per_step_solver_records(stack, cell8, default_domain):
     traj = T.simulate(twin, w0, 0.003)
     assert traj.used_shift.tolist() == [True] * 3
     assert np.array_equal(traj.factorizations, traj.newton_iters)
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("law", ["sin", "tanh", "cubic"])
+def test_extrapolated_start_takes_fewer_passes_to_the_same_jumps(
+        stack, law, cell8, default_domain):
+    system, w0 = _default_dt_system(stack, law, {}, cell8, default_domain, 9)
+    traj = T.simulate(system, w0, 0.1)
+    plain = _plain_steps(system, w0, 100)
+    for got, res in zip(traj.jumps[1:], plain):
+        assert rel_gap(got, res.jump) <= 1e-10
+    assert traj.newton_iters.sum() < sum(r.iterations for r in plain)
+    assert traj.used_shift.sum() <= sum(r.used_shift for r in plain)
+    assert traj.factorizations.sum() == 1
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_linear_run_is_bit_identical_to_plain_steps(stack, cell8,
+                                                    default_domain):
+    system, w0 = _default_dt_system(stack, "linear", {"kappa": 1.0}, cell8,
+                                    default_domain, 9)
+    traj = T.simulate(system, w0, 0.05)
+    plain = _plain_steps(system, w0, 50)
+    assert np.array_equal(traj.jumps[1:], [r.jump for r in plain])
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_step_from_an_unusable_result_is_a_plain_start(stack, cell8,
+                                                        default_domain):
+    # a result of another dt, or one whose prior jumps extrapolate to a
+    # non-finite start, gives exactly the step from its jump
+    system, w0 = _default_dt_system(stack, "sin", {}, cell8, default_domain, 9)
+    dt = system.params.dt
+    res = w0
+    for n in range(3):
+        res = system.stepper.step((n + 1) * dt, res, dt)
+    assert len(res.prior) == 2
+    bad = res.prior[1].copy()
+    bad[5] = np.nan
+    for prev, step_dt in [(res, 2 * dt), (replace(res, dt=dt / 2), dt),
+                          (replace(res, prior=(res.prior[0], bad)), dt)]:
+        got = system.stepper.step(3 * dt + step_dt, prev, step_dt)
+        want = system.stepper.step(3 * dt + step_dt, res.jump.copy(),
+                                   step_dt)
+        assert np.array_equal(got.jump, want.jump)
+        assert got.history == want.history
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_simulate_steps_through_a_three_argument_step(stack, cell8,
+                                                      default_domain):
+    # benchmark/tracing.py wraps ``stepper.step`` as step(t_next, w_prev, dt)
+    system, w0 = _default_dt_system(stack, "sin", {}, cell8, default_domain, 9)
+    twin = system.with_law(system.law)
+    step = twin.stepper.step
+    starts = []
+
+    def traced_step(t_next, w_prev, dt, /):
+        starts.append(type(w_prev))
+        return step(t_next, w_prev, dt)
+
+    twin.stepper.step = traced_step
+    traj = T.simulate(twin, w0, 0.01)
+    assert starts == [np.ndarray] + [StepResult] * 9
+    assert np.array_equal(traj.jumps, T.simulate(system, w0, 0.01).jumps)
 
 
 def _cubic_system(stack, domain):

@@ -100,6 +100,8 @@ class _SlowPeriodMap:
         self.stepper = self
 
     def step(self, t_next, w_prev, dt):
+        # simulate hands on the previous step's result
+        w_prev = getattr(w_prev, "jump", w_prev)
         w = self.target + self.per_step * (w_prev - self.target)
         return StepResult(jump=w, iterations=1, residual=0.0,
                           used_shift=False, balance=0.0)

@@ -15,7 +15,9 @@ CPU time (``time.process_time``) of:
 
 - set-up: ``TwoScaleSystem`` construction;
 - first step: the first step, which builds the stepper's frozen factor;
-- step: the mean of the next 20 steps;
+- step: the mean of the next 20 steps, each continuing from the previous
+  step's result as ``simulate`` does (an extrapolated start);
+- passes per step: the mean chord passes of those 20 steps;
 - ``state_at``: the mean of one state rebuild at each of those 20 steps;
 
 and its peak RSS, the process maximum (interpreter and imports included).
@@ -37,8 +39,9 @@ REPEATS = 5
 STEPS = 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER = ("| `macro.resolution` | jumps | set-up (s) | first step (ms) "
-          "| ms per `sin` step | `state_at` (ms) | peak RSS (MB) |\n"
-          "|---|---|---|---|---|---|---|")
+          "| ms per `sin` step | passes per step | `state_at` (ms) "
+          "| peak RSS (MB) |\n"
+          "|---|---|---|---|---|---|---|---|")
 
 
 def measure(res: int) -> dict:
@@ -68,26 +71,28 @@ def measure(res: int) -> dict:
         w = initial_two_scale_jump(system, cfg["init.kind"],
                                    cfg["init.amplitude"], seed=cfg["seed"])
         t2 = time.process_time()
-        w = system.stepper.step(dt, w, dt).jump
+        last = system.stepper.step(dt, w, dt)
         t3 = time.process_time()
-        jumps = []
+        results = []
         for n in range(2, STEPS + 2):
-            w = system.stepper.step(n * dt, w, dt).jump
-            jumps.append(w)
+            last = system.stepper.step(n * dt, last, dt)
+            results.append(last)
         t4 = time.process_time()
-        for n, w in enumerate(jumps, start=2):
-            system.state_at(n * dt, w)
+        for n, step_res in enumerate(results, start=2):
+            system.state_at(n * dt, step_res.jump)
         t5 = time.process_time()
+        passes = sum(r.iterations for r in results) / STEPS
         rows.append((t1 - t0, 1e3 * (t3 - t2), 1e3 * (t4 - t3) / STEPS,
-                     1e3 * (t5 - t4) / STEPS))
+                     passes, 1e3 * (t5 - t4) / STEPS))
         # free this system before the next one is built, so that the peak
         # RSS is that of one system
         n_w = system.n_w
-        del system, jumps
+        del system, last, results
         gc.collect()
-    setup, first, step, state = np.median(np.array(rows), axis=0)
+    setup, first, step, passes, state = np.median(np.array(rows), axis=0)
     return {"res": res, "jumps": n_w, "setup_s": setup,
-            "first_step_ms": first, "step_ms": step, "state_ms": state,
+            "first_step_ms": first, "step_ms": step, "passes": passes,
+            "state_ms": state,
             # ru_maxrss is in kB on Linux
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -104,7 +109,8 @@ def run_one(res: int) -> dict:
 def row(m: dict) -> str:
     return (f"| {m['res']} | {m['jumps']:,} | {m['setup_s']:.3g} "
             f"| {m['first_step_ms']:.3g} | {m['step_ms']:.3g} "
-            f"| {m['state_ms']:.3g} | {m['peak_rss_mb']:.0f} |")
+            f"| {m['passes']:.3g} | {m['state_ms']:.3g} "
+            f"| {m['peak_rss_mb']:.0f} |")
 
 
 def main(argv: list[str]) -> None:
