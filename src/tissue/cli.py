@@ -4,7 +4,8 @@ Subcommands: simulate, periodic, decay, homogenize, verify, compare.
 Artifacts are CSV time series (one header row) and JSON reports, all
 embedding the configuration hash and package version; identical config and
 seed reproduce them byte for byte.  Exit codes: 0 success, 1 solver
-failure, 2 config parse error, 3 validation error, 4 invariant failure.
+failure, 2 config parse or command-line usage error, 3 validation error,
+4 invariant failure.
 """
 
 from __future__ import annotations
@@ -328,6 +329,18 @@ def run(subcommand: str, cfg: RunConfig, out: Path, args) -> int:
         return 1
 
 
+def _positive(parse):
+    """An argparse type: the argument read by ``parse``, which must be
+    positive; argparse turns either rejection into a usage error (exit 2)."""
+    def check(raw: str):
+        value = parse(raw)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
+        return value
+    check.__name__ = parse.__name__
+    return check
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tissue",
@@ -344,8 +357,8 @@ def main(argv=None) -> int:
         if name == "periodic":
             p.add_argument("--method", choices=("picard", "delta"),
                            default="picard")
-            p.add_argument("--tol", type=float, default=None)
-            p.add_argument("--max-iters", type=int, default=None)
+            p.add_argument("--tol", type=_positive(float), default=None)
+            p.add_argument("--max-iters", type=_positive(int), default=None)
     args = parser.parse_args(argv)
 
     logging.basicConfig(

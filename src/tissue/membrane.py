@@ -24,8 +24,9 @@ plus a diagonal.  Two implementations:
 A step iterates with one factor frozen per stepper (``JumpStepper``).  Its
 factors are never modified after they are built, so one system can be
 stepped from several threads.  ``simulate`` hands each step the previous
-``StepResult``, from whose jumps the step extrapolates its first iterate;
-the stepper itself keeps no state between steps.
+``StepResult``, from whose last ``PREDICTOR_ORDER`` accepted jumps the step
+extrapolates its first iterate; the stepper itself keeps no state between
+steps.
 
 The time loop (``simulate``, ``step``), the trajectory record and the
 decay report (``decay.decay_metrics``) are shared by both systems too; a
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -46,6 +48,21 @@ from .errors import NewtonError
 from .nonlinearity import Nonlinearity
 
 _EPS = float(np.finfo(float).eps)
+
+# a step starts at the polynomial extrapolation through the last K accepted
+# jumps (degree K - 1, error O(dt^K)); K = 7 is the smallest order at which
+# the chord passes per step stop falling on the built-in laws
+PREDICTOR_ORDER = 7
+# _PREDICTOR[m] @ [w_n, ..., w_n+1-m] = sum_j (-1)^(j+1) C(m, j) w_n+1-j
+_PREDICTOR = [None] + [
+    np.array([(-1.0) ** (j + 1) * comb(m, j) for j in range(1, m + 1)])
+    for m in range(1, PREDICTOR_ORDER + 1)]
+
+
+def extrapolate(held: tuple) -> np.ndarray:
+    """The next value of the polynomial of degree m - 1 through the m jumps
+    of ``held`` (newest first), taken at equal steps."""
+    return _PREDICTOR[len(held)] @ np.array(held)
 
 
 @dataclass(frozen=True)
@@ -89,8 +106,10 @@ class StepResult:
     |R(w)·w| of the weighted step residual R tested with that jump, and
     ``factorizations`` counts the factors of the pass matrix built during
     the step.  ``dt`` is the step's length and ``prior`` holds the accepted
-    jumps before ``jump`` at that step length, newest first, at most two
-    (references, not copies): the next step extrapolates from them."""
+    jumps before ``jump`` at that step length, newest first, at most
+    ``PREDICTOR_ORDER - 1`` (references, not copies): the next step
+    extrapolates from them.  A linear law's ``prior`` is empty, since its
+    exact pass does not depend on where it starts."""
 
     jump: np.ndarray
     iterations: int
@@ -124,10 +143,11 @@ class JumpStepper:
 
     ``step`` takes the jump to step from, or the previous step's
     ``StepResult``.  From a result of the same dt, the first pass starts at
-    the extrapolation of the accepted jumps, 3 w_n - 3 w_n-1 + w_n-2 (or
-    2 w_n - w_n-1 with two of them), whose error is O(dt^3) against the
-    O(dt) of w_n, so a step takes fewer passes.  The step equation and its
-    tolerance are those of w_n, and the shifted retry starts from w_n.
+    the extrapolation through the m = min(K, available) last accepted jumps,
+    sum_j=1..m (-1)^(j+1) C(m, j) w_n+1-j with K = ``PREDICTOR_ORDER``,
+    whose error is O(dt^m) against the O(dt) of w_n, so a smooth step takes
+    one pass.  The step equation and its tolerance are those of w_n, and
+    the shifted retry starts from w_n.
     """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
@@ -140,6 +160,8 @@ class JumpStepper:
         self.arg_scale = arg_scale
         self.params = params
         self._slope = float(law.deriv(0.0))
+        # a linear law's exact pass does not depend on where it starts
+        self._history = 0 if law.is_linear else PREDICTOR_ORDER - 1
         self._load_scale = float(np.max(np.abs(flux.load / flux.weights),
                                         initial=0.0))
         # built on first use: a factor is as costly as the system set-up
@@ -169,11 +191,8 @@ class JumpStepper:
             if w_prev.dt == dt:
                 prior = w_prev.prior
             w_prev = w_prev.jump
-        start = None
-        # a linear law's exact pass does not depend on where it starts
-        if prior and not self.law.is_linear:
-            start = 3.0 * (w_prev - prior[0]) + prior[1] if len(prior) == 2 \
-                else 2.0 * w_prev - prior[0]
+        held = (w_prev,) + prior
+        start = extrapolate(held) if prior else None
         drive = self.temporal(t_next)
         res, _, built = self._iterate(w_prev, drive, dt, 0.0, start)
         if res is None:
@@ -184,7 +203,7 @@ class JumpStepper:
                                   "including the shifted retry",
                                   residuals=history)
             res.factorizations += built
-        res.prior = (w_prev,) + prior[:1]
+        res.prior = held[:self._history]
         return res
 
     def _iterate(self, w_prev: np.ndarray, drive: float, dt: float,

@@ -65,8 +65,10 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
     by less than 0.1% over the last 20, which can happen for laws whose
     slope degenerates along the way.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     w = np.zeros(system.weights.size) if w0 is None else w0.copy()
     defects = []
     window_start = 0      # index of the defect that opens the stall window

@@ -271,6 +271,21 @@ def test_solver_failure_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--max-iters", "0"), ("--max-iters", "-3"), ("--max-iters", "2.5"),
+    ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "x")])
+def test_periodic_rejects_bad_flag_values_as_usage_errors(tmp_path, capsys,
+                                                          flag, value):
+    # argparse's usage error, before any solver runs, not a solver failure
+    cfg = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["periodic", "--config", str(cfg), "--out",
+              str(tmp_path / "out"), flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

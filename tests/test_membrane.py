@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tissue as T
-from tissue.membrane import StepResult
+from tissue.membrane import PREDICTOR_ORDER, StepResult, extrapolate
 from tissue.micro import initial_jump
 from tissue.twoscale import initial_two_scale_jump, simulate_two_scale
 
@@ -84,13 +84,14 @@ def test_simulate_two_scale_is_simulate_plus_mean_defects():
     assert traj.mean_defects.tolist() == expected
 
 
-def _default_dt_system(stack, law, kw, cell8, default_domain, seed):
-    """256 jumps on either stack at the default dt, from a random start of
-    amplitude 5."""
+def _default_dt_system(stack, law, kw, cell8, default_domain, seed,
+                       dt=1e-3):
+    """256 jumps on either stack at the default dt (or ``dt``), from a
+    random start of amplitude 5."""
     if stack == "micro":
-        system = make_micro(default_domain, law=(law,), dt=1e-3, **kw)
+        system = make_micro(default_domain, law=(law,), dt=dt, **kw)
         return system, initial_jump(default_domain, "random", 5.0, seed=seed)
-    system = make_two_scale(cell=cell8, law=(law,), dt=1e-3, macro_res=4,
+    system = make_two_scale(cell=cell8, law=(law,), dt=dt, macro_res=4,
                             **kw)
     return system, initial_two_scale_jump(system, "random", 5.0, seed=seed)
 
@@ -143,17 +144,62 @@ def test_simulate_keeps_per_step_solver_records(stack, cell8, default_domain):
 
 
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])
-@pytest.mark.parametrize("law", ["sin", "tanh", "cubic"])
+@pytest.mark.parametrize("law,dt", [
+    pytest.param("sin", 1e-3, id="sin"), pytest.param("tanh", 1e-3, id="tanh"),
+    pytest.param("cubic", 1e-3, id="cubic"),
+    pytest.param("cubic", 1e-2, id="cubic-dt0.01")])
 def test_extrapolated_start_takes_fewer_passes_to_the_same_jumps(
-        stack, law, cell8, default_domain):
-    system, w0 = _default_dt_system(stack, law, {}, cell8, default_domain, 9)
-    traj = T.simulate(system, w0, 0.1)
-    plain = _plain_steps(system, w0, 100)
+        stack, law, dt, cell8, default_domain):
+    system, w0 = _default_dt_system(stack, law, {}, cell8, default_domain, 9,
+                                    dt=dt)
+    traj = T.simulate(system, w0, 100 * dt)
+    # a twin builds its own frozen factor, so the factor counts compare
+    plain = _plain_steps(system.with_law(system.law), w0, 100)
     for got, res in zip(traj.jumps[1:], plain):
         assert rel_gap(got, res.jump) <= 1e-10
     assert traj.newton_iters.sum() < sum(r.iterations for r in plain)
     assert traj.used_shift.sum() <= sum(r.used_shift for r in plain)
-    assert traj.factorizations.sum() == 1
+    assert traj.factorizations.sum() <= sum(r.factorizations for r in plain)
+    if dt == 1e-3:
+        # the frozen factor serves every step
+        assert traj.factorizations.sum() == 1
+
+
+@pytest.mark.parametrize("m", range(1, PREDICTOR_ORDER + 1))
+def test_extrapolation_is_exact_on_polynomials_of_its_degree(m):
+    # m held values of a polynomial of degree m - 1 at equal steps (newest
+    # first) determine its next value; so do those of any lower degree
+    rng = np.random.default_rng(m)
+    t = np.arange(m, -1, -1.0)                   # t_n+1, t_n, ..., t_n+1-m
+    for degree in range(m):
+        coeffs = rng.uniform(-1.0, 1.0, (degree + 1, 5))
+        values = np.array([sum(c * tk ** k for k, c in enumerate(coeffs))
+                           for tk in t])
+        got = extrapolate(tuple(values[1:]))
+        assert rel_gap(got, values[0]) <= 1e-12
+
+
+def test_linear_step_result_holds_no_prior(cell8, default_domain):
+    system, w0 = _default_dt_system("micro", "linear", {"kappa": 1.0}, cell8,
+                                    default_domain, 9)
+    dt = system.params.dt
+    res = w0
+    for n in range(1, 4):
+        res = system.stepper.step(n * dt, res, dt)
+        assert res.prior == ()
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_orbit_takes_one_pass_per_step(stack, small_domain):
+    # on the periodic orbit the solution is smooth on the dt scale: past the
+    # predictor's ramp, its start is within the step tolerance
+    if stack == "micro":
+        system = make_micro(small_domain, law=("sin",), dt=1e-3)
+    else:
+        system = make_two_scale(law=("sin",), dt=1e-3)
+    orbit = T.find_periodic(system)
+    traj = T.simulate(system, orbit.jumps[0], 1.0)
+    assert traj.newton_iters.mean() <= 1.05
 
 
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])
@@ -169,20 +215,20 @@ def test_linear_run_is_bit_identical_to_plain_steps(stack, cell8,
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])
 def test_step_from_an_unusable_result_is_a_plain_start(stack, cell8,
                                                         default_domain):
-    # a result of another dt, or one whose prior jumps extrapolate to a
-    # non-finite start, gives exactly the step from its jump
+    # a result of another dt, or one whose oldest held jump extrapolates to
+    # a non-finite start, gives exactly the step from its jump
     system, w0 = _default_dt_system(stack, "sin", {}, cell8, default_domain, 9)
     dt = system.params.dt
     res = w0
-    for n in range(3):
-        res = system.stepper.step((n + 1) * dt, res, dt)
-    assert len(res.prior) == 2
-    bad = res.prior[1].copy()
+    for n in range(1, PREDICTOR_ORDER):
+        res = system.stepper.step(n * dt, res, dt)
+    assert len(res.prior) == PREDICTOR_ORDER - 1
+    bad = res.prior[-1].copy()
     bad[5] = np.nan
     for prev, step_dt in [(res, 2 * dt), (replace(res, dt=dt / 2), dt),
-                          (replace(res, prior=(res.prior[0], bad)), dt)]:
-        got = system.stepper.step(3 * dt + step_dt, prev, step_dt)
-        want = system.stepper.step(3 * dt + step_dt, res.jump.copy(),
+                          (replace(res, prior=res.prior[:-1] + (bad,)), dt)]:
+        got = system.stepper.step(n * dt + step_dt, prev, step_dt)
+        want = system.stepper.step(n * dt + step_dt, res.jump.copy(),
                                    step_dt)
         assert np.array_equal(got.jump, want.jump)
         assert got.history == want.history

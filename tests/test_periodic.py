@@ -87,6 +87,14 @@ def test_picard_defects_nonincreasing(small_domain):
     assert all(b <= a * (1 + 1e-9) for a, b in zip(defects, defects[1:]))
 
 
+@pytest.mark.parametrize("kw", [{"max_iters": 0}, {"max_iters": -1},
+                                {"tol": 0.0}, {"tol": -1.0},
+                                {"tol": float("nan")}])
+def test_find_periodic_rejects_bad_arguments(kw, micro_sin_small):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        find_periodic(micro_sin_small, **kw)
+
+
 class _SlowPeriodMap:
     """Stub system whose period map contracts by ``q`` toward a fixed point,
     in two steps of the stub stepper."""

@@ -15,8 +15,9 @@ CPU time (``time.process_time``) of:
 
 - set-up: ``TwoScaleSystem`` construction;
 - first step: the first step, which builds the stepper's frozen factor;
-- step: the mean of the next 20 steps, each continuing from the previous
-  step's result as ``simulate`` does (an extrapolated start);
+- step: the mean of 20 steps after the first ``PREDICTOR_ORDER`` (the
+  predictor's ramp, untimed), each continuing from the previous step's
+  result as ``simulate`` does (an extrapolated start);
 - passes per step: the mean chord passes of those 20 steps;
 - ``state_at``: the mean of one state rebuild at each of those 20 steps;
 
@@ -55,6 +56,7 @@ def measure(res: int) -> dict:
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from tissue.config import finalize_config
+    from tissue.membrane import PREDICTOR_ORDER
     from tissue.twoscale import TwoScaleSystem, initial_two_scale_jump
 
     cfg = finalize_config({"macro.resolution": res})
@@ -73,17 +75,21 @@ def measure(res: int) -> dict:
         t2 = time.process_time()
         last = system.stepper.step(dt, w, dt)
         t3 = time.process_time()
+        for n in range(2, PREDICTOR_ORDER + 1):    # the predictor's ramp
+            last = system.stepper.step(n * dt, last, dt)
+        first_timed = PREDICTOR_ORDER + 1
+        t4 = time.process_time()
         results = []
-        for n in range(2, STEPS + 2):
+        for n in range(first_timed, first_timed + STEPS):
             last = system.stepper.step(n * dt, last, dt)
             results.append(last)
-        t4 = time.process_time()
-        for n, step_res in enumerate(results, start=2):
-            system.state_at(n * dt, step_res.jump)
         t5 = time.process_time()
+        for n, step_res in enumerate(results, start=first_timed):
+            system.state_at(n * dt, step_res.jump)
+        t6 = time.process_time()
         passes = sum(r.iterations for r in results) / STEPS
-        rows.append((t1 - t0, 1e3 * (t3 - t2), 1e3 * (t4 - t3) / STEPS,
-                     passes, 1e3 * (t5 - t4) / STEPS))
+        rows.append((t1 - t0, 1e3 * (t3 - t2), 1e3 * (t5 - t4) / STEPS,
+                     passes, 1e3 * (t6 - t5) / STEPS))
         # free this system before the next one is built, so that the peak
         # RSS is that of one system
         n_w = system.n_w
