@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"{name} (CSV columns: {_CSV_DOC[name]})")
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive(int), default=1,
                        help="worker threads (compare fan-out only)")
         if name == "periodic":
             p.add_argument("--method", choices=("picard", "delta"),

@@ -185,11 +185,6 @@ def finalize_config(values: dict, source: Optional[str] = None) -> RunConfig:
     for key, val in full.items():
         _validated(key, val)
 
-    inv = 1.0 / full["geometry.epsilon"]
-    if abs(inv - round(inv)) > 1e-9:
-        raise ConfigError(
-            f"field geometry.epsilon = {full['geometry.epsilon']}: 1/epsilon "
-            "must be an integer so the tiling closes", exit_code=3)
     am = full["geometry.inclusion_margin"] * full["geometry.cell_resolution"]
     if abs(am - round(am)) > 1e-9:
         raise ConfigError(
@@ -207,11 +202,19 @@ def finalize_config(values: dict, source: Optional[str] = None) -> RunConfig:
     # surface geometry construction problems as validation errors
     try:
         cell = cfg.build_cell()
-        cfg.build_domain(cell)
         cfg.build_conductivity(cell)
         cfg.build_law()
         cfg.build_drive()
         cfg.build_params()
     except (GeometryError, NonlinearityError, ValueError) as exc:
         raise ConfigError(f"configuration rejected: {exc}", exit_code=3) from exc
+    # every cell size a run tiles must close the tiling under the cell cap
+    tiled = [("geometry.epsilon", full["geometry.epsilon"])]
+    tiled += [("compare.epsilons", eps) for eps in full["compare.epsilons"]]
+    for key, eps in tiled:
+        try:
+            cfg.build_domain(cell, epsilon=eps)
+        except GeometryError as exc:
+            raise ConfigError(f"field {key} = {eps} rejected: {exc}",
+                              exit_code=3) from exc
     return cfg

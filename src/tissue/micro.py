@@ -5,11 +5,13 @@ Finite volumes on the fitted grid.  Bulk unknowns are cell averages; each
 membrane facet carries a jump unknown and its two trace values follow from
 the facet-local flux-continuity elimination, which keeps the bulk operator
 symmetric positive definite.  Time stepping is backward Euler on the jump
-vector, iterated by the shared stepper.  The bulk stays a sparse operator:
-a factor of the stepper's matrix condenses the membrane diagonal into
-series face conductances, which keeps the sparsity pattern of the bulk
-operator, so one sparse factorization of bulk size solves it; the jump
-update follows facet by facet.  No facet-sized dense matrix is formed.
+vector, iterated by the shared stepper.  The bulk stays a sparse operator
+with one assembly, ``BulkOperator.matrix``, from a vector of face
+conductances: the bulk matrix is that assembly at the face conductances,
+and a factor of the stepper's matrix is the same assembly with the
+membrane diagonal condensed into series face conductances, so one sparse
+factorization of bulk size solves it; the jump update follows facet by
+facet.  No facet-sized dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -53,45 +55,35 @@ class BulkOperator:
         faces = domain.faces
         facets = domain.facets
 
-        k_face = cond.on_faces(domain.inside, faces) * s_face / h
-
-        rows, cols, vals = [], [], []
-        a, b = faces.cell_a, faces.cell_b
-        rows += [a, b, a, b]
-        cols += [a, b, b, a]
-        vals += [k_face, k_face, -k_face, -k_face]
-
-        bnd = domain.boundary
-        k_bnd = 2.0 * cond.sigma_out * s_face / h
-        rows.append(bnd.cell)
-        cols.append(bnd.cell)
-        vals.append(np.full(len(bnd), k_bnd))
-
-        n = domain.n_cells
-        self.A = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsc()
+        self.k_face = cond.on_faces(domain.inside, faces) * s_face / h
+        self.k_boundary = 2.0 * cond.sigma_out * s_face / h
+        self.A = self.matrix(self.k_face)
+        # minimum degree on A^T + A (A is symmetric) fills about half as
+        # much as the default COLAMD
+        self.lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A")
 
         # jump coupling: -k on the inner-cell row, +k on the outer-cell row;
         # the geometry enumerates membrane faces in facet order
-        self.k_facet = k_face[faces.membrane]
+        self.k_facet = self.k_face[faces.membrane]
         nf = len(facets)
         self.B = sp.coo_matrix(
             (np.concatenate([-self.k_facet, self.k_facet]),
              (np.concatenate([facets.inner_cell, facets.outer_cell]),
               np.concatenate([np.arange(nf), np.arange(nf)]))),
-            shape=(n, nf)).tocsc()
+            shape=(domain.n_cells, nf)).tocsc()
 
-        self.k_boundary = k_bnd
-        self._lu = None
-
-    @property
-    def lu(self):
-        if self._lu is None:
-            # minimum degree on A^T + A (A is symmetric) fills about half as
-            # much as the default COLAMD
-            self._lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A")
-        return self._lu
+    def matrix(self, k_face: np.ndarray) -> sp.csc_matrix:
+        """The bulk matrix with face conductances ``k_face`` (one per
+        interior face) and the Dirichlet boundary conductance."""
+        a, b = self.domain.faces.cell_a, self.domain.faces.cell_b
+        bnd = self.domain.boundary.cell
+        n = self.domain.n_cells
+        return sp.coo_matrix(
+            (np.concatenate([k_face, k_face, -k_face, -k_face,
+                             np.full(len(bnd), self.k_boundary)]),
+             (np.concatenate([a, b, a, b, bnd]),
+              np.concatenate([a, b, b, a, bnd]))),
+            shape=(n, n)).tocsc()
 
     def lift(self, w: np.ndarray) -> np.ndarray:
         """Bulk field of the jump vector ``w`` at zero boundary data."""
@@ -140,9 +132,9 @@ class SeriesFlux:
 
     The response is R = diag(k) - B^T A^-1 B for the membrane face
     conductances k.  Eliminating the jump from a system with the pass matrix
-    diag(d) + R leaves A - B diag(1/(d + k)) B^T on the bulk unknowns: A
-    with each membrane face's conductance k replaced by the series value
-    k d / (k + d), so it keeps A's sparsity pattern.
+    diag(d) + R leaves A - B diag(1/(d + k)) B^T on the bulk unknowns: the
+    bulk assembly ``op.matrix`` with each membrane face's conductance k
+    replaced by the series value k d / (k + d).
     """
 
     def __init__(self, op: BulkOperator, weights: np.ndarray,
@@ -150,62 +142,36 @@ class SeriesFlux:
         self.op = op
         self.weights = weights
         self.load = load
-        # every pass matrix has A's pattern, so A's fill-reducing order
-        # serves them all: they are assembled in that order and factored
-        # without a new ordering
-        new = op.lu.perm_c                     # position of each cell
-        old = np.argsort(new)                  # cell at each position
-        self._base = op.A[old][:, old].tocsc()
-        self._base.sort_indices()
-        self._coupling = op.B[old].tocsc()
         self._bt = op.B.T.tocsr()
-        f = op.domain.facets
-        self._inner, self._outer = new[f.inner_cell], new[f.outer_cell]
-        # positions of each membrane face's four entries in the data array
-        n = self._base.shape[0]
-        col = np.repeat(np.arange(n), np.diff(self._base.indptr))
-        keys = col * n + self._base.indices
-
-        def pos(i, j):
-            return np.searchsorted(keys, j * n + i)
-
-        self._diag = np.concatenate([pos(self._inner, self._inner),
-                                     pos(self._outer, self._outer)])
-        self._off = np.concatenate([pos(self._inner, self._outer),
-                                    pos(self._outer, self._inner)])
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         return self.op.k_facet * w - self._bt @ self.op.lift(w)
 
     def factor(self, d: np.ndarray) -> "_SeriesFactor":
-        return _SeriesFactor(self, d)
+        return _SeriesFactor(self.op, d)
 
 
 class _SeriesFactor:
-    def __init__(self, flux: SeriesFlux, d: np.ndarray):
-        k = flux.op.k_facet
-        base = flux._base
-        self.flux = flux
+    def __init__(self, op: BulkOperator, d: np.ndarray):
+        k = op.k_facet
+        self.op = op
         self.denom = d + k
-        data = base.data.copy()
-        # a corner cell touches two membrane faces: np.add.at accumulates
-        # both updates of its diagonal, a fancy-indexed += keeps only one
-        np.add.at(data, flux._diag, np.tile(-k * k / self.denom, 2))
-        data[flux._off] = np.tile(-k * d / self.denom, 2)
-        mat = sp.csc_matrix((data, base.indices, base.indptr),
-                            shape=base.shape)
+        k_face = op.k_face.copy()
+        k_face[op.domain.faces.membrane] = k * d / self.denom
         try:
             # single-column supernodes: larger relaxed supernodes and
             # panels cost more than they save on these 2D grid matrices
-            self.lu = spla.splu(mat, permc_spec="NATURAL", relax=1,
+            self.lu = spla.splu(op.matrix(k_face),
+                                permc_spec="MMD_AT_PLUS_A", relax=1,
                                 panel_size=1)
         except RuntimeError as exc:     # SuperLU: exactly singular
             raise np.linalg.LinAlgError(str(exc)) from exc
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        fl = self.flux
-        u = self.lu.solve(fl._coupling @ (r / self.denom))
-        return (r + fl.op.k_facet * (u[fl._outer] - u[fl._inner])) / self.denom
+        op, f = self.op, self.op.domain.facets
+        u = self.lu.solve(op.B @ (r / self.denom))
+        du = u[f.outer_cell] - u[f.inner_cell]
+        return (r + op.k_facet * du) / self.denom
 
 
 def elliptic_solve_given_jump(op: BulkOperator, w: np.ndarray,

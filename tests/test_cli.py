@@ -56,6 +56,18 @@ def test_bad_epsilon_rejected(tmp_path):
     assert "epsilon" in str(err.value)
 
 
+@pytest.mark.parametrize("epsilons", ["0.5, 0.3", "0.5, 0.015625"])
+def test_compare_epsilons_must_tile(tmp_path, capsys, epsilons):
+    # an entry whose tiling does not close, or exceeds the cell cap, is out
+    # of range before any run starts, not a solver failure after the first
+    cfg = write_cfg(tmp_path, "init.kind = modulated\n"
+                              f"compare.epsilons = {epsilons}\n")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "compare.epsilons" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_error_reports_line(tmp_path):
     p = write_cfg(tmp_path, "geometry.epsilon 0.5\n")
     with pytest.raises(ConfigError) as err:
@@ -273,7 +285,8 @@ def test_solver_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--max-iters", "0"), ("--max-iters", "-3"), ("--max-iters", "2.5"),
-    ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "x")])
+    ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "x"),
+    ("--threads", "0"), ("--threads", "-3")])
 def test_periodic_rejects_bad_flag_values_as_usage_errors(tmp_path, capsys,
                                                           flag, value):
     # argparse's usage error, before any solver runs, not a solver failure

@@ -414,12 +414,21 @@ def test_series_shifted_retry_matches_dense_response(small_domain):
     assert steps_agree(*steppers, w0, 0.05).used_shift
 
 
-def test_sixteenth_cell_size_takes_a_sparse_sin_step(cell8):
-    # 4096 facets: a dense facet-sized lift would take 0.54 GB
-    dom = T.tile_domain(cell8, 1.0 / 16)
-    assert dom.n_facets == 4096
+@pytest.mark.parametrize("copies", [16, 32])
+def test_sixteenth_cell_size_takes_a_sparse_sin_step(cell8, copies):
+    # 4096 and 16384 facets (65536 cells at 1/32, the tiling's cell cap):
+    # a dense facet-sized lift would take 0.54 and 8.6 GB
+    dom = T.tile_domain(cell8, 1.0 / copies)
+    assert dom.n_facets == 16 * copies ** 2
     system = make_micro(dom, law=("sin",), dt=1e-3)
-    assert isinstance(system.flux_map, SeriesFlux)
+    flux = system.flux_map
+    assert isinstance(flux, SeriesFlux)
+    # a pass factor solves diag(d) + R to roundoff, R applied by the flux map
+    d = flux.weights * (system.stepper.rate_coeff / 1e-3 + 1.0 / dom.epsilon)
+    r = np.random.default_rng(36).normal(size=dom.n_facets)
+    x = flux.factor(d).solve(r)
+    res = np.max(np.abs(d * x + flux.apply(x) - r))
+    assert res <= 1e-12 * np.max(np.abs(r))
     w0 = initial_jump(dom, "random", 5.0, seed=35)
     res = system.stepper.step(1e-3, w0, 1e-3)
     assert res.iterations >= 1 and np.all(np.isfinite(res.jump))

@@ -11,7 +11,10 @@ Every run goes through ``tissue.cli.main`` with ``--threads 1``:
   (``OUT_DIR/modulated``): simulate, homogenize and compare;
 - the same in dimension 1 (``geometry.dimension = 1``,
   ``macro.dimension = 1``; ``OUT_DIR/dim1``): simulate, periodic, decay,
-  homogenize, compare and verify.
+  homogenize, compare and verify;
+- the largest resolved grid, ``geometry.epsilon = 0.03125`` (16,384
+  facets, the tiling's 65,536-cell cap) with ``time.horizon = 0.01``
+  (``OUT_DIR/fine``): simulate.
 
 Prints each subcommand's exit code, then one ``sha256  path`` line per file
 under OUT_DIR, sorted by path.  A refactor that must leave the artifacts
@@ -34,6 +37,7 @@ CONFIGS = {
     "modulated": "init.kind = modulated\ntime.horizon = 2.0\n",
     "dim1": "geometry.dimension = 1\nmacro.dimension = 1\n"
             "init.kind = modulated\ntime.horizon = 2.0\n",
+    "fine": "geometry.epsilon = 0.03125\ntime.horizon = 0.01\n",
 }
 
 # (config, output directory, subcommand and its extra arguments)
@@ -54,6 +58,7 @@ RUNS = [
     ("dim1", "dim1", ["homogenize"]),
     ("dim1", "dim1", ["compare"]),
     ("dim1", "dim1", ["verify"]),
+    ("fine", "fine", ["simulate"]),
 ]
 
 
