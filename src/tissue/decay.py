@@ -37,7 +37,9 @@ class DecayReport:
     """Per-sample gap norms between a trajectory and the periodic orbit.
 
     ``columns`` maps each name that the system's ``gap_norms`` returns to
-    its series, in that order.  ``max_mean_defect`` is the largest
+    its series, in that order.  ``fit_samples`` is the number of leading
+    samples above the orbit's accuracy floor, the series whose trailing
+    window the rate is fitted to.  ``max_mean_defect`` is the largest
     corrector mean defect of a two-scale run (see
     ``twoscale.two_scale_decay_metrics``); None otherwise.
     """
@@ -45,6 +47,7 @@ class DecayReport:
     ts: np.ndarray
     columns: dict
     fit: RateFit
+    fit_samples: int
     lyapunov_monotone: bool
     max_mean_defect: Optional[float] = None
 
@@ -53,6 +56,7 @@ class DecayReport:
             "rate": self.fit.rate,
             "r_squared": self.fit.r_squared,
             "classification": self.fit.classification,
+            "fit_samples": self.fit_samples,
             "lyapunov_monotone": self.lyapunov_monotone,
             "final_over_initial": _ratios(
                 {k: v for k, v in self.columns.items()
@@ -77,7 +81,10 @@ def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
 
     Both must live on the same grid and time step; the orbit is wrapped in
     time.  The rate is fitted to ``norm_jump``, and ``lyapunov`` must not
-    increase.
+    increase.  A gap within 100 times the orbit's defect measures the
+    orbit's error, not the decay: the fit ends before the first such
+    sample, and with fewer than three samples left it reports
+    ``reached_floor``.
     """
     system = traj.system
     dt = system.params.dt
@@ -89,10 +96,17 @@ def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
             for t, w in zip(traj.ts, traj.jumps)]
     cols = {name: np.array([row[name] for row in rows]) for name in rows[0]}
     sample_dt = float(traj.ts[1] - traj.ts[0]) if len(rows) > 1 else dt
-    fit = fit_rate(cols["norm_jump"], window=0.4, dt=sample_dt)
+    gaps = cols["norm_jump"]
+    floored = np.flatnonzero(gaps <= 100.0 * orbit.defect)
+    n_fit = int(floored[0]) if floored.size else gaps.size
+    if floored.size and n_fit < 3:
+        fit = RateFit(rate=None, r_squared=None,
+                      classification="reached_floor")
+    else:
+        fit = fit_rate(gaps[:n_fit], window=0.4, dt=sample_dt)
     monotone = bool(np.all(np.diff(cols["lyapunov"]) <= 1e-10))
     return DecayReport(ts=traj.ts.copy(), columns=cols, fit=fit,
-                       lyapunov_monotone=monotone)
+                       fit_samples=n_fit, lyapunov_monotone=monotone)
 
 
 @dataclass

@@ -46,8 +46,10 @@ class NewtonError(TissueError):
 class FixedPointError(TissueError):
     """Periodic fixed-point iteration exceeded its budget.
 
-    Carries the defect sequence; a non-monotone sequence indicates a solver
-    bug, not a convergence failure.
+    Carries the defect sequence.  The accelerated iteration's defects need
+    not decrease, but a rise is followed by a damped Picard step, whose
+    defect is no larger for a nonexpansive period map; a rise that persists
+    beyond roundoff indicates a solver bug, not a convergence failure.
     """
 
     def __init__(self, message: str, defects=None):

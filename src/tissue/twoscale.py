@@ -523,7 +523,8 @@ def _mean_defects(traj: Trajectory) -> np.ndarray:
 def find_periodic_two_scale(system: TwoScaleSystem, tol: float = 1e-8,
                             max_iters: int = 500, method: str = "picard",
                             deltas: Sequence[float] = (1e-1, 1e-2, 1e-3)):
-    """Periodic two-scale orbit by Picard or by the vanishing-shift route."""
+    """Periodic two-scale orbit by ``find_periodic`` (method "picard") or
+    by the vanishing-shift route."""
     if method == "picard":
         return find_periodic(system, tol=tol, max_iters=max_iters)
     if method == "delta":

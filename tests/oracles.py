@@ -6,6 +6,8 @@ and Schur elimination paths.  The exception is ``dense_two_scale``: it
 starts from the production sample matrix (checked against loops by
 ``test_bulk_hessian_matches_dense_loops``) and eliminates the whole stacked
 (macro, corrector) block at once, independent of the per-node condensation.
+``picard_orbit`` is the plain damped Picard iteration on the production
+period map, the reference for the accelerated orbit solver.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from tissue.errors import FixedPointError
+from tissue.membrane import simulate
+from tissue.periodic import PeriodicOrbit, poincare_map
 
 
 def face_coefficient(dom, cond, face_idx: int) -> float:
@@ -420,3 +426,33 @@ def poincare_constant(system) -> float:
     den = g.T @ g + np.diag(system.weights)
     lam = scipy.linalg.eigh(num, den, eigvals_only=True)[-1]
     return float(np.sqrt(max(lam, 0.0)))
+
+
+def picard_orbit(system, tol: float = 1e-8, max_iters: int = 500,
+                 theta: float = 1.0, w0=None):
+    """Periodic orbit by plain damped Picard iteration on the period map.
+
+    Iterates w <- (1 - theta) w + theta P(w) until |P(w) - w| <= tol, with
+    the production loop's stall rule (theta halves at most once per 20
+    iterations while the defect drops by less than 0.1% over the last 20),
+    then runs the converged period again to record the orbit.  Raises
+    ``FixedPointError`` with the defects when ``max_iters`` runs out.
+    """
+    w = np.zeros(system.weights.size) if w0 is None else w0.copy()
+    defects = []
+    window_start = 0
+    for it in range(max_iters):
+        pw = poincare_map(system, w)
+        defect = system.jump_norm(pw - w)
+        defects.append(defect)
+        if defect <= tol:
+            return PeriodicOrbit(jumps=simulate(system, w, 1.0).jumps,
+                                 dt=system.params.dt, defect=defect,
+                                 method="picard", iterations=it + 1)
+        if it - window_start >= 20 and defects[-1] > 0.999 * defects[-21]:
+            theta = max(theta / 2.0, 1.0 / 64.0)
+            window_start = it
+        w = (1.0 - theta) * w + theta * pw
+    raise FixedPointError(
+        f"no periodic orbit within {max_iters} iterations "
+        f"(last defect {defects[-1]:.3e})", defects=defects)

@@ -45,6 +45,54 @@ def test_fit_rate_two_samples_are_too_few():
     assert fit.classification == "too_few_samples"
 
 
+class _GapSystem:
+    """Stub system whose gap norms are the plain gaps of one-entry jumps."""
+
+    params = T.SolverParams(dt=0.5)
+
+    def gap_norms(self, w, w_orbit):
+        gap = float(abs(w[0] - w_orbit[0]))
+        return {"norm_jump": gap, "lyapunov": gap * gap}
+
+
+def _stub_decay(series, defect):
+    """``decay_metrics`` of a trajectory whose jump gaps are ``series``,
+    against a zero orbit with the given defect."""
+    n = len(series)
+    traj = T.Trajectory(system=_GapSystem(), ts=0.5 * np.arange(n),
+                        jumps=np.asarray(series, dtype=float)[:, None],
+                        stride=1, newton_iters=np.zeros(0, dtype=int),
+                        used_shift=np.zeros(0, dtype=bool),
+                        factorizations=np.zeros(0, dtype=int),
+                        balance_residuals=np.zeros(0))
+    orbit = T.PeriodicOrbit(jumps=np.zeros((3, 1)), dt=0.5, defect=defect,
+                            method="picard", iterations=1)
+    return decay_metrics(traj, orbit)
+
+
+def test_decay_fit_ends_at_the_orbit_accuracy_floor():
+    # halving gaps until they meet a noisy floor at the orbit's defect
+    rng = np.random.default_rng(7)
+    series = np.concatenate([0.5 ** np.arange(30),
+                             1e-9 * rng.uniform(1.0, 3.0, 20)])
+    rep = _stub_decay(series, defect=1e-9)
+    # 0.5**24 = 6.0e-8 is the first gap within 100 times the defect
+    assert rep.fit_samples == 24
+    assert rep.as_dict()["fit_samples"] == 24
+    assert rep.fit.rate == pytest.approx(np.log(0.5) / 0.5, rel=1e-12)
+    assert rep.fit.classification == "exponential"
+    # a floor in the window would flatten the fit
+    assert fit_rate(series, dt=0.5).classification != "exponential"
+    rep = _stub_decay([1.0, 1e-3, 1e-6, 2e-9, 1e-9], defect=1e-9)
+    assert rep.fit_samples == 3
+    assert rep.fit.rate == pytest.approx(np.log(1e-3) / 0.5, rel=1e-12)
+    # two samples above the floor leave nothing to fit
+    rep = _stub_decay([1.0, 0.1, 5e-8, 1e-9], defect=1e-9)
+    assert rep.fit_samples == 2
+    assert rep.fit.rate is None
+    assert rep.fit.classification == "reached_floor"
+
+
 def test_trajectory_started_on_orbit_stays(small_domain):
     system = make_micro(small_domain, law=("sin",))
     orbit = find_periodic(system, tol=1e-10)
@@ -203,7 +251,7 @@ def test_resolved_decay_report_keys(small_domain):
                                     "lyapunov", "secant_min", "secant_max"]
     assert report.max_mean_defect is None
     out = report.as_dict()
-    assert set(out) == {"rate", "r_squared", "classification",
+    assert set(out) == {"rate", "r_squared", "classification", "fit_samples",
                         "lyapunov_monotone", "final_over_initial"}
     assert set(out["final_over_initial"]) == {"norm_l2", "norm_grad",
                                               "norm_jump"}

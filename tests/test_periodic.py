@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +16,8 @@ from tissue.periodic import (find_periodic, find_periodic_regularized,
                              verify_energy_estimates)
 
 from conftest import make_micro
-from oracles import DenseLinearStepper
+from oracles import DenseLinearStepper, picard_orbit
+from test_twoscale import make_two_scale
 
 
 def test_constant_drive_zero_jump_invariant(small_domain):
@@ -78,13 +84,36 @@ def test_constant_drive_constant_orbit(small_domain):
     assert np.max(np.abs(u - 1.5)) < 1e-10
 
 
-def test_picard_defects_nonincreasing(small_domain):
-    system = make_micro(small_domain, law=("sin",))
+def _record_maps(monkeypatch):
+    """Record the start and the end jump of every period that
+    ``find_periodic`` runs."""
+    starts, ends = [], []
+
+    def recording(system, w0, horizon, stride=1):
+        traj = simulate(system, w0, horizon, stride)
+        starts.append(np.array(w0))
+        ends.append(traj.jumps[-1].copy())
+        return traj
+    monkeypatch.setattr("tissue.periodic.simulate", recording)
+    return starts, ends
+
+
+def test_defect_increase_clears_the_history(small_domain, monkeypatch):
+    # near roundoff the cubic orbit's defect rises; each rise must empty the
+    # history, so the next iterate is the plain Picard step w + (P(w) - w)
+    system = make_micro(small_domain, law=("cubic",))
+    starts, ends = _record_maps(monkeypatch)
     with pytest.raises(FixedPointError) as err:
-        find_periodic(system, tol=1e-16, max_iters=8)
-    defects = err.value.defects
-    assert len(defects) == 8
-    assert all(b <= a * (1 + 1e-9) for a, b in zip(defects, defects[1:]))
+        find_periodic(system, tol=1e-30, max_iters=14)
+    d = err.value.defects
+    assert len(d) == len(starts) == 14
+    picard = [np.array_equal(starts[k + 1], starts[k] + (ends[k] - starts[k]))
+              for k in range(13)]
+    rises = [k for k in range(1, 13) if d[k] > d[k - 1]]
+    assert rises
+    assert all(picard[k] for k in rises)
+    # the first step has no history; the steps after a fall are accelerated
+    assert picard[0] and not all(picard)
 
 
 @pytest.mark.parametrize("kw", [{"max_iters": 0}, {"max_iters": -1},
@@ -95,38 +124,121 @@ def test_find_periodic_rejects_bad_arguments(kw, micro_sin_small):
         find_periodic(micro_sin_small, **kw)
 
 
-class _SlowPeriodMap:
-    """Stub system whose period map contracts by ``q`` toward a fixed point,
-    in two steps of the stub stepper."""
+class _DriftingPeriodMap:
+    """Stub system whose period map, two steps of the stub stepper, shifts
+    the jump by ``drift``: it has no fixed point, so every iteration
+    stalls.  All values are dyadic, so the defect is ``drift`` exactly and
+    the differences of defects the mixing fits are zero."""
 
     weights = np.ones(3)
     params = T.SolverParams(dt=0.5)
-    target = np.array([1.0, -2.0, 0.5])
+    drift = np.array([1.0, -2.0, 0.5])
 
-    def __init__(self, q):
-        self.per_step = np.sqrt(q)
+    def __init__(self):
         self.stepper = self
+        self.starts = []
 
     def step(self, t_next, w_prev, dt):
         # simulate hands on the previous step's result
         w_prev = getattr(w_prev, "jump", w_prev)
-        w = self.target + self.per_step * (w_prev - self.target)
-        return StepResult(jump=w, iterations=1, residual=0.0,
-                          used_shift=False, balance=0.0)
+        if t_next == dt:
+            self.starts.append(w_prev)
+        return StepResult(jump=w_prev + 0.5 * self.drift, iterations=1,
+                          residual=0.0, used_shift=False, balance=0.0)
 
     def jump_norm(self, w):
         return float(np.sqrt(np.sum(self.weights * w * w)))
 
 
-def test_stalled_picard_halves_damping_once_per_window():
-    q = 1.0 - 1e-5     # the defect falls by under 0.1% per 20 iterations
+def test_stalled_iteration_halves_damping_once_per_window():
+    stub = _DriftingPeriodMap()
     with pytest.raises(FixedPointError) as err:
-        find_periodic(_SlowPeriodMap(q), tol=1e-12, max_iters=65)
-    d = np.asarray(err.value.defects)
-    # a Picard step with damping theta scales the defect by 1 - theta (1 - q)
-    thetas = (1.0 - d[1:] / d[:-1]) / (1.0 - q)
+        find_periodic(stub, tol=1e-12, max_iters=65)
+    assert err.value.defects == [stub.jump_norm(stub.drift)] * 65
+    # an iteration with damping theta moves the iterate by theta * drift
+    thetas = np.diff(stub.starts, axis=0) / stub.drift
     expected = np.repeat([1.0, 0.5, 0.25, 0.125], [20, 20, 20, 4])
-    assert np.allclose(thetas, expected, rtol=1e-3)
+    assert np.array_equal(thetas, np.tile(expected[:, None], 3))
+
+
+LAWS = ("linear", "tanh", "sin", "cubic")
+
+
+@pytest.mark.parametrize("stack,law,kw", [
+    *[("resolved", law, {}) for law in LAWS],
+    *[("two_scale", law, {}) for law in LAWS],
+    # weakly coercive: the period map contracts slowly
+    ("resolved", "linear", {"cond": (0.05, 0.05), "kappa": 0.01}),
+])
+def test_accelerated_orbit_matches_picard_oracle(small_domain, stack, law, kw):
+    if stack == "resolved":
+        system = make_micro(small_domain, law=(law,), **kw)
+    else:
+        system = make_two_scale(law=(law,), **kw)
+    tol = 1e-9
+    orbit = find_periodic(system, tol=tol)
+    oracle = picard_orbit(system, tol=tol)
+    assert orbit.defect <= tol
+    assert orbit.iterations <= oracle.iterations
+    # a defect d leaves an iterate up to d / (1 - q) from the orbit of a map
+    # contracting by q, so the reference orbit is converged ten times tighter
+    oracle = picard_orbit(system, tol=tol / 10, w0=oracle.jumps[0])
+    gap = max(system.jump_norm(a - b)
+              for a, b in zip(orbit.jumps, oracle.jumps))
+    assert gap <= 10 * tol
+
+
+class _CountingSystem:
+    """A system whose stepper counts the steps it takes."""
+
+    def __init__(self, system):
+        self.system = system
+        self.stepper = self
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(self.system, name)
+
+    def step(self, t_next, w_prev, dt):
+        self.steps += 1
+        return self.system.stepper.step(t_next, w_prev, dt)
+
+
+def test_converged_period_runs_once(micro_sin_small):
+    counting = _CountingSystem(micro_sin_small)
+    orbit = find_periodic(counting, tol=1e-9)
+    assert orbit.iterations > 1
+    assert counting.steps == orbit.iterations * orbit.steps_per_period
+
+
+_ORBIT_BITS = """
+import hashlib
+import tissue as T
+from tissue.periodic import find_periodic
+cell = T.build_cell_geometry(0.25, 8)
+system = T.TwoScaleSystem(cell, T.make_conductivity(cell, 2.0, 1.0),
+                          T.make_nonlinearity("sin"), T.make_boundary_data(),
+                          T.SolverParams(dt=1e-2), macro_res=8)
+orbit = find_periodic(system, tol=1e-10)
+print(orbit.iterations, hashlib.sha256(orbit.jumps.tobytes()).hexdigest())
+"""
+
+
+def test_orbit_bits_do_not_depend_on_the_blas_thread_count():
+    # the mixing's least-squares solve goes through LAPACK; artifacts are
+    # byte-identical run to run, so its roundoff must not follow the threads
+    src = Path(T.__file__).resolve().parents[1]
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               **{name: threads for name in ("OPENBLAS_NUM_THREADS",
+                                             "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS")}}
+        out = subprocess.run([sys.executable, "-c", _ORBIT_BITS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_orbit_time_shift_consistency(small_domain):

@@ -534,8 +534,8 @@ def test_decay_metrics_serves_two_scale_runs():
     assert plain.lyapunov_monotone == full.lyapunov_monotone
     assert plain.max_mean_defect is None
     assert 0.0 <= full.max_mean_defect <= 1e-12
-    keys = {"rate", "r_squared", "classification", "lyapunov_monotone",
-            "final_over_initial"}
+    keys = {"rate", "r_squared", "classification", "fit_samples",
+            "lyapunov_monotone", "final_over_initial"}
     assert set(plain.as_dict()) == keys
     assert set(full.as_dict()) == keys | {"max_mean_defect"}
     assert set(full.as_dict()["final_over_initial"]) == set(names[:4])

@@ -12,6 +12,10 @@ Every run goes through ``tissue.cli.main`` with ``--threads 1``:
 - the same in dimension 1 (``geometry.dimension = 1``,
   ``macro.dimension = 1``; ``OUT_DIR/dim1``): simulate, periodic, decay,
   homogenize, compare and verify;
+- the weakly coercive linear law (``f.kind = linear``, ``f.kappa = 0.01``,
+  both conductivities 0.05, ``time.dt = 0.01``, ``time.horizon = 2.0``;
+  ``OUT_DIR/weak``), where the period map contracts slowly: periodic and
+  decay;
 - the largest resolved grid, ``geometry.epsilon = 0.03125`` (16,384
   facets, the tiling's 65,536-cell cap) with ``time.horizon = 0.01``
   (``OUT_DIR/fine``): simulate.
@@ -37,6 +41,8 @@ CONFIGS = {
     "modulated": "init.kind = modulated\ntime.horizon = 2.0\n",
     "dim1": "geometry.dimension = 1\nmacro.dimension = 1\n"
             "init.kind = modulated\ntime.horizon = 2.0\n",
+    "weak": "f.kind = linear\nf.kappa = 0.01\nconductivity.sigma_int = 0.05\n"
+            "conductivity.sigma_out = 0.05\ntime.dt = 0.01\ntime.horizon = 2.0\n",
     "fine": "geometry.epsilon = 0.03125\ntime.horizon = 0.01\n",
 }
 
@@ -58,6 +64,8 @@ RUNS = [
     ("dim1", "dim1", ["homogenize"]),
     ("dim1", "dim1", ["compare"]),
     ("dim1", "dim1", ["verify"]),
+    ("weak", "weak", ["periodic"]),
+    ("weak", "weak", ["decay"]),
     ("fine", "fine", ["simulate"]),
 ]
 
