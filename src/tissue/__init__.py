@@ -11,8 +11,8 @@ from .geometry import (CellGeometry, Conductivity, EpsilonDomain,
                        build_cell_geometry, make_conductivity,
                        mean_conductivity, tile_domain)
 from .membrane import SolverParams, Trajectory, simulate, step
-from .nonlinearity import (BoundaryData, Nonlinearity, fit_growth_constants,
-                           make_boundary_data, make_nonlinearity, regularize)
+from .nonlinearity import (BoundaryData, Nonlinearity, make_boundary_data,
+                           make_nonlinearity, regularize)
 from .micro import (BulkOperator, MicroState, MicroSystem, difference_state,
                     dissipation_identity, elliptic_solve_given_jump,
                     initial_jump)

@@ -1,55 +1,49 @@
 """Membrane current-voltage laws and their structural certificates.
 
 A membrane law must be C^1, strictly increasing with value 0 at 0, and carry
-a lower growth bound ``f(s) s >= growth_quad * s^2 - growth_abs * |s|``.
-Certificates are verified by dense sampling on a bounded range and, for the
-built-in family, by analytic flags.  The built-ins:
+a lower growth bound ``f(s) s >= q s^2 - a |s|`` (``growth_quad`` q,
+``growth_abs`` a).  Each built-in declares its certificate in closed form
+next to its formula, as a function of kappa:
 
-``linear``   kappa * s
-``tanh``     kappa * s + tanh(s)        (coercive)
-``sin``      s + sin(s)                 (monotone but not coercive)
-``cubic``    s^3 + s
+``linear``   kappa * s              q = kappa        slope >= kappa
+``tanh``     kappa * s + tanh(s)    q = kappa        slope >= kappa
+``sin``      s + sin(s)             q = 1 + cos(s*)  no slope bound
+``cubic``    s^3 + s                q = 1            slope >= 1
+
+Every built-in has growth_abs = 0.  ``sin`` is monotone but not coercive:
+its secant f(s)/s = 1 + sin(s)/s is smallest at s*, the first positive root
+of tan s = s, where sin(s*)/s* = cos(s*), and its slope 1 + cos(s) vanishes
+at every odd multiple of pi, so no threshold gives a positive tail slope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonlinearityError
 
-SLOPE_FLOOR = 1e-6          # smallest slope accepted as bounded away from zero
+SIN_SECANT_ARGMIN = 4.493409457909064   # s*: first positive root of tan s = s
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Sampled and analytic evidence for the structural assumptions."""
+    """Declared constants of the structural assumptions."""
 
-    monotone: bool
-    vanishes_at_zero: bool
     growth_quad: float                  # lower quadratic growth coefficient
     growth_abs: float                   # linear slack in the growth bound
     coercivity: Optional[float]         # global lower bound on the slope
     tail_slope_min: Optional[float]     # slope bound beyond the threshold
     tail_threshold: Optional[float]
-    sample_range: float
-    n_samples: int
 
-    def as_dict(self) -> dict:
-        return {
-            "monotone": self.monotone,
-            "vanishes_at_zero": self.vanishes_at_zero,
-            "growth_quad": self.growth_quad,
-            "growth_abs": self.growth_abs,
-            "coercivity": self.coercivity,
-            "tail_slope_min": self.tail_slope_min,
-            "tail_threshold": self.tail_threshold,
-            "sample_range": self.sample_range,
-            "n_samples": self.n_samples,
-        }
+
+def _coercive(slope: float) -> Certificate:
+    """Certificate of a law with f(s) s >= slope * s^2 and f' >= slope."""
+    return Certificate(growth_quad=slope, growth_abs=0.0, coercivity=slope,
+                       tail_slope_min=slope, tail_threshold=0.0)
 
 
 @dataclass(frozen=True)
@@ -83,115 +77,35 @@ class Nonlinearity:
         return self.linear_slope is not None
 
     def describe(self) -> dict:
-        out = {"kind": self.kind, "shift": self.shift}
-        out.update(self.certificate.as_dict())
-        return out
+        return {"kind": self.kind, "shift": self.shift,
+                **asdict(self.certificate)}
 
 
 _BUILTINS = {
     "linear": lambda kappa: (
         lambda s: kappa * np.asarray(s, dtype=float),
         lambda s: np.full_like(np.asarray(s, dtype=float), kappa),
-        kappa),
+        _coercive(kappa)),
     "tanh": lambda kappa: (
         lambda s: kappa * np.asarray(s, dtype=float) + np.tanh(s),
         lambda s: kappa + 1.0 / np.cosh(np.asarray(s, dtype=float)) ** 2,
-        kappa),
+        _coercive(kappa)),
     "sin": lambda kappa: (
         lambda s: np.asarray(s, dtype=float) + np.sin(s),
         lambda s: 1.0 + np.cos(np.asarray(s, dtype=float)),
-        None),
+        Certificate(growth_quad=1.0 + math.cos(SIN_SECANT_ARGMIN),
+                    growth_abs=0.0, coercivity=None, tail_slope_min=None,
+                    tail_threshold=None)),
     "cubic": lambda kappa: (
         lambda s: np.asarray(s, dtype=float) ** 3 + np.asarray(s, dtype=float),
         lambda s: 3.0 * np.asarray(s, dtype=float) ** 2 + 1.0,
-        1.0),
+        _coercive(1.0)),
 }
 
 
-def build_certificate(fn, deriv, s_max: float = 50.0, n_samples: int = 10001,
-                      coercivity: Optional[float] = None) -> Certificate:
-    """Sample the law on [-s_max, s_max] and verify the assumptions.
-
-    Raises if the law is not strictly increasing on the sample grid or does
-    not vanish at zero.  ``coercivity`` may be supplied analytically; when
-    omitted it is taken from the sampled slope minimum if that is bounded
-    away from zero.
-    """
-    s = np.linspace(-s_max, s_max, n_samples)
-    fs = np.asarray(fn(s), dtype=float)
-    dfs = np.asarray(deriv(s), dtype=float)
-
-    if not np.all(np.isfinite(fs)) or not np.all(np.isfinite(dfs)):
-        raise NonlinearityError("law evaluates to non-finite values on the range")
-    if np.any(dfs < -1e-12):
-        raise NonlinearityError("slope is negative on the sample range")
-    increments = np.diff(fs)
-    if np.any(increments <= 0.0):
-        raise NonlinearityError("strict monotonicity fails on the sample range")
-    f0 = float(np.asarray(fn(0.0)))
-    if f0 != 0.0:
-        raise NonlinearityError(f"law must vanish at zero, got f(0)={f0!r}")
-
-    growth_quad, growth_abs = fit_growth_constants(fn, s_max, n_samples)
-    tail_min, tail_thr = _tail_slope(s, dfs)
-    if coercivity is None:
-        sampled = float(dfs.min())
-        coercivity = sampled if sampled >= SLOPE_FLOOR else None
-    return Certificate(monotone=True, vanishes_at_zero=True,
-                       growth_quad=growth_quad, growth_abs=growth_abs,
-                       coercivity=coercivity, tail_slope_min=tail_min,
-                       tail_threshold=tail_thr, sample_range=s_max,
-                       n_samples=n_samples)
-
-
-def _tail_slope(s: np.ndarray, dfs: np.ndarray):
-    """Smallest sampled threshold beyond which the slope stays positive.
-
-    Returns (slope bound, threshold) or (None, None) when no threshold on
-    the sampled range gives a slope bounded away from zero; the certificate
-    then relies on strict monotonicity alone.
-    """
-    order = np.argsort(np.abs(s))
-    abs_sorted = np.abs(s)[order]
-    slope_sorted = dfs[order]
-    suffix_min = np.minimum.accumulate(slope_sorted[::-1])[::-1]
-    ok = suffix_min >= SLOPE_FLOOR
-    if not ok.any():
-        return None, None
-    k = int(np.argmax(ok))
-    return float(suffix_min[k]), float(abs_sorted[k])
-
-
-def fit_growth_constants(fn, s_max: float = 50.0,
-                         n_samples: int = 10001) -> tuple[float, float]:
-    """Fit the lower growth bound ``f(s) s >= q s^2 - a |s|`` on samples.
-
-    For a strictly increasing law vanishing at zero the secant ``f(s)/s`` is
-    positive wherever sampled, so the largest quadratic coefficient needing
-    no linear slack is ``min f(s)/s``; that pair (with zero slack) maximizes
-    the quadratic term first and then minimizes the slack, and is what the
-    energy estimates consume.
-    """
-    s = np.linspace(-s_max, s_max, n_samples)
-    s = s[np.abs(s) > 1e-9]
-    ratio = np.asarray(fn(s), dtype=float) / s
-    quad = float(ratio.min())
-    if not math.isfinite(quad) or quad <= 0.0:
-        raise NonlinearityError(
-            "no positive quadratic growth bound on the sample range; the law "
-            "is too flat for the required tail-slope behavior")
-    lin = 0.0
-    # defensive re-check of the fitted bound at every sample
-    if not np.all(fn(s) * s >= quad * s * s - lin * np.abs(s) - 1e-12):
-        raise NonlinearityError(
-            "fitted growth bound fails at a sample; the law does not "
-            "evaluate consistently")
-    return quad, lin
-
-
-def make_nonlinearity(kind: str, kappa: float = 1.0, delta_shift: float = 0.0,
-                      s_max: float = 50.0, n_samples: int = 10001) -> Nonlinearity:
-    """Construct a built-in membrane law and certify it."""
+def make_nonlinearity(kind: str, kappa: float = 1.0,
+                      delta_shift: float = 0.0) -> Nonlinearity:
+    """Construct a built-in membrane law with its declared certificate."""
     if kind not in _BUILTINS:
         raise NonlinearityError(
             f"unknown law kind {kind!r}; built-ins: {sorted(_BUILTINS)}")
@@ -199,8 +113,7 @@ def make_nonlinearity(kind: str, kappa: float = 1.0, delta_shift: float = 0.0,
         raise NonlinearityError(f"kappa must be positive, got {kappa}")
     if delta_shift < 0.0:
         raise NonlinearityError(f"delta_shift must be nonnegative, got {delta_shift}")
-    fn, deriv, coer = _BUILTINS[kind](kappa)
-    cert = build_certificate(fn, deriv, s_max, n_samples, coercivity=coer)
+    fn, deriv, cert = _BUILTINS[kind](kappa)
     slope = kappa if kind == "linear" else None
     law = Nonlinearity(kind=kind, base=fn, base_deriv=deriv, shift=0.0,
                        certificate=cert, linear_slope=slope)

@@ -156,19 +156,17 @@ def orbit_distance(system, orbit_a: PeriodicOrbit,
     return float(np.sqrt(orbit_a.dt * np.sum(sq)))
 
 
-def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem,
-                            growth_quad: Optional[float] = None,
-                            growth_abs: Optional[float] = None) -> dict:
+def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
     """Period-averaged energy bounds of the orbit against the data energy.
 
     Checks the two discrete estimates that control the orbit: the gradient
     plus weighted-jump energy against the data gradient energy plus the
     growth slack, and the jump-rate energy against the data plus its time
-    derivative.  Margins should be nonnegative.
+    derivative, with the growth constants of the law's certificate.  Margins
+    should be nonnegative.
     """
     cert = system.law.certificate
-    lam_q = cert.growth_quad if growth_quad is None else growth_quad
-    lam_a = cert.growth_abs if growth_abs is None else growth_abs
+    lam_q, lam_a = cert.growth_quad, cert.growth_abs
     dom = system.domain
     cond = system.cond
     drive = system.drive

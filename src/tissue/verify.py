@@ -20,7 +20,8 @@ from .geometry import build_cell_geometry, make_conductivity, mean_conductivity
 from .membrane import SolverParams
 from .micro import (MicroSystem, difference_state, dissipation_identity,
                     elliptic_solve_given_jump, initial_jump, simulate)
-from .nonlinearity import make_boundary_data, make_nonlinearity, regularize
+from .nonlinearity import (SIN_SECANT_ARGMIN, make_boundary_data,
+                           make_nonlinearity, regularize)
 from .periodic import find_periodic
 from .twoscale import (TwoScaleSystem, initial_two_scale_jump,
                        simulate_two_scale, transient_weak_residual)
@@ -67,12 +68,14 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
            "mean conductivity", cond.mean)
 
     # membrane law ------------------------------------------------------------
-    cert = law.certificate
-    record("law_certificate", cert.monotone and cert.vanishes_at_zero,
-           {k: v for k, v in cert.as_dict().items()
-            if k in ("growth_quad", "growth_abs", "coercivity")})
-
     s = np.linspace(-10, 10, 1001)
+    probe = np.sort(np.concatenate(
+        [s, [-SIN_SECANT_ARGMIN, SIN_SECANT_ARGMIN, -1e6, -1e3, 1e3, 1e6]]))
+    increasing = law(0.0) == 0.0 and bool(np.all(np.diff(law(probe)) > 0.0))
+    margin = certificate_margin(law, probe)
+    record("law_certificate", increasing and margin >= -1e-12,
+           "min relative margin of the declared bounds", margin)
+
     fd = (law(s + 1e-5) - law(s - 1e-5)) / 2e-5
     scale = np.maximum(np.abs(law.deriv(s)), 1.0)
     rel = float(np.max(np.abs(fd - law.deriv(s)) / scale))
@@ -175,6 +178,28 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     record("two_scale_weak_form", abs(res) <= 1e-8 * scale, "residual", res)
 
     return checks
+
+
+def certificate_margin(law, s: np.ndarray) -> float:
+    """Smallest relative margin of the law's declared bounds at ``s``.
+
+    The bounds are f(s) s >= q s^2 - a |s| at every nonzero sample, and
+    f'(s) >= coercivity and f'(s) >= tail_slope_min beyond tail_threshold
+    where the certificate declares them; each margin is (lhs - rhs) / lhs.
+    """
+    cert = law.certificate
+    s = s[s != 0.0]
+    lhs = law(s) * s
+    margins = [(lhs - cert.growth_quad * s * s
+                + cert.growth_abs * np.abs(s)) / lhs]
+    with np.errstate(over="ignore"):    # tanh' overflows cosh to 1/inf = 0
+        slope = law.deriv(s)
+    if cert.coercivity is not None:
+        margins.append((slope - cert.coercivity) / slope)
+    if cert.tail_slope_min is not None:
+        tail = slope[np.abs(s) >= cert.tail_threshold]
+        margins.append((tail - cert.tail_slope_min) / tail)
+    return float(min(m.min() for m in margins))
 
 
 def _negated(system: MicroSystem) -> MicroSystem:

@@ -8,6 +8,8 @@ starts from the production sample matrix (checked against loops by
 (macro, corrector) block at once, independent of the per-node condensation.
 ``picard_orbit`` is the plain damped Picard iteration on the production
 period map, the reference for the accelerated orbit solver.
+``fit_growth_constants`` samples a law's growth bound, the reference for the
+declared certificates of the built-in laws.
 """
 
 from __future__ import annotations
@@ -456,3 +458,19 @@ def picard_orbit(system, tol: float = 1e-8, max_iters: int = 500,
     raise FixedPointError(
         f"no periodic orbit within {max_iters} iterations "
         f"(last defect {defects[-1]:.3e})", defects=defects)
+
+
+def fit_growth_constants(fn, s_max: float = 50.0,
+                         n_samples: int = 10001) -> tuple[float, float]:
+    """Fit the lower growth bound ``f(s) s >= q s^2 - a |s|`` on samples.
+
+    For a strictly increasing law vanishing at zero the secant ``f(s)/s`` is
+    positive, so the largest quadratic coefficient needing no linear slack
+    is ``min f(s)/s``.  On a grid that minimum can only overestimate the
+    infimum over all s: by the grid's resolution where the secant is
+    smallest inside the range, and by the unsampled tail where it is
+    smallest beyond it.
+    """
+    s = np.linspace(-s_max, s_max, n_samples)
+    s = s[np.abs(s) > 1e-9]
+    return float(np.min(np.asarray(fn(s), dtype=float) / s)), 0.0

@@ -311,7 +311,6 @@ import numpy as np
 import tissue as T
 from tissue.geometry import _check_domain
 from tissue.micro import MicroState, elliptic_solve_given_jump
-from tissue.nonlinearity import fit_growth_constants
 from tissue.periodic import PeriodicOrbit
 from tissue.twoscale import periodic_weak_residual
 
@@ -344,13 +343,7 @@ raises(T.LinearSolveError, elliptic_solve_given_jump, op,
 raises(T.GeometryError, T.make_conductivity,
        SimpleNamespace(area_int=2.0, area_out=-1.0), 1.0, 2.0)
 raises(T.GeometryError, _check_domain, replace(dom, memb_measure=0.0))
-calls = []
-
-def drifting_law(s):
-    calls.append(s)
-    return s if len(calls) == 1 else 0.5 * s
-
-raises(T.NonlinearityError, fit_growth_constants, drifting_law)
+raises(T.NonlinearityError, T.make_nonlinearity, "linear", 0.0)
 print("ok")
 """
 

@@ -1,16 +1,27 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tissue as T
+from oracles import fit_growth_constants
 from tissue.errors import NonlinearityError
-from tissue.nonlinearity import build_certificate, fit_growth_constants
+from tissue.nonlinearity import SIN_SECANT_ARGMIN
+from tissue.verify import certificate_margin
+
+KINDS = ("linear", "tanh", "sin", "cubic")
 
 
 def test_sin_law_certificate():
     law = T.make_nonlinearity("sin")
     cert = law.certificate
-    assert cert.monotone and cert.vanishes_at_zero
+    s_star = SIN_SECANT_ARGMIN
+    assert math.tan(s_star) == pytest.approx(s_star, rel=1e-14)
+    assert cert.growth_quad == 1.0 + math.cos(s_star)
+    assert cert.growth_abs == 0.0
     assert cert.coercivity is None
+    assert (cert.tail_slope_min, cert.tail_threshold) == (None, None)
     assert law(0.0) == 0.0
     assert law.deriv(np.pi) == pytest.approx(0.0, abs=1e-15)
 
@@ -18,16 +29,60 @@ def test_sin_law_certificate():
 def test_linear_law_certificate():
     law = T.make_nonlinearity("linear", kappa=2.0)
     cert = law.certificate
-    assert cert.growth_quad == pytest.approx(2.0, rel=1e-12)
-    assert cert.growth_abs == 0.0
+    assert (cert.growth_quad, cert.growth_abs) == (2.0, 0.0)
     assert cert.coercivity == 2.0
+    assert (cert.tail_slope_min, cert.tail_threshold) == (2.0, 0.0)
     assert law.is_linear and law.linear_slope == 2.0
 
 
-def test_zero_function_rejected():
-    with pytest.raises(NonlinearityError, match="monotonicity"):
-        build_certificate(lambda s: 0.0 * np.asarray(s, float),
-                          lambda s: 0.0 * np.asarray(s, float))
+@pytest.mark.parametrize("shift", [0.0, 0.1])
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_declared_certificate_holds(kind, kappa, shift):
+    """The declared bounds hold where they are tight or were misfitted by
+    sampling: at the sin secant minimum s*, at a zero of the sin slope past
+    any sampled range (15 pi), near zero, far out, and on a dense grid."""
+    law = T.make_nonlinearity(kind, kappa=kappa, delta_shift=shift)
+    cert = law.certificate
+    probes = np.array([SIN_SECANT_ARGMIN, 15 * np.pi, 1e-8, 0.005, 100.0, 1e6])
+    s = np.concatenate([probes, -probes, np.linspace(-60, 60, 120001)])
+    s = s[s != 0.0]
+    lhs = law(s) * s
+    rhs = cert.growth_quad * s * s - cert.growth_abs * np.abs(s)
+    assert np.all(lhs >= rhs - 1e-12 * lhs)
+    with np.errstate(over="ignore"):        # tanh' overflows cosh far out
+        slope = law.deriv(s)
+    if cert.coercivity is not None:
+        assert np.all(slope >= cert.coercivity * (1.0 - 1e-12))
+    if cert.tail_slope_min is not None:
+        beyond = slope[np.abs(s) >= cert.tail_threshold]
+        assert np.all(beyond >= cert.tail_slope_min * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_declared_growth_quad_against_sampled_oracle(kind):
+    """Sampling can only overestimate the infimum of f(s)/s; at a 1e-3 grid
+    step it resolves it to 1e-5 except for tanh, whose secant
+    kappa + tanh(s)/s approaches kappa only as |s| -> infinity."""
+    law = T.make_nonlinearity(kind, kappa=2.0)
+    q = law.certificate.growth_quad
+    sampled, _ = fit_growth_constants(law, s_max=50.0, n_samples=100001)
+    assert sampled >= q - 1e-12
+    if kind != "tanh":
+        assert sampled - q <= 1e-5
+
+
+def test_certificate_margin_flags_sampled_constants():
+    """The verify check fails the growth constants the sampled fit used to
+    report for tanh (kappa + tanh(50)/50) and sin (above 1 + cos s*)."""
+    s = np.linspace(-10, 10, 1001)
+    probe = np.concatenate([s, [SIN_SECANT_ARGMIN, 1e3]])
+    for kind, sampled_q in (("tanh", 1.02), ("sin", 0.78276764)):
+        law = T.make_nonlinearity(kind)
+        assert certificate_margin(law, probe) >= -1e-12
+        wrong = replace(law, certificate=replace(law.certificate,
+                                                 growth_quad=sampled_q))
+        assert certificate_margin(wrong, probe) < -1e-7
 
 
 def test_nonpositive_kappa_rejected():
@@ -69,7 +124,9 @@ def test_regularize_shifts_values_and_restores_coercivity():
     law = T.make_nonlinearity("sin")
     reg = T.regularize(law, 0.1)
     assert reg(np.pi) == pytest.approx(np.pi + 0.1 * np.pi, rel=1e-14)
+    assert reg.certificate.growth_quad == law.certificate.growth_quad + 0.1
     assert reg.certificate.coercivity == pytest.approx(0.1, rel=1e-12)
+    assert reg.certificate.tail_slope_min == reg.certificate.coercivity
     assert reg.certificate.tail_threshold == 0.0
 
 
@@ -118,13 +175,6 @@ def test_growth_constants_sin_feasible_pair_vs_bruteforce():
                            if np.all(fn(s) * s >= lq * s * s - 1e-12)]
     assert feasible_zero_slack, "scan found no feasible coefficient"
     assert max(feasible_zero_slack) <= q + 1e-9
-
-
-def test_growth_constants_reject_flat_law():
-    with pytest.raises(NonlinearityError):
-        # strictly monotone sampler cannot be bypassed here: feed values
-        # whose secant through zero is nonpositive somewhere
-        fit_growth_constants(lambda s: -np.asarray(s, float))
 
 
 def test_boundary_data_periodicity_and_rates():
