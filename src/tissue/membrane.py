@@ -21,12 +21,14 @@ plus a diagonal.  Two implementations:
 - ``twoscale.NodeFlux`` keeps it as one cell-sized block per macro node
   plus a correction of macro rank (the two-scale solver).
 
-A step iterates with one factor frozen per stepper (``JumpStepper``).  Its
-factors are never modified after they are built, so one system can be
-stepped from several threads.  ``simulate`` hands each step the previous
-``StepResult``, from whose last ``PREDICTOR_ORDER`` accepted jumps the step
-extrapolates its first iterate; the stepper itself keeps no state between
-steps.
+A step continues from the previous step's ``StepResult``: ``simulate``
+hands it on, and from its last ``PREDICTOR_ORDER`` accepted jumps and their
+fluxes the step extrapolates a start and corrects it with the capacitance
+diagonal, one flux product per correction and no solve.  A step that cannot
+continue that way iterates with one factor frozen per stepper
+(``JumpStepper``).  Its factors are never modified after they are built, so
+one system can be stepped from several threads; the stepper itself keeps no
+state between steps.
 
 The time loop (``simulate``, ``step``), the trajectory record and the
 decay report (``decay.decay_metrics``) are shared by both systems too; a
@@ -38,6 +40,7 @@ The stored membrane energy (``lyapunov``) and the weighted jump norm
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional, Protocol
@@ -105,11 +108,15 @@ class StepResult:
     """Accepted jump of one step; ``balance`` is the energy-balance defect
     |R(w)·w| of the weighted step residual R tested with that jump, and
     ``factorizations`` counts the factors of the pass matrix built during
-    the step.  ``dt`` is the step's length and ``prior`` holds the accepted
-    jumps before ``jump`` at that step length, newest first, at most
-    ``PREDICTOR_ORDER - 1`` (references, not copies): the next step
-    extrapolates from them.  A linear law's ``prior`` is empty, since its
-    exact pass does not depend on where it starts."""
+    the step.  ``flux`` is R jump, the product with the response that the
+    acceptance test computed, and ``law_values`` is f(jump/eps).  ``dt`` is
+    the step's length and ``prior`` holds the accepted jumps before ``jump``
+    at that step length, newest first, at most ``PREDICTOR_ORDER - 1``;
+    ``prior_fluxes`` holds their fluxes, newest first, for those of them
+    that were accepted by a step (references, not copies): the next step
+    extrapolates from them.  ``contraction`` is the residual ratio of the
+    last diagonal correction at that step length, carried from step to
+    step (None before the first)."""
 
     jump: np.ndarray
     iterations: int
@@ -120,13 +127,45 @@ class StepResult:
     history: list = field(default_factory=list)
     dt: float = 0.0
     prior: tuple = ()
+    flux: Optional[np.ndarray] = None
+    law_values: Optional[np.ndarray] = None
+    prior_fluxes: tuple = ()
+    contraction: Optional[float] = None
 
 
 class JumpStepper:
     """Advances the jump vector by one implicit step.
 
-    With a = rate_coeff/dt and eps = arg_scale, each pass of the step's loop
-    solves, for a slope c,
+    With a = rate_coeff/dt, eps = arg_scale and W = diag(weights), the step
+    solves G(w) = W (a (w - w_prev) + f(w/eps)) + R w - drive load = 0.
+
+    A step that continues a result of the same dt, at ``params.dt``, starts
+    from the extrapolation through the m = min(K, held) last accepted jumps,
+    w0 = sum_j=1..m (-1)^(j+1) C(m, j) w_n+1-j with K = ``PREDICTOR_ORDER``,
+    whose error is O(dt^m) against the O(dt) of w_n.  R is linear, so the
+    same row of the held fluxes gives R w0 exactly, and G(w0) costs no
+    product with R.  The step then corrects with the capacitance diagonal,
+
+        w <- w - G(w) / (weights (a + c/eps)),
+
+    and each correction's product R w gives the next true residual; the
+    start itself is never accepted.  c is the law's slope at zero when its
+    declared ``slope_max`` keeps |f' - f'(0)| within (a eps + f'(0))/2, and
+    f'(w/eps) per facet otherwise.  R is small against the capacitance
+    diagonal at small dt (a correction shrinks the residual by about 8 dt
+    on the default set-ups), so a smooth step takes one correction.
+
+    Two corrections cost what the cheapest factor-path step does (a pass
+    solve and the acceptance product), so with r the residual, rho the
+    residual ratio of the last correction and tol the step tolerance, the
+    step stops correcting when r rho^2 > tol, and skips the corrector when
+    that holds at the start for the ratio carried from the run's last
+    correction (``StepResult.contraction``).  It then falls back to the
+    factor path, as it does when it holds no flux for some held jump (the
+    first ``PREDICTOR_ORDER`` steps of a run, another dt), when the start
+    is not finite and after ``newton_max_iter`` corrections.  The factor path
+    starts from the same extrapolation, or from w_n where the law is not
+    finite there, and each of its passes solves, for a slope c,
 
         (diag(weights (a + c/eps)) + R) w+
             = weights (a w_prev + c w/eps - f(w/eps)) + drive load,
@@ -139,15 +178,9 @@ class JumpStepper:
     fresh factor instead, as Newton does, when the frozen factor would
     contract by less than a half, max |f'(w/eps) - c| > (alpha/dt + c)/2,
     when dt is not ``params.dt``, and in the shifted retry, which adds
-    ``newton_shift`` to every slope.  A linear law converges in one pass.
-
-    ``step`` takes the jump to step from, or the previous step's
-    ``StepResult``.  From a result of the same dt, the first pass starts at
-    the extrapolation through the m = min(K, available) last accepted jumps,
-    sum_j=1..m (-1)^(j+1) C(m, j) w_n+1-j with K = ``PREDICTOR_ORDER``,
-    whose error is O(dt^m) against the O(dt) of w_n, so a smooth step takes
-    one pass.  The step equation and its tolerance are those of w_n, and
-    the shifted retry starts from w_n.
+    ``newton_shift`` to every slope; the shifted retry starts from w_n.  A
+    linear law converges in one pass.  Either path accepts on the true
+    residual at the tolerance of the step from w_n.
     """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
@@ -160,20 +193,27 @@ class JumpStepper:
         self.arg_scale = arg_scale
         self.params = params
         self._slope = float(law.deriv(0.0))
-        # a linear law's exact pass does not depend on where it starts
-        self._history = 0 if law.is_linear else PREDICTOR_ORDER - 1
+        # the corrector takes f'(0) when sup f' keeps |f' - f'(0)|, at most
+        # max(sup f' - f'(0), f'(0)) as f' >= 0, within (a eps + f'(0))/2 at
+        # params.dt, and f'(w/eps) per facet (None) otherwise
+        top = law.certificate.slope_max
+        a_eps = rate_coeff / params.dt * arg_scale
+        self._corrector_slope = self._slope if top is not None and max(
+            top - self._slope, self._slope) <= 0.5 * (a_eps + self._slope) \
+            else None
         self._load_scale = float(np.max(np.abs(flux.load / flux.weights),
                                         initial=0.0))
         # built on first use: a factor is as costly as the system set-up
         self._frozen = None
 
     def _weighted_residual(self, w: np.ndarray, w_prev: np.ndarray,
-                           f_w: np.ndarray, drive: float,
+                           f_w: np.ndarray, flux_w: np.ndarray, drive: float,
                            dt: float) -> np.ndarray:
-        """The step residual at w, given the law values f_w = f(w/eps)."""
+        """The step residual at w, given the law values f_w = f(w/eps) and
+        the flux flux_w = R w."""
         fl = self.flux
         rate = self.rate_coeff * (w - w_prev) / dt
-        return fl.weights * (rate + f_w) + fl.apply(w) - drive * fl.load
+        return fl.weights * (rate + f_w) + flux_w - drive * fl.load
 
     def _tolerance(self, w_prev: np.ndarray, f_max: float, drive: float,
                    dt: float) -> float:
@@ -184,34 +224,103 @@ class JumpStepper:
             * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
         return self.params.newton_tol * scale + floor
 
+    def _accept(self, w: np.ndarray, f_w: np.ndarray, flux_w: np.ndarray,
+                resid: np.ndarray, rnorm: float, history: list, shift: float,
+                built: int, dt: float) -> StepResult:
+        return StepResult(jump=w, iterations=len(history), residual=rnorm,
+                          used_shift=shift > 0.0,
+                          balance=float(abs(resid @ w)),
+                          factorizations=built, history=history, dt=dt,
+                          flux=flux_w, law_values=f_w)
+
     def step(self, t_next: float, w_prev: np.ndarray | StepResult,
              dt: float) -> StepResult:
-        prior = ()
+        prior = fluxes = ()
+        f_prev = rho = None
         if isinstance(w_prev, StepResult):
             if w_prev.dt == dt:
                 prior = w_prev.prior
+                fluxes = (w_prev.flux,) + w_prev.prior_fluxes
+                f_prev, rho = w_prev.law_values, w_prev.contraction
             w_prev = w_prev.jump
         held = (w_prev,) + prior
         start = extrapolate(held) if prior else None
         drive = self.temporal(t_next)
-        res, _, built = self._iterate(w_prev, drive, dt, 0.0, start)
+        res, tried = None, []
+        if prior and len(fluxes) == len(held) and dt == self.params.dt:
+            res, tried, rho = self._correct(start, w_prev, fluxes, f_prev,
+                                            rho, drive, dt)
         if res is None:
-            res, history, _ = self._iterate(
-                w_prev, drive, dt, shift=self.params.newton_shift)
+            res, _, built = self._iterate(w_prev, drive, dt, 0.0, start)
             if res is None:
-                raise NewtonError("implicit step failed to converge, "
-                                  "including the shifted retry",
-                                  residuals=history)
-            res.factorizations += built
-        res.prior = held[:self._history]
+                res, history, _ = self._iterate(
+                    w_prev, drive, dt, shift=self.params.newton_shift)
+                if res is None:
+                    raise NewtonError("implicit step failed to converge, "
+                                      "including the shifted retry",
+                                      residuals=history)
+                res.factorizations += built
+            # the failed corrections count among the step's iterations
+            res.history[:0] = tried
+            res.iterations = len(res.history)
+        res.prior = held[:PREDICTOR_ORDER - 1]
+        res.prior_fluxes = fluxes[:PREDICTOR_ORDER - 1]
+        res.contraction = rho
         return res
+
+    def _correct(self, start: np.ndarray, w_prev: np.ndarray, fluxes: tuple,
+                 f_prev: np.ndarray, rho: Optional[float], drive: float,
+                 dt: float) -> tuple[Optional[StepResult], list,
+                                     Optional[float]]:
+        """The step corrected with the capacitance diagonal from ``start``,
+        the extrapolation of the held jumps whose fluxes are ``fluxes``
+        (None if it must fall back), the residual history of its
+        corrections and the residual ratio of the last one (``rho``, the
+        carried ratio, if it made none)."""
+        fl, law, eps = self.flux, self.law, self.arg_scale
+        a = self.rate_coeff / dt
+        w = start
+        s = w / eps
+        f_w = law(s)
+        g = self._weighted_residual(w, w_prev, f_w, extrapolate(fluxes),
+                                    drive, dt) / fl.weights
+        rnorm = float(np.abs(g).max(initial=0.0))
+        history: list = []
+        if not math.isfinite(rnorm):        # a start that is not finite
+            return None, history, rho
+        tol = self._tolerance(w_prev, float(np.abs(f_prev).max(initial=0.0)),
+                              drive, dt)
+        # two corrections cost what the cheapest factor-path step does, a
+        # pass solve and the acceptance product: skip or stop correcting
+        # when the residual ratio predicts that two would not reach tol
+        if rho is not None and rnorm * rho * rho > tol:
+            return None, history, rho
+        c = self._corrector_slope
+        for _ in range(self.params.newton_max_iter):
+            w = w - g / (a + (law.deriv(s) if c is None else c) / eps)
+            s = w / eps
+            f_w = law(s)
+            flux_w = fl.apply(w)
+            resid = self._weighted_residual(w, w_prev, f_w, flux_w, drive,
+                                            dt)
+            g = resid / fl.weights
+            last, rnorm = rnorm, float(np.abs(g).max(initial=0.0))
+            rho = rnorm / last if last else 0.0
+            history.append(rnorm)
+            if rnorm <= tol:
+                return self._accept(w, f_w, flux_w, resid, rnorm, history,
+                                    0.0, 0, dt), history, rho
+            if not rnorm * rho * rho <= tol:
+                break
+        return None, history, rho
 
     def _iterate(self, w_prev: np.ndarray, drive: float, dt: float,
                  shift: float, start: Optional[np.ndarray] = None
                  ) -> tuple[Optional[StepResult], list, int]:
-        """The converged step (None if it failed), the residual history and
-        the number of factors built.  The first pass starts from ``start``
-        when given and the law is finite there, and from w_prev otherwise."""
+        """The step by the factor path: the converged step (None if it
+        failed), the residual history and the number of factors built.  The
+        first pass starts from ``start`` when given and the law is finite
+        there, and from w_prev otherwise."""
         fl, law, eps = self.flux, self.law, self.arg_scale
         a = self.rate_coeff / dt
         c0 = self._slope
@@ -224,7 +333,8 @@ class JumpStepper:
         if not np.isfinite(f_max):
             # no pass can converge, and an infinite tolerance would accept
             # any finite residual: fail the attempt on its starting residual
-            g = self._weighted_residual(w, w_prev, f_w, drive, dt) / fl.weights
+            g = self._weighted_residual(w, w_prev, f_w, fl.apply(w), drive,
+                                        dt) / fl.weights
             return None, [float(np.abs(g).max())], 0
         tol = self._tolerance(w_prev, f_max, drive, dt)
         base = fl.weights * a * w_prev + drive * fl.load
@@ -262,8 +372,8 @@ class JumpStepper:
             # convex laws in check; G(w + l d) = (1 - l) G(w) + the law terms
             search = fresh and not exact
             if search and g is None:
-                g = self._weighted_residual(w, w_prev, f_w, drive, dt) \
-                    / fl.weights
+                g = self._weighted_residual(w, w_prev, f_w, fl.apply(w),
+                                            drive, dt) / fl.weights
                 rnorm = float(np.abs(g).max(initial=0.0))
             step_len = 1.0
             for _ in range(8 if search else 1):
@@ -286,14 +396,14 @@ class JumpStepper:
             if rnorm <= tol:
                 # the estimate leaves out the solve's roundoff: accept on the
                 # residual itself, or iterate on from it
-                resid = self._weighted_residual(w, w_prev, f_w, drive, dt)
+                flux_w = fl.apply(w)
+                resid = self._weighted_residual(w, w_prev, f_w, flux_w,
+                                                drive, dt)
                 g = resid / fl.weights
                 rnorm = history[-1] = float(np.abs(g).max(initial=0.0))
                 if rnorm <= tol:
-                    return StepResult(
-                        jump=w, iterations=len(history), residual=rnorm,
-                        used_shift=shift > 0.0, balance=float(abs(resid @ w)),
-                        factorizations=built, history=history, dt=dt), \
+                    return self._accept(w, f_w, flux_w, resid, rnorm,
+                                        history, shift, built, dt), \
                         history, built
             # a non-finite pass or stagnation: bail out, so that the caller
             # retries with a shift or raises

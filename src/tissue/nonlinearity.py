@@ -5,15 +5,18 @@ a lower growth bound ``f(s) s >= q s^2 - a |s|`` (``growth_quad`` q,
 ``growth_abs`` a).  Each built-in declares its certificate in closed form
 next to its formula, as a function of kappa:
 
-``linear``   kappa * s              q = kappa        slope >= kappa
-``tanh``     kappa * s + tanh(s)    q = kappa        slope >= kappa
-``sin``      s + sin(s)             q = 1 + cos(s*)  no slope bound
-``cubic``    s^3 + s                q = 1            slope >= 1
+``linear``  kappa * s            q = kappa        f' >= kappa  sup f' kappa
+``tanh``    kappa * s + tanh(s)  q = kappa        f' >= kappa  sup f' kappa + 1
+``sin``     s + sin(s)           q = 1 + cos(s*)  no bound     sup f' 2
+``cubic``   s^3 + s              q = 1            f' >= 1      no sup f'
 
 Every built-in has growth_abs = 0.  ``sin`` is monotone but not coercive:
 its secant f(s)/s = 1 + sin(s)/s is smallest at s*, the first positive root
 of tan s = s, where sin(s*)/s* = cos(s*), and its slope 1 + cos(s) vanishes
 at every odd multiple of pi, so no threshold gives a positive tail slope.
+The declared sup f' (``slope_max``) lets the implicit step correct with the
+law's slope at zero (``membrane.JumpStepper``); ``tanh``'s slope uses
+sech(s)^2 = 4 e^(-2|s|) / (1 + e^(-2|s|))^2, which cannot overflow.
 """
 
 from __future__ import annotations
@@ -38,12 +41,21 @@ class Certificate:
     coercivity: Optional[float]         # global lower bound on the slope
     tail_slope_min: Optional[float]     # slope bound beyond the threshold
     tail_threshold: Optional[float]
+    slope_max: Optional[float]          # global upper bound on the slope
 
 
-def _coercive(slope: float) -> Certificate:
-    """Certificate of a law with f(s) s >= slope * s^2 and f' >= slope."""
+def _coercive(slope: float, slope_max: Optional[float]) -> Certificate:
+    """Certificate of a law with f(s) s >= slope * s^2 and
+    slope <= f' <= slope_max."""
     return Certificate(growth_quad=slope, growth_abs=0.0, coercivity=slope,
-                       tail_slope_min=slope, tail_threshold=0.0)
+                       tail_slope_min=slope, tail_threshold=0.0,
+                       slope_max=slope_max)
+
+
+def _sech2(s):
+    """sech(s)^2 as 4 e^(-2|s|) / (1 + e^(-2|s|))^2, which cannot overflow."""
+    e = np.exp(-2.0 * np.abs(np.asarray(s, dtype=float)))
+    return 4.0 * e / (1.0 + e) ** 2
 
 
 @dataclass(frozen=True)
@@ -85,21 +97,21 @@ _BUILTINS = {
     "linear": lambda kappa: (
         lambda s: kappa * np.asarray(s, dtype=float),
         lambda s: np.full_like(np.asarray(s, dtype=float), kappa),
-        _coercive(kappa)),
+        _coercive(kappa, kappa)),
     "tanh": lambda kappa: (
         lambda s: kappa * np.asarray(s, dtype=float) + np.tanh(s),
-        lambda s: kappa + 1.0 / np.cosh(np.asarray(s, dtype=float)) ** 2,
-        _coercive(kappa)),
+        lambda s: kappa + _sech2(s),
+        _coercive(kappa, kappa + 1.0)),
     "sin": lambda kappa: (
         lambda s: np.asarray(s, dtype=float) + np.sin(s),
         lambda s: 1.0 + np.cos(np.asarray(s, dtype=float)),
         Certificate(growth_quad=1.0 + math.cos(SIN_SECANT_ARGMIN),
                     growth_abs=0.0, coercivity=None, tail_slope_min=None,
-                    tail_threshold=None)),
+                    tail_threshold=None, slope_max=2.0)),
     "cubic": lambda kappa: (
         lambda s: np.asarray(s, dtype=float) ** 3 + np.asarray(s, dtype=float),
         lambda s: 3.0 * np.asarray(s, dtype=float) ** 2 + 1.0,
-        _coercive(1.0)),
+        _coercive(1.0, None)),
 }
 
 
@@ -139,7 +151,9 @@ def regularize(law: Nonlinearity, delta: float) -> Nonlinearity:
                        growth_quad=cert.growth_quad + delta,
                        coercivity=new_coer,
                        tail_slope_min=new_coer,
-                       tail_threshold=0.0)
+                       tail_threshold=0.0,
+                       slope_max=None if cert.slope_max is None
+                       else cert.slope_max + delta)
     slope = (law.linear_slope + delta) if law.is_linear else None
     return Nonlinearity(kind=law.kind, base=law.base, base_deriv=law.base_deriv,
                         shift=shift, certificate=new_cert, linear_slope=slope)

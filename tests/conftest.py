@@ -67,7 +67,9 @@ def stepper_on(system, flux):
 
 
 def force_shifted_retry(stepper):
-    """Make the unshifted iteration fail, so every step takes the retry."""
+    """Make the corrector and the unshifted iteration fail, so every step
+    takes the retry."""
+    stepper._correct = lambda *args: (None, [], None)
     stepper._iterate = \
         lambda w, drive, dt, shift, start=None, run=stepper._iterate: \
         (None, [], 0) if shift == 0.0 else run(w, drive, dt, shift, start)

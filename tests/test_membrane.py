@@ -179,14 +179,165 @@ def test_extrapolation_is_exact_on_polynomials_of_its_degree(m):
         assert rel_gap(got, values[0]) <= 1e-12
 
 
-def test_linear_step_result_holds_no_prior(cell8, default_domain):
-    system, w0 = _default_dt_system("micro", "linear", {"kappa": 1.0}, cell8,
-                                    default_domain, 9)
+LAWS = ("linear", "tanh", "sin", "cubic")
+
+
+def _law_kw(law):
+    return {"kappa": 1.0} if law == "linear" else {}
+
+
+def _continued_steps(system, w, n_steps):
+    """Step as ``simulate`` does, each step continuing from the previous
+    result; returns every result."""
     dt = system.params.dt
-    res = w0
-    for n in range(1, 4):
-        res = system.stepper.step(n * dt, res, dt)
-        assert res.prior == ()
+    results = []
+    res = w
+    for n in range(n_steps):
+        res = system.stepper.step((n + 1) * dt, res, dt)
+        results.append(res)
+    return results
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("law", LAWS)
+def test_step_results_carry_fluxes_of_their_jumps(law, stack, cell8,
+                                                  default_domain):
+    # every carried flux is a product with the response, not an
+    # extrapolation, and the held fluxes are those of the held jumps; a
+    # linear law holds its history like the others
+    system, w0 = _default_dt_system(stack, law, _law_kw(law), cell8,
+                                    default_domain, 9)
+    fl, st = system.flux_map, system.stepper
+    results = _continued_steps(system, w0, 20)
+    for n, res in enumerate(results):
+        assert np.array_equal(res.flux, fl.apply(res.jump))
+        assert np.array_equal(res.law_values,
+                              system.law(res.jump / st.arg_scale))
+        jumps = [r.jump for r in results[n - 1::-1]] + [w0] if n else [w0]
+        assert len(res.prior) == min(n + 1, PREDICTOR_ORDER - 1)
+        assert all(a is b for a, b in zip(res.prior, jumps))
+        # the initial jump was not accepted by a step: it has no flux
+        assert len(res.prior_fluxes) == min(n, PREDICTOR_ORDER - 1)
+        assert all(a is r.flux for a, r in zip(res.prior_fluxes,
+                                               results[n - 1::-1]))
+    assert len(results[-1].prior_fluxes) == PREDICTOR_ORDER - 1
+
+
+def _count_calls(flux_map, monkeypatch) -> dict:
+    """Count the flux map's products with the response, its factor builds
+    and the solves with the factors it builds, from now on."""
+    calls = {"apply": 0, "factor": 0, "solve": 0}
+
+    def counted(name, method):
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        return call
+
+    build = counted("factor", flux_map.factor)
+
+    def factor(d):
+        built = build(d)
+        built.solve = counted("solve", built.solve)
+        return built
+
+    monkeypatch.setattr(flux_map, "apply", counted("apply", flux_map.apply))
+    monkeypatch.setattr(flux_map, "factor", factor)
+    return calls
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("law", ["linear", "sin"])
+def test_continued_step_takes_one_flux_product(law, stack, cell8,
+                                               default_domain, monkeypatch):
+    # a continued default-dt step corrects its extrapolated start once: one
+    # product with the response, no solve with the frozen factor, which the
+    # first step builds
+    system, w0 = _default_dt_system(stack, law, _law_kw(law), cell8,
+                                    default_domain, 6)
+    calls = _count_calls(system.flux_map, monkeypatch)
+    traj = T.simulate(system, w0, 0.1)
+    assert calls["factor"] == 1
+    assert calls["apply"] <= 1.1 * 100
+    assert traj.factorizations.sum() == 1
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("law", LAWS)
+def test_run_agrees_with_factor_path_plain_steps(law, stack, cell8,
+                                                 default_domain):
+    # a step from a plain array takes the factor path from it
+    system, w0 = _default_dt_system(stack, law, _law_kw(law), cell8,
+                                    default_domain, 9)
+    traj = T.simulate(system, w0, 0.1)
+    plain = _plain_steps(system.with_law(system.law), w0, 100)
+    for got, res in zip(traj.jumps[1:], plain):
+        assert rel_gap(got, res.jump) <= 1e-12
+
+
+def _without_corrector(system):
+    twin = system.with_law(system.law)
+    twin.stepper._correct = lambda *args: (None, [], None)
+    return twin
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_correction_that_cannot_converge_falls_back(stack, cell8,
+                                                    default_domain):
+    # at dt = 0.25 the response is comparable to the capacitance diagonal:
+    # the first correction leaves 0.53-0.54 of the extrapolated start's
+    # residual, so the first continued step falls back to the factor path,
+    # and the ratio it carries makes every later step skip the corrector;
+    # each gives the jump of a twin without the corrector, and that of the
+    # plain steps
+    system, w0 = _default_dt_system(stack, "sin", {}, cell8, default_domain,
+                                    9, dt=0.25)
+    fl, st = system.flux_map, system.stepper
+    dt = system.params.dt
+    results = _continued_steps(system, w0, 12)
+    factor_path = _continued_steps(_without_corrector(system), w0, 12)
+    plain = _plain_steps(system.with_law(system.law), w0, 12)
+    for n, (res, want) in enumerate(zip(results, factor_path)):
+        assert np.array_equal(res.jump, want.jump)
+        assert rel_gap(res.jump, plain[n].jump) <= 1e-12
+        if n != PREDICTOR_ORDER:
+            assert res.history == want.history
+            continue
+        # the first step with a flux for every held jump
+        assert res.history[1:] == want.history
+        prev = results[n - 1]
+        start = extrapolate((prev.jump,) + prev.prior)
+        resid = (fl.weights * (st.rate_coeff * (start - prev.jump) / dt
+                               + system.law(start / st.arg_scale))
+                 + extrapolate((prev.flux,) + prev.prior_fluxes)
+                 - system.drive.temporal((n + 1) * dt) * fl.load)
+        ratio = res.history[0] / np.abs(resid / fl.weights).max()
+        assert 0.5 < ratio < 0.6
+        assert res.contraction == pytest.approx(ratio, rel=1e-12)
+    assert [r.contraction for r in results[:PREDICTOR_ORDER]] == \
+        [None] * PREDICTOR_ORDER
+    assert all(r.contraction == results[PREDICTOR_ORDER].contraction
+               for r in results[PREDICTOR_ORDER:])
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("law", ["linear", "sin"])
+@pytest.mark.parametrize("dt", [1e-2, 5e-2])
+def test_corrector_costs_no_more_solves_than_the_factor_path(
+        dt, law, stack, cell8, default_domain, monkeypatch):
+    # at larger dt a correction contracts less (about 8 dt), and two
+    # corrections cost what a factor-path step does: a run stops correcting
+    # where more would be needed, so its products with the response plus
+    # its pass solves stay within 5% of a run without the corrector
+    def solves(system):
+        calls = _count_calls(system.flux_map, monkeypatch)
+        T.simulate(system, w0, 100 * dt)
+        monkeypatch.undo()
+        return calls["apply"] + calls["solve"]
+
+    system, w0 = _default_dt_system(stack, law, _law_kw(law), cell8,
+                                    default_domain, 9, dt=dt)
+    assert solves(system) <= 1.05 * solves(_without_corrector(system))
 
 
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])
@@ -200,16 +351,6 @@ def test_orbit_takes_one_pass_per_step(stack, small_domain):
     orbit = T.find_periodic(system)
     traj = T.simulate(system, orbit.jumps[0], 1.0)
     assert traj.newton_iters.mean() <= 1.05
-
-
-@pytest.mark.parametrize("stack", ["micro", "twoscale"])
-def test_linear_run_is_bit_identical_to_plain_steps(stack, cell8,
-                                                    default_domain):
-    system, w0 = _default_dt_system(stack, "linear", {"kappa": 1.0}, cell8,
-                                    default_domain, 9)
-    traj = T.simulate(system, w0, 0.05)
-    plain = _plain_steps(system, w0, 50)
-    assert np.array_equal(traj.jumps[1:], [r.jump for r in plain])
 
 
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])

@@ -50,13 +50,18 @@ def test_declared_certificate_holds(kind, kappa, shift):
     lhs = law(s) * s
     rhs = cert.growth_quad * s * s - cert.growth_abs * np.abs(s)
     assert np.all(lhs >= rhs - 1e-12 * lhs)
-    with np.errstate(over="ignore"):        # tanh' overflows cosh far out
-        slope = law.deriv(s)
+    slope = law.deriv(s)
     if cert.coercivity is not None:
         assert np.all(slope >= cert.coercivity * (1.0 - 1e-12))
     if cert.tail_slope_min is not None:
         beyond = slope[np.abs(s) >= cert.tail_threshold]
         assert np.all(beyond >= cert.tail_slope_min * (1.0 - 1e-12))
+    if cert.slope_max is not None:
+        assert np.all(slope <= cert.slope_max)
+        # sup f' is attained at zero by every law that declares it
+        assert law.deriv(0.0) == cert.slope_max
+    else:
+        assert kind == "cubic"
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -83,6 +88,42 @@ def test_certificate_margin_flags_sampled_constants():
         wrong = replace(law, certificate=replace(law.certificate,
                                                  growth_quad=sampled_q))
         assert certificate_margin(wrong, probe) < -1e-7
+
+
+def test_certificate_margin_flags_a_slope_max_below_sup():
+    # sin' = 1 + cos s reaches 2 near every multiple of 2 pi
+    s = np.linspace(-10, 10, 1001)
+    law = T.make_nonlinearity("sin")
+    assert law.certificate.slope_max == 2.0
+    assert certificate_margin(law, s) >= -1e-12
+    wrong = replace(law, certificate=replace(law.certificate, slope_max=1.9))
+    assert certificate_margin(wrong, s) < -0.05
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25])
+def test_regularize_adds_the_shift_to_slope_max(delta):
+    for kind, top in (("linear", 2.0), ("tanh", 3.0), ("sin", 2.0)):
+        law = T.regularize(T.make_nonlinearity(kind, kappa=2.0), delta)
+        assert law.certificate.slope_max == top + delta
+    cubic = T.regularize(T.make_nonlinearity("cubic"), delta)
+    assert cubic.certificate.slope_max is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e3, -1e3, 1e6, -1e6])
+def test_tanh_slope_does_not_overflow_far_out(s):
+    law = T.make_nonlinearity("tanh", kappa=0.5)
+    assert law.deriv(s) == 0.5
+    assert law.deriv(np.array([s, 0.0])).tolist() == [0.5, 1.5]
+
+
+@pytest.mark.filterwarnings("error")
+def test_tanh_slope_matches_the_cosh_form_where_it_is_finite():
+    # kappa + 1 / cosh(s)^2, the form before, overflows past |s| = 355
+    law = T.make_nonlinearity("tanh", kappa=0.5)
+    s = np.concatenate([np.linspace(-355, 355, 142001), [1e-8, -1e-8]])
+    old = 0.5 + 1.0 / np.cosh(s) ** 2
+    assert np.max(np.abs(law.deriv(s) - old) / old) <= 1e-15
 
 
 def test_nonpositive_kappa_rejected():

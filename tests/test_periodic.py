@@ -98,10 +98,11 @@ def _record_maps(monkeypatch):
     return starts, ends
 
 
-def test_defect_increase_clears_the_history(small_domain, monkeypatch):
-    # near roundoff the cubic orbit's defect rises; each rise must empty the
-    # history, so the next iterate is the plain Picard step w + (P(w) - w)
-    system = make_micro(small_domain, law=("cubic",))
+def test_defect_increase_clears_the_history(monkeypatch):
+    # each rise of the defect must empty the history, so the next iterate
+    # is the plain Picard step w + (P(w) - w); the stub's scripted maps make
+    # the defect rise at maps 3, 6, 9 and 12
+    system = _ScriptedPeriodMap()
     starts, ends = _record_maps(monkeypatch)
     with pytest.raises(FixedPointError) as err:
         find_periodic(system, tol=1e-30, max_iters=14)
@@ -148,6 +149,24 @@ class _DriftingPeriodMap:
 
     def jump_norm(self, w):
         return float(np.sqrt(np.sum(self.weights * w * w)))
+
+
+class _ScriptedPeriodMap(_DriftingPeriodMap):
+    """Stub whose k-th period map shifts the jump by ``drifts[k]``, whatever
+    the jump: the defect falls within each group of three maps and rises
+    at the start of the next, in a direction that changes from map to map.
+    """
+
+    drifts = np.tile([[1.0, -2.0, 0.5], [0.25, 0.5, -0.5],
+                      [-0.25, 0.0625, 0.5]], (5, 1))
+
+    def step(self, t_next, w_prev, dt):
+        w_prev = getattr(w_prev, "jump", w_prev)
+        if t_next == dt:
+            self.starts.append(w_prev)
+        drift = self.drifts[len(self.starts) - 1]
+        return StepResult(jump=w_prev + 0.5 * drift, iterations=1,
+                          residual=0.0, used_shift=False, balance=0.0)
 
 
 def test_stalled_iteration_halves_damping_once_per_window():

@@ -18,7 +18,12 @@ CPU time (``time.process_time``) of:
 - step: the mean of 20 steps after the first ``PREDICTOR_ORDER`` (the
   predictor's ramp, untimed), each continuing from the previous step's
   result as ``simulate`` does (an extrapolated start);
-- passes per step: the mean chord passes of those 20 steps;
+- iterations per step: the mean ``StepResult.iterations`` of those 20
+  steps, corrections and factor passes alike;
+- solves per step: the mean number of bulk-sized solves of those 20
+  steps, products with the flux response (``flux_map.apply``) plus
+  solves with a pass factor; a count, so the machine's speed does not
+  move it;
 - ``state_at``: the mean of one state rebuild at each of those 20 steps;
 
 and its peak RSS, the process maximum (interpreter and imports included).
@@ -40,9 +45,32 @@ REPEATS = 5
 STEPS = 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER = ("| `macro.resolution` | jumps | set-up (s) | first step (ms) "
-          "| ms per `sin` step | passes per step | `state_at` (ms) "
-          "| peak RSS (MB) |\n"
-          "|---|---|---|---|---|---|---|---|")
+          "| ms per `sin` step | iterations per step | solves per step "
+          "| `state_at` (ms) | peak RSS (MB) |\n"
+          "|---|---|---|---|---|---|---|---|---|")
+
+
+def count_solves(flux_map) -> list:
+    """Count the calls of the flux map's ``apply`` and of the ``solve`` of
+    every factor it builds from now on, in the returned one-item list."""
+    calls = [0]
+
+    def counted(fn):
+        def call(*args):
+            calls[0] += 1
+            return fn(*args)
+        return call
+
+    build = flux_map.factor
+
+    def factor(d):
+        built = build(d)
+        built.solve = counted(built.solve)
+        return built
+
+    flux_map.apply = counted(flux_map.apply)
+    flux_map.factor = factor
+    return calls
 
 
 def measure(res: int) -> dict:
@@ -72,33 +100,37 @@ def measure(res: int) -> dict:
         t1 = time.process_time()
         w = initial_two_scale_jump(system, cfg["init.kind"],
                                    cfg["init.amplitude"], seed=cfg["seed"])
+        solves = count_solves(system.flux_map)
         t2 = time.process_time()
         last = system.stepper.step(dt, w, dt)
         t3 = time.process_time()
         for n in range(2, PREDICTOR_ORDER + 1):    # the predictor's ramp
             last = system.stepper.step(n * dt, last, dt)
         first_timed = PREDICTOR_ORDER + 1
+        solves_before = solves[0]
         t4 = time.process_time()
         results = []
         for n in range(first_timed, first_timed + STEPS):
             last = system.stepper.step(n * dt, last, dt)
             results.append(last)
         t5 = time.process_time()
+        solved = (solves[0] - solves_before) / STEPS
         for n, step_res in enumerate(results, start=first_timed):
             system.state_at(n * dt, step_res.jump)
         t6 = time.process_time()
-        passes = sum(r.iterations for r in results) / STEPS
+        iterations = sum(r.iterations for r in results) / STEPS
         rows.append((t1 - t0, 1e3 * (t3 - t2), 1e3 * (t5 - t4) / STEPS,
-                     passes, 1e3 * (t6 - t5) / STEPS))
+                     iterations, solved, 1e3 * (t6 - t5) / STEPS))
         # free this system before the next one is built, so that the peak
         # RSS is that of one system
         n_w = system.n_w
         del system, last, results
         gc.collect()
-    setup, first, step, passes, state = np.median(np.array(rows), axis=0)
+    setup, first, step, iterations, solved, state = np.median(
+        np.array(rows), axis=0)
     return {"res": res, "jumps": n_w, "setup_s": setup,
-            "first_step_ms": first, "step_ms": step, "passes": passes,
-            "state_ms": state,
+            "first_step_ms": first, "step_ms": step,
+            "iterations": iterations, "solves": solved, "state_ms": state,
             # ru_maxrss is in kB on Linux
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -115,7 +147,8 @@ def run_one(res: int) -> dict:
 def row(m: dict) -> str:
     return (f"| {m['res']} | {m['jumps']:,} | {m['setup_s']:.3g} "
             f"| {m['first_step_ms']:.3g} | {m['step_ms']:.3g} "
-            f"| {m['passes']:.3g} | {m['state_ms']:.3g} "
+            f"| {m['iterations']:.3g} | {m['solves']:.3g} "
+            f"| {m['state_ms']:.3g} "
             f"| {m['peak_rss_mb']:.0f} |")
 
 
