@@ -22,13 +22,13 @@ plus a diagonal.  Two implementations:
   plus a correction of macro rank (the two-scale solver).
 
 A step continues from the previous step's ``StepResult``: ``simulate``
-hands it on, and from its last ``PREDICTOR_ORDER`` accepted jumps and their
-fluxes the step extrapolates a start and corrects it with the capacitance
-diagonal, one flux product per correction and no solve.  A step that cannot
-continue that way iterates with one factor frozen per stepper
-(``JumpStepper``).  Its factors are never modified after they are built, so
-one system can be stepped from several threads; the stepper itself keeps no
-state between steps.
+hands it on, and from the block of its last ``PREDICTOR_ORDER`` accepted
+jumps and their fluxes the step extrapolates a start and corrects it with
+the capacitance diagonal, one flux product per correction and no solve.  A
+step that cannot continue that way iterates with one factor frozen per
+stepper (``JumpStepper``).  Its factors are never modified after they are
+built, so one system can be stepped from several threads; the stepper
+itself keeps no state between steps.
 
 The time loop (``simulate``, ``step``), the trajectory record and the
 decay report (``decay.decay_metrics``) are shared by both systems too; a
@@ -62,10 +62,12 @@ _PREDICTOR = [None] + [
     for m in range(1, PREDICTOR_ORDER + 1)]
 
 
-def extrapolate(held: tuple) -> np.ndarray:
-    """The next value of the polynomial of degree m - 1 through the m jumps
-    of ``held`` (newest first), taken at equal steps."""
-    return _PREDICTOR[len(held)] @ np.array(held)
+def extrapolate(held) -> np.ndarray:
+    """The next value of the polynomial of degree m - 1 through the m rows
+    of ``held`` (newest first, each of any shape), taken at equal steps."""
+    held = np.asarray(held)
+    m = len(held)
+    return np.dot(_PREDICTOR[m], held.reshape(m, -1)).reshape(held.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,14 @@ class StepResult:
     ``factorizations`` counts the factors of the pass matrix built during
     the step.  ``flux`` is R jump, the product with the response that the
     acceptance test computed, and ``law_values`` is f(jump/eps).  ``dt`` is
-    the step's length and ``prior`` holds the accepted jumps before ``jump``
-    at that step length, newest first, at most ``PREDICTOR_ORDER - 1``;
-    ``prior_fluxes`` holds their fluxes, newest first, for those of them
-    that were accepted by a step (references, not copies): the next step
-    extrapolates from them.  ``contraction`` is the residual ratio of the
-    last diagonal correction at that step length, carried from step to
-    step (None before the first)."""
+    the step's length, and ``block`` holds the accepted jumps at that step
+    length with their fluxes, newest first, as one (m, 2, n) array of at
+    most ``PREDICTOR_ORDER`` rows (jump, flux): ``jump`` and ``flux`` are
+    views of its row 0, and the flux of a jump no step accepted (the
+    initial jump, or one of another dt) is NaN.  The next step
+    extrapolates from it; no step writes to it.  ``contraction`` is the
+    residual ratio of the last diagonal correction at that step length,
+    carried from step to step (None before the first)."""
 
     jump: np.ndarray
     iterations: int
@@ -126,10 +129,9 @@ class StepResult:
     factorizations: int = 0
     history: list = field(default_factory=list)
     dt: float = 0.0
-    prior: tuple = ()
     flux: Optional[np.ndarray] = None
     law_values: Optional[np.ndarray] = None
-    prior_fluxes: tuple = ()
+    block: Optional[np.ndarray] = None
     contraction: Optional[float] = None
 
 
@@ -137,16 +139,19 @@ class JumpStepper:
     """Advances the jump vector by one implicit step.
 
     With a = rate_coeff/dt, eps = arg_scale and W = diag(weights), the step
-    solves G(w) = W (a (w - w_prev) + f(w/eps)) + R w - drive load = 0.
+    solves G(w) = W (a (w - w_prev) + f(w/eps)) + R w - drive load = 0.  It
+    works with G per unit weight, g = a (w - w_prev) + f(w/eps) + W^-1 R w
+    - drive W^-1 load, whose last term is formed once per step.
 
     A step that continues a result of the same dt, at ``params.dt``, starts
     from the extrapolation through the m = min(K, held) last accepted jumps,
     w0 = sum_j=1..m (-1)^(j+1) C(m, j) w_n+1-j with K = ``PREDICTOR_ORDER``,
     whose error is O(dt^m) against the O(dt) of w_n.  R is linear, so the
-    same row of the held fluxes gives R w0 exactly, and G(w0) costs no
-    product with R.  The step then corrects with the capacitance diagonal,
+    same product with the result's block of held jumps and fluxes gives
+    R w0 exactly, and G(w0) costs no product with R.  The step then
+    corrects with the capacitance diagonal,
 
-        w <- w - G(w) / (weights (a + c/eps)),
+        w <- w - g(w) / (a + c/eps),
 
     and each correction's product R w gives the next true residual; the
     start itself is never accepted.  c is the law's slope at zero when its
@@ -161,11 +166,12 @@ class JumpStepper:
     step stops correcting when r rho^2 > tol, and skips the corrector when
     that holds at the start for the ratio carried from the run's last
     correction (``StepResult.contraction``).  It then falls back to the
-    factor path, as it does when it holds no flux for some held jump (the
-    first ``PREDICTOR_ORDER`` steps of a run, another dt), when the start
-    is not finite and after ``newton_max_iter`` corrections.  The factor path
-    starts from the same extrapolation, or from w_n where the law is not
-    finite there, and each of its passes solves, for a slope c,
+    factor path, as it does when the start or R w0 is not finite (the flux
+    of a held jump that no step accepted is NaN: the first
+    ``PREDICTOR_ORDER`` steps of a run, or of another dt) and after
+    ``newton_max_iter`` corrections.  The factor path starts from the same
+    extrapolation, or from w_n where the law is not finite there, and each
+    of its passes solves, for a slope c,
 
         (diag(weights (a + c/eps)) + R) w+
             = weights (a w_prev + c w/eps - f(w/eps)) + drive load,
@@ -201,19 +207,26 @@ class JumpStepper:
         self._corrector_slope = self._slope if top is not None and max(
             top - self._slope, self._slope) <= 0.5 * (a_eps + self._slope) \
             else None
-        self._load_scale = float(np.max(np.abs(flux.load / flux.weights),
-                                        initial=0.0))
+        self._inv_weights = 1.0 / flux.weights
+        self._load_w = flux.load * self._inv_weights
+        self._load_scale = float(np.max(np.abs(self._load_w), initial=0.0))
         # built on first use: a factor is as costly as the system set-up
         self._frozen = None
 
-    def _weighted_residual(self, w: np.ndarray, w_prev: np.ndarray,
-                           f_w: np.ndarray, flux_w: np.ndarray, drive: float,
-                           dt: float) -> np.ndarray:
-        """The step residual at w, given the law values f_w = f(w/eps) and
-        the flux flux_w = R w."""
-        fl = self.flux
-        rate = self.rate_coeff * (w - w_prev) / dt
-        return fl.weights * (rate + f_w) + flux_w - drive * fl.load
+    def _residual(self, w: np.ndarray, w_prev: np.ndarray, f_w: np.ndarray,
+                  flux_w: np.ndarray, load_t: np.ndarray,
+                  a: float) -> np.ndarray:
+        """The step residual per unit weight at w, given the law values
+        f_w = f(w/eps), the flux flux_w = R w and the step's drive load per
+        unit weight ``load_t``.  The rate term is a (w - w_prev), not
+        a w - a w_prev, whose roundoff of about eps a |w| is close to the
+        tolerance floor."""
+        g = w - w_prev
+        g *= a
+        g += f_w
+        g += flux_w * self._inv_weights
+        g -= load_t
+        return g
 
     def _tolerance(self, w_prev: np.ndarray, f_max: float, drive: float,
                    dt: float) -> float:
@@ -225,31 +238,33 @@ class JumpStepper:
         return self.params.newton_tol * scale + floor
 
     def _accept(self, w: np.ndarray, f_w: np.ndarray, flux_w: np.ndarray,
-                resid: np.ndarray, rnorm: float, history: list, shift: float,
+                g: np.ndarray, rnorm: float, history: list, shift: float,
                 built: int, dt: float) -> StepResult:
         return StepResult(jump=w, iterations=len(history), residual=rnorm,
                           used_shift=shift > 0.0,
-                          balance=float(abs(resid @ w)),
+                          balance=abs(float(np.dot(self.flux.weights * g,
+                                                   w))),
                           factorizations=built, history=history, dt=dt,
                           flux=flux_w, law_values=f_w)
 
     def step(self, t_next: float, w_prev: np.ndarray | StepResult,
              dt: float) -> StepResult:
-        prior = fluxes = ()
-        f_prev = rho = None
+        held = f_prev = rho = None
         if isinstance(w_prev, StepResult):
             if w_prev.dt == dt:
-                prior = w_prev.prior
-                fluxes = (w_prev.flux,) + w_prev.prior_fluxes
+                held = w_prev.block
                 f_prev, rho = w_prev.law_values, w_prev.contraction
             w_prev = w_prev.jump
-        held = (w_prev,) + prior
-        start = extrapolate(held) if prior else None
+        if held is None:
+            # a jump that no step accepted at this dt: its flux is unknown
+            held = np.stack([w_prev, np.full(w_prev.shape, np.nan)])[None]
         drive = self.temporal(t_next)
-        res, tried = None, []
-        if prior and len(fluxes) == len(held) and dt == self.params.dt:
-            res, tried, rho = self._correct(start, w_prev, fluxes, f_prev,
-                                            rho, drive, dt)
+        start, res, tried = None, None, []
+        if len(held) > 1:
+            start, r_start = extrapolate(held)
+            if dt == self.params.dt:
+                res, tried, rho = self._correct(start, r_start, w_prev,
+                                                f_prev, rho, drive, dt)
         if res is None:
             res, _, built = self._iterate(w_prev, drive, dt, 0.0, start)
             if res is None:
@@ -263,27 +278,30 @@ class JumpStepper:
             # the failed corrections count among the step's iterations
             res.history[:0] = tried
             res.iterations = len(res.history)
-        res.prior = held[:PREDICTOR_ORDER - 1]
-        res.prior_fluxes = fluxes[:PREDICTOR_ORDER - 1]
-        res.contraction = rho
+        # a new block, so that a step never writes to the one it continues
+        block = np.empty((min(len(held) + 1, PREDICTOR_ORDER),)
+                         + held.shape[1:])
+        block[0, 0], block[0, 1] = res.jump, res.flux
+        block[1:] = held[:len(block) - 1]
+        res.jump, res.flux = block[0]
+        res.block, res.contraction = block, rho
         return res
 
-    def _correct(self, start: np.ndarray, w_prev: np.ndarray, fluxes: tuple,
-                 f_prev: np.ndarray, rho: Optional[float], drive: float,
+    def _correct(self, start: np.ndarray, r_start: np.ndarray,
+                 w_prev: np.ndarray, f_prev: np.ndarray,
+                 rho: Optional[float], drive: float,
                  dt: float) -> tuple[Optional[StepResult], list,
                                      Optional[float]]:
         """The step corrected with the capacitance diagonal from ``start``,
-        the extrapolation of the held jumps whose fluxes are ``fluxes``
-        (None if it must fall back), the residual history of its
-        corrections and the residual ratio of the last one (``rho``, the
-        carried ratio, if it made none)."""
+        whose flux is ``r_start`` (None if it must fall back), the residual
+        history of its corrections and the residual ratio of the last one
+        (``rho``, the carried ratio, if it made none)."""
         fl, law, eps = self.flux, self.law, self.arg_scale
         a = self.rate_coeff / dt
+        load_t = drive * self._load_w
         w = start
         s = w / eps
-        f_w = law(s)
-        g = self._weighted_residual(w, w_prev, f_w, extrapolate(fluxes),
-                                    drive, dt) / fl.weights
+        g = self._residual(w, w_prev, law(s), r_start, load_t, a)
         rnorm = float(np.abs(g).max(initial=0.0))
         history: list = []
         if not math.isfinite(rnorm):        # a start that is not finite
@@ -301,15 +319,13 @@ class JumpStepper:
             s = w / eps
             f_w = law(s)
             flux_w = fl.apply(w)
-            resid = self._weighted_residual(w, w_prev, f_w, flux_w, drive,
-                                            dt)
-            g = resid / fl.weights
+            g = self._residual(w, w_prev, f_w, flux_w, load_t, a)
             last, rnorm = rnorm, float(np.abs(g).max(initial=0.0))
             rho = rnorm / last if last else 0.0
             history.append(rnorm)
             if rnorm <= tol:
-                return self._accept(w, f_w, flux_w, resid, rnorm, history,
-                                    0.0, 0, dt), history, rho
+                return self._accept(w, f_w, flux_w, g, rnorm, history, 0.0,
+                                    0, dt), history, rho
             if not rnorm * rho * rho <= tol:
                 break
         return None, history, rho
@@ -327,17 +343,17 @@ class JumpStepper:
         may_freeze = shift == 0.0 and dt == self.params.dt
         # a pass with a linear law's own slope solves the step equation itself
         exact = law.is_linear and shift == 0.0
+        load_t = drive * self._load_w
         w, s = w_prev, w_prev / eps
         f_w = law(s)
         f_max = float(np.abs(f_w).max(initial=0.0))
         if not np.isfinite(f_max):
             # no pass can converge, and an infinite tolerance would accept
             # any finite residual: fail the attempt on its starting residual
-            g = self._weighted_residual(w, w_prev, f_w, fl.apply(w), drive,
-                                        dt) / fl.weights
+            g = self._residual(w, w_prev, f_w, fl.apply(w), load_t, a)
             return None, [float(np.abs(g).max())], 0
         tol = self._tolerance(w_prev, f_max, drive, dt)
-        base = fl.weights * a * w_prev + drive * fl.load
+        rhs = fl.weights * a * w_prev + drive * fl.load
         if start is not None:
             s_start = start / eps
             f_start = law(s_start)
@@ -365,15 +381,14 @@ class JumpStepper:
                     if not fresh:
                         self._frozen = factor
                 w_full = factor.solve(
-                    base if exact else base + fl.weights * (c * s - f_w))
+                    rhs if exact else rhs + fl.weights * (c * s - f_w))
             except np.linalg.LinAlgError:
                 break
             # a Newton pass backtracks, which keeps the overshoot of strongly
             # convex laws in check; G(w + l d) = (1 - l) G(w) + the law terms
             search = fresh and not exact
             if search and g is None:
-                g = self._weighted_residual(w, w_prev, f_w, fl.apply(w),
-                                            drive, dt) / fl.weights
+                g = self._residual(w, w_prev, f_w, fl.apply(w), load_t, a)
                 rnorm = float(np.abs(g).max(initial=0.0))
             step_len = 1.0
             for _ in range(8 if search else 1):
@@ -397,12 +412,10 @@ class JumpStepper:
                 # the estimate leaves out the solve's roundoff: accept on the
                 # residual itself, or iterate on from it
                 flux_w = fl.apply(w)
-                resid = self._weighted_residual(w, w_prev, f_w, flux_w,
-                                                drive, dt)
-                g = resid / fl.weights
+                g = self._residual(w, w_prev, f_w, flux_w, load_t, a)
                 rnorm = history[-1] = float(np.abs(g).max(initial=0.0))
                 if rnorm <= tol:
-                    return self._accept(w, f_w, flux_w, resid, rnorm,
+                    return self._accept(w, f_w, flux_w, g, rnorm,
                                         history, shift, built, dt), \
                         history, built
             # a non-finite pass or stagnation: bail out, so that the caller

@@ -280,19 +280,29 @@ class NodeFlux:
         self.load = -(self.macro_fields(np.zeros(weights.size), 1.0)[1]
                       @ v.T).reshape(-1)
 
-    def macro_fields(self, w: np.ndarray, drive: float):
+    def macro_fields(self, w: np.ndarray, drive: float | np.ndarray):
         """Macro potential u = -S^-1 (Gbar' vec(W V) + drive load_u) of the
         jumps ``w`` at drive factor ``drive``, and its node gradients
-        Gbar u + drive gbar_load (corner-averaged), one row per node."""
-        wr = w.reshape(self.n_nodes, -1)
+        Gbar u + drive gbar_load (corner-averaged), one row per node.  A
+        stack of jump vectors, one per row of ``w``, with one drive factor
+        each, gives one u and one gradient stack per row, from one
+        ``potrs`` with a right-hand side per row."""
         gbar = self.macro.mean_grad
-        rhs = gbar.T @ (wr @ self.v).reshape(-1)
-        if drive:   # ``apply`` (drive 0) runs on every step
-            rhs += drive * self.load_u
+        stack = w.ndim > 1
+        if stack:       # one column per jump vector
+            wv = w.reshape(len(w), self.n_nodes, -1) @ self.v
+            rhs = gbar.T @ wv.reshape(len(w), -1).T
+        else:
+            rhs = gbar.T @ (w.reshape(self.n_nodes, -1) @ self.v).reshape(-1)
+        # ``apply`` (drive 0) runs on every step
+        if stack or drive:
+            rhs += np.multiply.outer(self.load_u, drive)
         u = -_cho_solve(self.schur_cf, rhs)
         g = gbar @ u
-        if drive:
-            g += drive * self.macro.mean_grad_load
+        if stack or drive:
+            g += np.multiply.outer(self.macro.mean_grad_load, drive)
+        if stack:
+            return u.T, g.T.reshape(len(w), self.n_nodes, -1)
         return u, g.reshape(self.n_nodes, -1)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
@@ -482,7 +492,7 @@ class TwoScaleSystem(MembraneSystem):
         cfd = self.cfd
         si, so = self.cond.sigma_int, self.cond.sigma_out
         half = 0.5 * cfd.spacing
-        _, gbar = self.flux_map.macro_fields(state.jump,
+        _, gbar = self.flux_map.macro_fields(state.jump.reshape(-1),
                                              self.drive.temporal(state.t))
         facets = self.cell.facets
         w = state.jump
@@ -614,13 +624,10 @@ def micro_two_scale_gap(micro_system, micro_jump: np.ndarray,
 
 # -- discrete weak-form certification ----------------------------------------
 
-def _bulk_pairing(system: TwoScaleSystem, t: float, w: np.ndarray,
-                  test_vec: np.ndarray) -> float:
-    """Energy pairing of the state at (t, w) with a zero-boundary test."""
-    macro, corr = system.recover(t, w)
-    x = np.concatenate([macro, corr.reshape(-1), w])
-    vals = system.samples @ x + system.drive.temporal(t) * system.sample_load
-    return float(vals @ (system.samples @ test_vec))
+# steps per chunk of the weak-form sum: at 256 jumps the sum allocates at
+# most 0.8 MB (the Gram matrix and one chunk of tests and their products
+# with it), and larger chunks run no faster
+_WEAK_CHUNK = 16
 
 
 def _pack_test(system: TwoScaleSystem, phi: np.ndarray, phi_cell: np.ndarray,
@@ -632,18 +639,41 @@ def _pack_test(system: TwoScaleSystem, phi: np.ndarray, phi_cell: np.ndarray,
 def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
               tests: list, dt: float) -> float:
     """Steps 1..N of the discrete space-time weak form: bulk pairing and law
-    at each step, with the time difference moved onto the test jump."""
+    at each step, with the time difference moved onto the test jump.
+
+    The bulk pairing of the state x = (macro, correctors, jumps) at drive
+    factor d with a zero-boundary test v is (S x + d l)·(S v) =
+    x·(S'S v) + d (S'l)·v for the sample matrix S and its load l, so it
+    goes through the Gram matrix S'S, built here (it is sparser than S).
+    The steps go in chunks of ``_WEAK_CHUNK``: one ``macro_fields`` call
+    recovers the chunk's macro potentials and node gradients, and node j's
+    corrector -(x_g g_j + x_w w_j) pairs through x_g and x_w, so no
+    corrector is formed."""
+    samples = system.samples
+    gram = (samples.T @ samples).tocsr()
+    load = samples.T @ system.sample_load
+    n_u, n_c = system.n_nodes, system.n_nodes * system.n_y
     s2 = system.weights
     alpha = system.params.alpha
     total = 0.0
-    for nn in range(1, len(ts)):
-        phi, phic, phiw = tests[nn]
-        tv = _pack_test(system, phi, phic, phiw)
-        w_n = jumps[nn]
-        total += dt * _bulk_pairing(system, float(ts[nn]), w_n, tv)
-        total += dt * float(np.sum(s2 * system.law(w_n) * phiw.reshape(-1)))
-        dphi = phiw.reshape(-1) - tests[nn - 1][2].reshape(-1)
-        total -= alpha * float(np.sum(s2 * jumps[nn - 1] * dphi))
+    for lo in range(1, len(ts), _WEAK_CHUNK):
+        hi = min(lo + _WEAK_CHUNK, len(ts))
+        tv = np.stack([_pack_test(system, *tests[n]) for n in range(lo, hi)])
+        phiw = np.stack([tests[n][2].reshape(-1) for n in range(lo - 1, hi)])
+        w = jumps[lo:hi]
+        drive = np.array([system.drive.temporal(float(t))
+                          for t in ts[lo:hi]])
+        macro, g = system.flux_map.macro_fields(w, drive)
+        z = (gram @ tv.T).T
+        zc = z[:, n_u:n_u + n_c].reshape(len(w), system.n_nodes, -1)
+        bulk = (np.sum(z[:, :n_u] * macro) + np.sum(z[:, n_u + n_c:] * w)
+                - np.sum((zc @ system._x_g) * g)
+                - np.sum((zc @ system._x_w) * w.reshape(zc.shape[:2] + (-1,)))
+                + drive @ (tv @ load))
+        total += dt * float(bulk)
+        total += dt * float(np.sum(s2 * system.law(w) * phiw[1:]))
+        total -= alpha * float(np.sum(s2 * jumps[lo - 1:hi - 1]
+                                      * np.diff(phiw, axis=0)))
     return total
 
 

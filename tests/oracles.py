@@ -8,6 +8,9 @@ starts from the production sample matrix (checked against loops by
 (macro, corrector) block at once, independent of the per-node condensation.
 ``picard_orbit`` is the plain damped Picard iteration on the production
 period map, the reference for the accelerated orbit solver.
+``per_step_weak_sum`` pairs every two-scale step with its test through the
+sample matrix itself, the reference for the chunked Gram pairing of the
+weak-form certificates.
 ``fit_growth_constants`` samples a law's growth bound, the reference for the
 declared certificates of the built-in laws.
 """
@@ -378,6 +381,30 @@ def dense_two_scale(system):
         response=0.5 * (response + response.T),
         load=-(k_zw.T @ lift_drive + r_w),
         lift_jump=lift_jump, lift_drive=lift_drive)
+
+
+def per_step_weak_sum(system, ts, jumps, tests, dt) -> float:
+    """``twoscale._weak_sum`` one step at a time: the state (macro,
+    correctors, jumps) of each step is recovered on its own and paired with
+    its test through the samples, (S x + drive l)·(S v)."""
+    s2 = system.weights
+    alpha = system.params.alpha
+    total = 0.0
+    for n in range(1, len(ts)):
+        phi, phic, phiw = tests[n]
+        t = float(ts[n])
+        macro, corr = system.recover(t, jumps[n])
+        x = np.concatenate([macro, corr.reshape(-1), jumps[n]])
+        v = np.concatenate([phi.reshape(-1), phic.reshape(-1),
+                            phiw.reshape(-1)])
+        vals = system.samples @ x \
+            + system.drive.temporal(t) * system.sample_load
+        total += dt * float(vals @ (system.samples @ v))
+        total += dt * float(np.sum(s2 * system.law(jumps[n])
+                                   * phiw.reshape(-1)))
+        dphi = phiw.reshape(-1) - tests[n - 1][2].reshape(-1)
+        total -= alpha * float(np.sum(s2 * jumps[n - 1] * dphi))
+    return total
 
 
 # -- dense decay constants ------------------------------------------------------

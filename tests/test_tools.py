@@ -84,10 +84,16 @@ def test_twoscale_sizes_prints_one_row_per_resolution():
     lines = out.stdout.splitlines()
     assert lines[0].startswith("# ") and "one BLAS thread" in lines[0]
     assert lines[1].startswith("| `macro.resolution` | jumps | set-up (s)")
+    header = [c.strip() for c in lines[1].strip("|").split("|")]
     assert len(lines) == 4
     cells = [c.strip() for c in lines[3].strip("|").split("|")]
+    assert len(cells) == len(header)
     assert cells[:2] == ["2", "64"]
     assert all(float(c) > 0.0 for c in cells[2:])
+    # the flux map's share of a step is part of the step
+    row = dict(zip(header, cells))
+    assert float(row["ms in the flux map per step"]) \
+        < float(row["ms per `sin` step"])
 
 
 @pytest.mark.parametrize("args", [["--help"], ["4", "x"], ["0"]])

@@ -14,6 +14,7 @@ from tissue.decay import decay_metrics, lyapunov_series
 from tissue.errors import GeometryError
 from tissue.micro import MicroSystem, initial_jump, simulate
 from tissue.periodic import find_periodic, orbit_distance
+from tissue import twoscale
 from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              find_periodic_two_scale, initial_two_scale_jump,
                              micro_two_scale_gap, periodic_weak_residual,
@@ -22,7 +23,8 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              _macro_norms)
 
 from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
-from oracles import DenseTwoScale, FluxResponse, dense_two_scale
+from oracles import (DenseTwoScale, FluxResponse, dense_two_scale,
+                     per_step_weak_sum)
 
 
 def make_two_scale(cell=None, cond=(1.0, 1.0), law=("sin",),
@@ -607,6 +609,49 @@ def test_periodic_weak_form_certification():
 
     res = periodic_weak_residual(system, orbit, test_fn)
     assert abs(res) <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weak_residuals_match_the_per_step_pairing(dim, monkeypatch):
+    # the chunked Gram pairing against the per-step pairing through the
+    # samples, over more steps than one chunk: on the orbit and on a
+    # transient run (residuals at roundoff) to 1e-12 of the jump scale, and
+    # on jumps perturbed by noise of 0.1 (the jumps are about 0.17 here;
+    # residuals of 0.01-0.3) to 1e-12 relative
+    system = make_two_scale(cond=(2.0, 1.0), law=("sin",), dim=dim,
+                            macro_res=4 if dim == 1 else 2)
+    orbit = find_periodic_two_scale(system, tol=1e-10)
+    traj = simulate_two_scale(
+        system, initial_two_scale_jump(system, "random", 2.0, seed=6), 0.5)
+    assert len(traj.ts) - 1 > twoscale._WEAK_CHUNK
+    rng = np.random.default_rng(10 + dim)
+    phi = rng.normal(size=system.n_nodes)
+    phc = rng.normal(size=(system.n_nodes, system.n_y))
+    phw = rng.normal(size=system.n_w)
+
+    def periodic_test(n, t):
+        fac = np.cos(2 * np.pi * n / orbit.steps_per_period)
+        return phi * fac, phc * fac, phw * fac
+
+    def transient_test(n, t):
+        fac = 1.0 - n / (len(traj.ts) - 1)
+        return phi * np.cos(t), phc * fac, phw * fac
+
+    def noisy(run):
+        return replace(run, jumps=run.jumps
+                       + 0.1 * rng.normal(size=run.jumps.shape))
+
+    runs = [(periodic_weak_residual, orbit, periodic_test),
+            (transient_weak_residual, traj, transient_test)]
+    runs += [(fn, noisy(run), test) for fn, run, test in runs]
+    got = [fn(system, run, test) for fn, run, test in runs]
+    monkeypatch.setattr(twoscale, "_weak_sum", per_step_weak_sum)
+    want = [fn(system, run, test) for fn, run, test in runs]
+    for (_, run, _), a, b in zip(runs[:2], got, want):
+        assert abs(a - b) <= 1e-12 * float(np.max(np.abs(run.jumps)))
+    for a, b in zip(got[2:], want[2:]):
+        assert abs(b) > 1e-2
+        assert abs(a - b) <= 1e-12 * abs(b)
 
 
 # -- consistency with the resolved solver ----------------------------------------

@@ -24,6 +24,9 @@ CPU time (``time.process_time``) of:
   steps, products with the flux response (``flux_map.apply``) plus
   solves with a pass factor; a count, so the machine's speed does not
   move it;
+- ms in the flux map per step: the CPU time of those 20 steps spent
+  inside these solves, per step; the rest of the step time is the
+  stepper's own vector work;
 - ``state_at``: the mean of one state rebuild at each of those 20 steps;
 
 and its peak RSS, the process maximum (interpreter and imports included).
@@ -38,6 +41,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 USAGE = "usage: python tools/twoscale_sizes.py [RESOLUTION ...]"
@@ -46,19 +50,23 @@ STEPS = 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER = ("| `macro.resolution` | jumps | set-up (s) | first step (ms) "
           "| ms per `sin` step | iterations per step | solves per step "
-          "| `state_at` (ms) | peak RSS (MB) |\n"
-          "|---|---|---|---|---|---|---|---|---|")
+          "| ms in the flux map per step | `state_at` (ms) | peak RSS (MB) |\n"
+          "|---|---|---|---|---|---|---|---|---|---|")
 
 
-def count_solves(flux_map) -> list:
+def count_solves(flux_map) -> dict:
     """Count the calls of the flux map's ``apply`` and of the ``solve`` of
-    every factor it builds from now on, in the returned one-item list."""
-    calls = [0]
+    every factor it builds from now on, and the CPU time spent in them, in
+    the returned dict's "calls" and "s"."""
+    calls = {"calls": 0, "s": 0.0}
 
     def counted(fn):
         def call(*args):
-            calls[0] += 1
-            return fn(*args)
+            t0 = time.process_time()
+            out = fn(*args)
+            calls["s"] += time.process_time() - t0
+            calls["calls"] += 1
+            return out
         return call
 
     build = flux_map.factor
@@ -78,7 +86,6 @@ def measure(res: int) -> dict:
     in the child process."""
     import gc
     import resource
-    import time
 
     import numpy as np
 
@@ -107,30 +114,32 @@ def measure(res: int) -> dict:
         for n in range(2, PREDICTOR_ORDER + 1):    # the predictor's ramp
             last = system.stepper.step(n * dt, last, dt)
         first_timed = PREDICTOR_ORDER + 1
-        solves_before = solves[0]
+        solves_before, solve_s_before = solves["calls"], solves["s"]
         t4 = time.process_time()
         results = []
         for n in range(first_timed, first_timed + STEPS):
             last = system.stepper.step(n * dt, last, dt)
             results.append(last)
         t5 = time.process_time()
-        solved = (solves[0] - solves_before) / STEPS
+        solved = (solves["calls"] - solves_before) / STEPS
+        solve_ms = 1e3 * (solves["s"] - solve_s_before) / STEPS
         for n, step_res in enumerate(results, start=first_timed):
             system.state_at(n * dt, step_res.jump)
         t6 = time.process_time()
         iterations = sum(r.iterations for r in results) / STEPS
         rows.append((t1 - t0, 1e3 * (t3 - t2), 1e3 * (t5 - t4) / STEPS,
-                     iterations, solved, 1e3 * (t6 - t5) / STEPS))
+                     iterations, solved, solve_ms, 1e3 * (t6 - t5) / STEPS))
         # free this system before the next one is built, so that the peak
         # RSS is that of one system
         n_w = system.n_w
         del system, last, results
         gc.collect()
-    setup, first, step, iterations, solved, state = np.median(
+    setup, first, step, iterations, solved, solve_ms, state = np.median(
         np.array(rows), axis=0)
     return {"res": res, "jumps": n_w, "setup_s": setup,
             "first_step_ms": first, "step_ms": step,
-            "iterations": iterations, "solves": solved, "state_ms": state,
+            "iterations": iterations, "solves": solved,
+            "flux_map_ms": solve_ms, "state_ms": state,
             # ru_maxrss is in kB on Linux
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -148,7 +157,7 @@ def row(m: dict) -> str:
     return (f"| {m['res']} | {m['jumps']:,} | {m['setup_s']:.3g} "
             f"| {m['first_step_ms']:.3g} | {m['step_ms']:.3g} "
             f"| {m['iterations']:.3g} | {m['solves']:.3g} "
-            f"| {m['state_ms']:.3g} "
+            f"| {m['flux_map_ms']:.3g} | {m['state_ms']:.3g} "
             f"| {m['peak_rss_mb']:.0f} |")
 
 
