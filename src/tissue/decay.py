@@ -1,11 +1,12 @@
 """Convergence of transients to the periodic attractor.
 
 One report path serves both systems.  A system supplies ``gap_norms(w,
-w_orbit)``: the norms of the gap between one sample of a trajectory and the
-orbit at the same time, including the jump norm ``norm_jump`` and the
-stored membrane energy of the gap ``lyapunov`` (the quantity the scheme
-provably never increases).  ``decay_metrics`` collects them per sample and
-fits a log-linear rate with an exponential/subexponential classification.
+w_orbit)``: the norms of the gaps between a stack of trajectory samples and
+the orbit at the same times, one column entry per sample, including the
+jump norm ``norm_jump`` and the stored membrane energy of the gap
+``lyapunov`` (the quantity the scheme provably never increases).
+``decay_metrics`` collects them one chunk of samples at a time and fits a
+log-linear rate with an exponential/subexponential classification.
 ``lyapunov_series`` tracks the same energy between two runs.
 """
 
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .membrane import Trajectory
+from .membrane import SAMPLE_CHUNK, Trajectory
 from .periodic import PeriodicOrbit
 
 __all__ = [
@@ -80,11 +81,12 @@ def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
     """Gap norms between a trajectory and the periodic orbit, per sample.
 
     Both must live on the same grid and time step; the orbit is wrapped in
-    time.  The rate is fitted to ``norm_jump``, and ``lyapunov`` must not
-    increase.  A gap within 100 times the orbit's defect measures the
-    orbit's error, not the decay: the fit ends before the first such
-    sample, and with fewer than three samples left it reports
-    ``reached_floor``.
+    time.  Each chunk of ``SAMPLE_CHUNK`` samples goes to one ``gap_norms``
+    call with the orbit rows at the same steps.  The rate is fitted to
+    ``norm_jump``, and ``lyapunov`` must not increase.  A gap within 100
+    times the orbit's defect measures the orbit's error, not the decay: the
+    fit ends before the first such sample, and with fewer than three
+    samples left it reports ``reached_floor``.
     """
     system = traj.system
     dt = system.params.dt
@@ -92,10 +94,13 @@ def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
         raise ValueError("trajectory and orbit use different time steps")
     if orbit.jumps.shape[1] != traj.jumps.shape[1]:
         raise ValueError("trajectory and orbit use different grids")
-    rows = [system.gap_norms(w, orbit.jump_at_step(int(round(t / dt))))
-            for t, w in zip(traj.ts, traj.jumps)]
-    cols = {name: np.array([row[name] for row in rows]) for name in rows[0]}
-    sample_dt = float(traj.ts[1] - traj.ts[0]) if len(rows) > 1 else dt
+    steps = np.rint(traj.ts / dt).astype(np.int64)
+    chunks = [system.gap_norms(traj.jumps[lo:lo + SAMPLE_CHUNK],
+                               orbit.jump_at_step(steps[lo:lo + SAMPLE_CHUNK]))
+              for lo in range(0, len(traj), SAMPLE_CHUNK)]
+    cols = {name: np.concatenate([c[name] for c in chunks])
+            for name in chunks[0]}
+    sample_dt = float(traj.ts[1] - traj.ts[0]) if len(traj) > 1 else dt
     gaps = cols["norm_jump"]
     floored = np.flatnonzero(gaps <= 100.0 * orbit.defect)
     n_fit = int(floored[0]) if floored.size else gaps.size

@@ -432,7 +432,8 @@ class MembraneSystem:
 
     A subclass sets ``params``, ``drive`` and the condensed ``flux_map``,
     binds its law through ``_bind_law`` and provides ``state_at`` and
-    ``gap_norms(w, w_orbit)``, the per-sample norms of the decay report.
+    ``gap_norms(w, w_orbit)``, the norms of the decay report: one column
+    entry per row of two (m, n) stacks of jump vectors.
     """
 
     def _bind_law(self, law: Nonlinearity, rate_coeff: float,
@@ -452,15 +453,18 @@ class MembraneSystem:
     def weights(self) -> np.ndarray:
         return self.flux_map.weights
 
-    def lyapunov(self, w_a: np.ndarray, w_b: np.ndarray) -> float:
+    def lyapunov(self, w_a: np.ndarray,
+                 w_b: np.ndarray) -> float | np.ndarray:
         """Stored membrane energy of the gap of two solutions: the weighted
-        squared jump distance times the rate coefficient."""
+        squared jump distance times the rate coefficient; one per row of
+        two stacks."""
         r = w_a - w_b
-        return float(self.stepper.rate_coeff * np.sum(self.weights * r * r))
+        return self.stepper.rate_coeff * np.sum(self.weights * r * r, axis=-1)
 
-    def jump_norm(self, w: np.ndarray) -> float:
-        """Weighted jump norm, sqrt(sum(weights * w^2))."""
-        return float(np.sqrt(np.sum(self.weights * w * w)))
+    def jump_norm(self, w: np.ndarray) -> float | np.ndarray:
+        """Weighted jump norm, sqrt(sum(weights * w^2)); one per row of a
+        stack."""
+        return np.sqrt(np.sum(self.weights * w * w, axis=-1))
 
 
 def jump_family(kind: str, x: np.ndarray, scale: float, seed: int = 0,
@@ -482,6 +486,12 @@ def jump_family(kind: str, x: np.ndarray, scale: float, seed: int = 0,
 
 
 # -- time loop ----------------------------------------------------------------
+
+# samples per stacked call when a trajectory is post-processed (weak-form
+# pairing, mean defects, decay rows): the pass holds one chunk at a time,
+# and larger chunks make the weak-form sum no faster
+SAMPLE_CHUNK = 16
+
 
 @dataclass
 class Trajectory:

@@ -244,23 +244,25 @@ class MicroSystem(MembraneSystem):
                           trace_in=t_in, trace_out=t_out)
 
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
-        """Bulk, gradient and jump norms and stored energy of the gap between
-        two solutions, and the extreme secant slopes of the law across it.
+        """Bulk, gradient and jump norms and stored energies of the gaps
+        between the rows of two (m, n_facets) stacks of solutions, and the
+        extreme secant slopes of the law across them: one column entry per
+        row.
 
-        The bulk gap is reconstructed from the jump gap by one bulk solve
-        (the drive cancels in the difference).
+        The bulk gaps are reconstructed from the jump gaps by one
+        multi-column bulk solve (the drive cancels in the difference).
         """
         dom = self.domain
         eps = dom.epsilon
         r_w = w - w_orbit
-        r_u = self.op.lift(r_w)
+        r_u = self.op.lift(r_w.T).T
         sec = _secant_slopes(self.law, w / eps, w_orbit / eps)
         return {"norm_l2": bulk_l2(dom, r_u),
                 "norm_grad": gradient_l2(dom, r_u, r_w, None),
                 "norm_jump": jump_l2(dom, r_w),
                 "lyapunov": self.lyapunov(w, w_orbit),
-                "secant_min": sec.min(initial=np.inf),
-                "secant_max": sec.max(initial=-np.inf)}
+                "secant_min": sec.min(axis=1, initial=np.inf),
+                "secant_max": sec.max(axis=1, initial=-np.inf)}
 
 
 def initial_jump(domain: EpsilonDomain, kind: str, amplitude: float,
@@ -339,12 +341,15 @@ def _secant_slopes(law: Nonlinearity, a: np.ndarray, b: np.ndarray,
 
 # -- discrete norms ---------------------------------------------------------
 
-def bulk_l2(domain: EpsilonDomain, u: np.ndarray) -> float:
-    return float(np.sqrt(domain.cell_volume * np.sum(u * u)))
+# Each norm takes one field or a stack of fields, one per row, and then
+# gives one norm per row.
+
+def bulk_l2(domain: EpsilonDomain, u: np.ndarray) -> float | np.ndarray:
+    return np.sqrt(domain.cell_volume * np.sum(u * u, axis=-1))
 
 
-def jump_l2(domain: EpsilonDomain, w: np.ndarray) -> float:
-    return float(np.sqrt(domain.facets.measure * np.sum(w * w)))
+def jump_l2(domain: EpsilonDomain, w: np.ndarray) -> float | np.ndarray:
+    return np.sqrt(domain.facets.measure * np.sum(w * w, axis=-1))
 
 
 def _face_differences(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
@@ -358,12 +363,12 @@ def _face_differences(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
     faces = domain.faces
     h = domain.h
     s_face = h ** (domain.dim - 1)
-    du = u[faces.cell_b] - u[faces.cell_a]
-    jump_corr = np.zeros(len(faces))
+    du = u[..., faces.cell_b] - u[..., faces.cell_a]
+    jump_corr = np.zeros(du.shape)
     memb = np.flatnonzero(faces.membrane)
     # jump is oriented inner->outer; convert to the a->b face orientation
     sign = np.where(faces.a_inside[memb], 1.0, -1.0)
-    jump_corr[memb] = sign * w
+    jump_corr[..., memb] = sign * w
     slopes_int = (du - jump_corr) / h
     vol_int = np.full(len(faces), s_face * h)
 
@@ -372,15 +377,17 @@ def _face_differences(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
         bvals = np.zeros(len(bnd))
     else:
         bvals = boundary_values
-    slopes_bnd = (bvals - u[bnd.cell]) / (0.5 * h)
+    slopes_bnd = (bvals - u[..., bnd.cell]) / (0.5 * h)
     vol_bnd = np.full(len(bnd), s_face * 0.5 * h)
     return slopes_int, vol_int, slopes_bnd, vol_bnd
 
 
 def gradient_l2(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
-                boundary_values: Optional[np.ndarray] = None) -> float:
+                boundary_values: Optional[np.ndarray] = None
+                ) -> float | np.ndarray:
     si, vi, sb, vb = _face_differences(domain, u, w, boundary_values)
-    return float(np.sqrt(np.sum(vi * si * si) + np.sum(vb * sb * sb)))
+    return np.sqrt(np.sum(vi * si * si, axis=-1)
+                   + np.sum(vb * sb * sb, axis=-1))
 
 
 def sigma_gradient_energy(domain: EpsilonDomain, cond: Conductivity,

@@ -43,8 +43,8 @@ from scipy.linalg import cho_factor, get_lapack_funcs
 
 from .errors import GeometryError
 from .geometry import CellGeometry, Conductivity, cell_centers
-from .membrane import (MembraneSystem, SolverParams, Trajectory, jump_family,
-                       simulate)
+from .membrane import (SAMPLE_CHUNK, MembraneSystem, SolverParams, Trajectory,
+                       jump_family, simulate)
 from .nonlinearity import BoundaryData, Nonlinearity
 from .periodic import PeriodicOrbit, find_periodic, find_periodic_regularized
 from .decay import DecayReport, decay_metrics
@@ -453,12 +453,14 @@ class TwoScaleSystem(MembraneSystem):
 
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
         """Macro H1, corrector and corrector-gradient norms (on the product
-        domain) of the gap between two solutions, its jump norm and its
-        stored energy."""
+        domain) of the gaps between the rows of two (m, n_w) stacks of
+        solutions, their jump norms and their stored energies: one column
+        entry per row, from one stacked ``macro_fields`` call."""
         dw = w - w_orbit
-        du, dc, _ = self._fields(dw, 0.0)
+        du, dc, _ = self._fields(dw, np.zeros(len(dw)))
         l2, grad = _macro_norms(self, du)
-        cl2, cgrad = _corrector_norms(self, dc, dw.reshape(self.n_nodes, -1))
+        cl2, cgrad = _corrector_norms(self, dc,
+                                      dw.reshape(dc.shape[:2] + (-1,)))
         return {"norm_macro_h1": np.sqrt(l2 * l2 + grad * grad),
                 "norm_corrector": cl2, "norm_corrector_grad": cgrad,
                 "norm_jump": self.jump_norm(dw),
@@ -466,26 +468,39 @@ class TwoScaleSystem(MembraneSystem):
 
     # -- state reconstruction ---------------------------------------------
 
-    def _fields(self, w: np.ndarray, drive: float):
+    def _fields(self, w: np.ndarray, drive: float | np.ndarray):
         """Macro potential, per-node correctors and node gradients of the
         jumps ``w`` at the drive factor ``drive``; node j's corrector is
-        -(x_g g_j + x_w w_j)."""
+        -(x_g g_j + x_w w_j).  A stack of jump vectors (one per row, with
+        one drive factor each) gets a leading sample axis throughout."""
         macro, g = self.flux_map.macro_fields(w, drive)
-        wr = w.reshape(self.n_nodes, -1)
+        wr = w.reshape(w.shape[:-1] + (self.n_nodes, -1))
         return macro, -(g @ self._x_g.T + wr @ self._x_w.T), g
+
+    def _drives(self, ts: np.ndarray) -> np.ndarray:
+        return np.array([self.drive.temporal(float(t)) for t in ts])
 
     def recover(self, t: float, w: np.ndarray):
         return self._fields(w, self.drive.temporal(t))[:2]
 
-    def state_at(self, t: float, w: np.ndarray) -> "TwoScaleState":
-        macro, corr, g = self._fields(w, self.drive.temporal(t))
-        means = self.cfd.vol * corr.sum(axis=1)
-        defect = float(np.max(np.abs(means), initial=0.0))
-        corr = corr - means[:, None]
-        wr, fl = w.reshape(self.n_nodes, -1), self.flux_map
-        flux = -(wr @ fl.r_block + g @ fl.v.T) / self.weights.reshape(wr.shape)
+    def state_at(self, t: float | np.ndarray,
+                 w: np.ndarray) -> "TwoScaleState":
+        """The state of the jumps ``w`` at time ``t``.  A stack of jump
+        vectors, one per row of ``w``, at the times ``t`` gives one state
+        whose fields have a leading sample axis, with one mean defect per
+        sample."""
+        stack = w.ndim > 1
+        macro, corr, g = self._fields(
+            w, self._drives(t) if stack else self.drive.temporal(t))
+        means = self.cfd.vol * corr.sum(axis=-1)
+        defect = np.max(np.abs(means), axis=-1, initial=0.0)
+        corr -= means[..., None]
+        wr, fl = w.reshape(corr.shape[:-1] + (-1,)), self.flux_map
+        flux = -(wr @ fl.r_block + g @ fl.v.T) \
+            / self.weights.reshape(wr.shape[-2:])
         return TwoScaleState(t=t, macro=macro, corrector=corr, jump=wr.copy(),
-                             flux=flux, mean_defect=defect)
+                             flux=flux,
+                             mean_defect=defect if stack else float(defect))
 
     def one_sided_membrane_fluxes(self, state: "TwoScaleState"):
         """Per-facet fluxes computed from either trace side (continuity check)."""
@@ -508,14 +523,15 @@ class TwoScaleSystem(MembraneSystem):
 
 @dataclass(frozen=True)
 class TwoScaleState:
-    """Macro potential, per-node zero-mean correctors, jumps and fluxes."""
+    """Macro potential, per-node zero-mean correctors, jumps and fluxes;
+    a state of a stack of samples has a leading sample axis on each."""
 
-    t: float
+    t: float | np.ndarray
     macro: np.ndarray
     corrector: np.ndarray
     jump: np.ndarray
     flux: np.ndarray
-    mean_defect: float
+    mean_defect: float | np.ndarray
 
 
 def simulate_two_scale(system: TwoScaleSystem, w0: np.ndarray, horizon: float,
@@ -527,7 +543,12 @@ def simulate_two_scale(system: TwoScaleSystem, w0: np.ndarray, horizon: float,
 
 
 def _mean_defects(traj: Trajectory) -> np.ndarray:
-    return np.array([traj.state(i).mean_defect for i in range(len(traj))])
+    """Corrector mean defect per sample, from one stacked ``state_at`` per
+    chunk of ``SAMPLE_CHUNK`` samples."""
+    return np.concatenate([
+        traj.system.state_at(traj.ts[lo:lo + SAMPLE_CHUNK],
+                             traj.jumps[lo:lo + SAMPLE_CHUNK]).mean_defect
+        for lo in range(0, len(traj), SAMPLE_CHUNK)])
 
 
 def find_periodic_two_scale(system: TwoScaleSystem, tol: float = 1e-8,
@@ -553,26 +574,31 @@ def initial_two_scale_jump(system: TwoScaleSystem, kind: str, amplitude: float,
 # -- norms and decay ----------------------------------------------------------
 
 def _macro_norms(system: TwoScaleSystem, du: np.ndarray):
+    """L2 and gradient norms of each row of a stack of macro fields."""
     mac = system.macro
     hdim = mac.spacing ** mac.dim
-    l2 = float(np.sqrt(hdim * np.sum(du * du)))
-    g = mac.grad @ du
+    l2 = np.sqrt(hdim * np.sum(du * du, axis=1))
+    g = mac.grad @ du.T                                   # (faces, samples)
     acc = 0.0
     for qpat in itertools.product((0, 1), repeat=mac.dim):
         for d in range(mac.dim):
             gq = g[mac.side_of[:, d, qpat[d]]]
-            acc += float(np.sum(gq * gq))
+            acc += np.sum(gq * gq, axis=0)
     grad_sq = hdim / 2 ** mac.dim * acc
-    return l2, float(np.sqrt(grad_sq))
+    return l2, np.sqrt(grad_sq)
 
 
 def _corrector_norms(system: TwoScaleSystem, dc: np.ndarray, dw: np.ndarray):
+    """L2 and gradient norms of each sample of a stack of per-node
+    correctors ``dc`` (samples, nodes, cell) and jumps ``dw`` (samples,
+    nodes, facets)."""
     cfd = system.cfd
     hdim = system.macro.spacing ** system.macro.dim
-    l2 = float(np.sqrt(hdim * cfd.vol * np.sum(dc * dc)))
-    slopes = cfd.slope_c @ dc.T + cfd.slope_w @ dw.T      # (faces, nodes)
-    grad = float(np.sqrt(hdim * cfd.vol * np.sum(slopes * slopes)))
-    return l2, grad
+    l2 = np.sqrt(hdim * cfd.vol * np.sum(dc * dc, axis=(1, 2)))
+    slopes = cfd.slope_c @ dc.reshape(-1, cfd.n_y).T \
+        + cfd.slope_w @ dw.reshape(-1, cfd.n_facets).T   # (faces, cells)
+    sq = np.sum(slopes * slopes, axis=0).reshape(dc.shape[:2])
+    return l2, np.sqrt(hdim * cfd.vol * np.sum(sq, axis=1))
 
 
 def two_scale_decay_metrics(traj: Trajectory,
@@ -624,20 +650,14 @@ def micro_two_scale_gap(micro_system, micro_jump: np.ndarray,
 
 # -- discrete weak-form certification ----------------------------------------
 
-# steps per chunk of the weak-form sum: at 256 jumps the sum allocates at
-# most 0.8 MB (the Gram matrix and one chunk of tests and their products
-# with it), and larger chunks run no faster
-_WEAK_CHUNK = 16
-
-
-def _pack_test(system: TwoScaleSystem, phi: np.ndarray, phi_cell: np.ndarray,
+def _pack_test(phi: np.ndarray, phi_cell: np.ndarray,
                phi_jump: np.ndarray) -> np.ndarray:
     return np.concatenate([phi.reshape(-1), phi_cell.reshape(-1),
                            phi_jump.reshape(-1)])
 
 
 def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
-              tests: list, dt: float) -> float:
+              test: Callable[[int, float], tuple], dt: float) -> float:
     """Steps 1..N of the discrete space-time weak form: bulk pairing and law
     at each step, with the time difference moved onto the test jump.
 
@@ -645,9 +665,11 @@ def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
     factor d with a zero-boundary test v is (S x + d l)·(S v) =
     x·(S'S v) + d (S'l)·v for the sample matrix S and its load l, so it
     goes through the Gram matrix S'S, built here (it is sparser than S).
-    The steps go in chunks of ``_WEAK_CHUNK``: one ``macro_fields`` call
-    recovers the chunk's macro potentials and node gradients, and node j's
-    corrector -(x_g g_j + x_w w_j) pairs through x_g and x_w, so no
+    The steps go in chunks of ``SAMPLE_CHUNK``, and ``test`` is called
+    once per step, one chunk at a time, so the sum holds one chunk of tests
+    and the test jump part of the step before it.  One ``macro_fields``
+    call recovers the chunk's macro potentials and node gradients, and node
+    j's corrector -(x_g g_j + x_w w_j) pairs through x_g and x_w, so no
     corrector is formed."""
     samples = system.samples
     gram = (samples.T @ samples).tocsr()
@@ -656,13 +678,14 @@ def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
     s2 = system.weights
     alpha = system.params.alpha
     total = 0.0
-    for lo in range(1, len(ts), _WEAK_CHUNK):
-        hi = min(lo + _WEAK_CHUNK, len(ts))
-        tv = np.stack([_pack_test(system, *tests[n]) for n in range(lo, hi)])
-        phiw = np.stack([tests[n][2].reshape(-1) for n in range(lo - 1, hi)])
+    phiw_prev = test(0, float(ts[0]))[2].reshape(-1)
+    for lo in range(1, len(ts), SAMPLE_CHUNK):
+        hi = min(lo + SAMPLE_CHUNK, len(ts))
+        tests = [test(n, float(ts[n])) for n in range(lo, hi)]
+        tv = np.stack([_pack_test(*t) for t in tests])
+        phiw = np.stack([phiw_prev] + [t[2].reshape(-1) for t in tests])
         w = jumps[lo:hi]
-        drive = np.array([system.drive.temporal(float(t))
-                          for t in ts[lo:hi]])
+        drive = system._drives(ts[lo:hi])
         macro, g = system.flux_map.macro_fields(w, drive)
         z = (gram @ tv.T).T
         zc = z[:, n_u:n_u + n_c].reshape(len(w), system.n_nodes, -1)
@@ -674,6 +697,7 @@ def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
         total += dt * float(np.sum(s2 * system.law(w) * phiw[1:]))
         total -= alpha * float(np.sum(s2 * jumps[lo - 1:hi - 1]
                                       * np.diff(phiw, axis=0)))
+        phiw_prev = phiw[-1]
     return total
 
 
@@ -682,33 +706,50 @@ def transient_weak_residual(system: TwoScaleSystem, traj: Trajectory,
     """Residual of the discrete space-time weak form for one test pair.
 
     ``test(n, t)`` returns (macro part, cell part, jump part) at step ``n``;
-    the jump part must vanish at the final step (the admissible test class).
+    the jump part must vanish at the final step (the admissible test class),
+    to 1e-12 of the largest jump part over the run, kept as a running
+    maximum while the sum calls ``test``.
     The time derivative sits on the test jump, and the initial jump data
     enters through the boundary term of the summation by parts, mirroring
     the weak formulation the scheme discretizes.
     """
     if traj.stride != 1:
         raise ValueError("weak-form certification needs a stride-1 trajectory")
-    tests = [test(n, float(t)) for n, t in enumerate(traj.ts)]
-    final_jump = np.max(np.abs(tests[-1][2]), initial=0.0)
-    scale = max(float(np.max(np.abs(t[2]), initial=0.0)) for t in tests)
+    scale = 0.0
+
+    def tracked(n: int, t: float) -> tuple:
+        nonlocal scale
+        parts = test(n, t)
+        scale = max(scale, float(np.max(np.abs(parts[2]), initial=0.0)))
+        return parts
+
+    total = _weak_sum(system, traj.ts, traj.jumps, tracked, system.params.dt)
+    final_jump = np.max(np.abs(test(len(traj.ts) - 1, float(traj.ts[-1]))[2]),
+                        initial=0.0)
     if final_jump > 1e-12 * max(scale, 1.0):
         raise ValueError("test jump part must vanish at the final time")
-    total = _weak_sum(system, traj.ts, traj.jumps, tests, system.params.dt)
+    first_jump = test(0, float(traj.ts[0]))[2].reshape(-1)
     return total - system.params.alpha * float(
-        np.sum(system.weights * traj.jumps[0] * tests[0][2].reshape(-1)))
+        np.sum(system.weights * traj.jumps[0] * first_jump))
 
 
 def periodic_weak_residual(system: TwoScaleSystem, orbit: PeriodicOrbit,
                            test: Callable[[int, float], tuple]) -> float:
-    """Residual of the period-integrated weak form with 1-periodic tests."""
-    ts = np.arange(orbit.steps_per_period + 1) * orbit.dt
-    tests = [test(n, float(t)) for n, t in enumerate(ts)]
-    if not all(np.allclose(a, b, atol=1e-12)
-               for a, b in zip(tests[0], tests[-1])):
+    """Residual of the period-integrated weak form with 1-periodic tests.
+
+    The test pair must agree at the two ends of the period to 1e-12 of its
+    largest entry there (absolute below 1): the boundary term assumes
+    equal test jumps at both ends."""
+    n_steps = orbit.steps_per_period
+    ts = np.arange(n_steps + 1) * orbit.dt
+    first, last = test(0, float(ts[0])), test(n_steps, float(ts[-1]))
+    scale = max(1.0, max(float(np.max(np.abs(p), initial=0.0))
+                         for p in first + last))
+    if not all(np.allclose(a, b, rtol=0.0, atol=1e-12 * scale)
+               for a, b in zip(first, last)):
         raise ValueError("test pair must be 1-periodic")
-    total = _weak_sum(system, ts, orbit.jumps, tests, orbit.dt)
+    total = _weak_sum(system, ts, orbit.jumps, test, orbit.dt)
     # periodicity boundary term; bounded by the orbit defect
     return total + system.params.alpha * float(
         np.sum(system.weights * (orbit.jumps[-1] - orbit.jumps[0])
-               * tests[-1][2].reshape(-1)))
+               * last[2].reshape(-1)))

@@ -10,7 +10,9 @@ starts from the production sample matrix (checked against loops by
 period map, the reference for the accelerated orbit solver.
 ``per_step_weak_sum`` pairs every two-scale step with its test through the
 sample matrix itself, the reference for the chunked Gram pairing of the
-weak-form certificates.
+weak-form certificates.  ``per_sample_mean_defects`` and
+``per_sample_gap_columns`` rebuild one trajectory sample at a time, the
+references for the stacked chunks of the mean defects and decay rows.
 ``fit_growth_constants`` samples a law's growth bound, the reference for the
 declared certificates of the built-in laws.
 """
@@ -383,10 +385,11 @@ def dense_two_scale(system):
         lift_jump=lift_jump, lift_drive=lift_drive)
 
 
-def per_step_weak_sum(system, ts, jumps, tests, dt) -> float:
+def per_step_weak_sum(system, ts, jumps, test, dt) -> float:
     """``twoscale._weak_sum`` one step at a time: the state (macro,
     correctors, jumps) of each step is recovered on its own and paired with
     its test through the samples, (S x + drive l)·(S v)."""
+    tests = [test(n, float(t)) for n, t in enumerate(ts)]
     s2 = system.weights
     alpha = system.params.alpha
     total = 0.0
@@ -405,6 +408,24 @@ def per_step_weak_sum(system, ts, jumps, tests, dt) -> float:
         dphi = phiw.reshape(-1) - tests[n - 1][2].reshape(-1)
         total -= alpha * float(np.sum(s2 * jumps[n - 1] * dphi))
     return total
+
+
+def per_sample_mean_defects(traj) -> np.ndarray:
+    """Corrector mean defect of each sample of a two-scale run, from one
+    ``state_at`` per sample."""
+    return np.array([traj.state(i).mean_defect for i in range(len(traj))])
+
+
+def per_sample_gap_columns(traj, orbit) -> dict:
+    """``decay_metrics`` columns from one ``gap_norms`` call per sample (a
+    stack of one) against the orbit jump at the sample's step."""
+    system = traj.system
+    dt = system.params.dt
+    rows = [system.gap_norms(w[None],
+                             orbit.jump_at_step(int(round(t / dt)))[None])
+            for t, w in zip(traj.ts, traj.jumps)]
+    return {name: np.concatenate([row[name] for row in rows])
+            for name in rows[0]}
 
 
 # -- dense decay constants ------------------------------------------------------

@@ -3,11 +3,13 @@ import pytest
 
 import tissue as T
 from tissue.decay import decay_metrics, fit_rate, lyapunov_series
+from tissue.membrane import SAMPLE_CHUNK
 from tissue.micro import bulk_l2, gradient_l2, initial_jump, jump_l2, simulate
 from tissue.periodic import find_periodic
 
 from conftest import make_micro
-from oracles import elliptic_stability_constant, poincare_constant
+from oracles import (elliptic_stability_constant, per_sample_gap_columns,
+                     poincare_constant)
 
 
 def test_fit_rate_recovers_geometric_series():
@@ -46,12 +48,13 @@ def test_fit_rate_two_samples_are_too_few():
 
 
 class _GapSystem:
-    """Stub system whose gap norms are the plain gaps of one-entry jumps."""
+    """Stub system whose gap norms are the plain gaps of one-entry jumps,
+    one per row of a stack."""
 
     params = T.SolverParams(dt=0.5)
 
     def gap_norms(self, w, w_orbit):
-        gap = float(abs(w[0] - w_orbit[0]))
+        gap = np.abs(w[:, 0] - w_orbit[:, 0])
         return {"norm_jump": gap, "lyapunov": gap * gap}
 
 
@@ -102,6 +105,32 @@ def test_trajectory_started_on_orbit_stays(small_domain):
     assert np.max(report.columns["norm_l2"]) < tol
     assert np.max(report.columns["norm_grad"]) < tol
     assert np.max(report.columns["norm_jump"]) < tol
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_decay_rows_match_per_sample_gap_norms(stack, dim):
+    # more samples than one chunk, and the orbit wrapped in time: a run of
+    # 1.5 periods against one period of a plain run from zero
+    cell = T.build_cell_geometry(0.25, 4, dim=dim)
+    system = make_micro(T.tile_domain(cell, 0.5), cond=(2.0, 1.0))
+    if stack == "twoscale":
+        system = T.TwoScaleSystem(cell, system.cond, system.law,
+                                  system.drive, system.params,
+                                  macro_res=4 if dim == 1 else 2)
+    n = system.weights.size
+    period = simulate(system, np.zeros(n), 1.0)
+    orbit = T.PeriodicOrbit(jumps=period.jumps, dt=period.dt, defect=0.0,
+                            method="picard", iterations=0)
+    w0 = 5.0 * np.random.default_rng(dim).uniform(-1.0, 1.0, n)
+    traj = simulate(system, w0, 1.5, stride=2)
+    assert len(traj) > 2 * SAMPLE_CHUNK
+    got = decay_metrics(traj, orbit).columns
+    want = per_sample_gap_columns(traj, orbit)
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert col.shape == (len(traj),)
+        assert np.all(np.abs(got[name] - col) <= 1e-12 * np.abs(col)), name
 
 
 def test_decay_metrics_requires_matching_grid(small_domain, default_domain):

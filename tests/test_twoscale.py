@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -12,8 +13,9 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 import tissue as T
 from tissue.decay import decay_metrics, lyapunov_series
 from tissue.errors import GeometryError
+from tissue.membrane import SAMPLE_CHUNK
 from tissue.micro import MicroSystem, initial_jump, simulate
-from tissue.periodic import find_periodic, orbit_distance
+from tissue.periodic import PeriodicOrbit, find_periodic, orbit_distance
 from tissue import twoscale
 from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              find_periodic_two_scale, initial_two_scale_jump,
@@ -24,7 +26,7 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
 
 from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
 from oracles import (DenseTwoScale, FluxResponse, dense_two_scale,
-                     per_step_weak_sum)
+                     per_sample_mean_defects, per_step_weak_sum)
 
 
 def make_two_scale(cell=None, cond=(1.0, 1.0), law=("sin",),
@@ -180,14 +182,14 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
         flux = system.state_at(0.37, w).flux.reshape(-1)
         want = (drive * dense.load - dense.response @ w) / system.weights
         assert rel_gap(flux, want) <= 1e-12
-    # decay norms of a gap against norms of its dense lift
-    w, w_orbit = rng.normal(size=(2, system.n_w))
+    # decay norms of a stack of gaps against norms of their dense lifts
+    w, w_orbit = rng.normal(size=(2, 3, system.n_w))
     dw = w - w_orbit
-    dz = dense.lift_jump @ dw
-    l2, grad = _macro_norms(system, dz[:system.n_nodes])
+    dz = dw @ dense.lift_jump.T
+    l2, grad = _macro_norms(system, dz[:, :system.n_nodes])
     cl2, cgrad = _corrector_norms(
-        system, dz[system.n_nodes:].reshape(system.n_nodes, system.n_y),
-        dw.reshape(system.n_nodes, -1))
+        system, dz[:, system.n_nodes:].reshape(3, system.n_nodes, system.n_y),
+        dw.reshape(3, system.n_nodes, -1))
     norms = system.gap_norms(w, w_orbit)
     got = [norms[k] for k in ("norm_macro_h1", "norm_corrector",
                               "norm_corrector_grad")]
@@ -520,6 +522,32 @@ def test_two_scale_decay_report(small_domain):
     assert rep.max_mean_defect <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_mean_defects_match_per_sample_states(dim):
+    # more samples than one chunk, the last chunk partly filled
+    system = make_two_scale(cond=(2.0, 1.0), dim=dim,
+                            macro_res=4 if dim == 1 else 2)
+    traj = simulate_two_scale(
+        system, initial_two_scale_jump(system, "random", 5.0, seed=3), 0.4)
+    assert len(traj) > 2 * SAMPLE_CHUNK and len(traj) % SAMPLE_CHUNK
+    want = per_sample_mean_defects(traj)
+    assert np.max(want) > 0.0
+    assert np.max(np.abs(traj.mean_defects - want)) <= 1e-15
+
+
+def test_stacked_state_is_the_stack_of_sample_states():
+    system = make_two_scale(cond=(2.0, 1.0))
+    ts = np.array([0.1, 0.35, 0.6])
+    ws = np.random.default_rng(2).normal(size=(3, system.n_w))
+    stacked = system.state_at(ts, ws)
+    for i, (t, w) in enumerate(zip(ts, ws)):
+        one = system.state_at(float(t), w)
+        for name in ("macro", "corrector", "jump", "flux"):
+            assert rel_gap(getattr(stacked, name)[i], getattr(one, name)) \
+                <= 1e-13, name
+        assert abs(stacked.mean_defect[i] - one.mean_defect) <= 1e-15
+
+
 def test_decay_metrics_serves_two_scale_runs():
     system = make_two_scale(law=("sin",), macro_res=2)
     orbit = find_periodic_two_scale(system, tol=1e-9)
@@ -611,6 +639,64 @@ def test_periodic_weak_form_certification():
     assert abs(res) <= 1e-8
 
 
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_periodic_weak_residual_rejects_ends_apart_by_1e7(part):
+    # the boundary term assumes equal test jumps at both ends of the period,
+    # so a relative endpoint mismatch far below allclose's default rtol of
+    # 1e-5 must not pass
+    system = make_two_scale()
+    traj = simulate(system, initial_two_scale_jump(system, "random", 2.0,
+                                                   seed=1), 1.0)
+    orbit = PeriodicOrbit(jumps=traj.jumps, dt=traj.dt, defect=0.0,
+                          method="picard", iterations=0)
+    rng = np.random.default_rng(5)
+    parts = (rng.normal(size=system.n_nodes),
+             rng.normal(size=(system.n_nodes, system.n_y)),
+             rng.normal(size=system.n_w))
+
+    def test_fn(n, t):
+        off = 1e-7 if n == orbit.steps_per_period else 0.0
+        return tuple(p * (1.0 + off * (i == part))
+                     for i, p in enumerate(parts))
+
+    with pytest.raises(ValueError, match="1-periodic"):
+        periodic_weak_residual(system, orbit, test_fn)
+
+
+def test_weak_residuals_hold_one_chunk_of_tests():
+    # 256 jumps over 1000 stride-1 steps: one test triple is 10.4 KB, so
+    # the tests of every step together would take 10.4 MB
+    system = make_two_scale(cond=(2.0, 1.0), cell_res=8, macro_res=4,
+                            dt=1e-3)
+    assert system.n_w == 256
+    traj = simulate(system, initial_two_scale_jump(system, "random", 5.0,
+                                                   seed=1), 1.0)
+    orbit = PeriodicOrbit(jumps=traj.jumps, dt=traj.dt, defect=0.0,
+                          method="picard", iterations=0)
+    rng = np.random.default_rng(9)
+    phi = rng.normal(size=system.n_nodes)
+    phc = rng.normal(size=(system.n_nodes, system.n_y))
+    phw = rng.normal(size=system.n_w)
+
+    def periodic_test(n, t):
+        fac = np.cos(2 * np.pi * n / orbit.steps_per_period)
+        return phi * fac, phc * fac, phw * fac
+
+    def transient_test(n, t):
+        fac = 1.0 - n / (len(traj.ts) - 1)
+        return phi * fac, phc * fac, phw * fac
+
+    for fn, run, test in ((periodic_weak_residual, orbit, periodic_test),
+                          (transient_weak_residual, traj, transient_test)):
+        tracemalloc.start()
+        try:
+            fn(system, run, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20, (fn.__name__, peak)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_weak_residuals_match_the_per_step_pairing(dim, monkeypatch):
     # the chunked Gram pairing against the per-step pairing through the
@@ -623,7 +709,7 @@ def test_weak_residuals_match_the_per_step_pairing(dim, monkeypatch):
     orbit = find_periodic_two_scale(system, tol=1e-10)
     traj = simulate_two_scale(
         system, initial_two_scale_jump(system, "random", 2.0, seed=6), 0.5)
-    assert len(traj.ts) - 1 > twoscale._WEAK_CHUNK
+    assert len(traj.ts) - 1 > SAMPLE_CHUNK
     rng = np.random.default_rng(10 + dim)
     phi = rng.normal(size=system.n_nodes)
     phc = rng.normal(size=(system.n_nodes, system.n_y))

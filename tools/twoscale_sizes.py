@@ -29,7 +29,11 @@ CPU time (``time.process_time``) of:
   stepper's own vector work;
 - ``state_at``: the mean of one state rebuild at each of those 20 steps;
 
-and its peak RSS, the process maximum (interpreter and imports included).
+the weak form: the ``tracemalloc`` peak of one ``transient_weak_residual``
+over a ``WEAK_STEPS``-step stride-1 run of the last system built (the
+sum's own allocations, its Gram matrix and one chunk of tests; measured
+once, as it is deterministic); and its peak RSS, the process maximum
+(interpreter and imports included).
 Prints one Markdown table row per resolution as its process finishes.  The
 tissue package is imported from the ``src`` directory next to this script.
 """
@@ -47,11 +51,13 @@ from pathlib import Path
 USAGE = "usage: python tools/twoscale_sizes.py [RESOLUTION ...]"
 REPEATS = 5
 STEPS = 20
+WEAK_STEPS = 100
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER = ("| `macro.resolution` | jumps | set-up (s) | first step (ms) "
           "| ms per `sin` step | iterations per step | solves per step "
-          "| ms in the flux map per step | `state_at` (ms) | peak RSS (MB) |\n"
-          "|---|---|---|---|---|---|---|---|---|---|")
+          "| ms in the flux map per step | `state_at` (ms) | weak form (MB) "
+          "| peak RSS (MB) |\n"
+          "|---|---|---|---|---|---|---|---|---|---|---|")
 
 
 def count_solves(flux_map) -> dict:
@@ -79,6 +85,36 @@ def count_solves(flux_map) -> dict:
     flux_map.apply = counted(flux_map.apply)
     flux_map.factor = factor
     return calls
+
+
+def weak_form_peak_mb(system, w) -> float:
+    """The ``tracemalloc`` peak of ``transient_weak_residual`` over a
+    ``WEAK_STEPS``-step stride-1 run from ``w``, with a test pair whose
+    jump part falls linearly to zero at the last step."""
+    import tracemalloc
+
+    import numpy as np
+
+    from tissue.membrane import simulate
+    from tissue.twoscale import transient_weak_residual
+
+    dt = system.params.dt
+    traj = simulate(system, w, WEAK_STEPS * dt)
+    rng = np.random.default_rng(0)
+    phi = rng.normal(size=system.n_nodes)
+    phc = rng.normal(size=(system.n_nodes, system.n_y))
+    phw = rng.normal(size=system.n_w)
+
+    def test(n, t):
+        fac = 1.0 - n / WEAK_STEPS
+        return phi * fac, phc * fac, phw * fac
+
+    tracemalloc.start()
+    try:
+        transient_weak_residual(system, traj, test)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def measure(res: int) -> dict:
@@ -129,9 +165,11 @@ def measure(res: int) -> dict:
         iterations = sum(r.iterations for r in results) / STEPS
         rows.append((t1 - t0, 1e3 * (t3 - t2), 1e3 * (t5 - t4) / STEPS,
                      iterations, solved, solve_ms, 1e3 * (t6 - t5) / STEPS))
+        n_w = system.n_w
+        if len(rows) == REPEATS:
+            weak_mb = weak_form_peak_mb(system, w)
         # free this system before the next one is built, so that the peak
         # RSS is that of one system
-        n_w = system.n_w
         del system, last, results
         gc.collect()
     setup, first, step, iterations, solved, solve_ms, state = np.median(
@@ -139,7 +177,7 @@ def measure(res: int) -> dict:
     return {"res": res, "jumps": n_w, "setup_s": setup,
             "first_step_ms": first, "step_ms": step,
             "iterations": iterations, "solves": solved,
-            "flux_map_ms": solve_ms, "state_ms": state,
+            "flux_map_ms": solve_ms, "state_ms": state, "weak_mb": weak_mb,
             # ru_maxrss is in kB on Linux
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -158,7 +196,7 @@ def row(m: dict) -> str:
             f"| {m['first_step_ms']:.3g} | {m['step_ms']:.3g} "
             f"| {m['iterations']:.3g} | {m['solves']:.3g} "
             f"| {m['flux_map_ms']:.3g} | {m['state_ms']:.3g} "
-            f"| {m['peak_rss_mb']:.0f} |")
+            f"| {m['weak_mb']:.3g} | {m['peak_rss_mb']:.0f} |")
 
 
 def main(argv: list[str]) -> None:
