@@ -23,11 +23,17 @@ capacitance matrix.  Each node's corrector follows from its mean gradient
 and its own jumps through the two cell responses, so no map of the stacked
 jumps is stored.  Time stepping reuses the shared implicit stepper.
 
+The Schur complement and the capacitance matrix couple only nodes at most
+two apart on one axis, so both are assembled from the macro stencil
+directly in LAPACK band storage (natural node order) and band-factored: no
+macro-sized dense matrix is formed, and the banded factors give the same
+bits for any BLAS thread count.
+
 Every factor is checked for finiteness and positive definiteness once,
 when it is built (the Schur factor in ``NodeFlux``, the pass factors in
 ``_NodeFactor``), and is read-only from then on.  The per-pass and
 per-state solves with those factors are stacked matrix products and
-LAPACK's ``potrs``, called directly, without scipy's per-call checks.
+LAPACK's ``pbtrs``, called directly, without scipy's per-call checks.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, get_lapack_funcs
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import GeometryError
 from .geometry import CellGeometry, Conductivity, cell_centers
@@ -57,25 +63,69 @@ __all__ = [
 ]
 
 
-# resolved once; potrs reads the factor and solves in a copy of the
+# resolved once; potrs and pbtrs read the factor and solve in a copy of the
 # right-hand side, so a shared factor is never written
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+_POTRF, _POTRS, _PBTRS = get_lapack_funcs(("potrf", "potrs", "pbtrs"),
+                                          dtype=np.float64)
 
 
-def _cho_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """``cho_solve`` without its per-call checks: the factor ``(c, lower)``
-    was checked when it was built."""
-    x, info = _POTRS(factor[0], b, lower=factor[1])
+def _band_solve(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cho_solve_banded`` without its per-call checks: the lower band
+    factor ``cb`` was checked when it was built."""
+    x, info = _PBTRS(cb, b, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK potrs failed with info {info}")
+        raise np.linalg.LinAlgError(f"LAPACK pbtrs failed with info {info}")
     return x
 
 
-def _read_only_cho_factor(a: np.ndarray) -> tuple:
-    """``cho_factor`` (checked: finite, positive definite), frozen."""
-    factor = cho_factor(a)
-    factor[0].flags.writeable = False
-    return factor
+def _read_only_band_factor(ab: np.ndarray) -> np.ndarray:
+    """``cholesky_banded`` of a lower band (checked: finite, positive
+    definite), frozen."""
+    cb = cholesky_banded(ab, lower=True)
+    cb.flags.writeable = False
+    return cb
+
+
+def _padded_rows(m: sp.csr_matrix):
+    """Columns and values of each row of a canonical CSR matrix, in column
+    order and padded with zeros to the longest row, and the mask of the
+    stored ones."""
+    counts = np.diff(m.indptr)
+    stored = np.arange(counts.max(initial=0)) < counts[:, None]
+    cols = np.zeros(stored.shape, dtype=m.indices.dtype)
+    vals = np.zeros(stored.shape)
+    cols[stored], vals[stored] = m.indices, m.data
+    return cols, vals, stored
+
+
+class _BandProduct:
+    """P' blockdiag(M_r) P in LAPACK lower band storage (entry (i, k),
+    i >= k, at [i - k, k]) for a sparse P whose rows come in groups of
+    ``group``, one (group x group) block M_r per group.  Every pair of
+    stored entries in one group gives one band entry, so a product costs a
+    few operations per row and forms no (n x n) array; the pairs' band
+    positions are found once, here.  The half-width ``bw`` defaults to the
+    widest column gap within a group."""
+
+    def __init__(self, p: sp.csr_matrix, group: int, bw: Optional[int] = None):
+        padded = _padded_rows(p)
+        shape = (p.shape[0] // group, group, padded[0].shape[1])
+        cols, self.vals, stored = (x.reshape(shape) for x in padded)
+        a, b = cols[:, :, :, None, None], cols[:, None, None]
+        keep = stored[:, :, :, None, None] & stored[:, None, None] & (a >= b)
+        gap, b = np.broadcast_arrays(a - b, b)
+        self.n = p.shape[1]
+        self.bw = int(gap[keep].max(initial=0)) if bw is None else bw
+        self.keep = np.flatnonzero(keep)
+        self.index = gap[keep] * self.n + b[keep]
+
+    def __call__(self, blocks: np.ndarray) -> np.ndarray:
+        g = self.vals.shape[1]
+        m = np.reshape(blocks, (-1, g, 1, g, 1))
+        terms = self.vals[:, :, :, None, None] * m * self.vals[:, None, None]
+        return np.bincount(self.index, terms.reshape(-1)[self.keep],
+                           minlength=(self.bw + 1) * self.n
+                           ).reshape(self.bw + 1, self.n)
 
 
 # -- unit-cell face data ------------------------------------------------------
@@ -134,8 +184,11 @@ def _cell_face_data(cell: CellGeometry, cond: Conductivity) -> CellFaceData:
 class CellOperator:
     """Y-periodic conduction operator of a single cell problem.
 
-    The operator has the constant field in its kernel; solves pin it with an
-    exact mean penalty and project the result to zero mean.
+    The operator has the constant field in its kernel; ``solve`` grounds
+    the first cell (one sparse factor of A without its first row and
+    column, in minimum-degree order) and projects the result to zero mean,
+    which is the zero-mean solution for any load orthogonal to the
+    constants.
     """
 
     def __init__(self, cell: CellGeometry, cond: Conductivity):
@@ -145,22 +198,24 @@ class CellOperator:
         d = self.data
         wgt = sp.diags(d.vol * d.sigma_face)
         self.A = (d.slope_c.T @ wgt @ d.slope_c).tocsc()
-        self._penalty = cond.mean
-        ones = np.full(d.n_y, d.vol)
-        pen = self._penalty * np.outer(ones, ones)
-        self._lu = spla.splu(self.A + sp.csc_matrix(pen))
+        self._lu = spla.splu(self.A[1:, 1:], permc_spec="MMD_AT_PLUS_A")
 
     def row_sum_defect(self) -> float:
         return float(np.max(np.abs(self.A @ np.ones(self.data.n_y))))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Zero-mean solution of A c = rhs, one per column of ``rhs``, for
+        loads orthogonal to the constants."""
+        c = np.zeros(rhs.shape)
+        c[1:] = self._lu.solve(rhs[1:])
+        return c - self.data.vol * c.sum(axis=0)
 
     def corrector_for(self, gradient: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Zero-mean corrector for a macro gradient and membrane jump."""
         d = self.data
         face_drive = d.axis_select @ np.asarray(gradient, dtype=float) \
             + d.slope_w @ w
-        rhs = -d.slope_c.T @ (d.vol * d.sigma_face * face_drive)
-        c = self._lu.solve(rhs)
-        return c - d.vol * c.sum()
+        return self.solve(-d.slope_c.T @ (d.vol * d.sigma_face * face_drive))
 
 
 # -- macro grid ---------------------------------------------------------------
@@ -169,7 +224,9 @@ class CellOperator:
 class MacroGrid:
     """Uniform coarse grid over the unit domain: Dirichlet boundary faces,
     two-point face gradients, the per-node face lookup used for corner
-    gradient sampling and the per-node corner-averaged gradient."""
+    gradient sampling and the per-node corner-averaged gradient Gbar, dense
+    for the step's mat-vecs and as the band product that assembles the
+    macro-sized matrices."""
 
     dim: int
     res: int
@@ -180,6 +237,7 @@ class MacroGrid:
     side_of: np.ndarray            # (n_nodes, dim, 2) face ids
     mean_grad: np.ndarray          # (n_nodes * dim, n_nodes), row j * dim + d
     mean_grad_load: np.ndarray     # its boundary contribution per unit drive
+    mean_grad_pairs: _BandProduct  # Gbar' blockdiag(M_j) Gbar, node blocks
 
     @property
     def n_nodes(self) -> int:
@@ -230,24 +288,16 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
     grad_load = np.asarray(loads)
     # the corner samples of node j along axis d average its two side faces
     sides = side_of.reshape(n * dim, 2)
-    mean_grad = 0.5 * (grad[sides[:, 0]] + grad[sides[:, 1]]).toarray()
+    mean_grad = 0.5 * (grad[sides[:, 0]] + grad[sides[:, 1]])
     mean_grad_load = 0.5 * (grad_load[sides[:, 0]] + grad_load[sides[:, 1]])
     return MacroGrid(dim=dim, res=res, spacing=h, centers=centers, grad=grad,
                      grad_load=grad_load, side_of=side_of,
-                     mean_grad=mean_grad, mean_grad_load=mean_grad_load)
+                     mean_grad=mean_grad.toarray(),
+                     mean_grad_load=mean_grad_load,
+                     mean_grad_pairs=_BandProduct(mean_grad, dim))
 
 
 # -- per-node condensed flux map ----------------------------------------------
-
-def _minus_node_blocks(base: np.ndarray, gbar: np.ndarray,
-                       blocks: np.ndarray) -> np.ndarray:
-    """base - Gbar' blockdiag(M_j) Gbar for (dim x dim) node blocks M_j,
-    one per node or one shared by every node."""
-    n, dim = base.shape[0], gbar.shape[0] // base.shape[0]
-    gr = gbar.reshape(n, dim, n)
-    m = np.einsum("nik,nkm->nim", np.broadcast_to(blocks, (n, dim, dim)), gr)
-    return base - gbar.T @ m.reshape(n * dim, n)
-
 
 class NodeFlux:
     """Flux map of the stacked jumps with the cell problems eliminated.
@@ -257,12 +307,12 @@ class NodeFlux:
     leaves one (n_facets x n_facets) block R_b on w_j and one
     (n_facets x dim) coupling V to g_j, shared by every node.  The flux of
     the jumps W (one row per node) is W R_b + G V' at their node gradients
-    G, which ``macro_fields`` gets through the Cholesky factor of the macro
-    Schur complement S; R = blockdiag(R_b) - (I x V) Gbar S^-1 Gbar'
-    (I x V)' is never formed.  A pass matrix diag(d) + R is the block
-    diagonal B = blockdiag(R_b + diag(d_j)) minus a correction of macro
-    rank; ``factor`` solves it by Woodbury with a capacitance matrix of
-    macro size.
+    G, which ``macro_fields`` gets through the banded Cholesky factor of
+    the macro Schur complement S (``schur``, in lower band storage);
+    R = blockdiag(R_b) - (I x V) Gbar S^-1 Gbar' (I x V)' is never formed.
+    A pass matrix diag(d) + R is the block diagonal B = blockdiag(R_b +
+    diag(d_j)) minus a correction of macro rank; ``factor`` solves it by
+    Woodbury with a banded capacitance matrix of macro size.
     """
 
     def __init__(self, weights: np.ndarray, r_block: np.ndarray,
@@ -273,7 +323,8 @@ class NodeFlux:
         self.v = v
         self.macro = macro
         self.schur = schur
-        self.schur_cf = _read_only_cho_factor(schur)
+        self.schur.flags.writeable = False
+        self.schur_cf = _read_only_band_factor(schur)
         self.load_u = load_u
         self.n_nodes = macro.n_nodes
         # the flux load of a unit drive at zero jumps
@@ -286,7 +337,7 @@ class NodeFlux:
         Gbar u + drive gbar_load (corner-averaged), one row per node.  A
         stack of jump vectors, one per row of ``w``, with one drive factor
         each, gives one u and one gradient stack per row, from one
-        ``potrs`` with a right-hand side per row."""
+        ``pbtrs`` with a right-hand side per row."""
         gbar = self.macro.mean_grad
         stack = w.ndim > 1
         if stack:       # one column per jump vector
@@ -297,7 +348,7 @@ class NodeFlux:
         # ``apply`` (drive 0) runs on every step
         if stack or drive:
             rhs += np.multiply.outer(self.load_u, drive)
-        u = -_cho_solve(self.schur_cf, rhs)
+        u = -_band_solve(self.schur_cf, rhs)
         g = gbar @ u
         if stack or drive:
             g += np.multiply.outer(self.macro.mean_grad_load, drive)
@@ -313,17 +364,22 @@ class NodeFlux:
     def factor(self, d: np.ndarray) -> "_NodeFactor":
         return _NodeFactor(self, d)
 
+    def capacitance(self, bv: np.ndarray) -> np.ndarray:
+        """S - Gbar' blockdiag(V' B_j^-1 V) Gbar in lower band storage, for
+        the stack ``bv`` of the B_j^-1 V."""
+        return self.schur - self.macro.mean_grad_pairs(self.v.T @ bv)
+
 
 class _NodeFactor:
     """Factor of diag(d) + R: the stack of node-block inverses B_j^-1 of
     B_j = R_b + diag(d_j), each solved from the block's Cholesky factor
     (LAPACK ``potrf``/``potrs``, which give the same bits for any BLAS
-    thread count), the stack B_j^-1 V and the Cholesky of the
+    thread count), the stack B_j^-1 V and the banded Cholesky of the
     capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V) Gbar, assembled
-    like S itself.  The build is the factors' only check: a non-finite d
-    raises ValueError, a block that is not positive definite LinAlgError.
-    The held arrays are read-only; ``solve``, once per pass, is stacked
-    products and one ``potrs``."""
+    in band storage from S's band and the macro stencil.  The build is the
+    factors' only check: a non-finite d raises ValueError, a block that is
+    not positive definite LinAlgError.  The held arrays are read-only;
+    ``solve``, once per pass, is stacked products and one ``pbtrs``."""
 
     def __init__(self, flux: NodeFlux, d: np.ndarray):
         self.flux = flux
@@ -341,8 +397,7 @@ class _NodeFactor:
                 raise np.linalg.LinAlgError(
                     f"a node block is not positive definite (info {info})")
         self.bv = self.inv @ flux.v
-        self.cap = _read_only_cho_factor(_minus_node_blocks(
-            flux.schur, flux.macro.mean_grad, flux.v.T @ self.bv))
+        self.cap = _read_only_band_factor(flux.capacitance(self.bv))
         self.inv.flags.writeable = self.bv.flags.writeable = False
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -351,12 +406,64 @@ class _NodeFactor:
         gbar = fl.macro.mean_grad
         y = self.inv @ r.reshape(n, -1, 1)
         t = gbar.T @ (y.reshape(n, -1) @ fl.v).reshape(-1)
-        g = gbar @ _cho_solve(self.cap, t)
+        g = gbar @ _band_solve(self.cap, t)
         y += self.bv @ g.reshape(n, -1, 1)
         return y.reshape(-1)
 
 
 # -- the coupled system -------------------------------------------------------
+
+def _assemble_samples(macro: MacroGrid, cfd: CellFaceData,
+                      weight: np.ndarray):
+    """The bulk sample matrix and its load per unit drive, in one pass, and
+    the summed sample weight of every macro face.
+
+    Row (q, j, f) samples cell face f of node j at corner pattern q (in
+    ``itertools.product`` order): sqrt(weight_f) times the macro gradient
+    on f's axis at q's side there, plus f's slope (``slope_c``) and jump
+    correction (``slope_w``) in node j's cell block.  Each part fills its
+    slots of one padded array per CSR field from the padded rows of its
+    operator, in column order, so the CSR arrays are written directly.
+    A macro face's weight sums weight_f over the rows that sample it, so
+    the macro block of the Gram matrix is grad' diag(face weight) grad."""
+    n, n_y, nf, dim = macro.n_nodes, cfd.n_y, cfd.n_facets, macro.dim
+    n_cols = n + n * (n_y + nf)
+    index = np.int32 if n_cols <= np.iinfo(np.int32).max else np.int64
+    sqrt_w = np.sqrt(weight)
+    pats = np.array(list(itertools.product((0, 1), repeat=dim)))
+    # the macro face each pattern samples on each axis of each node, and
+    # the one of each row, shape (patterns, nodes, cell faces)
+    sides = macro.side_of[np.arange(n)[:, None], np.arange(dim),
+                          pats[:, None, :]]
+    fidx = sides[:, :, cfd.axis]
+    (gc, gv, gs), *cell_parts = (_padded_rows(m) for m in
+                                 (macro.grad, cfd.slope_c, cfd.slope_w))
+    width = gc.shape[1] + sum(c.shape[1] for c, _, _ in cell_parts)
+    cols = np.empty(fidx.shape + (width,), dtype=index)
+    vals = np.empty(cols.shape)
+    stored = np.empty(cols.shape, dtype=bool)
+    k = gc.shape[1]
+    for out, part in zip((cols, vals, stored), (gc, gv, gs)):
+        np.take(part, fidx, axis=0, out=out[..., :k], mode="clip")
+    vals[..., :k] *= sqrt_w[:, None]
+    node = np.arange(n, dtype=index)[:, None, None]
+    for (c, v, s), offset in zip(cell_parts, (n + node * n_y,
+                                              n + n * n_y + node * nf)):
+        part = slice(k, k + c.shape[1])
+        cols[..., part], vals[..., part] = offset + c, v * sqrt_w[:, None]
+        stored[..., part] = s
+        k = part.stop
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=-1).reshape(-1))])
+    samples = sp.csr_matrix((vals[stored], cols[stored], indptr),
+                            shape=(fidx.size, n_cols))
+    load = (sqrt_w * macro.grad_load[fidx]).reshape(-1)
+    # each pattern samples a node's face on axis d once per cell face on d
+    face_weight = np.bincount(
+        sides.reshape(-1),
+        np.tile(np.bincount(cfd.axis, weight, minlength=dim), sides.size // dim),
+        minlength=macro.grad.shape[0])
+    return samples, load, face_weight
+
 
 class TwoScaleSystem(MembraneSystem):
     """Macro potential, per-node correctors and stacked membrane jumps.
@@ -394,31 +501,8 @@ class TwoScaleSystem(MembraneSystem):
         self.n_w = n_w
 
         hmac = self.macro.spacing
-        cell_weight = hmac ** dim / 2 ** dim
-        sqrt_w = np.sqrt(cell_weight * cfd.vol * cfd.sigma_face)
-        sqrt_w_tiled = np.tile(sqrt_w, n_nodes)
-
-        eye_nodes = sp.eye(n_nodes, format="csr")
-        t_c = sp.kron(eye_nodes, cfd.slope_c, format="csr")
-        t_w = sp.kron(eye_nodes, cfd.slope_w, format="csr")
-
-        blocks, loads = [], []
-        n_rows = n_nodes * cfd.n_faces
-        row_ids = np.arange(n_rows)
-        yaxis_tiled = np.tile(cfd.axis, n_nodes)
-        node_ids = np.repeat(np.arange(n_nodes), cfd.n_faces)
-        for qpat in itertools.product((0, 1), repeat=dim):
-            sides = np.asarray(qpat)[yaxis_tiled]
-            fidx = self.macro.side_of[node_ids, yaxis_tiled, sides]
-            rowsel = sp.coo_matrix((np.ones(n_rows), (row_ids, fidx)),
-                                   shape=(n_rows, self.macro.grad.shape[0])).tocsr()
-            t_u = rowsel @ self.macro.grad
-            tq = sp.hstack([t_u, t_c, t_w], format="csr")
-            tq = sp.diags(sqrt_w_tiled) @ tq
-            blocks.append(tq)
-            loads.append(sqrt_w_tiled * (rowsel @ self.macro.grad_load))
-        self.samples = sp.vstack(blocks, format="csr")
-        self.sample_load = np.concatenate(loads)
+        self.samples, self.sample_load, face_weight = _assemble_samples(
+            self.macro, cfd, hmac ** dim / 2 ** dim * cfd.vol * cfd.sigma_face)
 
         # The stacked corrector block of every node is hmac^dim times the
         # cell operator, and the corner samples reach it only through the
@@ -430,7 +514,7 @@ class TwoScaleSystem(MembraneSystem):
         drives = sp.hstack([cfd.axis_select, cfd.slope_w]).toarray()
         wdrives = (cfd.vol * cfd.sigma_face)[:, None] * drives
         rhs = cfd.slope_c.T @ wdrives
-        x = self.cell_op._lu.solve(rhs)
+        x = self.cell_op.solve(rhs)
         self._x_g, self._x_w = x[:, :dim], x[:, dim:]
         cross = hdim * (rhs.T @ x)
         resp = hdim * (drives.T @ wdrives) - cross
@@ -438,17 +522,19 @@ class TwoScaleSystem(MembraneSystem):
         v, r_block = resp[dim:, :dim], resp[dim:, dim:]
         e_g = 0.5 * (cross[:dim, :dim] + cross[:dim, :dim].T)
 
-        # macro Schur complement S = K_uu - Gbar' (I x e_g) Gbar, with K_uu
-        # the (node-sized) macro block of the sample Gram matrix, and the
-        # drive's load on the macro rows
-        gbar = self.macro.mean_grad
-        t_macro = self.samples[:, :n_nodes]
-        schur = _minus_node_blocks((t_macro.T @ t_macro).toarray(), gbar, e_g)
-        load_u = t_macro.T @ self.sample_load - gbar.T @ (
-            self.macro.mean_grad_load.reshape(n_nodes, dim) @ e_g).reshape(-1)
+        # macro Schur complement S = K_uu - Gbar' (I x e_g) Gbar in band
+        # storage, with K_uu = grad' diag(face_weight) grad the (node-sized)
+        # macro block of the sample Gram matrix, and the drive's load on the
+        # macro rows
+        mac = self.macro
+        pairs = mac.mean_grad_pairs
+        k_uu = _BandProduct(mac.grad, 1, pairs.bw)(face_weight)
+        load_u = mac.grad.T @ (face_weight * mac.grad_load) \
+            - mac.mean_grad.T @ (mac.mean_grad_load.reshape(n_nodes, dim)
+                                 @ e_g).reshape(-1)
         self.flux_map = NodeFlux(weights=np.full(n_w, hdim * cfd.s_facet),
-                                 r_block=r_block, v=v, macro=self.macro,
-                                 schur=0.5 * (schur + schur.T), load_u=load_u)
+                                 r_block=r_block, v=v, macro=mac,
+                                 schur=k_uu - pairs(e_g), load_u=load_u)
         self._bind_law(law, rate_coeff=params.alpha, arg_scale=1.0)
 
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:

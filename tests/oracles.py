@@ -14,7 +14,11 @@ weak-form certificates.  ``per_sample_mean_defects`` and
 ``per_sample_gap_columns`` rebuild one trajectory sample at a time, the
 references for the stacked chunks of the mean defects and decay rows.
 ``fit_growth_constants`` samples a law's growth bound, the reference for the
-declared certificates of the built-in laws.
+declared certificates of the built-in laws.  ``per_pattern_samples``,
+``dense_schur`` and ``dense_capacitance`` are the per-pattern sample
+assembly and the dense macro-sized matrices the two-scale system assembles
+in one pass and in band storage; ``penalized_cell_solve`` pins the cell
+operator's constant mode with a dense mean penalty instead of grounding.
 """
 
 from __future__ import annotations
@@ -383,6 +387,95 @@ def dense_two_scale(system):
         response=0.5 * (response + response.T),
         load=-(k_zw.T @ lift_drive + r_w),
         lift_jump=lift_jump, lift_drive=lift_drive)
+
+
+def per_pattern_samples(system):
+    """The bulk sample matrix and its load assembled one macro corner
+    pattern at a time (row selection of the macro gradients, ``kron`` of
+    the cell slopes, ``hstack``, ``diags`` and ``vstack``), the reference
+    for the one-pass assembly of ``TwoScaleSystem``."""
+    import itertools
+
+    macro, cfd = system.macro, system.cfd
+    dim, n_nodes = macro.dim, macro.n_nodes
+    sqrt_w = np.sqrt(macro.spacing ** dim / 2 ** dim * cfd.vol
+                     * cfd.sigma_face)
+    sqrt_w_tiled = np.tile(sqrt_w, n_nodes)
+    eye_nodes = sp.eye(n_nodes, format="csr")
+    t_c = sp.kron(eye_nodes, cfd.slope_c, format="csr")
+    t_w = sp.kron(eye_nodes, cfd.slope_w, format="csr")
+    blocks, loads = [], []
+    n_rows = n_nodes * cfd.n_faces
+    row_ids = np.arange(n_rows)
+    yaxis_tiled = np.tile(cfd.axis, n_nodes)
+    node_ids = np.repeat(np.arange(n_nodes), cfd.n_faces)
+    for qpat in itertools.product((0, 1), repeat=dim):
+        sides = np.asarray(qpat)[yaxis_tiled]
+        fidx = macro.side_of[node_ids, yaxis_tiled, sides]
+        rowsel = sp.coo_matrix((np.ones(n_rows), (row_ids, fidx)),
+                               shape=(n_rows, macro.grad.shape[0])).tocsr()
+        tq = sp.hstack([rowsel @ macro.grad, t_c, t_w], format="csr")
+        blocks.append(sp.diags(sqrt_w_tiled) @ tq)
+        loads.append(sqrt_w_tiled * (rowsel @ macro.grad_load))
+    return sp.vstack(blocks, format="csr"), np.concatenate(loads)
+
+
+def minus_node_blocks(base: np.ndarray, gbar: np.ndarray,
+                      blocks: np.ndarray) -> np.ndarray:
+    """base - Gbar' blockdiag(M_j) Gbar for (dim x dim) node blocks M_j,
+    one per node or one shared by every node, with dense products."""
+    n, dim = base.shape[0], gbar.shape[0] // base.shape[0]
+    gr = gbar.reshape(n, dim, n)
+    m = np.einsum("nik,nkm->nim", np.broadcast_to(blocks, (n, dim, dim)), gr)
+    return base - gbar.T @ m.reshape(n * dim, n)
+
+
+def penalized_cell_solve(op, rhs: np.ndarray) -> np.ndarray:
+    """Solve of the cell operator pinned by the exact mean penalty
+    A + mean(sigma) v v' (v the cell volumes), a dense matrix factored by
+    SuperLU: the reference for the grounded solve of ``CellOperator``."""
+    d = op.data
+    ones = np.full(d.n_y, d.vol)
+    pen = op.cond.mean * np.outer(ones, ones)
+    return spla.splu(op.A + sp.csc_matrix(pen)).solve(rhs)
+
+
+def cell_responses(system, solve=penalized_cell_solve):
+    """The cell solves x_g, x_w of unit macro gradients and unit jumps and
+    the macro gradient block e_g of their energy, as ``TwoScaleSystem``
+    forms them, with the cell solve ``solve(op, rhs)``."""
+    cfd, dim = system.cfd, system.macro.dim
+    drives = sp.hstack([cfd.axis_select, cfd.slope_w]).toarray()
+    rhs = cfd.slope_c.T @ ((cfd.vol * cfd.sigma_face)[:, None] * drives)
+    x = solve(system.cell_op, rhs)
+    cross = system.macro.spacing ** dim * (rhs[:, :dim].T @ x[:, :dim])
+    return x[:, :dim], x[:, dim:], 0.5 * (cross + cross.T)
+
+
+def dense_schur(system) -> np.ndarray:
+    """The macro Schur complement K_uu - Gbar' (I x e_g) Gbar as dense
+    products: K_uu from the macro columns of the per-pattern samples, e_g
+    from the system's own cell solves."""
+    t_macro = per_pattern_samples(system)[0][:, :system.n_nodes]
+    e_g = cell_responses(system, lambda op, rhs: op.solve(rhs))[2]
+    return minus_node_blocks((t_macro.T @ t_macro).toarray(),
+                             system.macro.mean_grad, e_g)
+
+
+def dense_capacitance(system, factor) -> np.ndarray:
+    """A pass factor's capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V)
+    Gbar as dense products, from the dense Schur complement."""
+    return minus_node_blocks(dense_schur(system), system.macro.mean_grad,
+                             system.flux_map.v.T @ factor.bv)
+
+
+def band_to_dense(ab: np.ndarray) -> np.ndarray:
+    """The symmetric matrix of LAPACK lower band storage ``ab``."""
+    n = ab.shape[1]
+    full = np.zeros((n, n))
+    for k, diag in enumerate(ab):
+        full += np.diag(diag[:n - k], -k)
+    return full + np.tril(full, -1).T
 
 
 def per_step_weak_sum(system, ts, jumps, test, dt) -> float:

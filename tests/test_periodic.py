@@ -237,15 +237,18 @@ from tissue.periodic import find_periodic
 cell = T.build_cell_geometry(0.25, 8)
 system = T.TwoScaleSystem(cell, T.make_conductivity(cell, 2.0, 1.0),
                           T.make_nonlinearity("sin"), T.make_boundary_data(),
-                          T.SolverParams(dt=1e-2), macro_res=8)
+                          T.SolverParams(dt=1e-2), macro_res={macro_res})
 orbit = find_periodic(system, tol=1e-10)
 print(orbit.iterations, hashlib.sha256(orbit.jumps.tobytes()).hexdigest())
 """
 
 
-def test_orbit_bits_do_not_depend_on_the_blas_thread_count():
-    # the mixing's least-squares solve goes through LAPACK; artifacts are
-    # byte-identical run to run, so its roundoff must not follow the threads
+@pytest.mark.parametrize("macro_res", [8, 16])
+def test_orbit_bits_do_not_depend_on_the_blas_thread_count(macro_res):
+    # the mixing's least-squares solve and the macro factors go through
+    # LAPACK; artifacts are byte-identical run to run, so their roundoff
+    # must not follow the threads (from 4,096 jumps up, a dense Cholesky of
+    # the macro matrices would)
     src = Path(T.__file__).resolve().parents[1]
     digests = set()
     for threads in ("1", "2"):
@@ -253,7 +256,9 @@ def test_orbit_bits_do_not_depend_on_the_blas_thread_count():
                **{name: threads for name in ("OPENBLAS_NUM_THREADS",
                                              "OMP_NUM_THREADS",
                                              "MKL_NUM_THREADS")}}
-        out = subprocess.run([sys.executable, "-c", _ORBIT_BITS], env=env,
+        out = subprocess.run([sys.executable, "-c",
+                              _ORBIT_BITS.format(macro_res=macro_res)],
+                             env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         digests.add(out.stdout.strip())

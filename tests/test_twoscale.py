@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import (cho_factor, cho_solve, cho_solve_banded,
+                          cholesky_banded)
 
 import tissue as T
 from tissue.decay import decay_metrics, lyapunov_series
@@ -25,8 +26,11 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              _macro_norms)
 
 from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
-from oracles import (DenseTwoScale, FluxResponse, dense_two_scale,
-                     per_sample_mean_defects, per_step_weak_sum)
+from oracles import (DenseTwoScale, FluxResponse, band_to_dense,
+                     cell_responses, dense_capacitance, dense_schur,
+                     dense_two_scale, penalized_cell_solve,
+                     per_pattern_samples, per_sample_mean_defects,
+                     per_step_weak_sum)
 
 
 def make_two_scale(cell=None, cond=(1.0, 1.0), law=("sin",),
@@ -201,9 +205,10 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
 def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
                                                           cell_res, cond):
     # a pass solve applies the stacked node-block inverses: it matches
-    # per-node scipy Cholesky solves through the same Woodbury steps; the
-    # per-state Schur solve calls potrs directly and gives the checked
-    # wrapper's bits
+    # per-node scipy Cholesky solves through the same Woodbury steps with
+    # the dense capacitance matrix, and equals the checked banded wrapper on
+    # the pass factor's own band factor bit for bit; the per-state Schur
+    # solve calls pbtrs directly and gives the checked wrapper's bits
     system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
                             cell_res=cell_res)
     fl = system.flux_map
@@ -213,25 +218,85 @@ def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
     for scale in (1e-2, 1e3):
         d = scale * rng.uniform(0.5, 2.0, system.n_w)
         f = fl.factor(d)
-        assert f.cap[0].flags.f_contiguous
+        assert f.cap.flags.f_contiguous
         blocks = [cho_factor(fl.r_block + np.diag(dj))
                   for dj in d.reshape(n, -1)]
         bv = np.array([cho_solve(b, fl.v) for b in blocks])
-        cap = cho_factor(fl.schur - gbar.T @ block_diag(*(fl.v.T @ bv))
-                         @ gbar)
+        cap = cho_factor(dense_capacitance(system, f))
         for r in rng.normal(size=(2, system.n_w)):
             y = np.array([cho_solve(b, rj)
                           for b, rj in zip(blocks, r.reshape(n, -1))])
             g = gbar @ cho_solve(cap, gbar.T @ (y @ fl.v).reshape(-1))
             want = y + np.einsum("nfk,nk->nf", bv, g.reshape(n, -1))
             assert rel_gap(f.solve(r), want.reshape(-1)) <= 1e-13
-    assert fl.schur_cf[0].flags.f_contiguous
+            y = f.inv @ r.reshape(n, -1, 1)
+            t = gbar.T @ (y.reshape(n, -1) @ fl.v).reshape(-1)
+            y += f.bv @ (gbar @ cho_solve_banded((f.cap, True), t)
+                         ).reshape(n, -1, 1)
+            assert np.array_equal(f.solve(r), y.reshape(-1))
+    assert fl.schur_cf.flags.f_contiguous
     drive = system.drive.temporal(0.37)
     for w in rng.normal(size=(2, system.n_w)):
         rhs = gbar.T @ (w.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1) \
             + drive * fl.load_u
         macro, _ = system.recover(0.37, w)
-        assert np.array_equal(macro, -cho_solve(fl.schur_cf, rhs))
+        assert np.array_equal(macro,
+                              -cho_solve_banded((fl.schur_cf, True), rhs))
+
+
+@pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
+def test_one_pass_samples_equal_the_per_pattern_assembly(dim, macro_res,
+                                                         cell_res, cond):
+    system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
+                            cell_res=cell_res)
+    want, want_load = per_pattern_samples(system)
+    want.sort_indices()
+    got = system.samples
+    assert got.nnz == want.nnz
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(system.sample_load, want_load)
+
+
+@pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
+def test_banded_schur_and_capacitance_equal_the_dense_formulas(dim, macro_res,
+                                                               cell_res, cond):
+    # the band holds every node pair at most two apart on one axis, capped
+    # at n - 1 (dimension 1, the one-node grid)
+    system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
+                            cell_res=cell_res)
+    fl = system.flux_map
+    n = system.n_nodes
+    assert fl.schur.shape == (min(2 * macro_res ** (dim - 1), n - 1) + 1, n)
+    schur = dense_schur(system)
+    assert rel_gap(band_to_dense(fl.schur), schur) <= 1e-14
+    rng = np.random.default_rng(51)
+    for scale in (1e-2, 1.0, 1e3):
+        f = fl.factor(scale * rng.uniform(0.5, 2.0, system.n_w))
+        cap = fl.capacitance(f.bv)
+        assert rel_gap(band_to_dense(cap), dense_capacitance(system, f)) \
+            <= 1e-14
+        assert np.array_equal(f.cap, cholesky_banded(cap, lower=True))
+
+
+@pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
+def test_grounded_cell_solves_equal_the_mean_penalty(dim, macro_res, cell_res,
+                                                     cond):
+    system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
+                            cell_res=cell_res)
+    # the columns of one cell solve (x_g vanishes without contrast)
+    x_g, x_w, _ = cell_responses(system)
+    assert rel_gap(np.hstack([system._x_g, system._x_w]),
+                   np.hstack([x_g, x_w])) <= 1e-12
+    op, cfd = system.cell_op, system.cfd
+    rng = np.random.default_rng(52)
+    for _ in range(3):
+        g, w = rng.normal(size=dim), rng.normal(size=cfd.n_facets)
+        drive = cfd.axis_select @ g + cfd.slope_w @ w
+        c = penalized_cell_solve(
+            op, -cfd.slope_c.T @ (cfd.vol * cfd.sigma_face * drive))
+        assert rel_gap(op.corrector_for(g, w), c - cfd.vol * c.sum()) \
+            <= 1e-12
 
 
 def test_node_factor_build_checks_its_input():
@@ -293,7 +358,7 @@ def test_held_factors_are_read_only():
     dt = system.params.dt
     w = system.stepper.step(dt, w, dt).jump
     frozen = system.stepper._frozen
-    held = [fl.schur_cf[0], frozen.inv, frozen.bv, frozen.cap[0]]
+    held = [fl.schur, fl.schur_cf, frozen.inv, frozen.bv, frozen.cap]
     for arr in held:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
