@@ -3,8 +3,8 @@ to one periodic cell problem per macro node, with the membrane dynamics
 living in the cell variable.
 
 The discretization is Galerkin on a quadratic bulk energy: every (node,
-corner, cell-face) sample of sigma * (macro gradient + cell slope)^2 enters
-a least-squares matrix, so the assembled system is symmetric positive
+corner, cell-face) sample of sigma * (macro gradient + cell slope)^2 is one
+least-squares term, so the assembled system is symmetric positive
 definite by construction, the discrete weak form is satisfied exactly by
 the computed states, and the jump-gap Lyapunov quantity is nonincreasing
 for monotone membrane laws.  Corner-based macro gradient sampling keeps the
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -413,68 +413,16 @@ class _NodeFactor:
 
 # -- the coupled system -------------------------------------------------------
 
-def _assemble_samples(macro: MacroGrid, cfd: CellFaceData,
-                      weight: np.ndarray):
-    """The bulk sample matrix and its load per unit drive, in one pass, and
-    the summed sample weight of every macro face.
-
-    Row (q, j, f) samples cell face f of node j at corner pattern q (in
-    ``itertools.product`` order): sqrt(weight_f) times the macro gradient
-    on f's axis at q's side there, plus f's slope (``slope_c``) and jump
-    correction (``slope_w``) in node j's cell block.  Each part fills its
-    slots of one padded array per CSR field from the padded rows of its
-    operator, in column order, so the CSR arrays are written directly.
-    A macro face's weight sums weight_f over the rows that sample it, so
-    the macro block of the Gram matrix is grad' diag(face weight) grad."""
-    n, n_y, nf, dim = macro.n_nodes, cfd.n_y, cfd.n_facets, macro.dim
-    n_cols = n + n * (n_y + nf)
-    index = np.int32 if n_cols <= np.iinfo(np.int32).max else np.int64
-    sqrt_w = np.sqrt(weight)
-    pats = np.array(list(itertools.product((0, 1), repeat=dim)))
-    # the macro face each pattern samples on each axis of each node, and
-    # the one of each row, shape (patterns, nodes, cell faces)
-    sides = macro.side_of[np.arange(n)[:, None], np.arange(dim),
-                          pats[:, None, :]]
-    fidx = sides[:, :, cfd.axis]
-    (gc, gv, gs), *cell_parts = (_padded_rows(m) for m in
-                                 (macro.grad, cfd.slope_c, cfd.slope_w))
-    width = gc.shape[1] + sum(c.shape[1] for c, _, _ in cell_parts)
-    cols = np.empty(fidx.shape + (width,), dtype=index)
-    vals = np.empty(cols.shape)
-    stored = np.empty(cols.shape, dtype=bool)
-    k = gc.shape[1]
-    for out, part in zip((cols, vals, stored), (gc, gv, gs)):
-        np.take(part, fidx, axis=0, out=out[..., :k], mode="clip")
-    vals[..., :k] *= sqrt_w[:, None]
-    node = np.arange(n, dtype=index)[:, None, None]
-    for (c, v, s), offset in zip(cell_parts, (n + node * n_y,
-                                              n + n * n_y + node * nf)):
-        part = slice(k, k + c.shape[1])
-        cols[..., part], vals[..., part] = offset + c, v * sqrt_w[:, None]
-        stored[..., part] = s
-        k = part.stop
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=-1).reshape(-1))])
-    samples = sp.csr_matrix((vals[stored], cols[stored], indptr),
-                            shape=(fidx.size, n_cols))
-    load = (sqrt_w * macro.grad_load[fidx]).reshape(-1)
-    # each pattern samples a node's face on axis d once per cell face on d
-    face_weight = np.bincount(
-        sides.reshape(-1),
-        np.tile(np.bincount(cfd.axis, weight, minlength=dim), sides.size // dim),
-        minlength=macro.grad.shape[0])
-    return samples, load, face_weight
-
-
 class TwoScaleSystem(MembraneSystem):
     """Macro potential, per-node correctors and stacked membrane jumps.
 
-    Builds the bulk least-squares sample matrix once (the weak-form
-    certificates pair with it).  The correctors are eliminated per node
-    through the single cell factorization, the macro potential through its
-    node-sized Schur complement; the stepper gets the result as a
-    ``NodeFlux``.  ``recover`` rebuilds the macro potential and the
-    correctors of a jump vector from ``NodeFlux.macro_fields`` (one Schur
-    solve), then one product of size n_y x (dim + n_facets) per node.
+    Keeps the bulk sample weight of each macro face, not the sample matrix.
+    The correctors are eliminated per node through the single cell
+    factorization, the macro potential through its node-sized Schur
+    complement; the stepper gets the result as a ``NodeFlux``.
+    ``recover`` rebuilds the macro potential and the correctors of a jump
+    vector from ``NodeFlux.macro_fields`` (one Schur solve), then one
+    product of size n_y x (dim + n_facets) per node.
     """
 
     def __init__(self, cell: CellGeometry, cond: Conductivity,
@@ -500,9 +448,16 @@ class TwoScaleSystem(MembraneSystem):
         self.n_y = cfd.n_y
         self.n_w = n_w
 
+        # a corner pattern samples a node's face on axis d per cell face on d
         hmac = self.macro.spacing
-        self.samples, self.sample_load, face_weight = _assemble_samples(
-            self.macro, cfd, hmac ** dim / 2 ** dim * cfd.vol * cfd.sigma_face)
+        self.sample_weight = hmac ** dim / 2 ** dim * cfd.vol * cfd.sigma_face
+        pats = np.array(list(itertools.product((0, 1), repeat=dim)))
+        sides = self.macro.side_of[:, np.arange(dim), pats]
+        self.face_weight = face_weight = np.bincount(
+            sides.reshape(-1),
+            np.tile(np.bincount(cfd.axis, self.sample_weight, minlength=dim),
+                    sides.size // dim),
+            minlength=self.macro.grad.shape[0])
 
         # The stacked corrector block of every node is hmac^dim times the
         # cell operator, and the corner samples reach it only through the
@@ -736,10 +691,55 @@ def micro_two_scale_gap(micro_system, micro_jump: np.ndarray,
 
 # -- discrete weak-form certification ----------------------------------------
 
-def _pack_test(phi: np.ndarray, phi_cell: np.ndarray,
-               phi_jump: np.ndarray) -> np.ndarray:
-    return np.concatenate([phi.reshape(-1), phi_cell.reshape(-1),
-                           phi_jump.reshape(-1)])
+class _SampleGram:
+    """S'S and S'l of the bulk samples S (a row per corner pattern, node
+    and cell face) and their load l, by blocks, with no S formed.  A row's
+    weight wt depends only on its cell face, and node j's corner patterns
+    average its two side faces on each axis to its mean gradient Gbar_j,
+    so with C = [slope_c | slope_w]:
+
+    - the macro block is grad' diag(face weight) grad;
+    - every node's (corrector, jump) block is the one cell-sized
+      G_cc = 2^dim C' diag(wt) C, and no block couples two nodes;
+    - the (macro, node j) block is Gbar_j' M, with M = 2^dim
+      axis_select' diag(wt) C, dim x (n_y + n_facets);
+    - S'l is grad' (face weight * grad load) on the macro rows and
+      M' gbar_load_j on node j's rows."""
+
+    def __init__(self, system: TwoScaleSystem):
+        mac, cfd = system.macro, system.cfd
+        c = sp.hstack([cfd.slope_c, cfd.slope_w], format="csr")
+        wc = sp.diags(2 ** mac.dim * system.sample_weight) @ c
+        self.cross = (cfd.axis_select.T @ wc).toarray()
+        # node rows: [G_cc | M'] on node j's (cell, jump) parts over Gbar_j phi
+        self.node = sp.hstack([c.T @ wc, sp.csr_matrix(self.cross.T)],
+                              format="csr")
+        self.system = system
+        self.load_u = mac.grad.T @ (system.face_weight * mac.grad_load)
+
+    def __call__(self, tests: Iterable[tuple], count: int):
+        """S'S v and (S'l)·v for ``count`` (macro, cell, jump) tests v read
+        one at a time from ``tests``: the macro rows (n_nodes, count) and
+        node rows (n_y + n_facets, count, n_nodes) of S'S v, (S'l)·v and the
+        test jumps (count, n_w)."""
+        mac, n_y = self.system.macro, self.system.n_y
+        n, dim, n_cell = mac.n_nodes, mac.dim, self.cross.shape[1]
+        phi = np.empty((n, count))
+        v = np.empty((n_cell + dim, count, n))
+        for k, (phi_k, phic, phiw) in enumerate(tests):
+            phi[:, k] = phi_k.reshape(-1)
+            v[:n_y, k] = phic.reshape(n, -1).T
+            v[n_y:n_cell, k] = phiw.reshape(n, -1).T
+        v[n_cell:] = (mac.mean_grad @ phi).reshape(n, dim, -1
+                                                  ).transpose(1, 2, 0)
+        mv = (self.cross @ v[:n_cell].reshape(n_cell, -1)).reshape(dim, -1, n)
+        z_u = mac.grad.T @ (self.system.face_weight[:, None]
+                            * (mac.grad @ phi)) \
+            + mac.mean_grad.T @ mv.transpose(2, 0, 1).reshape(n * dim, -1)
+        load = phi.T @ self.load_u + np.einsum(
+            "dkj,jd->k", mv, mac.mean_grad_load.reshape(n, dim))
+        z = (self.node @ v.reshape(len(v), -1)).reshape(n_cell, -1, n)
+        return z_u, z, load, v[n_y:-dim].transpose(1, 2, 0).reshape(count, -1)
 
 
 def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
@@ -749,41 +749,40 @@ def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
 
     The bulk pairing of the state x = (macro, correctors, jumps) at drive
     factor d with a zero-boundary test v is (S x + d l)·(S v) =
-    x·(S'S v) + d (S'l)·v for the sample matrix S and its load l, so it
-    goes through the Gram matrix S'S, built here (it is sparser than S).
-    The steps go in chunks of ``SAMPLE_CHUNK``, and ``test`` is called
-    once per step, one chunk at a time, so the sum holds one chunk of tests
-    and the test jump part of the step before it.  One ``macro_fields``
-    call recovers the chunk's macro potentials and node gradients, and node
-    j's corrector -(x_g g_j + x_w w_j) pairs through x_g and x_w, so no
-    corrector is formed."""
-    samples = system.samples
-    gram = (samples.T @ samples).tocsr()
-    load = samples.T @ system.sample_load
-    n_u, n_c = system.n_nodes, system.n_nodes * system.n_y
+    x·(S'S v) + d (S'l)·v for the bulk samples S and their load l, through
+    the blocks of S'S (``_SampleGram``).  The steps go in chunks of
+    ``SAMPLE_CHUNK``; ``test`` is called once per step, and the sum holds
+    one stacked chunk of tests and its Gram product.  One ``macro_fields``
+    call gives the chunk's macro potentials and node gradients, and node
+    j's corrector -(x_g g_j + x_w w_j) pairs through x_g and x_w."""
+    gram = _SampleGram(system)
+    # node j's (corrector, jump) parts from its (node gradient, jump) pair
+    nf = system.cfd.n_facets
+    lift = np.vstack([-np.hstack([system._x_g, system._x_w]),
+                      np.eye(system.macro.dim + nf)[-nf:]])
     s2 = system.weights
     alpha = system.params.alpha
     total = 0.0
-    phiw_prev = test(0, float(ts[0]))[2].reshape(-1)
+    phiw = test(0, float(ts[0]))[2].reshape(1, -1)
     for lo in range(1, len(ts), SAMPLE_CHUNK):
         hi = min(lo + SAMPLE_CHUNK, len(ts))
-        tests = [test(n, float(ts[n])) for n in range(lo, hi)]
-        tv = np.stack([_pack_test(*t) for t in tests])
-        phiw = np.stack([phiw_prev] + [t[2].reshape(-1) for t in tests])
+        z_u, z, load, chunk_phiw = gram(
+            (test(n, float(ts[n])) for n in range(lo, hi)), hi - lo)
+        # the test jumps from the step before the chunk on
+        phiw = np.concatenate([phiw[-1:], chunk_phiw])
         w = jumps[lo:hi]
         drive = system._drives(ts[lo:hi])
         macro, g = system.flux_map.macro_fields(w, drive)
-        z = (gram @ tv.T).T
-        zc = z[:, n_u:n_u + n_c].reshape(len(w), system.n_nodes, -1)
-        bulk = (np.sum(z[:, :n_u] * macro) + np.sum(z[:, n_u + n_c:] * w)
-                - np.sum((zc @ system._x_g) * g)
-                - np.sum((zc @ system._x_w) * w.reshape(zc.shape[:2] + (-1,)))
-                + drive @ (tv @ load))
+        # the chunk's (node gradient, jump) pairs in the layout of z
+        gw = np.concatenate([g, w.reshape(g.shape[:2] + (-1,))],
+                            axis=-1).transpose(2, 0, 1)
+        bulk = (np.sum(z_u.T * macro) + drive @ load + np.sum(
+            (lift.T @ z.reshape(len(z), -1)).reshape(gw.shape) * gw))
+        del z, gw, chunk_phiw       # before the next chunk is stacked
         total += dt * float(bulk)
         total += dt * float(np.sum(s2 * system.law(w) * phiw[1:]))
         total -= alpha * float(np.sum(s2 * jumps[lo - 1:hi - 1]
                                       * np.diff(phiw, axis=0)))
-        phiw_prev = phiw[-1]
     return total
 
 

@@ -3,22 +3,25 @@
 Everything here is assembled from first principles with plain loops and
 solved with dense factorizations, independent of the production assembly
 and Schur elimination paths.  The exception is ``dense_two_scale``: it
-starts from the production sample matrix (checked against loops by
-``test_bulk_hessian_matches_dense_loops``) and eliminates the whole stacked
-(macro, corrector) block at once, independent of the per-node condensation.
+starts from the sample matrix of ``assemble_samples`` (checked against
+loops by ``test_bulk_hessian_matches_dense_loops``) and eliminates the
+whole stacked (macro, corrector) block at once, independent of the
+per-node condensation.
 ``picard_orbit`` is the plain damped Picard iteration on the production
 period map, the reference for the accelerated orbit solver.
-``per_step_weak_sum`` pairs every two-scale step with its test through the
-sample matrix itself, the reference for the chunked Gram pairing of the
-weak-form certificates.  ``per_sample_mean_defects`` and
-``per_sample_gap_columns`` rebuild one trajectory sample at a time, the
-references for the stacked chunks of the mean defects and decay rows.
-``fit_growth_constants`` samples a law's growth bound, the reference for the
-declared certificates of the built-in laws.  ``per_pattern_samples``,
-``dense_schur`` and ``dense_capacitance`` are the per-pattern sample
-assembly and the dense macro-sized matrices the two-scale system assembles
-in one pass and in band storage; ``penalized_cell_solve`` pins the cell
-operator's constant mode with a dense mean penalty instead of grounding.
+``assemble_samples`` writes the bulk sample matrix S in one pass, the
+reference for the blocks of S'S that the weak-form certificates pair
+through, and ``per_step_weak_sum`` pairs every two-scale step with its test
+through S itself, the reference for their chunked pairing.
+``per_sample_mean_defects`` and ``per_sample_gap_columns`` rebuild one
+trajectory sample at a time, the references for the stacked chunks of the
+mean defects and decay rows.  ``fit_growth_constants`` samples a law's
+growth bound, the reference for the declared certificates of the built-in
+laws.  ``per_pattern_samples`` is the per-pattern sample assembly, the
+reference for that one pass; ``dense_schur`` and ``dense_capacitance`` are
+the dense macro-sized matrices the two-scale system assembles in band
+storage; ``penalized_cell_solve`` pins the cell operator's constant mode
+with a dense mean penalty instead of grounding.
 """
 
 from __future__ import annotations
@@ -368,10 +371,11 @@ def dense_two_scale(system):
     n_nodes, n_y = system.n_nodes, system.n_y
     n_z = n_nodes + n_nodes * n_y
     iz, iw = np.arange(n_z), np.arange(n_z, n_z + system.n_w)
-    gram = (system.samples.T @ system.samples).tocsc()
+    samples, sample_load, _ = assemble_samples(system)
+    gram = (samples.T @ samples).tocsc()
     k_zz, k_zw = gram[iz][:, iz], gram[iz][:, iw]
     k_ww = gram[iw][:, iw]
-    rhs = system.samples.T @ system.sample_load
+    rhs = samples.T @ sample_load
     r_z, r_w = rhs[iz], rhs[iw]
     # exact mean penalty: loads are orthogonal to per-node constants
     mean_rows = sp.kron(sp.eye(n_nodes),
@@ -389,11 +393,69 @@ def dense_two_scale(system):
         lift_jump=lift_jump, lift_drive=lift_drive)
 
 
+def assemble_samples(system):
+    """The bulk sample matrix S, its load l per unit drive and the summed
+    sample weight of every macro face, in one pass: the reference for the
+    blocks of S'S and S'l that the weak-form certificates pair through.
+
+    Row (q, j, f) samples cell face f of node j at corner pattern q (in
+    ``itertools.product`` order): sqrt(weight_f) times the macro gradient
+    on f's axis at q's side there, plus f's slope (``slope_c``) and jump
+    correction (``slope_w``) in node j's cell block.  Each part fills its
+    slots of one padded array per CSR field from the padded rows of its
+    operator, in column order, so the CSR arrays are written directly.
+    A macro face's weight sums weight_f over the rows that sample it, so
+    the macro block of the Gram matrix is grad' diag(face weight) grad."""
+    import itertools
+
+    from tissue.twoscale import _padded_rows
+
+    macro, cfd = system.macro, system.cfd
+    n, n_y, nf, dim = macro.n_nodes, cfd.n_y, cfd.n_facets, macro.dim
+    weight = macro.spacing ** dim / 2 ** dim * cfd.vol * cfd.sigma_face
+    n_cols = n + n * (n_y + nf)
+    index = np.int32 if n_cols <= np.iinfo(np.int32).max else np.int64
+    sqrt_w = np.sqrt(weight)
+    pats = np.array(list(itertools.product((0, 1), repeat=dim)))
+    # the macro face each pattern samples on each axis of each node, and
+    # the one of each row, shape (patterns, nodes, cell faces)
+    sides = macro.side_of[np.arange(n)[:, None], np.arange(dim),
+                          pats[:, None, :]]
+    fidx = sides[:, :, cfd.axis]
+    (gc, gv, gs), *cell_parts = (_padded_rows(m) for m in
+                                 (macro.grad, cfd.slope_c, cfd.slope_w))
+    width = gc.shape[1] + sum(c.shape[1] for c, _, _ in cell_parts)
+    cols = np.empty(fidx.shape + (width,), dtype=index)
+    vals = np.empty(cols.shape)
+    stored = np.empty(cols.shape, dtype=bool)
+    k = gc.shape[1]
+    for out, part in zip((cols, vals, stored), (gc, gv, gs)):
+        np.take(part, fidx, axis=0, out=out[..., :k], mode="clip")
+    vals[..., :k] *= sqrt_w[:, None]
+    node = np.arange(n, dtype=index)[:, None, None]
+    for (c, v, s), offset in zip(cell_parts, (n + node * n_y,
+                                              n + n * n_y + node * nf)):
+        part = slice(k, k + c.shape[1])
+        cols[..., part], vals[..., part] = offset + c, v * sqrt_w[:, None]
+        stored[..., part] = s
+        k = part.stop
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=-1).reshape(-1))])
+    samples = sp.csr_matrix((vals[stored], cols[stored], indptr),
+                            shape=(fidx.size, n_cols))
+    load = (sqrt_w * macro.grad_load[fidx]).reshape(-1)
+    # each pattern samples a node's face on axis d once per cell face on d
+    face_weight = np.bincount(
+        sides.reshape(-1),
+        np.tile(np.bincount(cfd.axis, weight, minlength=dim), sides.size // dim),
+        minlength=macro.grad.shape[0])
+    return samples, load, face_weight
+
+
 def per_pattern_samples(system):
     """The bulk sample matrix and its load assembled one macro corner
     pattern at a time (row selection of the macro gradients, ``kron`` of
     the cell slopes, ``hstack``, ``diags`` and ``vstack``), the reference
-    for the one-pass assembly of ``TwoScaleSystem``."""
+    for the one-pass assembly of ``assemble_samples``."""
     import itertools
 
     macro, cfd = system.macro, system.cfd
@@ -483,6 +545,7 @@ def per_step_weak_sum(system, ts, jumps, test, dt) -> float:
     correctors, jumps) of each step is recovered on its own and paired with
     its test through the samples, (S x + drive l)·(S v)."""
     tests = [test(n, float(t)) for n, t in enumerate(ts)]
+    samples, sample_load, _ = assemble_samples(system)
     s2 = system.weights
     alpha = system.params.alpha
     total = 0.0
@@ -493,9 +556,8 @@ def per_step_weak_sum(system, ts, jumps, test, dt) -> float:
         x = np.concatenate([macro, corr.reshape(-1), jumps[n]])
         v = np.concatenate([phi.reshape(-1), phic.reshape(-1),
                             phiw.reshape(-1)])
-        vals = system.samples @ x \
-            + system.drive.temporal(t) * system.sample_load
-        total += dt * float(vals @ (system.samples @ v))
+        vals = samples @ x + system.drive.temporal(t) * sample_load
+        total += dt * float(vals @ (samples @ v))
         total += dt * float(np.sum(s2 * system.law(jumps[n])
                                    * phiw.reshape(-1)))
         dphi = phiw.reshape(-1) - tests[n - 1][2].reshape(-1)

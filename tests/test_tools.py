@@ -94,8 +94,9 @@ def test_twoscale_sizes_prints_one_row_per_resolution():
     row = dict(zip(header, cells))
     assert float(row["ms in the flux map per step"]) \
         < float(row["ms per `sin` step"])
-    assert header[-2:] == ["weak form (MB)", "peak RSS (MB)"]
-    # the weak-form sum is a small part of the process
+    assert header[-3:] == ["held (MB)", "weak form (MB)", "peak RSS (MB)"]
+    # one system and the weak-form sum are small parts of the process
+    assert float(row["held (MB)"]) < float(row["peak RSS (MB)"])
     assert float(row["weak form (MB)"]) < float(row["peak RSS (MB)"])
 
 

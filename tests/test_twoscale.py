@@ -26,9 +26,9 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              _macro_norms)
 
 from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
-from oracles import (DenseTwoScale, FluxResponse, band_to_dense,
-                     cell_responses, dense_capacitance, dense_schur,
-                     dense_two_scale, penalized_cell_solve,
+from oracles import (DenseTwoScale, FluxResponse, assemble_samples,
+                     band_to_dense, cell_responses, dense_capacitance,
+                     dense_schur, dense_two_scale, penalized_cell_solve,
                      per_pattern_samples, per_sample_mean_defects,
                      per_step_weak_sum)
 
@@ -251,11 +251,37 @@ def test_one_pass_samples_equal_the_per_pattern_assembly(dim, macro_res,
                             cell_res=cell_res)
     want, want_load = per_pattern_samples(system)
     want.sort_indices()
-    got = system.samples
+    got, got_load, _ = assemble_samples(system)
     assert got.nnz == want.nnz
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert np.array_equal(system.sample_load, want_load)
+    assert np.array_equal(got_load, want_load)
+
+
+@pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
+def test_gram_blocks_pair_as_the_sample_matrix(dim, macro_res, cell_res, cond):
+    # the weak form's bulk pairing x·(S'S v) + d (S'l)·v from the blocks
+    # of S'S, against S itself, for random states x (correctors not tied
+    # to the jumps) and three random tests v in one stack, at nonzero drives
+    system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
+                            cell_res=cell_res)
+    samples, sample_load, face_weight = assemble_samples(system)
+    assert np.array_equal(system.face_weight, face_weight)
+    n, n_y = system.n_nodes, system.n_y
+    rng = np.random.default_rng(17)
+    tests = [(rng.normal(size=n), rng.normal(size=(n, n_y)),
+              rng.normal(size=system.n_w)) for _ in range(3)]
+    states = rng.normal(size=(3, n + n * n_y + system.n_w))
+    drives = np.array([0.7, -1.3, 2.1])
+    gram = twoscale._SampleGram(system)
+    z_u, z, load, _ = gram(tests, len(tests))
+    for k, (test, x, d) in enumerate(zip(tests, states, drives)):
+        sv = samples @ np.concatenate([p.reshape(-1) for p in test])
+        want = (samples @ x + d * sample_load) @ sv
+        node = x[n:n + n * n_y].reshape(n, -1), x[n + n * n_y:].reshape(n, -1)
+        got = (x[:n] @ z_u[:, k] + np.sum(node[0] * z[:n_y, k].T)
+               + np.sum(node[1] * z[n_y:, k].T) + d * load[k])
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
@@ -439,9 +465,10 @@ def test_9216_jumps_past_the_old_lift_budget_step_and_rebuild_correctors():
 def test_bulk_hessian_matches_dense_loops():
     system = make_two_scale(cond=(3.0, 0.5), macro_res=2, cell_res=4)
     dense = DenseTwoScale(system)
-    gram = (system.samples.T @ system.samples).toarray()
+    samples, sample_load, _ = assemble_samples(system)
+    gram = (samples.T @ samples).toarray()
     assert np.max(np.abs(gram - dense.hessian)) < 1e-11
-    load = system.samples.T @ system.sample_load
+    load = samples.T @ sample_load
     assert np.max(np.abs(load - dense.load)) < 1e-11
 
 
@@ -762,6 +789,35 @@ def test_weak_residuals_hold_one_chunk_of_tests():
         assert peak <= 2 * 2 ** 20, (fn.__name__, peak)
 
 
+def test_weak_residual_at_4096_jumps_holds_a_few_chunks_of_tests():
+    # the sum pairs through cell-sized Gram blocks, so its peak is set by
+    # the chunk of test triples (16 x 81 x 256 values, 2.65 MB here), not
+    # by a Gram matrix of the stacked unknowns
+    system = make_two_scale(cond=(2.0, 1.0), cell_res=8, macro_res=16,
+                            dt=1e-3)
+    assert system.n_w == 4096
+    traj = simulate(system, initial_two_scale_jump(system, "random", 5.0,
+                                                   seed=1), 0.04)
+    assert len(traj.ts) - 1 > 2 * SAMPLE_CHUNK
+    rng = np.random.default_rng(9)
+    phi = rng.normal(size=system.n_nodes)
+    phc = rng.normal(size=(system.n_nodes, system.n_y))
+    phw = rng.normal(size=system.n_w)
+    chunk = SAMPLE_CHUNK * (phi.nbytes + phc.nbytes + phw.nbytes)
+
+    def test_fn(n, t):
+        fac = 1.0 - n / (len(traj.ts) - 1)
+        return phi * fac, phc * fac, phw * fac
+
+    tracemalloc.start()
+    try:
+        transient_weak_residual(system, traj, test_fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * chunk, (peak, chunk)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_weak_residuals_match_the_per_step_pairing(dim, monkeypatch):
     # the chunked Gram pairing against the per-step pairing through the
@@ -837,14 +893,15 @@ def test_transient_energy_bound():
     lam_q, lam_a = cert.growth_quad, cert.growth_abs
     s2 = system.weights
     dt = p.dt
+    samples, sample_load, _ = assemble_samples(system)
     bulk_sq = 0.0
     jump_sq = 0.0
     for n in range(1, len(traj.ts)):
         w = traj.jumps[n]
         macro, corr = system.recover(float(traj.ts[n]), w)
         x = np.concatenate([macro, corr.reshape(-1), w])
-        vals = system.samples @ x + system.drive.temporal(float(traj.ts[n])) \
-            * system.sample_load
+        vals = samples @ x + system.drive.temporal(float(traj.ts[n])) \
+            * sample_load
         bulk_sq += dt * float(vals @ vals)          # sigma-weighted gradient
         jump_sq += dt * float(np.sum(s2 * w * w))
     data_sq = 0.0

@@ -29,11 +29,14 @@ CPU time (``time.process_time``) of:
   stepper's own vector work;
 - ``state_at``: the mean of one state rebuild at each of those 20 steps;
 
-the weak form: the ``tracemalloc`` peak of one ``transient_weak_residual``
-over a ``WEAK_STEPS``-step stride-1 run of the last system built (the
-sum's own allocations, its Gram matrix and one chunk of tests; measured
-once, as it is deterministic); and its peak RSS, the process maximum
-(interpreter and imports included).
+held: the ``tracemalloc`` current size of one more system, built after
+the timed ones with the cell, conductivity, law, drive and parameters it
+holds (measured once, as it is deterministic); the weak form: the
+``tracemalloc`` peak of one ``transient_weak_residual`` over a
+``WEAK_STEPS``-step stride-1 run of the last system built (the sum's own
+allocations: a chunk's stacked tests, their Gram product and smaller
+arrays, about two and a half chunks of test triples; measured once); and
+its peak RSS, the process maximum (interpreter and imports included).
 Prints one Markdown table row per resolution as its process finishes.  The
 tissue package is imported from the ``src`` directory next to this script.
 """
@@ -55,9 +58,9 @@ WEAK_STEPS = 100
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER = ("| `macro.resolution` | jumps | set-up (s) | first step (ms) "
           "| ms per `sin` step | iterations per step | solves per step "
-          "| ms in the flux map per step | `state_at` (ms) | weak form (MB) "
-          "| peak RSS (MB) |\n"
-          "|---|---|---|---|---|---|---|---|---|---|---|")
+          "| ms in the flux map per step | `state_at` (ms) | held (MB) "
+          "| weak form (MB) | peak RSS (MB) |\n"
+          "|---|---|---|---|---|---|---|---|---|---|---|---|")
 
 
 def count_solves(flux_map) -> dict:
@@ -117,6 +120,21 @@ def weak_form_peak_mb(system, w) -> float:
         tracemalloc.stop()
 
 
+def held_mb(build) -> float:
+    """The ``tracemalloc`` current size of what ``build()`` returns, with
+    everything it holds, after a garbage collection."""
+    import gc
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        built = build()     # alive until its size is read
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def measure(res: int) -> dict:
     """Medians of ``REPEATS`` set-ups and runs at one macro resolution; runs
     in the child process."""
@@ -132,14 +150,18 @@ def measure(res: int) -> dict:
 
     cfg = finalize_config({"macro.resolution": res})
     dt = cfg["time.dt"]
+
+    def build() -> TwoScaleSystem:
+        cell = cfg.build_cell()
+        return TwoScaleSystem(cell, cfg.build_conductivity(cell),
+                              cfg.build_law(), cfg.build_drive(),
+                              cfg.build_params(), macro_res=res,
+                              macro_dim=cfg["macro.dimension"])
+
     rows = []
     for _ in range(REPEATS):
         t0 = time.process_time()
-        cell = cfg.build_cell()
-        system = TwoScaleSystem(cell, cfg.build_conductivity(cell),
-                                cfg.build_law(), cfg.build_drive(),
-                                cfg.build_params(), macro_res=res,
-                                macro_dim=cfg["macro.dimension"])
+        system = build()
         t1 = time.process_time()
         w = initial_two_scale_jump(system, cfg["init.kind"],
                                    cfg["init.amplitude"], seed=cfg["seed"])
@@ -172,12 +194,14 @@ def measure(res: int) -> dict:
         # RSS is that of one system
         del system, last, results
         gc.collect()
+    held = held_mb(build)
     setup, first, step, iterations, solved, solve_ms, state = np.median(
         np.array(rows), axis=0)
     return {"res": res, "jumps": n_w, "setup_s": setup,
             "first_step_ms": first, "step_ms": step,
             "iterations": iterations, "solves": solved,
-            "flux_map_ms": solve_ms, "state_ms": state, "weak_mb": weak_mb,
+            "flux_map_ms": solve_ms, "state_ms": state, "held_mb": held,
+            "weak_mb": weak_mb,
             # ru_maxrss is in kB on Linux
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
@@ -196,7 +220,8 @@ def row(m: dict) -> str:
             f"| {m['first_step_ms']:.3g} | {m['step_ms']:.3g} "
             f"| {m['iterations']:.3g} | {m['solves']:.3g} "
             f"| {m['flux_map_ms']:.3g} | {m['state_ms']:.3g} "
-            f"| {m['weak_mb']:.3g} | {m['peak_rss_mb']:.0f} |")
+            f"| {m['held_mb']:.3g} | {m['weak_mb']:.3g} "
+            f"| {m['peak_rss_mb']:.0f} |")
 
 
 def main(argv: list[str]) -> None:
