@@ -38,6 +38,19 @@ __all__ = [
 ]
 
 
+def _splu(matrix: sp.csc_matrix) -> spla.SuperLU:
+    """SuperLU factor of a symmetric bulk matrix: minimum degree on A^T + A
+    (about half the fill of the default COLAMD) and single-column
+    supernodes (larger relaxed supernodes and panels cost more than they
+    save on these 2D grid matrices).  An exactly singular matrix raises
+    LinAlgError."""
+    try:
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", relax=1,
+                         panel_size=1)
+    except RuntimeError as exc:     # SuperLU: exactly singular
+        raise np.linalg.LinAlgError(str(exc)) from exc
+
+
 class BulkOperator:
     """Assembled bulk conduction operator with facet and boundary couplings.
 
@@ -58,9 +71,7 @@ class BulkOperator:
         self.k_face = cond.on_faces(domain.inside, faces) * s_face / h
         self.k_boundary = 2.0 * cond.sigma_out * s_face / h
         self.A = self.matrix(self.k_face)
-        # minimum degree on A^T + A (A is symmetric) fills about half as
-        # much as the default COLAMD
-        self.lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A")
+        self.lu = _splu(self.A)
 
         # jump coupling: -k on the inner-cell row, +k on the outer-cell row;
         # the geometry enumerates membrane faces in facet order
@@ -158,14 +169,7 @@ class _SeriesFactor:
         self.denom = d + k
         k_face = op.k_face.copy()
         k_face[op.domain.faces.membrane] = k * d / self.denom
-        try:
-            # single-column supernodes: larger relaxed supernodes and
-            # panels cost more than they save on these 2D grid matrices
-            self.lu = spla.splu(op.matrix(k_face),
-                                permc_spec="MMD_AT_PLUS_A", relax=1,
-                                panel_size=1)
-        except RuntimeError as exc:     # SuperLU: exactly singular
-            raise np.linalg.LinAlgError(str(exc)) from exc
+        self.lu = _splu(op.matrix(k_face))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         op, f = self.op, self.op.domain.facets

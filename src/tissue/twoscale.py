@@ -23,9 +23,11 @@ capacitance matrix.  Each node's corrector follows from its mean gradient
 and its own jumps through the two cell responses, so no map of the stacked
 jumps is stored.  Time stepping reuses the shared implicit stepper.
 
-The Schur complement and the capacitance matrix couple only nodes at most
-two apart on one axis, so both are assembled from the macro stencil
-directly in LAPACK band storage (natural node order) and band-factored: no
+The corner-averaged gradient Gbar is a two-point stencil per node and
+axis, applied by gathers (``MacroGrid.gbar``, ``MacroGrid.gbar_t``).  The
+Schur complement and the capacitance matrix couple only nodes at most two
+apart on one axis, so both are assembled from the macro stencil directly
+in LAPACK band storage (natural node order) and band-factored: no
 macro-sized dense matrix is formed, and the banded factors give the same
 bits for any BLAS thread count.
 
@@ -38,6 +40,7 @@ LAPACK's ``pbtrs``, called directly, without scipy's per-call checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -86,38 +89,36 @@ def _read_only_band_factor(ab: np.ndarray) -> np.ndarray:
     return cb
 
 
-def _padded_rows(m: sp.csr_matrix):
-    """Columns and values of each row of a canonical CSR matrix, in column
-    order and padded with zeros to the longest row, and the mask of the
-    stored ones."""
-    counts = np.diff(m.indptr)
-    stored = np.arange(counts.max(initial=0)) < counts[:, None]
-    cols = np.zeros(stored.shape, dtype=m.indices.dtype)
-    vals = np.zeros(stored.shape)
-    cols[stored], vals[stored] = m.indices, m.data
-    return cols, vals, stored
+def _stencil(cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product of a vector or a stack of columns ``x`` by the sparse
+    matrix whose row r holds ``vals[k, r]`` at the columns ``cols[k, r]``,
+    k < width (slot-major, so that the slots are summed in order, one
+    vectorized add each)."""
+    terms = x[cols]
+    terms *= vals if x.ndim == 1 else vals[..., None]
+    return np.add.reduce(terms)
 
 
 class _BandProduct:
     """P' blockdiag(M_r) P in LAPACK lower band storage (entry (i, k),
-    i >= k, at [i - k, k]) for a sparse P whose rows come in groups of
-    ``group``, one (group x group) block M_r per group.  Every pair of
-    stored entries in one group gives one band entry, so a product costs a
-    few operations per row and forms no (n x n) array; the pairs' band
-    positions are found once, here.  The half-width ``bw`` defaults to the
-    widest column gap within a group."""
+    i >= k, at [i - k, k]) for an (m x n) P with the stencil (``cols``,
+    ``vals``) whose rows come in groups of ``group``, one (group x group)
+    block M_r per group.  Every pair of stencil entries in one group gives
+    one band entry, so a product costs a few operations per row and forms
+    no (n x n) array; the pairs' band positions are found once, here.  The
+    half-width ``bw`` defaults to the widest column gap within a group."""
 
-    def __init__(self, p: sp.csr_matrix, group: int, bw: Optional[int] = None):
-        padded = _padded_rows(p)
-        shape = (p.shape[0] // group, group, padded[0].shape[1])
-        cols, self.vals, stored = (x.reshape(shape) for x in padded)
+    def __init__(self, cols: np.ndarray, vals: np.ndarray, n: int,
+                 group: int, bw: Optional[int] = None):
+        shape = (len(cols) // group, group, cols.shape[1])
+        cols, self.vals = cols.reshape(shape), vals.reshape(shape)
         a, b = cols[:, :, :, None, None], cols[:, None, None]
-        keep = stored[:, :, :, None, None] & stored[:, None, None] & (a >= b)
+        keep = a >= b
         gap, b = np.broadcast_arrays(a - b, b)
-        self.n = p.shape[1]
+        self.n = n
         self.bw = int(gap[keep].max(initial=0)) if bw is None else bw
         self.keep = np.flatnonzero(keep)
-        self.index = gap[keep] * self.n + b[keep]
+        self.index = gap[keep] * n + b[keep]
 
     def __call__(self, blocks: np.ndarray) -> np.ndarray:
         g = self.vals.shape[1]
@@ -154,6 +155,10 @@ class CellFaceData:
 
 
 def _cell_face_data(cell: CellGeometry, cond: Conductivity) -> CellFaceData:
+    """The face operators, each CSR matrix written from its known row
+    pointer: a face's slope couples its two cells (in column order), a
+    membrane face's jump correction its facet, in facet order, and every
+    face selects its axis."""
     faces = cell.faces
     facets = cell.facets
     dim = cell.dim
@@ -162,43 +167,68 @@ def _cell_face_data(cell: CellGeometry, cond: Conductivity) -> CellFaceData:
     nfa = len(faces)
     sigma_face = cond.on_faces(cell.inside, faces)
 
-    rows = np.concatenate([np.arange(nfa), np.arange(nfa)])
-    cols = np.concatenate([faces.cell_a, faces.cell_b])
-    vals = np.concatenate([np.full(nfa, -1.0 / h), np.full(nfa, 1.0 / h)])
-    slope_c = sp.coo_matrix((vals, (rows, cols)), shape=(nfa, n_y)).tocsr()
+    ab = np.column_stack([faces.cell_a, faces.cell_b])
+    swap = faces.cell_a > faces.cell_b
+    cols = np.where(swap[:, None], ab[:, ::-1], ab)
+    vals = np.where(swap[:, None], 1.0, -1.0) * np.array([1.0, -1.0]) / h
+    slope_c = sp.csr_matrix((vals.reshape(-1), cols.reshape(-1),
+                             np.arange(0, 2 * nfa + 1, 2)), shape=(nfa, n_y))
 
-    memb = np.flatnonzero(faces.membrane)
+    memb = faces.membrane
     sign = np.where(faces.a_inside[memb], 1.0, -1.0)
     nf = len(facets)
-    slope_w = sp.coo_matrix((-sign / h, (memb, np.arange(nf))),
-                            shape=(nfa, nf)).tocsr()
+    slope_w = sp.csr_matrix(
+        (-sign / h, np.arange(nf), np.concatenate([[0], np.cumsum(memb)])),
+        shape=(nfa, nf))
 
-    axis_select = sp.coo_matrix((np.ones(nfa), (np.arange(nfa), faces.axis)),
-                                shape=(nfa, dim)).tocsr()
+    axis_select = sp.csr_matrix((np.ones(nfa), faces.axis, np.arange(nfa + 1)),
+                                shape=(nfa, dim))
     return CellFaceData(n_y=n_y, n_faces=nfa, n_facets=nf, axis=faces.axis,
                         sigma_face=sigma_face, slope_c=slope_c, slope_w=slope_w,
                         axis_select=axis_select, vol=h ** dim,
                         s_facet=facets.measure, spacing=h)
 
 
+def _cell_matrix(cell: CellGeometry, d: CellFaceData,
+                 ground: int) -> sp.csc_matrix:
+    """slope_c' diag(vol sigma_face) slope_c without its first ``ground``
+    rows and columns, in one COO build from the faces: face f's coupling
+    k_f enters the diagonal of its two cells, summed in face order as the
+    sparse product sums it, and -k_f the two places that couple them."""
+    a, b = cell.faces.cell_a, cell.faces.cell_b
+    inv_h = 1.0 / d.spacing
+    k = inv_h * (d.vol * d.sigma_face * inv_h)
+    diag = np.bincount(np.column_stack([a, b]).reshape(-1), np.repeat(k, 2),
+                       minlength=d.n_y)
+    rows = np.concatenate([np.arange(d.n_y), a, b])
+    cols = np.concatenate([np.arange(d.n_y), b, a])
+    keep = (rows >= ground) & (cols >= ground)
+    n = d.n_y - ground
+    return sp.csc_matrix((np.concatenate([diag, -k, -k])[keep],
+                          (rows[keep] - ground, cols[keep] - ground)),
+                         shape=(n, n))
+
+
 class CellOperator:
     """Y-periodic conduction operator of a single cell problem.
 
-    The operator has the constant field in its kernel; ``solve`` grounds
+    The operator A has the constant field in its kernel; ``solve`` grounds
     the first cell (one sparse factor of A without its first row and
-    column, in minimum-degree order) and projects the result to zero mean,
-    which is the zero-mean solution for any load orthogonal to the
-    constants.
+    column, assembled as such, in minimum-degree order) and projects the
+    result to zero mean, which is the zero-mean solution for any load
+    orthogonal to the constants.  A itself is assembled on first use.
     """
 
     def __init__(self, cell: CellGeometry, cond: Conductivity):
         self.cell = cell
         self.cond = cond
         self.data = _cell_face_data(cell, cond)
-        d = self.data
-        wgt = sp.diags(d.vol * d.sigma_face)
-        self.A = (d.slope_c.T @ wgt @ d.slope_c).tocsc()
-        self._lu = spla.splu(self.A[1:, 1:], permc_spec="MMD_AT_PLUS_A")
+        self._lu = spla.splu(_cell_matrix(cell, self.data, 1),
+                             permc_spec="MMD_AT_PLUS_A")
+
+    @functools.cached_property
+    def A(self) -> sp.csc_matrix:
+        return _cell_matrix(self.cell, self.data, 0)
 
     def row_sum_defect(self) -> float:
         return float(np.max(np.abs(self.A @ np.ones(self.data.n_y))))
@@ -224,9 +254,17 @@ class CellOperator:
 class MacroGrid:
     """Uniform coarse grid over the unit domain: Dirichlet boundary faces,
     two-point face gradients, the per-node face lookup used for corner
-    gradient sampling and the per-node corner-averaged gradient Gbar, dense
-    for the step's mat-vecs and as the band product that assembles the
-    macro-sized matrices."""
+    gradient sampling and the per-node corner-averaged gradient Gbar.
+
+    Gbar's row j * dim + d is the gradient of node j on axis d, the mean of
+    its two side faces': the central difference (u_next - u_prev) / (2h)
+    inside the grid and one-sided at a boundary, where the boundary face's
+    half-cell difference enters.  So it is a two-point stencil
+    (``gbar_cols``, ``gbar_vals``), and its transpose one of width 2 dim
+    (``gbar_t_rows``, ``gbar_t_vals``, a column per node), both stored slot
+    by slot; ``gbar`` and ``gbar_t`` apply them, and ``grad_pairs`` and
+    ``gbar_pairs`` are the band products that assemble the macro-sized
+    matrices."""
 
     dim: int
     res: int
@@ -235,13 +273,26 @@ class MacroGrid:
     grad: sp.csr_matrix            # (n_faces, n_nodes)
     grad_load: np.ndarray          # boundary contribution per unit drive
     side_of: np.ndarray            # (n_nodes, dim, 2) face ids
-    mean_grad: np.ndarray          # (n_nodes * dim, n_nodes), row j * dim + d
-    mean_grad_load: np.ndarray     # its boundary contribution per unit drive
-    mean_grad_pairs: _BandProduct  # Gbar' blockdiag(M_j) Gbar, node blocks
+    grad_pairs: _BandProduct       # grad' diag(m_f) grad, face blocks
+    gbar_cols: np.ndarray          # (2, n_nodes * dim), row j * dim + d
+    gbar_vals: np.ndarray
+    gbar_t_rows: np.ndarray        # (2 * dim, n_nodes)
+    gbar_t_vals: np.ndarray
+    gbar_load: np.ndarray          # Gbar's boundary contribution per drive
+    gbar_pairs: _BandProduct       # Gbar' blockdiag(M_j) Gbar, node blocks
 
     @property
     def n_nodes(self) -> int:
         return self.res ** self.dim
+
+    def gbar(self, u: np.ndarray) -> np.ndarray:
+        """Gbar u for a macro field or a stack of them, one per column."""
+        return _stencil(self.gbar_cols, self.gbar_vals, u)
+
+    def gbar_t(self, x: np.ndarray) -> np.ndarray:
+        """Gbar' x for a node-gradient vector or a stack of them, one per
+        column."""
+        return _stencil(self.gbar_t_rows, self.gbar_t_vals, x)
 
 
 def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
@@ -252,49 +303,65 @@ def _build_macro_grid(dim: int, res: int, drive: BoundaryData) -> MacroGrid:
     h = 1.0 / res
     n = res ** dim
     centers = cell_centers(res, h, dim)
-    rows, cols, vals, loads = [], [], [], []
-    side_of = np.full((n, dim, 2), -1, dtype=np.int64)
-    fid = 0
+    node = np.arange(n)
+    pos = np.indices((res,) * dim).reshape(dim, n)    # node index per axis
+    stride = res ** np.arange(dim - 1, -1, -1)[:, None]  # to the next node
+    first, last = pos == 0, pos == res - 1
+    inner = ~last                           # has a face to the next node
     # face ids: per axis and node (flat order), the face to the next node,
     # then the low and the high boundary face
-    for d in range(dim):
-        stride = res ** (dim - 1 - d)       # flat step to the next node on d
-        for j, idx in enumerate(itertools.product(range(res), repeat=dim)):
-            if idx[d] + 1 < res:
-                k = j + stride
-                rows += [fid, fid]
-                cols += [j, k]
-                vals += [-1.0 / h, 1.0 / h]
-                loads.append(0.0)
-                side_of[j, d, 1] = fid
-                side_of[k, d, 0] = fid
-                fid += 1
-            # (side, grid end, boundary coordinate, sign of the node's entry)
-            for side, end, pos, sgn in ((0, 0, 0.0, 1.0),
-                                        (1, res - 1, 1.0, -1.0)):
-                if idx[d] == end:
-                    mid = centers[j].copy()
-                    mid[d] = pos
-                    rows.append(fid)
-                    cols.append(j)
-                    vals.append(sgn * 2.0 / h)
-                    loads.append(-sgn * 2.0 / h
-                                 * float(drive.spatial(mid[None])[0]))
-                    side_of[j, d, side] = fid
-                    fid += 1
-    grad = sp.coo_matrix((vals, (rows, cols)), shape=(fid, n)).tocsr()
-    if not np.all(side_of >= 0):
-        raise GeometryError("a macro node side has no gradient sample face")
-    grad_load = np.asarray(loads)
-    # the corner samples of node j along axis d average its two side faces
+    count = inner.astype(np.int64) + first + last
+    up = (np.cumsum(count) - count.reshape(-1)).reshape(dim, n)
+    low = up + inner
+    high = low + first
+    side_of = np.stack([
+        np.where(first, low, np.take_along_axis(
+            up, np.maximum(node - stride, 0), axis=1)),
+        np.where(last, high, up)], axis=-1).transpose(1, 0, 2)
+    # each face's stencil: the face to the next node couples the two, a
+    # boundary face holds its node's half-cell difference (and a 0)
+    n_faces = int(count.sum())
+    cols = np.empty((n_faces, 2), dtype=np.int64)
+    vals = np.zeros((n_faces, 2))
+    grad_load = np.zeros(n_faces)
+    axis, j = np.nonzero(inner)
+    cols[up[inner]] = np.column_stack([j, j + stride[axis, 0]])
+    vals[up[inner]] = (-1.0 / h, 1.0 / h)
+    # (the boundary's nodes per axis, its faces, its coordinate, the value)
+    for at, faces, x, val in ((first, low, 0.0, 2.0 / h),
+                              (last, high, 1.0, -2.0 / h)):
+        axis, j = np.nonzero(at)
+        cols[faces[at]] = j[:, None]
+        vals[faces[at], 0] = val
+        mid = centers[j]
+        mid[np.arange(len(j)), axis] = x
+        grad_load[faces[at]] = -val * drive.spatial(mid)
+    stored = vals != 0.0
+    grad = sp.csr_matrix(
+        (vals[stored], cols[stored],
+         np.concatenate([[0], np.cumsum(stored.sum(axis=1))])),
+        shape=(n_faces, n))
+    # node j's gradient on axis d averages its two side faces: the central
+    # difference inside, one-sided at a boundary (0 on a one-node axis)
+    q = 0.5 * (1.0 / h) if res > 1 else 0.0
+    gbar_cols = np.stack([np.where(first, node, node - stride),
+                          np.where(last, node, node + stride)]
+                         ).transpose(0, 2, 1).reshape(2, n * dim)
+    gbar_vals = np.stack([np.where(first, q, -q), np.where(last, -q, q)]
+                         ).transpose(0, 2, 1).reshape(2, n * dim)
+    # Gbar' has each node in 2 rows per axis: its own or a neighbour's
+    order = np.argsort(gbar_cols.T.reshape(-1), kind="stable")
+    order = np.ascontiguousarray(order.reshape(n, 2 * dim).T)
     sides = side_of.reshape(n * dim, 2)
-    mean_grad = 0.5 * (grad[sides[:, 0]] + grad[sides[:, 1]])
-    mean_grad_load = 0.5 * (grad_load[sides[:, 0]] + grad_load[sides[:, 1]])
-    return MacroGrid(dim=dim, res=res, spacing=h, centers=centers, grad=grad,
-                     grad_load=grad_load, side_of=side_of,
-                     mean_grad=mean_grad.toarray(),
-                     mean_grad_load=mean_grad_load,
-                     mean_grad_pairs=_BandProduct(mean_grad, dim))
+    gbar_pairs = _BandProduct(gbar_cols.T, gbar_vals.T, n, dim)
+    return MacroGrid(
+        dim=dim, res=res, spacing=h, centers=centers, grad=grad,
+        grad_load=grad_load, side_of=side_of,
+        grad_pairs=_BandProduct(cols, vals, n, 1, gbar_pairs.bw),
+        gbar_cols=gbar_cols, gbar_vals=gbar_vals,
+        gbar_t_rows=order // 2, gbar_t_vals=gbar_vals.T.reshape(-1)[order],
+        gbar_load=0.5 * (grad_load[sides[:, 0]] + grad_load[sides[:, 1]]),
+        gbar_pairs=gbar_pairs)
 
 
 # -- per-node condensed flux map ----------------------------------------------
@@ -338,28 +405,34 @@ class NodeFlux:
         stack of jump vectors, one per row of ``w``, with one drive factor
         each, gives one u and one gradient stack per row, from one
         ``pbtrs`` with a right-hand side per row."""
-        gbar = self.macro.mean_grad
+        mac = self.macro
         stack = w.ndim > 1
         if stack:       # one column per jump vector
             wv = w.reshape(len(w), self.n_nodes, -1) @ self.v
-            rhs = gbar.T @ wv.reshape(len(w), -1).T
+            rhs = mac.gbar_t(wv.reshape(len(w), -1).T)
         else:
-            rhs = gbar.T @ (w.reshape(self.n_nodes, -1) @ self.v).reshape(-1)
-        # ``apply`` (drive 0) runs on every step
+            rhs = mac.gbar_t((w.reshape(self.n_nodes, -1) @ self.v
+                              ).reshape(-1))
         if stack or drive:
             rhs += np.multiply.outer(self.load_u, drive)
         u = -_band_solve(self.schur_cf, rhs)
-        g = gbar @ u
+        g = mac.gbar(u)
         if stack or drive:
-            g += np.multiply.outer(self.macro.mean_grad_load, drive)
+            g += np.multiply.outer(mac.gbar_load, drive)
         if stack:
             return u.T, g.T.reshape(len(w), self.n_nodes, -1)
         return u, g.reshape(self.n_nodes, -1)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        _, g = self.macro_fields(w, 0.0)
-        return (w.reshape(self.n_nodes, -1) @ self.r_block
-                + g @ self.v.T).reshape(-1)
+        """The flux R w of one jump vector: ``macro_fields`` at drive 0,
+        with the potential's sign moved onto the last product (which keeps
+        the bits), as every step runs it."""
+        wr = w.reshape(self.n_nodes, -1)
+        mac = self.macro
+        u = _band_solve(self.schur_cf, mac.gbar_t((wr @ self.v).reshape(-1)))
+        flux = wr @ self.r_block
+        flux -= mac.gbar(u).reshape(self.n_nodes, -1) @ self.v.T
+        return flux.reshape(-1)
 
     def factor(self, d: np.ndarray) -> "_NodeFactor":
         return _NodeFactor(self, d)
@@ -367,7 +440,7 @@ class NodeFlux:
     def capacitance(self, bv: np.ndarray) -> np.ndarray:
         """S - Gbar' blockdiag(V' B_j^-1 V) Gbar in lower band storage, for
         the stack ``bv`` of the B_j^-1 V."""
-        return self.schur - self.macro.mean_grad_pairs(self.v.T @ bv)
+        return self.schur - self.macro.gbar_pairs(self.v.T @ bv)
 
 
 class _NodeFactor:
@@ -402,11 +475,10 @@ class _NodeFactor:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         fl = self.flux
-        n = fl.n_nodes
-        gbar = fl.macro.mean_grad
+        n, mac = fl.n_nodes, fl.macro
         y = self.inv @ r.reshape(n, -1, 1)
-        t = gbar.T @ (y.reshape(n, -1) @ fl.v).reshape(-1)
-        g = gbar @ _band_solve(self.cap, t)
+        t = mac.gbar_t((y.reshape(n, -1) @ fl.v).reshape(-1))
+        g = mac.gbar(_band_solve(self.cap, t))
         y += self.bv @ g.reshape(n, -1, 1)
         return y.reshape(-1)
 
@@ -466,7 +538,10 @@ class TwoScaleSystem(MembraneSystem):
         # (slope_w) gives node j's corrector -(x_g g_j + x_w w_j); ``resp``
         # is the energy Hessian left in (g_j, w_j).
         hdim = hmac ** dim
-        drives = sp.hstack([cfd.axis_select, cfd.slope_w]).toarray()
+        drives = np.zeros((cfd.n_faces, dim + cfd.n_facets))
+        drives[np.arange(cfd.n_faces), cfd.axis] = 1.0
+        sw = cfd.slope_w       # one entry per membrane face
+        drives[np.flatnonzero(np.diff(sw.indptr)), dim + sw.indices] = sw.data
         wdrives = (cfd.vol * cfd.sigma_face)[:, None] * drives
         rhs = cfd.slope_c.T @ wdrives
         x = self.cell_op.solve(rhs)
@@ -482,14 +557,13 @@ class TwoScaleSystem(MembraneSystem):
         # macro block of the sample Gram matrix, and the drive's load on the
         # macro rows
         mac = self.macro
-        pairs = mac.mean_grad_pairs
-        k_uu = _BandProduct(mac.grad, 1, pairs.bw)(face_weight)
         load_u = mac.grad.T @ (face_weight * mac.grad_load) \
-            - mac.mean_grad.T @ (mac.mean_grad_load.reshape(n_nodes, dim)
-                                 @ e_g).reshape(-1)
+            - mac.gbar_t((mac.gbar_load.reshape(n_nodes, dim) @ e_g
+                          ).reshape(-1))
         self.flux_map = NodeFlux(weights=np.full(n_w, hdim * cfd.s_facet),
                                  r_block=r_block, v=v, macro=mac,
-                                 schur=k_uu - pairs(e_g), load_u=load_u)
+                                 schur=mac.grad_pairs(face_weight)
+                                 - mac.gbar_pairs(e_g), load_u=load_u)
         self._bind_law(law, rate_coeff=params.alpha, arg_scale=1.0)
 
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
@@ -730,14 +804,13 @@ class _SampleGram:
             phi[:, k] = phi_k.reshape(-1)
             v[:n_y, k] = phic.reshape(n, -1).T
             v[n_y:n_cell, k] = phiw.reshape(n, -1).T
-        v[n_cell:] = (mac.mean_grad @ phi).reshape(n, dim, -1
-                                                  ).transpose(1, 2, 0)
+        v[n_cell:] = mac.gbar(phi).reshape(n, dim, -1).transpose(1, 2, 0)
         mv = (self.cross @ v[:n_cell].reshape(n_cell, -1)).reshape(dim, -1, n)
         z_u = mac.grad.T @ (self.system.face_weight[:, None]
                             * (mac.grad @ phi)) \
-            + mac.mean_grad.T @ mv.transpose(2, 0, 1).reshape(n * dim, -1)
+            + mac.gbar_t(mv.transpose(2, 0, 1).reshape(n * dim, -1))
         load = phi.T @ self.load_u + np.einsum(
-            "dkj,jd->k", mv, mac.mean_grad_load.reshape(n, dim))
+            "dkj,jd->k", mv, mac.gbar_load.reshape(n, dim))
         z = (self.node @ v.reshape(len(v), -1)).reshape(n_cell, -1, n)
         return z_u, z, load, v[n_y:-dim].transpose(1, 2, 0).reshape(count, -1)
 

@@ -18,9 +18,11 @@ trajectory sample at a time, the references for the stacked chunks of the
 mean defects and decay rows.  ``fit_growth_constants`` samples a law's
 growth bound, the reference for the declared certificates of the built-in
 laws.  ``per_pattern_samples`` is the per-pattern sample assembly, the
-reference for that one pass; ``dense_schur`` and ``dense_capacitance`` are
-the dense macro-sized matrices the two-scale system assembles in band
-storage; ``penalized_cell_solve`` pins the cell operator's constant mode
+reference for that one pass; ``dense_gbar`` is the corner-averaged macro
+gradient as a dense array, the reference for its stencil, and
+``dense_schur`` and ``dense_capacitance`` are the dense macro-sized
+matrices the two-scale system assembles in band storage;
+``penalized_cell_solve`` pins the cell operator's constant mode
 with a dense mean penalty instead of grounding.
 """
 
@@ -393,6 +395,18 @@ def dense_two_scale(system):
         lift_jump=lift_jump, lift_drive=lift_drive)
 
 
+def _padded_rows(m: sp.csr_matrix):
+    """Columns and values of each row of a canonical CSR matrix, in column
+    order and padded with zeros to the longest row, and the mask of the
+    stored ones."""
+    counts = np.diff(m.indptr)
+    stored = np.arange(counts.max(initial=0)) < counts[:, None]
+    cols = np.zeros(stored.shape, dtype=m.indices.dtype)
+    vals = np.zeros(stored.shape)
+    cols[stored], vals[stored] = m.indices, m.data
+    return cols, vals, stored
+
+
 def assemble_samples(system):
     """The bulk sample matrix S, its load l per unit drive and the summed
     sample weight of every macro face, in one pass: the reference for the
@@ -407,8 +421,6 @@ def assemble_samples(system):
     A macro face's weight sums weight_f over the rows that sample it, so
     the macro block of the Gram matrix is grad' diag(face weight) grad."""
     import itertools
-
-    from tissue.twoscale import _padded_rows
 
     macro, cfd = system.macro, system.cfd
     n, n_y, nf, dim = macro.n_nodes, cfd.n_y, cfd.n_facets, macro.dim
@@ -482,6 +494,18 @@ def per_pattern_samples(system):
     return sp.vstack(blocks, format="csr"), np.concatenate(loads)
 
 
+def dense_gbar(macro) -> tuple[np.ndarray, np.ndarray]:
+    """The corner-averaged gradient Gbar (row j * dim + d, the mean of node
+    j's two side faces on axis d) as a dense array from the face gradients,
+    and its boundary load per unit drive: the reference for the two-point
+    stencil of ``MacroGrid``."""
+    sides = macro.side_of.reshape(-1, 2)
+    grad = macro.grad.toarray()
+    return (0.5 * (grad[sides[:, 0]] + grad[sides[:, 1]]),
+            0.5 * (macro.grad_load[sides[:, 0]]
+                   + macro.grad_load[sides[:, 1]]))
+
+
 def minus_node_blocks(base: np.ndarray, gbar: np.ndarray,
                       blocks: np.ndarray) -> np.ndarray:
     """base - Gbar' blockdiag(M_j) Gbar for (dim x dim) node blocks M_j,
@@ -521,13 +545,13 @@ def dense_schur(system) -> np.ndarray:
     t_macro = per_pattern_samples(system)[0][:, :system.n_nodes]
     e_g = cell_responses(system, lambda op, rhs: op.solve(rhs))[2]
     return minus_node_blocks((t_macro.T @ t_macro).toarray(),
-                             system.macro.mean_grad, e_g)
+                             dense_gbar(system.macro)[0], e_g)
 
 
 def dense_capacitance(system, factor) -> np.ndarray:
     """A pass factor's capacitance matrix S - Gbar' blockdiag(V' B_j^-1 V)
     Gbar as dense products, from the dense Schur complement."""
-    return minus_node_blocks(dense_schur(system), system.macro.mean_grad,
+    return minus_node_blocks(dense_schur(system), dense_gbar(system.macro)[0],
                              system.flux_map.v.T @ factor.bv)
 
 

@@ -94,10 +94,10 @@ def test_twoscale_sizes_prints_one_row_per_resolution():
     row = dict(zip(header, cells))
     assert float(row["ms in the flux map per step"]) \
         < float(row["ms per `sin` step"])
-    assert header[-3:] == ["held (MB)", "weak form (MB)", "peak RSS (MB)"]
+    assert header[-3:] == ["held (MiB)", "weak form (MiB)", "peak RSS (MiB)"]
     # one system and the weak-form sum are small parts of the process
-    assert float(row["held (MB)"]) < float(row["peak RSS (MB)"])
-    assert float(row["weak form (MB)"]) < float(row["peak RSS (MB)"])
+    assert float(row["held (MiB)"]) < float(row["peak RSS (MiB)"])
+    assert float(row["weak form (MiB)"]) < float(row["peak RSS (MiB)"])
 
 
 @pytest.mark.parametrize("args", [["--help"], ["4", "x"], ["0"]])

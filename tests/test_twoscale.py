@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import (cho_factor, cho_solve, cho_solve_banded,
                           cholesky_banded)
 
@@ -18,6 +21,7 @@ from tissue.membrane import SAMPLE_CHUNK
 from tissue.micro import MicroSystem, initial_jump, simulate
 from tissue.periodic import PeriodicOrbit, find_periodic, orbit_distance
 from tissue import twoscale
+from tissue.config import finalize_config
 from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              find_periodic_two_scale, initial_two_scale_jump,
                              micro_two_scale_gap, periodic_weak_residual,
@@ -28,7 +32,8 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
 from conftest import force_shifted_retry, rel_gap, steps_agree, stepper_on
 from oracles import (DenseTwoScale, FluxResponse, assemble_samples,
                      band_to_dense, cell_responses, dense_capacitance,
-                     dense_schur, dense_two_scale, penalized_cell_solve,
+                     dense_gbar, dense_schur, dense_two_scale,
+                     minus_node_blocks, penalized_cell_solve,
                      per_pattern_samples, per_sample_mean_defects,
                      per_step_weak_sum)
 
@@ -206,14 +211,15 @@ def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
                                                           cell_res, cond):
     # a pass solve applies the stacked node-block inverses: it matches
     # per-node scipy Cholesky solves through the same Woodbury steps with
-    # the dense capacitance matrix, and equals the checked banded wrapper on
-    # the pass factor's own band factor bit for bit; the per-state Schur
-    # solve calls pbtrs directly and gives the checked wrapper's bits
+    # the dense capacitance matrix and the dense Gbar, and equals the
+    # checked banded wrapper on the pass factor's own band factor bit for
+    # bit (through Gbar's stencil); the per-state Schur solve calls pbtrs
+    # directly and gives the checked wrapper's bits
     system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
                             cell_res=cell_res)
     fl = system.flux_map
-    n = fl.n_nodes
-    gbar = fl.macro.mean_grad
+    n, mac = fl.n_nodes, fl.macro
+    gbar = dense_gbar(mac)[0]
     rng = np.random.default_rng(48)
     for scale in (1e-2, 1e3):
         d = scale * rng.uniform(0.5, 2.0, system.n_w)
@@ -230,14 +236,14 @@ def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
             want = y + np.einsum("nfk,nk->nf", bv, g.reshape(n, -1))
             assert rel_gap(f.solve(r), want.reshape(-1)) <= 1e-13
             y = f.inv @ r.reshape(n, -1, 1)
-            t = gbar.T @ (y.reshape(n, -1) @ fl.v).reshape(-1)
-            y += f.bv @ (gbar @ cho_solve_banded((f.cap, True), t)
-                         ).reshape(n, -1, 1)
+            t = mac.gbar_t((y.reshape(n, -1) @ fl.v).reshape(-1))
+            y += f.bv @ mac.gbar(cho_solve_banded((f.cap, True), t)
+                                 ).reshape(n, -1, 1)
             assert np.array_equal(f.solve(r), y.reshape(-1))
     assert fl.schur_cf.flags.f_contiguous
     drive = system.drive.temporal(0.37)
     for w in rng.normal(size=(2, system.n_w)):
-        rhs = gbar.T @ (w.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1) \
+        rhs = mac.gbar_t((w.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)) \
             + drive * fl.load_u
         macro, _ = system.recover(0.37, w)
         assert np.array_equal(macro,
@@ -303,6 +309,87 @@ def test_banded_schur_and_capacitance_equal_the_dense_formulas(dim, macro_res,
         assert rel_gap(band_to_dense(cap), dense_capacitance(system, f)) \
             <= 1e-14
         assert np.array_equal(f.cap, cholesky_banded(cap, lower=True))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("res", [1, 2, 3, 4, 8])
+def test_gbar_stencil_products_equal_the_dense_gbar(dim, res):
+    # Gbar and Gbar' from the stencils, on vectors and on stacks of
+    # columns, against the dense mean of the side faces' gradients; the
+    # band products of the stencils against the dense Gbar' blockdiag(M_j)
+    # Gbar and grad' diag(m) grad
+    mac = twoscale._build_macro_grid(dim, res,
+                                     T.make_boundary_data("sines"))
+    gbar, gbar_load = dense_gbar(mac)
+    n = mac.n_nodes
+    assert np.array_equal(mac.gbar_load, gbar_load)
+    assert mac.gbar_cols.shape == (2, n * dim)
+    assert mac.gbar_t_rows.shape == (2 * dim, n)
+    rng = np.random.default_rng(53)
+    u, x = rng.normal(size=(n, 3)), rng.normal(size=(n * dim, 3))
+    for got, want in ((mac.gbar(u[:, 0]), gbar @ u[:, 0]),
+                      (mac.gbar(u), gbar @ u),
+                      (mac.gbar_t(x[:, 0]), gbar.T @ x[:, 0]),
+                      (mac.gbar_t(x), gbar.T @ x)):
+        assert got.shape == want.shape
+        if res == 1:        # a one-node grid has no gradient
+            assert not got.any() and not want.any()
+        else:
+            assert rel_gap(got, want) <= 1e-14
+    blocks = rng.normal(size=(n, dim, dim))
+    blocks = blocks + blocks.transpose(0, 2, 1)
+    band = mac.gbar_pairs(blocks)
+    want = -minus_node_blocks(np.zeros((n, n)), gbar, blocks)
+    assert np.max(np.abs(band_to_dense(band) - want)) \
+        <= 1e-14 * max(np.abs(want).max(initial=0.0), 1.0)
+    m = rng.uniform(0.5, 2.0, mac.grad.shape[0])
+    grad = mac.grad.toarray()
+    want = grad.T @ (m[:, None] * grad)
+    assert rel_gap(band_to_dense(mac.grad_pairs(m)), want) <= 1e-14
+
+
+@pytest.mark.parametrize("dim,margin,cell_res,cond", [
+    (2, 0.25, 8, (1.0, 1.0)), (2, 0.25, 4, (2.0, 1.0)),
+    (1, 0.25, 4, (2.0, 1.0)), (2, 1 / 3, 3, (3.0, 1.0)),
+    (2, 1 / 3, 6, (0.37, 2.9)), (1, 0.2, 5, (1.0, 7.3))])
+def test_grounded_cell_matrix_solves_as_the_sparse_product(dim, margin,
+                                                           cell_res, cond):
+    # the COO assembly from the faces is slope_c' diag(vol sigma) slope_c
+    # without its first row and column, entry for entry, so the grounded
+    # cell factor solves bit for bit as one of the product's block; the
+    # cell spacings that are not powers of two make the products round
+    cell = T.build_cell_geometry(margin, cell_res, dim=dim)
+    op = CellOperator(cell, T.make_conductivity(cell, *cond))
+    cfd = op.data
+    product = (cfd.slope_c.T @ sp.diags(cfd.vol * cfd.sigma_face)
+               @ cfd.slope_c).tocsc()
+    product.sort_indices()
+    want = product[1:, 1:]
+    got = twoscale._cell_matrix(op.cell, cfd, 1)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(op.A.toarray(), product.toarray())
+    rhs = np.random.default_rng(54).normal(size=(cfd.n_y - 1, 3))
+    lu = spla.splu(want, permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(op._lu.solve(rhs), lu.solve(rhs))
+
+
+def test_res32_system_holds_no_macro_sized_dense_array():
+    # 1,024 nodes: a dense (n_nodes * dim x n_nodes) array alone is 16 MiB
+    cfg = finalize_config({"macro.resolution": 32})
+    cell = cfg.build_cell()
+    parts = (cell, cfg.build_conductivity(cell), cfg.build_law(),
+             cfg.build_drive(), cfg.build_params())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system = TwoScaleSystem(*parts, macro_res=32)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert system.n_nodes == 1024
+    assert held < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
@@ -455,9 +542,9 @@ def test_9216_jumps_past_the_old_lift_budget_step_and_rebuild_correctors():
     assert len(traj) == 4
     assert float(traj.mean_defects.max()) <= 1e-12
     st = traj.state(len(traj) - 1)
-    mac = system.macro
-    grads = (mac.mean_grad @ st.macro + system.drive.temporal(st.t)
-             * mac.mean_grad_load).reshape(system.n_nodes, -1)
+    gbar, gbar_load = dense_gbar(system.macro)
+    grads = (gbar @ st.macro + system.drive.temporal(st.t)
+             * gbar_load).reshape(system.n_nodes, -1)
     for g, w, corr in zip(grads, st.jump, st.corrector):
         assert rel_gap(corr, system.cell_op.corrector_for(g, w)) <= 1e-12
 

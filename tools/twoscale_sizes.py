@@ -37,8 +37,10 @@ holds (measured once, as it is deterministic); the weak form: the
 allocations: a chunk's stacked tests, their Gram product and smaller
 arrays, about two and a half chunks of test triples; measured once); and
 its peak RSS, the process maximum (interpreter and imports included).
-Prints one Markdown table row per resolution as its process finishes.  The
-tissue package is imported from the ``src`` directory next to this script.
+The three memory columns are in MiB (2**20 bytes; ``ru_maxrss`` is in
+KiB on Linux).  Prints one Markdown table row per resolution as its
+process finishes.  The tissue package is imported from the ``src``
+directory next to this script.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ WEAK_STEPS = 100
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HEADER = ("| `macro.resolution` | jumps | set-up (s) | first step (ms) "
           "| ms per `sin` step | iterations per step | solves per step "
-          "| ms in the flux map per step | `state_at` (ms) | held (MB) "
-          "| weak form (MB) | peak RSS (MB) |\n"
+          "| ms in the flux map per step | `state_at` (ms) | held (MiB) "
+          "| weak form (MiB) | peak RSS (MiB) |\n"
           "|---|---|---|---|---|---|---|---|---|---|---|---|")
 
 
@@ -90,7 +92,7 @@ def count_solves(flux_map) -> dict:
     return calls
 
 
-def weak_form_peak_mb(system, w) -> float:
+def weak_form_peak_mib(system, w) -> float:
     """The ``tracemalloc`` peak of ``transient_weak_residual`` over a
     ``WEAK_STEPS``-step stride-1 run from ``w``, with a test pair whose
     jump part falls linearly to zero at the last step."""
@@ -120,7 +122,7 @@ def weak_form_peak_mb(system, w) -> float:
         tracemalloc.stop()
 
 
-def held_mb(build) -> float:
+def held_mib(build) -> float:
     """The ``tracemalloc`` current size of what ``build()`` returns, with
     everything it holds, after a garbage collection."""
     import gc
@@ -189,21 +191,21 @@ def measure(res: int) -> dict:
                      iterations, solved, solve_ms, 1e3 * (t6 - t5) / STEPS))
         n_w = system.n_w
         if len(rows) == REPEATS:
-            weak_mb = weak_form_peak_mb(system, w)
+            weak_mib = weak_form_peak_mib(system, w)
         # free this system before the next one is built, so that the peak
         # RSS is that of one system
         del system, last, results
         gc.collect()
-    held = held_mb(build)
+    held = held_mib(build)
     setup, first, step, iterations, solved, solve_ms, state = np.median(
         np.array(rows), axis=0)
     return {"res": res, "jumps": n_w, "setup_s": setup,
             "first_step_ms": first, "step_ms": step,
             "iterations": iterations, "solves": solved,
-            "flux_map_ms": solve_ms, "state_ms": state, "held_mb": held,
-            "weak_mb": weak_mb,
-            # ru_maxrss is in kB on Linux
-            "peak_rss_mb": resource.getrusage(
+            "flux_map_ms": solve_ms, "state_ms": state, "held_mib": held,
+            "weak_mib": weak_mib,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mib": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
@@ -220,8 +222,8 @@ def row(m: dict) -> str:
             f"| {m['first_step_ms']:.3g} | {m['step_ms']:.3g} "
             f"| {m['iterations']:.3g} | {m['solves']:.3g} "
             f"| {m['flux_map_ms']:.3g} | {m['state_ms']:.3g} "
-            f"| {m['held_mb']:.3g} | {m['weak_mb']:.3g} "
-            f"| {m['peak_rss_mb']:.0f} |")
+            f"| {m['held_mib']:.3g} | {m['weak_mib']:.3g} "
+            f"| {m['peak_rss_mib']:.0f} |")
 
 
 def main(argv: list[str]) -> None:
