@@ -53,8 +53,6 @@ _SCHEMA = {
     "init.amplitude": (float, 5.0, lambda v: v >= 0, "nonnegative"),
     "solver.newton_tol": (float, 1e-13, lambda v: v > 0, "positive"),
     "solver.newton_max_iter": (int, 30, lambda v: v >= 1, "integer >= 1"),
-    "solver.newton_shift": (float, 1e-2, lambda v: v > 0, "positive"),
-    "solver.linear_tol": (float, 1e-10, lambda v: v > 0, "positive"),
     "periodic.tol": (float, 1e-8, lambda v: v > 0, "positive"),
     "periodic.max_iters": (int, 500, lambda v: v >= 1, "integer >= 1"),
     "periodic.theta": (float, 1.0, lambda v: 0 < v <= 1, "in (0, 1]"),
@@ -111,9 +109,7 @@ class RunConfig:
     def build_params(self) -> SolverParams:
         return SolverParams(alpha=self["alpha"], dt=self["time.dt"],
                             newton_tol=self["solver.newton_tol"],
-                            newton_max_iter=self["solver.newton_max_iter"],
-                            newton_shift=self["solver.newton_shift"],
-                            linear_tol=self["solver.linear_tol"])
+                            newton_max_iter=self["solver.newton_max_iter"])
 
     # -- echo and hashing ---------------------------------------------------
 

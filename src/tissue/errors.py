@@ -36,7 +36,8 @@ class LinearSolveError(TissueError):
 
 
 class NewtonError(TissueError):
-    """The implicit step iteration failed, including the shifted retry."""
+    """The implicit step failed: the factor path did not converge within
+    ``newton_max_iter`` passes; carries its residual history."""
 
     def __init__(self, message: str, residuals=None):
         super().__init__(message)

@@ -77,15 +77,14 @@ class SolverParams:
     alpha: float = 1.0
     dt: float = 1e-3
     newton_tol: float = 1e-13
+    # corrections, and passes of the factor path, per step
     newton_max_iter: int = 30
-    newton_shift: float = 1e-2
-    linear_tol: float = 1e-10
 
     def __post_init__(self):
         if self.alpha <= 0 or self.dt <= 0:
             raise ValueError("alpha and dt must be positive")
-        if self.newton_tol <= 0 or self.linear_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("the tolerance must be positive")
 
 
 class FluxMap(Protocol):
@@ -124,7 +123,6 @@ class StepResult:
     jump: np.ndarray
     iterations: int
     residual: float
-    used_shift: bool
     balance: float
     factorizations: int = 0
     history: list = field(default_factory=list)
@@ -133,6 +131,10 @@ class StepResult:
     law_values: Optional[np.ndarray] = None
     block: Optional[np.ndarray] = None
     contraction: Optional[float] = None
+    # a step makes one attempt, so no step is a retry; the benchmark's
+    # tracer (benchmark/tracing.py) still reads this flag, so it stays, as
+    # a constant, until the benchmark drops it
+    used_shift = False
 
 
 class JumpStepper:
@@ -181,12 +183,17 @@ class JumpStepper:
     no product with R.  By default c is the law's slope at zero and the
     factor is frozen: built once, on the first step at ``params.dt`` (the
     chord or simplified Newton method).  A pass takes c = f'(w/eps) and a
-    fresh factor instead, as Newton does, when the frozen factor would
-    contract by less than a half, max |f'(w/eps) - c| > (alpha/dt + c)/2,
-    when dt is not ``params.dt``, and in the shifted retry, which adds
-    ``newton_shift`` to every slope; the shifted retry starts from w_n.  A
-    linear law converges in one pass.  Either path accepts on the true
-    residual at the tolerance of the step from w_n.
+    fresh factor instead, as Newton does, with backtracking on the max-norm
+    residual, when the frozen factor would contract by less than a half,
+    max |f'(w/eps) - c| > (alpha/dt + c)/2, and when dt is not
+    ``params.dt``.  After a chord pass with residual ratio rho, every later
+    pass of the step is a Newton pass when rho >= 1 or r rho^left > tol,
+    with ``left`` the passes of the ``newton_max_iter`` budget not yet
+    taken: the budget form of the corrector's r rho^2 rule.  The factor
+    path is the step's one attempt; a step that it does not converge within
+    ``newton_max_iter`` passes raises ``NewtonError``.  A linear law
+    converges in one pass.  Either path accepts on the true residual at the
+    tolerance of the step from w_n.
     """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
@@ -246,10 +253,9 @@ class JumpStepper:
         return self.params.newton_tol * scale + floor
 
     def _accept(self, w: np.ndarray, f_w: np.ndarray, flux_w: np.ndarray,
-                g: np.ndarray, rnorm: float, history: list, shift: float,
-                built: int, dt: float) -> StepResult:
+                g: np.ndarray, rnorm: float, history: list, built: int,
+                dt: float) -> StepResult:
         return StepResult(jump=w, iterations=len(history), residual=rnorm,
-                          used_shift=shift > 0.0,
                           balance=abs(float(np.dot(self.flux.weights * g,
                                                    w))),
                           factorizations=built, history=history, dt=dt,
@@ -274,15 +280,11 @@ class JumpStepper:
                 res, tried, rho = self._correct(start, r_start, w_prev,
                                                 f_prev, rho, drive, dt)
         if res is None:
-            res, _, built = self._iterate(w_prev, drive, dt, 0.0, start)
+            res, history = self._iterate(w_prev, drive, dt, start)
             if res is None:
-                res, history, _ = self._iterate(
-                    w_prev, drive, dt, shift=self.params.newton_shift)
-                if res is None:
-                    raise NewtonError("implicit step failed to converge, "
-                                      "including the shifted retry",
-                                      residuals=history)
-                res.factorizations += built
+                raise NewtonError("implicit step failed to converge in "
+                                  f"{len(history)} passes of the factor path",
+                                  residuals=history)
             # the failed corrections count among the step's iterations
             res.history[:0] = tried
             res.iterations = len(res.history)
@@ -332,25 +334,26 @@ class JumpStepper:
             rho = rnorm / last if last else 0.0
             history.append(rnorm)
             if rnorm <= tol:
-                return self._accept(w, f_w, flux_w, g, rnorm, history, 0.0,
-                                    0, dt), history, rho
+                return self._accept(w, f_w, flux_w, g, rnorm, history, 0,
+                                    dt), history, rho
             if not rnorm * rho * rho <= tol:
                 break
         return None, history, rho
 
     def _iterate(self, w_prev: np.ndarray, drive: float, dt: float,
-                 shift: float, start: Optional[np.ndarray] = None
-                 ) -> tuple[Optional[StepResult], list, int]:
+                 start: Optional[np.ndarray] = None
+                 ) -> tuple[Optional[StepResult], list]:
         """The step by the factor path: the converged step (None if it
-        failed), the residual history and the number of factors built.  The
-        first pass starts from ``start`` when given and the law is finite
-        there, and from w_prev otherwise."""
+        failed) and the residual history.  The first pass starts from
+        ``start`` when given and the law is finite there, and from w_prev
+        otherwise."""
         fl, f, df, eps = self.flux, self._f, self._df, self.arg_scale
         a = self.rate_coeff / dt
         c0 = self._slope
-        may_freeze = shift == 0.0 and dt == self.params.dt
+        max_iter = self.params.newton_max_iter
+        may_freeze = dt == self.params.dt
         # a pass with a linear law's own slope solves the step equation itself
-        exact = self.law.is_linear and shift == 0.0
+        exact = self.law.is_linear
         load_t = drive * self._load_w
         w, s = w_prev, self._arg(w_prev)
         f_w = f(s)
@@ -359,7 +362,7 @@ class JumpStepper:
             # no pass can converge, and an infinite tolerance would accept
             # any finite residual: fail the attempt on its starting residual
             g = self._residual(w, w_prev, f_w, fl.apply(w), load_t, a)
-            return None, [float(np.abs(g).max())], 0
+            return None, [float(np.abs(g).max())]
         tol = self._tolerance(w_prev, f_max, drive, dt)
         rhs = fl.weights * a * w_prev + drive * fl.load
         if start is not None:
@@ -371,14 +374,13 @@ class JumpStepper:
         rnorm = np.inf
         history: list = []
         built = 0
-        for _ in range(self.params.newton_max_iter):
+        handover = False        # a chord too slow for the budget: Newton on
+        for _ in range(max_iter):
             if exact:
                 fresh, c = not may_freeze, c0
             else:
                 slope = df(s)
-                if shift:
-                    slope = slope + shift
-                fresh = not may_freeze or float(
+                fresh = not may_freeze or handover or float(
                     np.abs(slope - c0).max(initial=0.0)) > 0.5 * (a * eps + c0)
                 c = slope if fresh else c0
             try:
@@ -414,6 +416,7 @@ class JumpStepper:
                 if rnorm_try < rnorm or rnorm_try <= tol:
                     break
                 step_len *= 0.5
+            last = rnorm
             w, s, f_w, g, rnorm = w_try, s_try, f_try, g_try, rnorm_try
             history.append(rnorm)
             if rnorm <= tol:
@@ -423,16 +426,17 @@ class JumpStepper:
                 g = self._residual(w, w_prev, f_w, flux_w, load_t, a)
                 rnorm = history[-1] = float(np.abs(g).max(initial=0.0))
                 if rnorm <= tol:
-                    return self._accept(w, f_w, flux_w, g, rnorm,
-                                        history, shift, built, dt), \
-                        history, built
-            # a non-finite pass or stagnation: bail out, so that the caller
-            # retries with a shift or raises
-            if not np.isfinite(rnorm) or (shift == 0.0 and len(history) > 4
-                                          and history[-1] > 0.9 * history[-2]
-                                          > 0.0):
+                    return self._accept(w, f_w, flux_w, g, rnorm, history,
+                                        built, dt), history
+            if not np.isfinite(rnorm):
                 break
-        return None, history, built
+            if not fresh:
+                # a chord pass that cannot reach tol at its contraction in
+                # the passes left hands the rest of the step over to Newton
+                rho = rnorm / last
+                handover = rho >= 1.0 \
+                    or rnorm * rho ** (max_iter - len(history)) > tol
+        return None, history
 
 
 class MembraneSystem:
@@ -516,7 +520,6 @@ class Trajectory:
     jumps: np.ndarray                 # (n_samples, n_jumps)
     stride: int
     newton_iters: np.ndarray          # StepResult.iterations
-    used_shift: np.ndarray
     factorizations: np.ndarray
     balance_residuals: np.ndarray     # StepResult.balance
     mean_defects: Optional[np.ndarray] = None
@@ -550,7 +553,6 @@ def simulate(system: MembraneSystem, w0: np.ndarray, horizon: float,
     jumps = np.empty((ts.size, w.size))
     jumps[0] = w
     iters = np.zeros(n_steps, dtype=np.int64)
-    shifted = np.zeros(n_steps, dtype=bool)
     factors = np.zeros(n_steps, dtype=np.int64)
     balance = np.zeros(n_steps)
     res = w
@@ -560,15 +562,14 @@ def simulate(system: MembraneSystem, w0: np.ndarray, horizon: float,
         res = system.stepper.step(t_next, res, dt)
         w = res.jump
         iters[n] = res.iterations
-        shifted[n] = res.used_shift
         factors[n] = res.factorizations
         balance[n] = res.balance
         if (n + 1) % stride == 0:
             ts[(n + 1) // stride] = t_next
             jumps[(n + 1) // stride] = w
     return Trajectory(system=system, ts=ts, jumps=jumps, stride=stride,
-                      newton_iters=iters, used_shift=shifted,
-                      factorizations=factors, balance_residuals=balance)
+                      newton_iters=iters, factorizations=factors,
+                      balance_residuals=balance)
 
 
 def step(system: MembraneSystem, state):

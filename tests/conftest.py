@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,13 +67,31 @@ def stepper_on(system, flux):
                        params=system.params)
 
 
-def force_shifted_retry(stepper):
-    """Make the corrector and the unshifted iteration fail, so every step
-    takes the retry."""
-    stepper._correct = lambda *args: (None, [], None)
-    stepper._iterate = \
-        lambda w, drive, dt, shift, start=None, run=stepper._iterate: \
-        (None, [], 0) if shift == 0.0 else run(w, drive, dt, shift, start)
+def record_passes(stepper):
+    """Wrap the stepper's flux map so that each pass of its factor path
+    appends "chord" (a solve with the frozen factor) or "newton" (with a
+    fresh factor) to the list returned."""
+    kinds, flux = [], stepper.flux
+
+    def factor(d):
+        inner = flux.factor(d)
+
+        def solve(r):
+            kinds.append("chord" if made is stepper._frozen else "newton")
+            return inner.solve(r)
+
+        made = SimpleNamespace(solve=solve)
+        return made
+
+    stepper.flux = SimpleNamespace(weights=flux.weights, load=flux.load,
+                                   apply=flux.apply, factor=factor)
+    return kinds
+
+
+def hands_over(kinds):
+    """Whether a Newton pass follows a chord pass in ``kinds``."""
+    return any(a == "chord" and b == "newton"
+               for a, b in zip(kinds, kinds[1:]))
 
 
 def steps_agree(stepper_a, stepper_b, w, dt, n_steps=3):
@@ -81,7 +100,8 @@ def steps_agree(stepper_a, stepper_b, w, dt, n_steps=3):
         t = (n + 1) * dt
         a = stepper_a.step(t, w, dt)
         b = stepper_b.step(t, w, dt)
-        assert (a.iterations, a.used_shift) == (b.iterations, b.used_shift)
+        assert (a.iterations, a.factorizations) == \
+            (b.iterations, b.factorizations)
         assert rel_gap(a.jump, b.jump) <= 1e-12
         w = a.jump
     return a

@@ -23,7 +23,9 @@ gradient as a dense array, the reference for its stencil, and
 ``dense_schur`` and ``dense_capacitance`` are the dense macro-sized
 matrices the two-scale system assembles in band storage;
 ``penalized_cell_solve`` pins the cell operator's constant mode
-with a dense mean penalty instead of grounding.
+with a dense mean penalty instead of grounding.  ``dense_flux`` is either
+system's flux map with its dense response, the reference for single steps
+through ``dense_newton_step``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import scipy.sparse.linalg as spla
 
 from tissue.errors import FixedPointError
 from tissue.membrane import simulate
+from tissue.micro import MicroSystem
 from tissue.periodic import PeriodicOrbit, poincare_map
 
 
@@ -393,6 +396,16 @@ def dense_two_scale(system):
         response=0.5 * (response + response.T),
         load=-(k_zw.T @ lift_drive + r_w),
         lift_jump=lift_jump, lift_drive=lift_drive)
+
+
+def dense_flux(system) -> FluxResponse:
+    """Either system's flux map with a dense response: ``dense_response``
+    on a resolved system, ``dense_two_scale`` on a two-scale one."""
+    if isinstance(system, MicroSystem):
+        return FluxResponse(system.weights, dense_response(system),
+                            system.flux_map.load)
+    dense = dense_two_scale(system)
+    return FluxResponse(system.weights, dense.response, dense.load)
 
 
 def _padded_rows(m: sp.csr_matrix):

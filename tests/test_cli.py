@@ -48,6 +48,18 @@ def test_unknown_key_rejected(tmp_path):
     assert "f.gamma" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["solver.newton_shift",
+                                 "solver.linear_tol"])
+def test_removed_solver_key_exits_as_unknown(tmp_path, capsys, key):
+    # a step makes one attempt, with no shift to set, and verify's bulk
+    # solve keeps its fixed tolerance: neither knob is a key any more
+    cfg = write_cfg(tmp_path, FAST + f"{key} = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_epsilon_rejected(tmp_path):
     p = write_cfg(tmp_path, "geometry.epsilon = 0.3\n")
     with pytest.raises(ConfigError) as err:
@@ -266,13 +278,6 @@ def test_verify_exit_code_and_report(tmp_path):
     values = {c["name"]: c["value"] for c in rep["checks"]}
     assert values["two_scale_weak_form"] is not None
     assert values["refinement_stability"] is None
-
-
-def test_verify_bulk_solve_reads_linear_tol():
-    from tissue.errors import LinearSolveError
-    from tissue.verify import run_invariant_suite
-    with pytest.raises(LinearSolveError, match="bulk solve residual"):
-        run_invariant_suite(finalize_config({"solver.linear_tol": 1e-30}))
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -65,7 +65,6 @@ def _stub_decay(series, defect):
     traj = T.Trajectory(system=_GapSystem(), ts=0.5 * np.arange(n),
                         jumps=np.asarray(series, dtype=float)[:, None],
                         stride=1, newton_iters=np.zeros(0, dtype=int),
-                        used_shift=np.zeros(0, dtype=bool),
                         factorizations=np.zeros(0, dtype=int),
                         balance_residuals=np.zeros(0))
     orbit = T.PeriodicOrbit(jumps=np.zeros((3, 1)), dt=0.5, defect=defect,

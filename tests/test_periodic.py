@@ -145,7 +145,7 @@ class _DriftingPeriodMap:
         if t_next == dt:
             self.starts.append(w_prev)
         return StepResult(jump=w_prev + 0.5 * self.drift, iterations=1,
-                          residual=0.0, used_shift=False, balance=0.0)
+                          residual=0.0, balance=0.0)
 
     def jump_norm(self, w):
         return float(np.sqrt(np.sum(self.weights * w * w)))
@@ -166,7 +166,7 @@ class _ScriptedPeriodMap(_DriftingPeriodMap):
             self.starts.append(w_prev)
         drift = self.drifts[len(self.starts) - 1]
         return StepResult(jump=w_prev + 0.5 * drift, iterations=1,
-                          residual=0.0, used_shift=False, balance=0.0)
+                          residual=0.0, balance=0.0)
 
 
 def test_stalled_iteration_halves_damping_once_per_window():

@@ -1,23 +1,24 @@
 """Property test of the implicit step against a dense Newton reference.
 
 Hypothesis draws the law and its kappa, the conductivity contrast, the
-start amplitude, the step's dt (equal to ``params.dt`` or not) and whether
-the unshifted iteration is forced to fail, on both stacks.
+start amplitude, and the step's dt (equal to ``params.dt`` or not), on both
+stacks.  The amplitude range covers starts whose chord passes hand over to
+Newton; the derandomized draws need not hit that narrow band, so two
+explicit cubic examples (one per stack) are such starts.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import tissue as T  # noqa: E402
 from tissue.micro import initial_jump  # noqa: E402
 from tissue.twoscale import initial_two_scale_jump  # noqa: E402
 
-from conftest import force_shifted_retry, make_micro  # noqa: E402
-from oracles import (FluxResponse, dense_newton_step, dense_response,  # noqa: E402
-                     dense_two_scale)
+from conftest import make_micro  # noqa: E402
+from oracles import dense_flux, dense_newton_step  # noqa: E402
 from test_twoscale import make_two_scale  # noqa: E402
 
 
@@ -27,13 +28,11 @@ def _system(stack, domain, contrast, kind, kappa, dt):
     if stack == "micro":
         system = make_micro(domain, cond=cond, law=(kind,), dt=dt, kappa=kappa)
         return system, lambda a, s: initial_jump(domain, "random", a, seed=s), \
-            FluxResponse(system.weights, dense_response(system),
-                         system.flux_map.load)
+            dense_flux(system)
     system = make_two_scale(cond=cond, law=(kind,), dt=dt, kappa=kappa)
-    dense = dense_two_scale(system)
     return system, \
         lambda a, s: initial_two_scale_jump(system, "random", a, seed=s), \
-        FluxResponse(system.weights, dense.response, dense.load)
+        dense_flux(system)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -41,20 +40,21 @@ def _system(stack, domain, contrast, kind, kappa, dt):
        kind=st.sampled_from(["linear", "tanh", "sin", "cubic"]),
        kappa=st.floats(0.1, 3.0),
        contrast=st.floats(0.2, 5.0),
-       amplitude=st.floats(0.0, 8.0),
+       amplitude=st.floats(0.0, 25.0),
        params_dt=st.sampled_from([1e-3, 1e-2, 0.1]),
        dt_ratio=st.sampled_from([1.0, 0.5, 3.0]),
        t_next=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2 ** 16),
-       forced_retry=st.booleans())
+       seed=st.integers(0, 2 ** 16))
+@example(stack="micro", kind="cubic", kappa=1.0, contrast=2.0, amplitude=5.0,
+         params_dt=1e-2, dt_ratio=1.0, t_next=1e-2, seed=1)
+@example(stack="twoscale", kind="cubic", kappa=1.0, contrast=2.0,
+         amplitude=5.0, params_dt=1e-2, dt_ratio=1.0, t_next=1e-2, seed=1)
 def test_step_matches_dense_newton(small_domain, stack, kind, kappa, contrast,
                                    amplitude, params_dt, dt_ratio, t_next,
-                                   seed, forced_retry):
+                                   seed):
     system, start, dense = _system(stack, small_domain, contrast, kind, kappa,
                                    params_dt)
     stepper = system.stepper
-    if forced_retry:
-        force_shifted_retry(stepper)
     dt = params_dt * dt_ratio
     w_prev = start(amplitude, seed)
     res = stepper.step(t_next, w_prev, dt)
@@ -64,11 +64,10 @@ def test_step_matches_dense_newton(small_domain, stack, kind, kappa, contrast,
     # relative to the solution, with a floor for a solution near zero
     scale = max(float(np.max(np.abs(want))), 1e-3)
     assert np.max(np.abs(res.jump - want)) <= 1e-10 * scale
-    assert res.used_shift == forced_retry
-    if forced_retry or dt != params_dt:
+    if dt != params_dt:
         # every pass refactors; the frozen factor is never built
         assert res.factorizations == res.iterations
     elif kind == "linear":
         assert (res.iterations, res.factorizations) == (1, 1)
     else:
-        assert 1 <= res.factorizations <= res.iterations + 1
+        assert 1 <= res.factorizations <= res.iterations
