@@ -21,5 +21,5 @@ from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
 from .decay import (DecayReport, LyapunovSeries, decay_metrics, fit_rate,
                     lyapunov_series)
 from .twoscale import (CellOperator, TwoScaleState, TwoScaleSystem,
-                       find_periodic_two_scale, initial_two_scale_jump,
-                       simulate_two_scale, two_scale_decay_metrics)
+                       initial_two_scale_jump, simulate_two_scale,
+                       two_scale_decay_metrics)

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +149,7 @@ def _orbit_rows(system, orbit: PeriodicOrbit):
 
 def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
     system = _micro_system(cfg)
-    tol = args.tol if args.tol is not None else cfg["periodic.tol"]
-    max_iters = (args.max_iters if args.max_iters is not None
-                 else cfg["periodic.max_iters"])
+    tol, max_iters = cfg["periodic.tol"], cfg["periodic.max_iters"]
     if args.method == "delta":
         orbits = find_periodic_regularized(system, cfg["periodic.deltas"],
                                            tol=tol, max_iters=max_iters)
@@ -194,6 +191,15 @@ def _load_orbit(cfg: RunConfig, out: Path, system) -> PeriodicOrbit:
         raise ConfigError(
             "orbit artifact was produced under a different configuration; "
             "rerun `tissue periodic`", exit_code=3)
+    # the delta route writes the orbit of its last shifted law, under the
+    # same stamp, not that of the configured law
+    report = out / "periodic_report.json"
+    method = (json.loads(report.read_text()).get("method")
+              if report.exists() else None)
+    if method != "picard":
+        raise ConfigError(
+            f"orbit artifact has method {method!r}, not 'picard'; rerun "
+            "`tissue periodic` without `--method delta`", exit_code=3)
     data = np.loadtxt(lines[2:], delimiter=",")
     jumps = data[:, 1:]
     dt = float(data[1, 0] - data[0, 0])
@@ -269,14 +275,8 @@ def _cmd_compare(cfg: RunConfig, out: Path, args) -> int:
     traj = simulate_two_scale(system, w0, 1.0,
                               stride=int(round(1.0 / system.params.dt)))
     state = system.state_at(1.0, traj.jumps[-1])
-    epsilons = cfg["compare.epsilons"]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(
-                lambda e: _compare_one(cfg, system, state, e), epsilons))
-    else:
-        results = [_compare_one(cfg, system, state, e) for e in epsilons]
-    results.sort(key=lambda r: -r[0])
+    results = [_compare_one(cfg, system, state, e)
+               for e in cfg["compare.epsilons"]]
     _write_csv(out / "compare.csv", cfg, ["epsilon", "l2_error"], results)
     gaps = [g for _, g in results]
     _write_json(out / "compare_report.json", cfg, {
@@ -329,18 +329,6 @@ def run(subcommand: str, cfg: RunConfig, out: Path, args) -> int:
         return 1
 
 
-def _positive(parse):
-    """An argparse type: the argument read by ``parse``, which must be
-    positive; argparse turns either rejection into a usage error (exit 2)."""
-    def check(raw: str):
-        value = parse(raw)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {raw!r}")
-        return value
-    check.__name__ = parse.__name__
-    return check
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tissue",
@@ -352,13 +340,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"{name} (CSV columns: {_CSV_DOC[name]})")
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=_positive(int), default=1,
-                       help="worker threads (compare fan-out only)")
         if name == "periodic":
             p.add_argument("--method", choices=("picard", "delta"),
                            default="picard")
-            p.add_argument("--tol", type=_positive(float), default=None)
-            p.add_argument("--max-iters", type=_positive(int), default=None)
     args = parser.parse_args(argv)
 
     logging.basicConfig(

@@ -134,8 +134,7 @@ def lyapunov_series(traj_a: Trajectory, traj_b: Trajectory,
     if traj_a.jumps.shape != traj_b.jumps.shape or \
             not np.allclose(traj_a.ts, traj_b.ts):
         raise ValueError("trajectories are not sampled on the same grid")
-    vals = np.array([sys_a.lyapunov(a, b)
-                     for a, b in zip(traj_a.jumps, traj_b.jumps)])
+    vals = sys_a.lyapunov(traj_a.jumps, traj_b.jumps)
     inc = np.diff(vals)
     max_inc = float(inc.max(initial=0.0))
     return LyapunovSeries(ts=traj_a.ts.copy(), values=vals,

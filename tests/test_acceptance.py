@@ -17,9 +17,9 @@ from tissue.micro import MicroSystem, initial_jump, jump_l2, simulate
 from tissue.periodic import (find_periodic, find_periodic_regularized,
                              orbit_distance, poincare_map,
                              verify_energy_estimates)
-from tissue.twoscale import (TwoScaleSystem, find_periodic_two_scale,
-                             initial_two_scale_jump, micro_two_scale_gap,
-                             simulate_two_scale, two_scale_decay_metrics)
+from tissue.twoscale import (TwoScaleSystem, initial_two_scale_jump,
+                             micro_two_scale_gap, simulate_two_scale,
+                             two_scale_decay_metrics)
 
 from oracles import DenseLinearStepper
 
@@ -190,7 +190,7 @@ def test_criterion_6_two_scale_decay(default_setup):
     cell, _, cond, drive, params = default_setup
     system = TwoScaleSystem(cell, cond, T.make_nonlinearity("sin"), drive,
                             params, macro_res=4)
-    orbit = find_periodic_two_scale(system, tol=1e-8)
+    orbit = find_periodic(system, tol=1e-8)
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=55)
     traj = simulate_two_scale(system, w0, 50.0, stride=10)
     rep = two_scale_decay_metrics(traj, orbit)

@@ -188,6 +188,21 @@ def test_decay_rejects_stale_orbit(tmp_path):
     assert main(["decay", "--config", str(cfg2), "--out", str(out)]) == 3
 
 
+def test_decay_rejects_delta_orbit(tmp_path, capsys):
+    # the delta route's orbit is that of the last shifted law, under the
+    # same stamp: decay must not take it for the orbit of the configured law
+    cfg = write_cfg(tmp_path, **{"periodic.deltas": "0.1, 0.01"})
+    out = tmp_path / "out"
+    assert main(["periodic", "--config", str(cfg), "--out", str(out),
+                 "--method", "delta"]) == 0
+    capsys.readouterr()
+    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "without `--method delta`" in capsys.readouterr().err
+    assert not (out / "decay.csv").exists()
+    assert main(["periodic", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_periodic_delta_method(tmp_path):
     cfg = write_cfg(tmp_path, **{"periodic.deltas": "0.1, 0.01"})
     out = tmp_path / "out"
@@ -242,14 +257,13 @@ def test_homogenize_honours_periodic_theta(tmp_path):
     assert iterations[1] > iterations[0]
 
 
-def test_compare_monotone_and_threads(tmp_path):
+def test_compare_monotone(tmp_path):
     cfg = write_cfg(tmp_path, **{"f.kind": "linear", "init.kind": "uniform",
                                  "init.amplitude": 1.0,
                                  "compare.epsilons": "0.5, 0.25",
                                  "macro.resolution": 4})
     out = tmp_path / "out"
-    assert main(["compare", "--config", str(cfg), "--out", str(out),
-                 "--threads", "2"]) == 0
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads((out / "compare_report.json").read_text())
     assert rep["monotone_decreasing"] is True
 
@@ -281,10 +295,10 @@ def test_verify_exit_code_and_report(tmp_path):
 
 
 def test_solver_failure_exit_code(tmp_path):
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, **{"periodic.tol": 1e-16,
+                                 "periodic.max_iters": 2})
     out = tmp_path / "out"
-    code = main(["periodic", "--config", str(cfg), "--out", str(out),
-                 "--tol", "1e-16", "--max-iters", "2"])
+    code = main(["periodic", "--config", str(cfg), "--out", str(out)])
     assert code == 1
 
 
@@ -294,14 +308,41 @@ def test_solver_failure_exit_code(tmp_path):
     ("--threads", "0"), ("--threads", "-3")])
 def test_periodic_rejects_bad_flag_values_as_usage_errors(tmp_path, capsys,
                                                           flag, value):
-    # argparse's usage error, before any solver runs, not a solver failure
+    # the tolerance, the iteration cap and the thread count are no flags:
+    # the first two are config keys, under the stamp, and compare runs its
+    # epsilons in turn; any value of these flags is argparse's usage error
     cfg = write_cfg(tmp_path)
     with pytest.raises(SystemExit) as err:
         main(["periodic", "--config", str(cfg), "--out",
               str(tmp_path / "out"), flag, value])
     assert err.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_rejects_threads_flag(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{"init.kind": "modulated"})
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--config", str(cfg), "--out",
+              str(tmp_path / "out"), "--threads", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value,code", [
+    ("periodic.tol", "0", 3), ("periodic.tol", "-1", 3),
+    ("periodic.tol", "nan", 3), ("periodic.max_iters", "0", 3),
+    ("periodic.max_iters", "-3", 3), ("periodic.max_iters", "2.5", 2)])
+def test_periodic_rejects_bad_config_values(tmp_path, capsys, key, value,
+                                            code):
+    # out of range is a validation error (3), a non-integer a parse error
+    # (2); both before any solver runs
+    cfg = write_cfg(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["periodic", "--config", str(cfg), "--out", str(out)]) == code
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -223,6 +223,19 @@ def test_lyapunov_series_matches_direct_quadratic_form(small_domain):
         assert ls.values[i] == pytest.approx(direct, rel=1e-12)
 
 
+def test_lyapunov_series_is_the_per_row_lyapunov(default_domain):
+    # one stacked call keeps the bits of one call per sample
+    system = make_micro(default_domain, law=("sin",))
+    wa = initial_jump(default_domain, "random", 2.0, seed=10)
+    wb = initial_jump(default_domain, "random", 2.0, seed=11)
+    ta = simulate(system, wa, 0.2)
+    tb = simulate(system, wb, 0.2)
+    assert wa.size >= 256 and len(ta) > 10
+    per_row = np.array([system.lyapunov(a, b)
+                        for a, b in zip(ta.jumps, tb.jumps)])
+    assert np.array_equal(lyapunov_series(ta, tb).values, per_row)
+
+
 def test_lyapunov_series_on_two_scale_runs():
     from tissue.twoscale import initial_two_scale_jump
     from test_twoscale import make_two_scale

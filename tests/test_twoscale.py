@@ -19,15 +19,15 @@ from tissue.decay import decay_metrics, lyapunov_series
 from tissue.errors import GeometryError
 from tissue.membrane import SAMPLE_CHUNK
 from tissue.micro import MicroSystem, initial_jump, simulate
-from tissue.periodic import PeriodicOrbit, find_periodic, orbit_distance
+from tissue.periodic import (PeriodicOrbit, find_periodic,
+                             find_periodic_regularized, orbit_distance)
 from tissue import twoscale
 from tissue.config import finalize_config
 from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
-                             find_periodic_two_scale, initial_two_scale_jump,
-                             micro_two_scale_gap, periodic_weak_residual,
-                             simulate_two_scale, transient_weak_residual,
-                             two_scale_decay_metrics, _corrector_norms,
-                             _macro_norms)
+                             initial_two_scale_jump, micro_two_scale_gap,
+                             periodic_weak_residual, simulate_two_scale,
+                             transient_weak_residual, two_scale_decay_metrics,
+                             _corrector_norms, _macro_norms)
 
 from conftest import record_passes, rel_gap, steps_agree, stepper_on
 from oracles import (DenseTwoScale, FluxResponse, assemble_samples,
@@ -612,7 +612,7 @@ def test_reduction_to_micro_at_unit_scale():
 
 def test_two_scale_constant_drive_orbit():
     system = make_two_scale(drive=("constant", "constant", 1.0))
-    orbit = find_periodic_two_scale(system, tol=1e-10)
+    orbit = find_periodic(system, tol=1e-10)
     assert np.max(np.abs(orbit.jumps)) < 1e-10
 
 
@@ -637,18 +637,18 @@ def test_two_scale_linear_fixed_point_matches_dense():
         mat = cols[:, :system.n_w] - resp0[:, None]
         off = off_new
     w_star = scipy.linalg.solve(np.eye(system.n_w) - mat, off)
-    orbit = find_periodic_two_scale(system, tol=1e-10)
+    orbit = find_periodic(system, tol=1e-10)
     assert np.max(np.abs(orbit.jumps[0] - w_star)) < 1e-8
 
 
 def test_two_scale_delta_orbits_contract():
     system = make_two_scale(law=("sin",), macro_res=2)
-    orbits = find_periodic_two_scale(system, tol=1e-9, method="delta",
-                                     deltas=(1e-1, 1e-2, 1e-3))
+    orbits = find_periodic_regularized(system, deltas=(1e-1, 1e-2, 1e-3),
+                                       tol=1e-9)
     d01 = orbit_distance(system, orbits[0], orbits[1])
     d12 = orbit_distance(system, orbits[1], orbits[2])
     assert d01 > d12 > 0.0
-    direct = find_periodic_two_scale(system, tol=1e-9)
+    direct = find_periodic(system, tol=1e-9)
     assert orbit_distance(system, orbits[2], direct) < 1e-4
 
 
@@ -656,7 +656,7 @@ def test_two_scale_delta_orbits_contract():
 
 def test_two_scale_trajectory_on_orbit_stays():
     system = make_two_scale(law=("sin",), macro_res=2)
-    orbit = find_periodic_two_scale(system, tol=1e-10)
+    orbit = find_periodic(system, tol=1e-10)
     traj = simulate_two_scale(system, orbit.jumps[0].copy(), 2.0)
     rep = two_scale_decay_metrics(traj, orbit)
     tol = 100 * max(orbit.defect, 1e-12)
@@ -682,7 +682,7 @@ def test_two_scale_linear_rate_matches_dense_eigen_oracle():
     h_sym = 0.5 * (h_schur + h_schur.T) / s2[0]
     mu_max = float((c / np.linalg.eigvalsh(h_sym)).max())
     oracle_rate = np.log(mu_max) / p.dt
-    orbit = find_periodic_two_scale(system, tol=1e-11)
+    orbit = find_periodic(system, tol=1e-11)
     w0 = initial_two_scale_jump(system, "random", 3.0, seed=12)
     traj = simulate_two_scale(system, w0, 8.0, stride=5)
     rep = two_scale_decay_metrics(traj, orbit)
@@ -692,7 +692,7 @@ def test_two_scale_linear_rate_matches_dense_eigen_oracle():
 
 def test_two_scale_decay_report(small_domain):
     system = make_two_scale(law=("sin",), macro_res=2)
-    orbit = find_periodic_two_scale(system, tol=1e-9)
+    orbit = find_periodic(system, tol=1e-9)
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=5)
     traj = simulate_two_scale(system, w0, 20.0, stride=10)
     rep = two_scale_decay_metrics(traj, orbit)
@@ -732,7 +732,7 @@ def test_stacked_state_is_the_stack_of_sample_states():
 
 def test_decay_metrics_serves_two_scale_runs():
     system = make_two_scale(law=("sin",), macro_res=2)
-    orbit = find_periodic_two_scale(system, tol=1e-9)
+    orbit = find_periodic(system, tol=1e-9)
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=5)
     traj = simulate(system, w0, 1.0, stride=10)     # no mean defects recorded
     plain = decay_metrics(traj, orbit)
@@ -755,7 +755,7 @@ def test_decay_metrics_serves_two_scale_runs():
 
 def test_report_lyapunov_column_is_the_lyapunov_series():
     system = make_two_scale(law=("sin",), macro_res=2)
-    orbit = find_periodic_two_scale(system, tol=1e-9)
+    orbit = find_periodic(system, tol=1e-9)
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=5)
     traj = simulate(system, w0, 2.0, stride=10)
     dt = system.params.dt
@@ -770,7 +770,7 @@ def test_roundoff_level_norm_has_no_ratio():
     # a per-node uniform jump does not couple to the macro potential, so the
     # macro gap is zero up to roundoff throughout
     system = make_two_scale(law=("sin",), macro_res=2)
-    orbit = find_periodic_two_scale(system, tol=1e-9)
+    orbit = find_periodic(system, tol=1e-9)
     w0 = initial_two_scale_jump(system, "modulated", 1.0)
     traj = simulate_two_scale(system, w0, 2.0, stride=10)
     rep = two_scale_decay_metrics(traj, orbit)
@@ -806,7 +806,7 @@ def test_transient_weak_form_certification():
 
 def test_periodic_weak_form_certification():
     system = make_two_scale(cond=(2.0, 1.0), law=("sin",), macro_res=2)
-    orbit = find_periodic_two_scale(system, tol=1e-10)
+    orbit = find_periodic(system, tol=1e-10)
     rng = np.random.default_rng(8)
     n_steps = orbit.steps_per_period
     phi = rng.normal(size=system.n_nodes)
@@ -917,7 +917,7 @@ def test_weak_residuals_match_the_per_step_pairing(dim, monkeypatch):
     # residuals of 0.01-0.3) to 1e-12 relative
     system = make_two_scale(cond=(2.0, 1.0), law=("sin",), dim=dim,
                             macro_res=4 if dim == 1 else 2)
-    orbit = find_periodic_two_scale(system, tol=1e-10)
+    orbit = find_periodic(system, tol=1e-10)
     traj = simulate_two_scale(
         system, initial_two_scale_jump(system, "random", 2.0, seed=6), 0.5)
     assert len(traj.ts) - 1 > SAMPLE_CHUNK

@@ -2,7 +2,8 @@
 
 Usage:  python tools/artifact_digest.py OUT_DIR
 
-Every run goes through ``tissue.cli.main`` with ``--threads 1``:
+Every run goes through ``tissue.cli.main``, so its bytes follow from the
+configuration, the subcommand and ``--method`` alone:
 
 - the empty configuration (``OUT_DIR/default``): simulate, periodic, decay,
   homogenize, compare and verify, plus ``periodic --method delta`` in its
@@ -76,7 +77,7 @@ def run_all(out: Path) -> None:
         (out / f"{name}.cfg").write_text(text)
     for cfg, sub, cmd in RUNS:
         code = main(cmd + ["--config", str(out / f"{cfg}.cfg"),
-                           "--out", str(out / sub), "--threads", "1"])
+                           "--out", str(out / sub)])
         print(f"exit {code}  {sub}: {' '.join(cmd)}", flush=True)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
