@@ -109,16 +109,17 @@ class StepResult:
     """Accepted jump of one step; ``balance`` is the energy-balance defect
     |R(w)·w| of the weighted step residual R tested with that jump, and
     ``factorizations`` counts the factors of the pass matrix built during
-    the step.  ``flux`` is R jump, the product with the response that the
-    acceptance test computed, and ``law_values`` is f(jump/eps).  ``dt`` is
-    the step's length, and ``block`` holds the accepted jumps at that step
-    length with their fluxes, newest first, as one (m, 2, n) array of at
-    most ``PREDICTOR_ORDER`` rows (jump, flux): ``jump`` and ``flux`` are
-    views of its row 0, and the flux of a jump no step accepted (the
-    initial jump, or one of another dt) is NaN.  The next step
-    extrapolates from it; no step writes to it.  ``contraction`` is the
-    residual ratio of the last diagonal correction at that step length,
-    carried from step to step (None before the first)."""
+    the step.  ``history`` holds the residual of each correction and pass
+    of the step, the accepted one last: ``iterations`` is its length and
+    ``residual`` its last entry.  ``flux`` is R jump, the product with the
+    response that the acceptance test computed, and ``law_values`` is
+    f(jump/eps).  ``block`` holds the accepted jumps with their fluxes,
+    newest first, as one (m, 2, n) array of at most ``PREDICTOR_ORDER``
+    rows (jump, flux): ``jump`` and ``flux`` are views of its row 0, and
+    the flux of the initial jump, which no step accepted, is NaN.  The next
+    step extrapolates from it; no step writes to it.  ``contraction`` is
+    the residual ratio of the last diagonal correction, carried from step
+    to step (None before the first)."""
 
     jump: np.ndarray
     iterations: int
@@ -126,7 +127,6 @@ class StepResult:
     balance: float
     factorizations: int = 0
     history: list = field(default_factory=list)
-    dt: float = 0.0
     flux: Optional[np.ndarray] = None
     law_values: Optional[np.ndarray] = None
     block: Optional[np.ndarray] = None
@@ -138,15 +138,15 @@ class StepResult:
 
 
 class JumpStepper:
-    """Advances the jump vector by one implicit step.
+    """Advances the jump vector by one implicit step of length ``params.dt``.
 
     With a = rate_coeff/dt, eps = arg_scale and W = diag(weights), the step
     solves G(w) = W (a (w - w_prev) + f(w/eps)) + R w - drive load = 0.  It
     works with G per unit weight, g = a (w - w_prev) + f(w/eps) + W^-1 R w
     - drive W^-1 load, whose last term is formed once per step.
 
-    A step that continues a result of the same dt, at ``params.dt``, starts
-    from the extrapolation through the m = min(K, held) last accepted jumps,
+    A step that continues a result starts from the extrapolation through
+    the m = min(K, held) last accepted jumps,
     w0 = sum_j=1..m (-1)^(j+1) C(m, j) w_n+1-j with K = ``PREDICTOR_ORDER``,
     whose error is O(dt^m) against the O(dt) of w_n.  R is linear, so the
     same product with the result's block of held jumps and fluxes gives
@@ -169,11 +169,10 @@ class JumpStepper:
     that holds at the start for the ratio carried from the run's last
     correction (``StepResult.contraction``).  It then falls back to the
     factor path, as it does when the start or R w0 is not finite (the flux
-    of a held jump that no step accepted is NaN: the first
-    ``PREDICTOR_ORDER`` steps of a run, or of another dt) and after
-    ``newton_max_iter`` corrections.  The factor path starts from the same
-    extrapolation, or from w_n where the law is not finite there, and each
-    of its passes solves, for a slope c,
+    of the initial jump is NaN: the first ``PREDICTOR_ORDER`` steps of a
+    run) and after ``newton_max_iter`` corrections.  The factor path starts
+    from the same extrapolation, or from w_n where the law is not finite
+    there, and each of its passes solves, for a slope c,
 
         (diag(weights (a + c/eps)) + R) w+
             = weights (a w_prev + c w/eps - f(w/eps)) + drive load,
@@ -181,19 +180,19 @@ class JumpStepper:
     whose fixed point is the step's solution for any c.  The residual at
     w+ is weights (f(w+/eps) - f(w/eps) - c (w+ - w)/eps), so a pass needs
     no product with R.  By default c is the law's slope at zero and the
-    factor is frozen: built once, on the first step at ``params.dt`` (the
-    chord or simplified Newton method).  A pass takes c = f'(w/eps) and a
-    fresh factor instead, as Newton does, with backtracking on the max-norm
+    factor is frozen: built once, on the run's first pass (the chord or
+    simplified Newton method).  A pass takes c = f'(w/eps) and a fresh
+    factor instead, as Newton does, with backtracking on the max-norm
     residual, when the frozen factor would contract by less than a half,
-    max |f'(w/eps) - c| > (alpha/dt + c)/2, and when dt is not
-    ``params.dt``.  After a chord pass with residual ratio rho, every later
-    pass of the step is a Newton pass when rho >= 1 or r rho^left > tol,
-    with ``left`` the passes of the ``newton_max_iter`` budget not yet
-    taken: the budget form of the corrector's r rho^2 rule.  The factor
-    path is the step's one attempt; a step that it does not converge within
-    ``newton_max_iter`` passes raises ``NewtonError``.  A linear law
-    converges in one pass.  Either path accepts on the true residual at the
-    tolerance of the step from w_n.
+    max |f'(w/eps) - c| > (alpha/dt + c)/2.  After a chord pass with
+    residual ratio rho, every later pass of the step is a Newton pass when
+    rho >= 1 or r rho^left > tol, with ``left`` the passes of the
+    ``newton_max_iter`` budget not yet taken: the budget form of the
+    corrector's r rho^2 rule.  The factor path is the step's one attempt;
+    a step that it does not converge within ``newton_max_iter`` passes
+    raises ``NewtonError``.  A linear law converges in one pass.  Either
+    path accepts on the true residual at the tolerance of the step from
+    w_n.
     """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
@@ -205,16 +204,17 @@ class JumpStepper:
         self.rate_coeff = rate_coeff
         self.arg_scale = arg_scale
         self.params = params
+        self._a = rate_coeff / params.dt
         self._slope = float(law.deriv(0.0))
         # a law without a shift is evaluated without its shift wrapper,
         # which keeps the bits and saves a call per evaluation
         self._f, self._df = (law, law.deriv) if law.shift \
             else (law.base, law.base_deriv)
         # the corrector takes f'(0) when sup f' keeps |f' - f'(0)|, at most
-        # max(sup f' - f'(0), f'(0)) as f' >= 0, within (a eps + f'(0))/2 at
-        # params.dt, and f'(w/eps) per facet (None) otherwise
+        # max(sup f' - f'(0), f'(0)) as f' >= 0, within (a eps + f'(0))/2,
+        # and f'(w/eps) per facet (None) otherwise
         top = law.certificate.slope_max
-        a_eps = rate_coeff / params.dt * arg_scale
+        a_eps = self._a * arg_scale
         self._corrector_slope = self._slope if top is not None and max(
             top - self._slope, self._slope) <= 0.5 * (a_eps + self._slope) \
             else None
@@ -229,131 +229,121 @@ class JumpStepper:
         return w if self.arg_scale == 1.0 else w / self.arg_scale
 
     def _residual(self, w: np.ndarray, w_prev: np.ndarray, f_w: np.ndarray,
-                  flux_w: np.ndarray, load_t: np.ndarray,
-                  a: float) -> np.ndarray:
+                  flux_w: np.ndarray, load_t: np.ndarray) -> np.ndarray:
         """The step residual per unit weight at w, given the law values
         f_w = f(w/eps), the flux flux_w = R w and the step's drive load per
         unit weight ``load_t``.  The rate term is a (w - w_prev), not
         a w - a w_prev, whose roundoff of about eps a |w| is close to the
         tolerance floor."""
         g = w - w_prev
-        g *= a
+        g *= self._a
         g += f_w
         g += flux_w * self._inv_weights
         g -= load_t
         return g
 
-    def _tolerance(self, w_prev: np.ndarray, f_max: float, drive: float,
-                   dt: float) -> float:
+    def _tolerance(self, w_prev: np.ndarray, f_max: float,
+                   drive: float) -> float:
         # reference: flux/data scale, not the (much larger) Jacobian scale;
         # the floor term covers roundoff of the rate term at that scale
         scale = max(1.0, abs(drive) * self._load_scale, f_max)
-        floor = 10.0 * _EPS * self.rate_coeff / dt \
+        floor = 10.0 * _EPS * self.rate_coeff / self.params.dt \
             * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
         return self.params.newton_tol * scale + floor
 
-    def _accept(self, w: np.ndarray, f_w: np.ndarray, flux_w: np.ndarray,
-                g: np.ndarray, rnorm: float, history: list, built: int,
-                dt: float) -> StepResult:
-        return StepResult(jump=w, iterations=len(history), residual=rnorm,
-                          balance=abs(float(np.dot(self.flux.weights * g,
-                                                   w))),
-                          factorizations=built, history=history, dt=dt,
-                          flux=flux_w, law_values=f_w)
-
     def step(self, t_next: float, w_prev: np.ndarray | StepResult,
              dt: float) -> StepResult:
-        held = f_prev = rho = None
+        # ``dt`` is the step length the benchmark's tracer passes on
+        if dt != self.params.dt:
+            raise ValueError(f"the stepper steps at dt = {self.params.dt}, "
+                             f"not {dt}")
+        f_prev = rho = None
         if isinstance(w_prev, StepResult):
-            if w_prev.dt == dt:
-                held = w_prev.block
-                f_prev, rho = w_prev.law_values, w_prev.contraction
+            held, f_prev, rho = w_prev.block, w_prev.law_values, \
+                w_prev.contraction
             w_prev = w_prev.jump
-        if held is None:
-            # a jump that no step accepted at this dt: its flux is unknown
+        else:
+            # the initial jump: no step accepted it, so its flux is unknown
             held = np.stack([w_prev, np.full(w_prev.shape, np.nan)])[None]
         drive = self.temporal(t_next)
-        start, res, tried = None, None, []
+        start, done, history = None, None, []
         if len(held) > 1:
             start, r_start = extrapolate(held)
-            if dt == self.params.dt:
-                res, tried, rho = self._correct(start, r_start, w_prev,
-                                                f_prev, rho, drive, dt)
-        if res is None:
-            res, history = self._iterate(w_prev, drive, dt, start)
-            if res is None:
+            done, rho = self._correct(start, r_start, w_prev, f_prev, rho,
+                                      drive, history)
+        if done is None:
+            tried = len(history)
+            done = self._iterate(w_prev, drive, start, history)
+            if done is None:
+                # the failed corrections are not the factor path's
                 raise NewtonError("implicit step failed to converge in "
-                                  f"{len(history)} passes of the factor path",
-                                  residuals=history)
-            # the failed corrections count among the step's iterations
-            res.history[:0] = tried
-            res.iterations = len(res.history)
+                                  f"{len(history) - tried} passes of the "
+                                  "factor path", residuals=history[tried:])
+        w, f_w, flux_w, g, built = done
         # a new block, so that a step never writes to the one it continues
         block = np.empty((min(len(held) + 1, PREDICTOR_ORDER),)
                          + held.shape[1:])
-        block[0, 0], block[0, 1] = res.jump, res.flux
+        block[0, 0], block[0, 1] = w, flux_w
         block[1:] = held[:len(block) - 1]
-        res.jump, res.flux = block[0]
-        res.block, res.contraction = block, rho
-        return res
+        return StepResult(jump=block[0, 0], iterations=len(history),
+                          residual=history[-1],
+                          balance=abs(float(np.dot(self.flux.weights * g, w))),
+                          factorizations=built, history=history,
+                          flux=block[0, 1], law_values=f_w, block=block,
+                          contraction=rho)
 
     def _correct(self, start: np.ndarray, r_start: np.ndarray,
                  w_prev: np.ndarray, f_prev: np.ndarray,
                  rho: Optional[float], drive: float,
-                 dt: float) -> tuple[Optional[StepResult], list,
-                                     Optional[float]]:
+                 history: list) -> tuple[Optional[tuple], Optional[float]]:
         """The step corrected with the capacitance diagonal from ``start``,
-        whose flux is ``r_start`` (None if it must fall back), the residual
-        history of its corrections and the residual ratio of the last one
-        (``rho``, the carried ratio, if it made none)."""
-        fl, f, df, eps = self.flux, self._f, self._df, self.arg_scale
-        a = self.rate_coeff / dt
+        whose flux is ``r_start``: the accepted (w, f(w/eps), R w, g, 0)
+        (None if it must fall back) and the residual ratio of the last
+        correction (``rho``, the carried ratio, if it made none).  Each
+        correction's residual is appended to ``history``."""
+        fl, f, df, eps, a = self.flux, self._f, self._df, self.arg_scale, \
+            self._a
         load_t = drive * self._load_w
         w = start
         s = self._arg(w)
-        g = self._residual(w, w_prev, f(s), r_start, load_t, a)
+        g = self._residual(w, w_prev, f(s), r_start, load_t)
         rnorm = float(np.abs(g).max(initial=0.0))
-        history: list = []
         if not math.isfinite(rnorm):        # a start that is not finite
-            return None, history, rho
+            return None, rho
         tol = self._tolerance(w_prev, float(np.abs(f_prev).max(initial=0.0)),
-                              drive, dt)
+                              drive)
         # two corrections cost what the cheapest factor-path step does, a
         # pass solve and the acceptance product: skip or stop correcting
         # when the residual ratio predicts that two would not reach tol
         if rho is not None and rnorm * rho * rho > tol:
-            return None, history, rho
+            return None, rho
         c = self._corrector_slope
         for _ in range(self.params.newton_max_iter):
             w = w - g / (a + (df(s) if c is None else c) / eps)
             s = self._arg(w)
             f_w = f(s)
             flux_w = fl.apply(w)
-            g = self._residual(w, w_prev, f_w, flux_w, load_t, a)
+            g = self._residual(w, w_prev, f_w, flux_w, load_t)
             last, rnorm = rnorm, float(np.abs(g).max(initial=0.0))
             rho = rnorm / last if last else 0.0
             history.append(rnorm)
             if rnorm <= tol:
-                return self._accept(w, f_w, flux_w, g, rnorm, history, 0,
-                                    dt), history, rho
+                return (w, f_w, flux_w, g, 0), rho
             if not rnorm * rho * rho <= tol:
                 break
-        return None, history, rho
+        return None, rho
 
-    def _iterate(self, w_prev: np.ndarray, drive: float, dt: float,
-                 start: Optional[np.ndarray] = None
-                 ) -> tuple[Optional[StepResult], list]:
-        """The step by the factor path: the converged step (None if it
-        failed) and the residual history.  The first pass starts from
-        ``start`` when given and the law is finite there, and from w_prev
-        otherwise."""
-        fl, f, df, eps = self.flux, self._f, self._df, self.arg_scale
-        a = self.rate_coeff / dt
+    def _iterate(self, w_prev: np.ndarray, drive: float,
+                 start: Optional[np.ndarray], history: list
+                 ) -> Optional[tuple]:
+        """The step by the factor path: the converged (w, f(w/eps), R w, g,
+        factors built), or None if it failed.  Each pass's residual is
+        appended to ``history``.  The first pass starts from ``start`` when
+        given and the law is finite there, and from w_prev otherwise."""
+        fl, f, df, eps, a = self.flux, self._f, self._df, self.arg_scale, \
+            self._a
         c0 = self._slope
         max_iter = self.params.newton_max_iter
-        may_freeze = dt == self.params.dt
-        # a pass with a linear law's own slope solves the step equation itself
-        exact = self.law.is_linear
         load_t = drive * self._load_w
         w, s = w_prev, self._arg(w_prev)
         f_w = f(s)
@@ -361,9 +351,10 @@ class JumpStepper:
         if not np.isfinite(f_max):
             # no pass can converge, and an infinite tolerance would accept
             # any finite residual: fail the attempt on its starting residual
-            g = self._residual(w, w_prev, f_w, fl.apply(w), load_t, a)
-            return None, [float(np.abs(g).max())]
-        tol = self._tolerance(w_prev, f_max, drive, dt)
+            g = self._residual(w, w_prev, f_w, fl.apply(w), load_t)
+            history.append(float(np.abs(g).max()))
+            return None
+        tol = self._tolerance(w_prev, f_max, drive)
         rhs = fl.weights * a * w_prev + drive * fl.load
         if start is not None:
             s_start = self._arg(start)
@@ -372,17 +363,13 @@ class JumpStepper:
                 w, s, f_w = start, s_start, f_start
         g = None                # residual per unit weight at w, once known
         rnorm = np.inf
-        history: list = []
         built = 0
         handover = False        # a chord too slow for the budget: Newton on
-        for _ in range(max_iter):
-            if exact:
-                fresh, c = not may_freeze, c0
-            else:
-                slope = df(s)
-                fresh = not may_freeze or handover or float(
-                    np.abs(slope - c0).max(initial=0.0)) > 0.5 * (a * eps + c0)
-                c = slope if fresh else c0
+        for taken in range(1, max_iter + 1):
+            slope = df(s)
+            fresh = handover or float(np.abs(slope - c0).max(initial=0.0)) \
+                > 0.5 * (a * eps + c0)
+            c = slope if fresh else c0
             try:
                 factor = None if fresh else self._frozen
                 if factor is None:
@@ -390,25 +377,20 @@ class JumpStepper:
                     built += 1
                     if not fresh:
                         self._frozen = factor
-                w_full = factor.solve(
-                    rhs if exact else rhs + fl.weights * (c * s - f_w))
+                w_full = factor.solve(rhs + fl.weights * (c * s - f_w))
             except np.linalg.LinAlgError:
                 break
             # a Newton pass backtracks, which keeps the overshoot of strongly
             # convex laws in check; G(w + l d) = (1 - l) G(w) + the law terms
-            search = fresh and not exact
-            if search and g is None:
-                g = self._residual(w, w_prev, f_w, fl.apply(w), load_t, a)
+            if fresh and g is None:
+                g = self._residual(w, w_prev, f_w, fl.apply(w), load_t)
                 rnorm = float(np.abs(g).max(initial=0.0))
             step_len = 1.0
-            for _ in range(8 if search else 1):
+            for _ in range(8 if fresh else 1):
                 w_try = w_full if step_len == 1.0 \
                     else w + step_len * (w_full - w)
                 s_try = self._arg(w_try)
                 f_try = f(s_try)
-                if exact:
-                    g_try, rnorm_try = None, 0.0
-                    break
                 g_try = f_try - f_w - c * (s_try - s)
                 if step_len < 1.0:
                     g_try += (1.0 - step_len) * g
@@ -423,11 +405,10 @@ class JumpStepper:
                 # the estimate leaves out the solve's roundoff: accept on the
                 # residual itself, or iterate on from it
                 flux_w = fl.apply(w)
-                g = self._residual(w, w_prev, f_w, flux_w, load_t, a)
+                g = self._residual(w, w_prev, f_w, flux_w, load_t)
                 rnorm = history[-1] = float(np.abs(g).max(initial=0.0))
                 if rnorm <= tol:
-                    return self._accept(w, f_w, flux_w, g, rnorm, history,
-                                        built, dt), history
+                    return w, f_w, flux_w, g, built
             if not np.isfinite(rnorm):
                 break
             if not fresh:
@@ -435,8 +416,8 @@ class JumpStepper:
                 # the passes left hands the rest of the step over to Newton
                 rho = rnorm / last
                 handover = rho >= 1.0 \
-                    or rnorm * rho ** (max_iter - len(history)) > tol
-        return None, history
+                    or rnorm * rho ** (max_iter - taken) > tol
+        return None
 
 
 class MembraneSystem:

@@ -287,7 +287,7 @@ def test_run_agrees_with_factor_path_plain_steps(law, stack, cell8,
 
 def _without_corrector(system):
     twin = system.with_law(system.law)
-    twin.stepper._correct = lambda *args: (None, [], None)
+    twin.stepper._correct = lambda *args: (None, None)
     return twin
 
 
@@ -365,8 +365,8 @@ def test_orbit_takes_one_pass_per_step(stack, small_domain):
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])
 def test_step_from_an_unusable_result_is_a_plain_start(stack, cell8,
                                                         default_domain):
-    # a result of another dt, or one whose oldest held jump extrapolates to
-    # a non-finite start, gives exactly the step from its jump
+    # a result whose oldest held jump extrapolates to a non-finite start
+    # gives exactly the step from its jump
     system, w0 = _default_dt_system(stack, "sin", {}, cell8, default_domain, 9)
     dt = system.params.dt
     res = w0
@@ -375,13 +375,27 @@ def test_step_from_an_unusable_result_is_a_plain_start(stack, cell8,
     assert len(res.block) == PREDICTOR_ORDER
     bad = res.block.copy()
     bad[-1, 0, 5] = np.nan
-    for prev, step_dt in [(res, 2 * dt), (replace(res, dt=dt / 2), dt),
-                          (replace(res, block=bad), dt)]:
-        got = system.stepper.step(n * dt + step_dt, prev, step_dt)
-        want = system.stepper.step(n * dt + step_dt, res.jump.copy(),
-                                   step_dt)
-        assert np.array_equal(got.jump, want.jump)
-        assert got.history == want.history
+    got = system.stepper.step((n + 1) * dt, replace(res, block=bad), dt)
+    want = system.stepper.step((n + 1) * dt, res.jump.copy(), dt)
+    assert np.array_equal(got.jump, want.jump)
+    assert got.history == want.history
+
+
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+def test_step_at_another_dt_is_rejected(stack, small_domain):
+    # the stepper steps at params.dt only: its frozen factor, corrector
+    # slope and held block all belong to that step length
+    if stack == "micro":
+        system = make_micro(small_domain, law=("sin",))
+        w0 = initial_jump(small_domain, "random", 5.0, seed=3)
+    else:
+        system = make_two_scale(law=("sin",))
+        w0 = initial_two_scale_jump(system, "random", 5.0, seed=3)
+    dt = system.params.dt
+    res = system.stepper.step(dt, w0, dt)
+    for prev in (w0, res):
+        with pytest.raises(ValueError, match="steps at dt"):
+            system.stepper.step(3 * dt, prev, 2 * dt)
 
 
 @pytest.mark.parametrize("stack", ["micro", "twoscale"])
@@ -463,9 +477,9 @@ def test_non_finite_pass_ends_the_attempt(stack, small_domain):
         return s ** 3 if len(calls) == 1 else np.full_like(s, np.nan)
 
     twin = system.with_law(replace(system.law, base=finite_once))
-    dt = system.params.dt
-    res, history = twin.stepper._iterate(w, 1.0, dt)
-    assert res is None and len(history) == 1 and np.isnan(history[0])
+    history = []
+    assert twin.stepper._iterate(w, 1.0, None, history) is None
+    assert len(history) == 1 and np.isnan(history[0])
 
 
 def _stress_run(system, sd, n_steps=20):
