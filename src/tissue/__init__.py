@@ -13,7 +13,7 @@ from .geometry import (CellGeometry, Conductivity, EpsilonDomain,
 from .membrane import SolverParams, Trajectory, simulate, step
 from .nonlinearity import (BoundaryData, Nonlinearity, make_boundary_data,
                            make_nonlinearity, regularize)
-from .micro import (BulkOperator, MicroState, MicroSystem, difference_state,
+from .micro import (BulkOperator, MicroState, MicroSystem,
                     dissipation_identity, elliptic_solve_given_jump,
                     initial_jump)
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,

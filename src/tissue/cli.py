@@ -160,8 +160,7 @@ def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
                  "deltas": list(cfg["periodic.deltas"]),
                  "successive_orbit_gaps": gaps}
     else:
-        orbit = find_periodic(system, tol=tol, max_iters=max_iters,
-                              theta=cfg["periodic.theta"])
+        orbit = find_periodic(system, tol=tol, max_iters=max_iters)
         extra = {"method": "picard"}
 
     _write_csv(out / "periodic.csv", cfg, ["t", "jump_norm", "bulk_energy"],
@@ -227,8 +226,7 @@ def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
 def _cmd_homogenize(cfg: RunConfig, out: Path, args) -> int:
     system = _two_scale_system(cfg)
     orbit = find_periodic(system, tol=cfg["periodic.tol"],
-                          max_iters=cfg["periodic.max_iters"],
-                          theta=cfg["periodic.theta"])
+                          max_iters=cfg["periodic.max_iters"])
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
     traj = simulate_two_scale(system, w0, cfg["time.horizon"],

@@ -9,6 +9,7 @@ documented range before any solver runs, and the effective configuration
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -36,35 +37,36 @@ _SCHEMA = {
     "geometry.inclusion_margin": (float, 0.25, lambda v: 0.0 < v < 0.5,
                                   "open interval (0, 0.5)"),
     "geometry.cell_resolution": (int, 8, lambda v: v >= 2, "integer >= 2"),
-    "geometry.epsilon": (float, 0.25, lambda v: v > 0, "positive, 1/epsilon integer"),
-    "conductivity.sigma_int": (float, 1.0, lambda v: v > 0, "positive"),
-    "conductivity.sigma_out": (float, 1.0, lambda v: v > 0, "positive"),
+    "geometry.epsilon": (float, 0.25, lambda v: v > 0,
+                         "finite positive, 1/epsilon integer"),
+    "conductivity.sigma_int": (float, 1.0, lambda v: v > 0, "finite positive"),
+    "conductivity.sigma_out": (float, 1.0, lambda v: v > 0, "finite positive"),
     "f.kind": (str, "sin", lambda v: v in _F_KINDS, f"one of {_F_KINDS}"),
-    "f.kappa": (float, 1.0, lambda v: v > 0, "positive"),
-    "f.delta_shift": (float, 0.0, lambda v: v >= 0, "nonnegative"),
+    "f.kappa": (float, 1.0, lambda v: v > 0, "finite positive"),
+    "f.delta_shift": (float, 0.0, lambda v: v >= 0, "finite nonnegative"),
     "psi.spatial": (str, "affine", lambda v: v in _SPATIAL, f"one of {_SPATIAL}"),
     "psi.temporal": (str, "sin", lambda v: v in _TEMPORAL, f"one of {_TEMPORAL}"),
-    "psi.amplitude": (float, 1.0, lambda v: True, "any float"),
-    "psi.offset": (float, 0.0, lambda v: True, "any float"),
-    "time.dt": (float, 1e-3, lambda v: v > 0, "positive"),
-    "time.horizon": (float, 10.0, lambda v: v > 0, "positive multiple of dt"),
-    "alpha": (float, 1.0, lambda v: v > 0, "positive"),
+    "psi.amplitude": (float, 1.0, lambda v: True, "any finite float"),
+    "psi.offset": (float, 0.0, lambda v: True, "any finite float"),
+    "time.dt": (float, 1e-3, lambda v: v > 0, "finite positive"),
+    "time.horizon": (float, 10.0, lambda v: v > 0,
+                     "finite positive multiple of dt"),
+    "alpha": (float, 1.0, lambda v: v > 0, "finite positive"),
     "init.kind": (str, "random", lambda v: v in _INIT, f"one of {_INIT}"),
-    "init.amplitude": (float, 5.0, lambda v: v >= 0, "nonnegative"),
-    "solver.newton_tol": (float, 1e-13, lambda v: v > 0, "positive"),
+    "init.amplitude": (float, 5.0, lambda v: v >= 0, "finite nonnegative"),
+    "solver.newton_tol": (float, 1e-13, lambda v: v > 0, "finite positive"),
     "solver.newton_max_iter": (int, 30, lambda v: v >= 1, "integer >= 1"),
-    "periodic.tol": (float, 1e-8, lambda v: v > 0, "positive"),
+    "periodic.tol": (float, 1e-8, lambda v: v > 0, "finite positive"),
     "periodic.max_iters": (int, 500, lambda v: v >= 1, "integer >= 1"),
-    "periodic.theta": (float, 1.0, lambda v: 0 < v <= 1, "in (0, 1]"),
     "periodic.deltas": (_parse_floats, (1e-1, 1e-2, 1e-3),
                         lambda v: len(v) >= 1 and all(d >= 1e-6 for d in v)
                         and all(b < a for a, b in zip(v, v[1:])),
-                        "strictly decreasing, all >= 1e-6"),
+                        "finite, strictly decreasing, all >= 1e-6"),
     "macro.resolution": (int, 4, lambda v: v >= 1, "integer >= 1"),
     "macro.dimension": (int, 2, lambda v: v in (1, 2), "1 or 2"),
     "compare.epsilons": (_parse_floats, (0.5, 0.25, 0.125),
                          lambda v: len(v) >= 2 and all(b < a for a, b in zip(v, v[1:])),
-                         "strictly decreasing, at least two values"),
+                         "finite, strictly decreasing, at least two values"),
     "seed": (int, 1234, lambda v: v >= 0, "nonnegative integer"),
     "output.stride": (int, 10, lambda v: v >= 1, "integer >= 1"),
 }
@@ -128,8 +130,11 @@ class RunConfig:
 
 
 def _validated(key: str, value) -> None:
-    _, _, check, rng = _SCHEMA[key]
-    if not check(value):
+    parser, _, check, rng = _SCHEMA[key]
+    # every float, alone or in a tuple, must be finite (NaN included)
+    floats = value if parser is _parse_floats \
+        else (value,) if parser is float else ()
+    if not (all(map(math.isfinite, floats)) and check(value)):
         raise ConfigError(f"field {key} = {value!r} out of range; expected {rng}",
                           exit_code=3)
 
@@ -145,8 +150,13 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}", exit_code=2)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}", exit_code=2) \
+            from exc
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -187,7 +197,7 @@ def finalize_config(values: dict, source: Optional[str] = None) -> RunConfig:
             "fields geometry.inclusion_margin * geometry.cell_resolution must "
             f"be integral (got {am:.6g}); pick an aligned resolution", exit_code=3)
     steps = full["time.horizon"] / full["time.dt"]
-    if abs(steps - round(steps)) > 1e-6:
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-6:
         raise ConfigError(
             f"field time.horizon = {full['time.horizon']} is not a multiple "
             f"of time.dt = {full['time.dt']}", exit_code=3)

@@ -329,9 +329,9 @@ def tile_domain(cell: CellGeometry, epsilon: float,
     if epsilon <= 0:
         raise GeometryError(f"epsilon must be positive, got {epsilon}")
     inv = 1.0 / epsilon
-    if abs(inv - round(inv)) > 1e-9:
+    if not 1.0 <= inv < np.inf or abs(inv - round(inv)) > 1e-9:
         raise GeometryError(
-            f"1/epsilon must be an integer so the tiling closes; got "
+            f"1/epsilon must be a positive integer so the tiling closes; got "
             f"epsilon={epsilon} (1/epsilon={inv:.6g})")
     copies = int(round(inv))
     n = copies * cell.resolution

@@ -31,8 +31,7 @@ from .nonlinearity import BoundaryData, Nonlinearity
 
 __all__ = [
     "SolverParams", "BulkOperator", "SeriesFlux", "MicroState", "MicroSystem",
-    "elliptic_solve_given_jump",
-    "step", "simulate", "initial_jump", "difference_state",
+    "elliptic_solve_given_jump", "step", "simulate", "initial_jump",
     "dissipation_identity", "bulk_l2", "jump_l2", "gradient_l2",
     "sigma_gradient_energy",
 ]
@@ -281,49 +280,31 @@ def initial_jump(domain: EpsilonDomain, kind: str, amplitude: float,
                        domain.epsilon * amplitude, seed=seed)
 
 
-@dataclass(frozen=True)
-class DifferenceState:
-    """Snapshot of two solutions of the same discrete system at equal time."""
-
-    t: float
-    jump_a: np.ndarray
-    jump_b: np.ndarray
-
-    @property
-    def diff(self) -> np.ndarray:
-        return self.jump_a - self.jump_b
-
-
-def difference_state(state_a: MicroState, state_b: MicroState) -> DifferenceState:
-    if abs(state_a.t - state_b.t) >= 1e-12:
-        raise ValueError(
-            f"states at different times {state_a.t} and {state_b.t}")
-    return DifferenceState(t=state_a.t, jump_a=state_a.jump.copy(),
-                           jump_b=state_b.jump.copy())
-
-
-def dissipation_identity(prev: DifferenceState, curr: DifferenceState,
-                         system: MicroSystem) -> dict:
+def dissipation_identity(system: MicroSystem, prev: tuple, curr: tuple
+                         ) -> dict:
     """Discrete energy identity of the difference of two solutions.
 
-    Splits the tested implicit difference equation into the bulk gradient
-    term, the membrane storage rate and the membrane dissipation through the
-    secant slope of the law.  The three terms sum to the solver residual;
-    backward Euler makes the stored jump energy nonincreasing on top of it.
+    ``prev`` and ``curr`` are the jumps (w_a, w_b) of the two solutions at
+    the start and the end of one step.  Splits the tested implicit
+    difference equation into the bulk gradient term, the membrane storage
+    rate and the membrane dissipation through the secant slope of the law.
+    The three terms sum to the solver residual; backward Euler makes the
+    stored jump energy nonincreasing on top of it.
     """
     p = system.params
     eps = system.domain.epsilon
     s = system.weights
     dt = p.dt
-    r_new = curr.diff
-    r_old = prev.diff
+    (wa, wb), (wa_prev, wb_prev) = curr, prev
+    r_new = wa - wb
+    r_old = wa_prev - wb_prev
 
     bulk = float(r_new @ system.flux_map.apply(r_new))
     storage = float(p.alpha / eps * np.sum(s * (r_new - r_old) / dt * r_new))
-    df = system.law(curr.jump_a / eps) - system.law(curr.jump_b / eps)
+    df = system.law(wa / eps) - system.law(wb / eps)
     dissipation = float(np.sum(s * df * r_new))
 
-    secants = _secant_slopes(system.law, curr.jump_a / eps, curr.jump_b / eps)
+    secants = _secant_slopes(system.law, wa / eps, wb / eps)
     return {
         "bulk_term": bulk,
         "membrane_storage_delta": storage,

@@ -62,8 +62,7 @@ def poincare_map(system, w0: np.ndarray) -> np.ndarray:
 
 
 def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
-                  theta: float = 1.0, w0: Optional[np.ndarray] = None,
-                  method_tag: str = "picard") -> PeriodicOrbit:
+                  w0: Optional[np.ndarray] = None) -> PeriodicOrbit:
     """Anderson-accelerated fixed-point iteration on the period map.
 
     Each iteration runs one period at stride 1 from the iterate w and
@@ -71,13 +70,13 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
     meets ``tol`` is the returned orbit.  The next iterate mixes P(w) with
     the last ``ANDERSON_DEPTH`` iterates (Walker & Ni, type II) by the
     coefficients that minimize the extrapolated defect in the same norm;
-    ``theta`` is the mixing (damping) factor, and with no history the step
-    is the damped Picard step (1 - theta) w + theta P(w).  A defect above
-    the one before clears the history, so the next step is that Picard
-    step, whose defect is no larger (the map is nonexpansive).  The
-    damping halves, at most once per 20 iterations, while the defect drops
-    by less than 0.1% over the last 20, which can happen for laws whose
-    slope degenerates along the way.
+    ``theta`` is the mixing (damping) factor, 1 at the start, and with no
+    history the step is the damped Picard step (1 - theta) w + theta P(w).
+    A defect above the one before clears the history, so the next step is
+    that Picard step, whose defect is no larger (the map is nonexpansive).
+    The damping halves, at most once per 20 iterations, while the defect
+    drops by less than 0.1% over the last 20, which can happen for laws
+    whose slope degenerates along the way.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -85,6 +84,7 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
         raise ValueError("max_iters must be at least 1")
     root_w = np.sqrt(system.weights)
     w = np.zeros(system.weights.size) if w0 is None else w0.copy()
+    theta = 1.0
     defects = []
     window_start = 0      # index of the defect that opens the stall window
     d_w, d_f = [], []     # differences of consecutive iterates and defects
@@ -95,7 +95,7 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
         defects.append(defect)
         if defect <= tol:
             return PeriodicOrbit(jumps=jumps, dt=system.params.dt,
-                                 defect=defect, method=method_tag,
+                                 defect=defect, method="picard",
                                  iterations=it + 1)
         del jumps         # hold at most one period of jumps at a time
         if it > 0:
@@ -137,8 +137,8 @@ def find_periodic_regularized(system, deltas: Sequence[float] = (1e-1, 1e-2, 1e-
     for d in deltas:
         shifted = system.with_law(regularize(system.law, d))
         orbit = find_periodic(shifted, tol=tol, max_iters=max_iters,
-                              w0=w_start, method_tag="delta_sequence")
-        orbit.delta = d
+                              w0=w_start)
+        orbit.method, orbit.delta = "delta_sequence", d
         orbits.append(orbit)
         w_start = orbit.jumps[0].copy()   # warm start the next, smaller shift
     return orbits

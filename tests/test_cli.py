@@ -49,10 +49,11 @@ def test_unknown_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["solver.newton_shift",
-                                 "solver.linear_tol"])
+                                 "solver.linear_tol", "periodic.theta"])
 def test_removed_solver_key_exits_as_unknown(tmp_path, capsys, key):
-    # a step makes one attempt, with no shift to set, and verify's bulk
-    # solve keeps its fixed tolerance: neither knob is a key any more
+    # a step makes one attempt, with no shift to set, verify's bulk solve
+    # keeps its fixed tolerance, and the orbit iteration starts undamped:
+    # none of these knobs is a key any more
     cfg = write_cfg(tmp_path, FAST + f"{key} = 0.01\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
@@ -107,6 +108,34 @@ def test_horizon_must_divide(tmp_path):
     p = write_cfg(tmp_path, "time.dt = 0.01\ntime.horizon = 0.505\n")
     with pytest.raises(ConfigError) as err:
         parse_config(p)
+    assert err.value.exit_code == 3
+
+
+@pytest.mark.parametrize("key,value", [
+    ("geometry.epsilon", "inf"), ("compare.epsilons", "inf, 0.5"),
+    ("time.horizon", "inf"), ("conductivity.sigma_int", "inf"),
+    ("time.dt", "inf"), ("f.kappa", "inf"), ("periodic.tol", "inf"),
+    ("solver.newton_tol", "inf"), ("psi.amplitude", "nan"),
+    ("periodic.deltas", "inf, 0.1")])
+def test_non_finite_float_exits_3(tmp_path, capsys, key, value):
+    # each was a raw IndexError, OverflowError or LinAlgError past the
+    # CLI's error mapping, or a run that exited 0
+    cfg = write_cfg(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "geometry.epsilon = 5e-324\n",
+    "time.dt = 1e-300\ntime.horizon = 1e300\n"])
+def test_finite_floats_that_overflow_exit_3(tmp_path, text):
+    # 1/epsilon and horizon/dt overflow to inf, which no tiling closes and
+    # no step count divides
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_cfg(tmp_path, text))
     assert err.value.exit_code == 3
 
 
@@ -243,18 +272,6 @@ def test_one_sample_decay_report_is_strict_json(tmp_path, cmd, report):
     rep = _strict_json(out / report)
     assert rep["rate"] is None and rep["r_squared"] is None
     assert rep["classification"] == "too_few_samples"
-
-
-def test_homogenize_honours_periodic_theta(tmp_path):
-    iterations = []
-    for theta in (1.0, 0.5):
-        cfg = write_cfg(tmp_path, name=f"theta{theta}.cfg",
-                        **{"periodic.theta": theta})
-        out = tmp_path / f"out{theta}"
-        assert main(["homogenize", "--config", str(cfg), "--out", str(out)]) == 0
-        rep = json.loads((out / "homogenize_report.json").read_text())
-        iterations.append(rep["orbit"]["iterations"])
-    assert iterations[1] > iterations[0]
 
 
 def test_compare_monotone(tmp_path):

@@ -554,7 +554,7 @@ from types import SimpleNamespace
 import numpy as np
 import tissue as T
 from tissue.geometry import _check_domain
-from tissue.micro import MicroState, elliptic_solve_given_jump
+from tissue.micro import elliptic_solve_given_jump
 from tissue.periodic import PeriodicOrbit
 from tissue.twoscale import periodic_weak_residual
 
@@ -568,9 +568,6 @@ def raises(exc, fn, *args):
         return
     raise SystemExit(f"{fn.__name__} did not raise {exc.__name__}")
 
-z = np.zeros(2)
-raises(ValueError, T.difference_state, MicroState(0.0, z, z, z, z, z),
-       MicroState(0.5, z, z, z, z, z))
 orbit = lambda n: PeriodicOrbit(np.zeros((n + 1, 2)), 1.0 / n, 0.0, "x", 0)
 raises(ValueError, T.orbit_distance, None, orbit(2), orbit(4))
 raises(ValueError, periodic_weak_residual, None, orbit(2),

@@ -6,11 +6,10 @@ import pytest
 
 import tissue as T
 from tissue.errors import NonlinearityError
-from tissue.micro import (MicroSystem, SeriesFlux,
-                          bulk_l2, difference_state, dissipation_identity,
-                          elliptic_solve_given_jump, gradient_l2,
-                          initial_jump, jump_l2, sigma_gradient_energy,
-                          simulate, step)
+from tissue.micro import (MicroSystem, SeriesFlux, bulk_l2,
+                          dissipation_identity, elliptic_solve_given_jump,
+                          gradient_l2, initial_jump, jump_l2,
+                          sigma_gradient_energy, simulate, step)
 
 from conftest import (make_micro, record_passes, rel_gap, steps_agree,
                       stepper_on)
@@ -291,11 +290,8 @@ def test_common_factor_scaling_linear(small_domain):
 def test_dissipation_identity_zero_difference(small_domain):
     system = make_micro(small_domain)
     w = initial_jump(small_domain, "random", 2.0, seed=13)
-    sa = system.state_at(0.0, w)
-    prev = difference_state(sa, sa)
-    nxt = step(system, sa)
-    curr = difference_state(nxt, nxt)
-    terms = dissipation_identity(prev, curr, system)
+    nxt = step(system, system.state_at(0.0, w)).jump
+    terms = dissipation_identity(system, (w, w), (nxt, nxt))
     assert terms["bulk_term"] == 0.0
     assert terms["membrane_storage_delta"] == 0.0
     assert terms["membrane_dissipation"] == 0.0
@@ -308,9 +304,8 @@ def test_dissipation_identity_terms_sum_to_residual(small_domain):
     ta = simulate(system, wa, 0.5)
     tb = simulate(system, wb, 0.5)
     for i in range(1, len(ta.ts)):
-        prev = difference_state(ta.state(i - 1), tb.state(i - 1))
-        curr = difference_state(ta.state(i), tb.state(i))
-        terms = dissipation_identity(prev, curr, system)
+        terms = dissipation_identity(system, (ta.jumps[i - 1], tb.jumps[i - 1]),
+                                     (ta.jumps[i], tb.jumps[i]))
         assert abs(terms["residual_sum"]) < 1e-10
         assert terms["membrane_dissipation"] >= -1e-12
         assert terms["bulk_term"] >= -1e-12
@@ -339,12 +334,11 @@ def test_dissipation_identity_linear_matches_dense(small_domain):
     wb = initial_jump(small_domain, "random", 3.0, seed=6)
     ta = simulate(system, wa, 0.1)
     tb = simulate(system, wb, 0.1)
-    prev = difference_state(ta.state(len(ta) - 2), tb.state(len(tb) - 2))
-    curr = difference_state(ta.state(len(ta) - 1), tb.state(len(tb) - 1))
-    terms = dissipation_identity(prev, curr, system)
+    terms = dissipation_identity(system, (ta.jumps[-2], tb.jumps[-2]),
+                                 (ta.jumps[-1], tb.jumps[-1]))
     eps = small_domain.epsilon
     s = system.weights
-    r = curr.diff
+    r = ta.jumps[-1] - tb.jumps[-1]
     dense_dissip = float(np.sum(s * kappa / eps * r * r))
     assert terms["membrane_dissipation"] == pytest.approx(dense_dissip, rel=1e-10)
     assert abs(terms["residual_sum"]) < 1e-10
@@ -354,11 +348,9 @@ def test_secant_range_reported(small_domain):
     system = make_micro(small_domain, law=("sin",))
     wa = initial_jump(small_domain, "random", 5.0, seed=1)
     wb = initial_jump(small_domain, "random", 5.0, seed=2)
-    sa = system.state_at(0.0, wa)
-    sb = system.state_at(0.0, wb)
-    d0 = difference_state(sa, sb)
-    na, nb = step(system, sa), step(system, sb)
-    terms = dissipation_identity(d0, difference_state(na, nb), system)
+    na = step(system, system.state_at(0.0, wa)).jump
+    nb = step(system, system.state_at(0.0, wb)).jump
+    terms = dissipation_identity(system, (wa, wb), (na, nb))
     assert 0.0 <= terms["secant_min"] <= terms["secant_max"] <= 2.0 + 1e-12
 
 

@@ -46,9 +46,24 @@ def test_csv_columns_and_comment_lines(tmp_path):
     b = "# tissue 0.1 config bbbb\nt,x,y\n0.0,1.0,2.0\n0.5,4.004,1e-15\n"
     n, lines = _diff(tmp_path, {"run/s.csv": a}, {"run/s.csv": b})
     assert n == 0
-    assert lines[0].startswith("run/s.csv  max rel 9.990e-04")
-    assert lines[0].endswith("at x")
-    assert lines[1:] == [f"    x  {artifact_diff.rel_dev(4.0, 4.004):.3e}"]
+    assert lines[0] == \
+        "run/s.csv  max rel 9.990e-04  at x  max abs 4.000e-03  at x"
+    assert lines[1:] == [f"    x  {artifact_diff.rel_dev(4.0, 4.004):.3e}"
+                         "  abs 4.000e-03"]
+
+
+def test_absolute_deviation_beside_the_relative_one(tmp_path):
+    # a roundoff-sized column that moves by 1.45e-12 reads 0.31 relative
+    # past the floor; its absolute deviation shows the move is roundoff
+    a = "t,x,r\n0.0,1.0,0.0\n1.0,2.0,3e-13\n"
+    b = "t,x,r\n0.0,1.0,1.45e-12\n1.0,2.0000001,3e-13\n"
+    n, lines = _diff(tmp_path, {"s.csv": a}, {"s.csv": b})
+    rel_x = artifact_diff.rel_dev(2.0, 2.0000001)
+    assert n == 0
+    assert lines == [
+        "s.csv  max rel 3.103e-01  at r  max abs 1.000e-07  at x",
+        f"    x  {rel_x:.3e}  abs 1.000e-07",
+        "    r  3.103e-01  abs 1.450e-12"]
 
 
 def test_json_numbers_and_non_numeric_differences(tmp_path):
@@ -61,7 +76,7 @@ def test_json_numbers_and_non_numeric_differences(tmp_path):
                      {"r.json": json.dumps(b)})
     assert n == 2
     assert lines[0].startswith("r.json  max rel 1.00")
-    assert lines[0].endswith("at /rate")
+    assert lines[0].endswith("max abs 2.000e-07  at /rate")
     assert "    differs: /gone: in one file only" in lines
     assert "    differs: /fit/class: 'exponential' against " \
         "'subexponential'" in lines
@@ -73,7 +88,7 @@ def test_missing_files_and_changed_shape(tmp_path):
                       "notes.txt": "ignored"},
                      {"one.csv": "t,x\n0,1\n"})
     assert n == 2
-    assert lines[0] == "one.csv  max rel 0.000e+00"
+    assert lines[0] == "one.csv  max rel 0.000e+00  max abs 0.000e+00"
     assert lines[1] == "    differs: 2 rows against 1"
     assert lines[2].startswith("only_a.json  only in ")
 

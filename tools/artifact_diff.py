@@ -3,13 +3,15 @@
 Usage:  python tools/artifact_diff.py DIR_A DIR_B
 
 For every CSV and JSON file under either directory, prints the largest
-relative deviation of its numeric fields, with the field where it occurs,
-and for a CSV file also each column that deviates.  The deviation of a pair
-is (|a - b| - 1e-12) / max(|a|, |b|), or 0 if that is negative: the
-smallest relative tolerance at which ``numpy.isclose`` with an absolute
-tolerance of 1e-12 accepts the pair.  The floor keeps roundoff in values
-that are themselves roundoff-sized (a decayed gap norm, a jump crossing
-zero) from reading as a large relative change.  CSV lines that start with
+relative and the largest absolute deviation of its numeric fields, each
+with the field where it occurs, and for a CSV file also each column that
+deviates, with both.  The relative deviation of a pair is
+(|a - b| - 1e-12) / max(|a|, |b|), or 0 if that is negative: the smallest
+relative tolerance at which ``numpy.isclose`` with an absolute tolerance
+of 1e-12 accepts the pair.  The floor keeps roundoff in values that are
+themselves roundoff-sized (a decayed gap norm, a jump crossing zero) from
+reading as a large relative change; the absolute deviation |a - b| shows
+the size of a move that still passes the floor.  CSV lines that start with
 ``#`` (the version and config-hash comment) are skipped.  Everything that
 does not compare as numbers is listed as a difference: a file present in
 one directory only, a changed header, row count or JSON key, a changed
@@ -35,6 +37,11 @@ def rel_dev(a: float, b: float) -> float:
     return max(abs(a - b) - FLOOR, 0.0) / max(abs(a), abs(b))
 
 
+def deviation(a: float, b: float) -> tuple[float, float]:
+    """The relative and the absolute deviation of a pair."""
+    return rel_dev(a, b), 0.0 if a == b else abs(a - b)
+
+
 def _number(text: str):
     try:
         return float(text)
@@ -43,8 +50,8 @@ def _number(text: str):
 
 
 def compare_csv(path_a: Path, path_b: Path, other: list) -> dict:
-    """Largest deviation per column; non-numeric differences go to
-    ``other``."""
+    """Largest (relative, absolute) deviation per column; non-numeric
+    differences go to ``other``."""
     def rows(path):
         with path.open(newline="") as fh:
             return list(csv.reader(line for line in fh
@@ -57,7 +64,7 @@ def compare_csv(path_a: Path, path_b: Path, other: list) -> dict:
     header = rows_a[0]
     if len(rows_a) != len(rows_b):
         other.append(f"{len(rows_a) - 1} rows against {len(rows_b) - 1}")
-    dev = dict.fromkeys(header, 0.0)
+    dev = dict.fromkeys(header, (0.0, 0.0))
     for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
         if len(ra) != len(rb):
             other.append(f"row {i}: {len(ra)} fields against {len(rb)}")
@@ -65,19 +72,20 @@ def compare_csv(path_a: Path, path_b: Path, other: list) -> dict:
         for name, a, b in zip(header, ra, rb):
             x, y = _number(a), _number(b)
             if x is not None and y is not None:
-                dev[name] = max(dev[name], rel_dev(x, y))
+                dev[name] = tuple(map(max, dev[name], deviation(x, y)))
             elif a != b:
                 other.append(f"row {i} {name}: {a!r} against {b!r}")
     return dev
 
 
 def compare_json(a, b, where: str, dev: dict, other: list) -> None:
-    """Deviation of every number of two JSON values, keyed by its path."""
+    """(Relative, absolute) deviation of every number of two JSON values,
+    keyed by its path."""
     def numeric(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
     if numeric(a) and numeric(b):
-        dev[where] = rel_dev(float(a), float(b))
+        dev[where] = deviation(float(a), float(b))
     elif isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) ^ set(b)):
             other.append(f"{where}/{key}: in one file only")
@@ -115,13 +123,17 @@ def diff_dirs(dir_a: Path, dir_b: Path, out=sys.stdout) -> int:
             compare_json(json.loads((dir_a / name).read_text()),
                          json.loads((dir_b / name).read_text()), "", dev,
                          other)
-        worst = max(dev, key=dev.get, default=None)
-        print(f"{name}  max rel {dev.get(worst, 0.0):.3e}"
-              + (f"  at {worst}" if dev.get(worst) else ""), file=out)
+        line = name
+        for i, kind in enumerate(("rel", "abs")):
+            worst = max(dev, key=lambda k: dev[k][i], default=None)
+            value = dev[worst][i] if dev else 0.0
+            line += f"  max {kind} {value:.3e}" + (f"  at {worst}" if value
+                                                  else "")
+        print(line, file=out)
         if name.endswith(".csv"):
-            for col, value in dev.items():
-                if value > 0.0:
-                    print(f"    {col}  {value:.3e}", file=out)
+            for col, (rel, ab) in dev.items():
+                if rel > 0.0:
+                    print(f"    {col}  {rel:.3e}  abs {ab:.3e}", file=out)
         for line in other:
             print(f"    differs: {line}", file=out)
         n_other += len(other)
