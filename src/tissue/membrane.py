@@ -253,7 +253,8 @@ class JumpStepper:
 
     def step(self, t_next: float, w_prev: np.ndarray | StepResult,
              dt: float) -> StepResult:
-        # ``dt`` is the step length the benchmark's tracer passes on
+        # the step length is params.dt; the argument stays because the
+        # benchmark's tracer (benchmark/tracing.py) wraps this signature
         if dt != self.params.dt:
             raise ValueError(f"the stepper steps at dt = {self.params.dt}, "
                              f"not {dt}")

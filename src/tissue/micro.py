@@ -280,8 +280,8 @@ def initial_jump(domain: EpsilonDomain, kind: str, amplitude: float,
                        domain.epsilon * amplitude, seed=seed)
 
 
-def dissipation_identity(system: MicroSystem, prev: tuple, curr: tuple
-                         ) -> dict:
+def dissipation_identity(system: MicroSystem, prev: tuple,
+                         curr: tuple) -> dict:
     """Discrete energy identity of the difference of two solutions.
 
     ``prev`` and ``curr`` are the jumps (w_a, w_b) of the two solutions at

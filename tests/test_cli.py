@@ -128,15 +128,19 @@ def test_non_finite_float_exits_3(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    "geometry.epsilon = 5e-324\n",
-    "time.dt = 1e-300\ntime.horizon = 1e300\n"])
-def test_finite_floats_that_overflow_exit_3(tmp_path, text):
-    # 1/epsilon and horizon/dt overflow to inf, which no tiling closes and
-    # no step count divides
+@pytest.mark.parametrize("data,code", [
+    (b"geometry.epsilon = 5e-324\n", 3),
+    (b"time.dt = 1e-300\ntime.horizon = 1e300\n", 3),
+    (b"time.dt = 0.01 \xff\n", 2)])
+def test_config_fuzz_findings_exit_2_or_3(tmp_path, data, code):
+    # raw tracebacks that tests/test_config_fuzz.py found: 1/epsilon and
+    # horizon/dt overflow to inf, which no tiling closes and no step count
+    # divides, and a file that is not UTF-8 text
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
     with pytest.raises(ConfigError) as err:
-        parse_config(write_cfg(tmp_path, text))
-    assert err.value.exit_code == 3
+        parse_config(path)
+    assert err.value.exit_code == code
 
 
 def test_misaligned_membrane_rejected(tmp_path):

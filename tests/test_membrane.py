@@ -381,16 +381,10 @@ def test_step_from_an_unusable_result_is_a_plain_start(stack, cell8,
     assert got.history == want.history
 
 
-@pytest.mark.parametrize("stack", ["micro", "twoscale"])
-def test_step_at_another_dt_is_rejected(stack, small_domain):
+def test_step_at_another_dt_is_rejected(system_and_w0):
     # the stepper steps at params.dt only: its frozen factor, corrector
     # slope and held block all belong to that step length
-    if stack == "micro":
-        system = make_micro(small_domain, law=("sin",))
-        w0 = initial_jump(small_domain, "random", 5.0, seed=3)
-    else:
-        system = make_two_scale(law=("sin",))
-        w0 = initial_two_scale_jump(system, "random", 5.0, seed=3)
+    system, w0 = system_and_w0
     dt = system.params.dt
     res = system.stepper.step(dt, w0, dt)
     for prev in (w0, res):

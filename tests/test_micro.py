@@ -304,7 +304,8 @@ def test_dissipation_identity_terms_sum_to_residual(small_domain):
     ta = simulate(system, wa, 0.5)
     tb = simulate(system, wb, 0.5)
     for i in range(1, len(ta.ts)):
-        terms = dissipation_identity(system, (ta.jumps[i - 1], tb.jumps[i - 1]),
+        terms = dissipation_identity(system, (ta.jumps[i - 1],
+                                              tb.jumps[i - 1]),
                                      (ta.jumps[i], tb.jumps[i]))
         assert abs(terms["residual_sum"]) < 1e-10
         assert terms["membrane_dissipation"] >= -1e-12

@@ -10,8 +10,8 @@ deviates, with both.  The relative deviation of a pair is
 relative tolerance at which ``numpy.isclose`` with an absolute tolerance
 of 1e-12 accepts the pair.  The floor keeps roundoff in values that are
 themselves roundoff-sized (a decayed gap norm, a jump crossing zero) from
-reading as a large relative change; the absolute deviation |a - b| shows
-the size of a move that still passes the floor.  CSV lines that start with
+reading as a large relative change; the absolute deviation |a - b| next
+to it tells a roundoff-sized move from a real one.  CSV lines that start with
 ``#`` (the version and config-hash comment) are skipped.  Everything that
 does not compare as numbers is listed as a difference: a file present in
 one directory only, a changed header, row count or JSON key, a changed
