@@ -94,7 +94,7 @@ def _two_scale_system(cfg: RunConfig) -> TwoScaleSystem:
                           macro_dim=cfg["macro.dimension"])
 
 
-def _run_header(cfg: RunConfig, system: MicroSystem) -> dict:
+def _run_header(system: MicroSystem) -> dict:
     return {
         "geometry": system.domain.summary(),
         "membrane_law": system.law.describe(),
@@ -130,7 +130,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
     _write_csv(out / "simulate.csv", cfg,
                ["t", "L2_bulk", "L2_grad", "L2_jump", "dissipation_residual",
                 "newton_iters"], rows)
-    _write_json(out / "run_header.json", cfg, _run_header(cfg, system))
+    _write_json(out / "run_header.json", cfg, _run_header(system))
     log.info("simulate: %d steps, max newton iters %d",
              len(traj.newton_iters), int(traj.newton_iters.max(initial=0)))
     return 0
@@ -174,7 +174,7 @@ def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
               "energy_check": energy}
     report.update(extra)
     _write_json(out / "periodic_report.json", cfg, report)
-    _write_json(out / "run_header.json", cfg, _run_header(cfg, system))
+    _write_json(out / "run_header.json", cfg, _run_header(system))
     return 0
 
 
@@ -219,7 +219,7 @@ def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
     _write_csv(out / "decay.csv", cfg,
                ["t", "norm_L2", "norm_grad", "norm_jump", "E"], rows)
     _write_json(out / "decay_report.json", cfg, report.as_dict())
-    _write_json(out / "run_header.json", cfg, _run_header(cfg, system))
+    _write_json(out / "run_header.json", cfg, _run_header(system))
     return 0
 
 
@@ -270,8 +270,8 @@ def _cmd_compare(cfg: RunConfig, out: Path, args) -> int:
     system = _two_scale_system(cfg)
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
-    traj = simulate_two_scale(system, w0, 1.0,
-                              stride=int(round(1.0 / system.params.dt)))
+    traj = simulate(system, w0, 1.0,
+                    stride=int(round(1.0 / system.params.dt)))
     state = system.state_at(1.0, traj.jumps[-1])
     results = [_compare_one(cfg, system, state, e)
                for e in cfg["compare.epsilons"]]

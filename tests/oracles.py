@@ -23,7 +23,12 @@ gradient as a dense array, the reference for its stencil, and
 ``dense_schur`` and ``dense_capacitance`` are the dense macro-sized
 matrices the two-scale system assembles in band storage;
 ``penalized_cell_solve`` pins the cell operator's constant mode
-with a dense mean penalty instead of grounding.  ``dense_flux`` is either
+with a dense mean penalty instead of grounding.  ``corrector_for`` solves
+one cell problem for one macro gradient and one cell's jumps, the reference
+for the per-node correctors that the two-scale states rebuild from two
+stored cell responses, and ``one_sided_membrane_fluxes`` takes a two-scale
+state's membrane fluxes from either trace side, the continuity reference
+for its flux.  ``dense_flux`` is either
 system's flux map with its dense response, the reference for single steps
 through ``dense_newton_step``.
 """
@@ -371,7 +376,7 @@ def dense_two_scale(system):
 
     Returns the dense response and load of the production flux map, and the
     jump lift and drive lift of the (macro, corrector) block that
-    ``TwoScaleSystem.recover`` applies without forming them.
+    ``TwoScaleSystem.state_at`` applies without forming them.
     """
     n_nodes, n_y = system.n_nodes, system.n_y
     n_z = n_nodes + n_nodes * n_y
@@ -539,6 +544,39 @@ def penalized_cell_solve(op, rhs: np.ndarray) -> np.ndarray:
     return spla.splu(op.A + sp.csc_matrix(pen)).solve(rhs)
 
 
+def corrector_for(op, gradient: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Zero-mean corrector of the cell operator ``op`` for one macro
+    gradient and one cell's membrane jumps, from one grounded cell solve of
+    its own face drive: the reference for the per-node correctors that
+    ``TwoScaleSystem`` rebuilds from its two stored cell responses."""
+    d = op.data
+    face_drive = d.axis_select @ np.asarray(gradient, dtype=float) \
+        + d.slope_w @ w
+    return op.solve(-d.slope_c.T @ (d.vol * d.sigma_face * face_drive))
+
+
+def one_sided_membrane_fluxes(system, state):
+    """Per-facet membrane fluxes of a two-scale state, one from each trace
+    side, with the node gradients from the dense Gbar: the continuity
+    reference for the state's flux."""
+    cfd = system.cfd
+    si, so = system.cond.sigma_int, system.cond.sigma_out
+    half = 0.5 * cfd.spacing
+    gbar, gbar_load = dense_gbar(system.macro)
+    grads = (gbar @ state.macro + system.drive.temporal(state.t)
+             * gbar_load).reshape(system.n_nodes, -1)
+    facets = system.cell.facets
+    w = state.jump
+    gd = grads[:, facets.axis] * facets.sign
+    c_in = state.corrector[:, facets.inner_cell]
+    c_out = state.corrector[:, facets.outer_cell]
+    trace_in = ((so - si) * gd * half + si * c_in
+                + so * (c_out - w)) / (si + so)
+    q_in = si * (gd + (trace_in - c_in) / half)
+    q_out = so * (gd + (c_out - trace_in - w) / half)
+    return q_in, q_out
+
+
 def cell_responses(system, solve=penalized_cell_solve):
     """The cell solves x_g, x_w of unit macro gradients and unit jumps and
     the macro gradient block e_g of their energy, as ``TwoScaleSystem``
@@ -589,8 +627,8 @@ def per_step_weak_sum(system, ts, jumps, test, dt) -> float:
     for n in range(1, len(ts)):
         phi, phic, phiw = tests[n]
         t = float(ts[n])
-        macro, corr = system.recover(t, jumps[n])
-        x = np.concatenate([macro, corr.reshape(-1), jumps[n]])
+        st = system.state_at(t, jumps[n])
+        x = np.concatenate([st.macro, st.corrector.reshape(-1), jumps[n]])
         v = np.concatenate([phi.reshape(-1), phic.reshape(-1),
                             phiw.reshape(-1)])
         vals = samples @ x + system.drive.temporal(t) * sample_load

@@ -1,10 +1,17 @@
-"""Property test of the implicit step against a dense Newton reference.
+"""Property tests of the implicit step and of short runs, on both stacks.
 
-Hypothesis draws the law and its kappa, the conductivity contrast, the
-start amplitude and the step's dt, on both stacks.  The amplitude range
-covers starts whose chord passes hand over to Newton; the derandomized
-draws need not hit that narrow band, so two explicit cubic examples (one
-per stack) are such starts.
+The step against a dense Newton reference: Hypothesis draws the law and
+its kappa, the conductivity contrast, the start amplitude and the step's
+dt.  The amplitude range covers starts whose chord passes hand over to
+Newton; the derandomized draws need not hit that narrow band, so two
+explicit cubic examples (one per stack) are such starts.
+
+The structure of short runs: Hypothesis draws the law and its kappa, the
+conductivity contrast and the drive profile (spatial and temporal kind,
+amplitude and offset), and the runs keep the paper's discrete invariants
+at the bounds of the ``verify`` suite: the paired-jump Lyapunov energy
+never rises, negating the drive and the start negates every jump, and zero
+drive from a zero start gives zero jumps.
 """
 
 import numpy as np
@@ -14,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import tissue as T  # noqa: E402
+from tissue.decay import lyapunov_series  # noqa: E402
 from tissue.micro import initial_jump  # noqa: E402
 from tissue.twoscale import initial_two_scale_jump  # noqa: E402
 
@@ -22,17 +30,18 @@ from oracles import dense_flux, dense_newton_step  # noqa: E402
 from test_twoscale import make_two_scale  # noqa: E402
 
 
-def _system(stack, domain, contrast, kind, kappa, dt):
-    """A system, its start-data family and its dense flux response."""
+def _system(stack, domain, contrast, kind, kappa, dt,
+            drive=("affine", "sin", 1.0)):
+    """A system and its start-data family."""
     cond = (contrast, 1.0)
     if stack == "micro":
-        system = make_micro(domain, cond=cond, law=(kind,), dt=dt, kappa=kappa)
-        return system, lambda a, s: initial_jump(domain, "random", a, seed=s), \
-            dense_flux(system)
-    system = make_two_scale(cond=cond, law=(kind,), dt=dt, kappa=kappa)
+        system = make_micro(domain, cond=cond, law=(kind,), drive=drive,
+                            dt=dt, kappa=kappa)
+        return system, lambda a, s: initial_jump(domain, "random", a, seed=s)
+    system = make_two_scale(cond=cond, law=(kind,), drive=drive, dt=dt,
+                            kappa=kappa)
     return system, \
-        lambda a, s: initial_two_scale_jump(system, "random", a, seed=s), \
-        dense_flux(system)
+        lambda a, s: initial_two_scale_jump(system, "random", a, seed=s)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -50,8 +59,8 @@ def _system(stack, domain, contrast, kind, kappa, dt):
          amplitude=5.0, dt=1e-2, t_next=1e-2, seed=1)
 def test_step_matches_dense_newton(small_domain, stack, kind, kappa, contrast,
                                    amplitude, dt, t_next, seed):
-    system, start, dense = _system(stack, small_domain, contrast, kind, kappa,
-                                   dt)
+    system, start = _system(stack, small_domain, contrast, kind, kappa, dt)
+    dense = dense_flux(system)
     stepper = system.stepper
     w_prev = start(amplitude, seed)
     res = stepper.step(t_next, w_prev, dt)
@@ -65,3 +74,35 @@ def test_step_matches_dense_newton(small_domain, stack, kind, kappa, contrast,
         assert (res.iterations, res.factorizations) == (1, 1)
     else:
         assert 1 <= res.factorizations <= res.iterations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stack=st.sampled_from(["micro", "twoscale"]),
+       kind=st.sampled_from(["linear", "tanh", "sin", "cubic"]),
+       kappa=st.floats(0.1, 3.0),
+       contrast=st.floats(0.2, 5.0),
+       spatial=st.sampled_from(["constant", "affine", "sines"]),
+       temporal=st.sampled_from(["constant", "sin", "offset_sin"]),
+       amplitude=st.floats(-3.0, 3.0),
+       offset=st.floats(-1.0, 1.0))
+def test_runs_dissipate_are_odd_and_stay_zero_at_zero_data(
+        small_domain, stack, kind, kappa, contrast, spatial, temporal,
+        amplitude, offset):
+    horizon = 1.0       # one period of the periodic drives
+
+    def build(amp):
+        return _system(stack, small_domain, contrast, kind, kappa, 1e-2,
+                       drive=(spatial, temporal, amp, offset))
+
+    system, start = build(amplitude)
+    wa, wb = start(3.0, 1), start(3.0, 2)
+    ta, tb = (T.simulate(system, w, horizon) for w in (wa, wb))
+    # the paired-jump energy of two runs never rises beyond the slack
+    assert lyapunov_series(ta, tb).monotone
+    # negated drive and start negate every jump, to 1e-10 of the jump size
+    tneg = T.simulate(build(-amplitude)[0], -wa, horizon)
+    scale = max(1.0, float(np.max(np.abs(ta.jumps))))
+    assert np.max(np.abs(tneg.jumps + ta.jumps)) <= 1e-10 * scale
+    # zero drive from a zero start gives zero jumps
+    tzero = T.simulate(build(0.0)[0], np.zeros_like(wa), horizon)
+    assert np.max(np.abs(tzero.jumps)) <= 1e-13

@@ -31,9 +31,10 @@ from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
 
 from conftest import record_passes, rel_gap, steps_agree, stepper_on
 from oracles import (DenseTwoScale, FluxResponse, assemble_samples,
-                     band_to_dense, cell_responses, dense_capacitance,
-                     dense_gbar, dense_schur, dense_two_scale,
-                     minus_node_blocks, penalized_cell_solve,
+                     band_to_dense, cell_responses, corrector_for,
+                     dense_capacitance, dense_gbar, dense_schur,
+                     dense_two_scale, minus_node_blocks,
+                     one_sided_membrane_fluxes, penalized_cell_solve,
                      per_pattern_samples, per_sample_mean_defects,
                      per_step_weak_sum)
 
@@ -63,7 +64,7 @@ def test_cell_operator_no_corrector_without_contrast_or_jump():
     cell = T.build_cell_geometry(0.25, 8)
     cond = T.make_conductivity(cell, 2.0, 2.0)
     op = CellOperator(cell, cond)
-    c = op.corrector_for(np.array([1.0, 0.0]), np.zeros(len(cell.facets)))
+    c = corrector_for(op, np.array([1.0, 0.0]), np.zeros(len(cell.facets)))
     assert np.max(np.abs(c)) < 1e-14
 
 
@@ -71,7 +72,7 @@ def test_cell_operator_contrast_induces_corrector():
     cell = T.build_cell_geometry(0.25, 8)
     cond = T.make_conductivity(cell, 5.0, 1.0)
     op = CellOperator(cell, cond)
-    c = op.corrector_for(np.array([1.0, 0.0]), np.zeros(len(cell.facets)))
+    c = corrector_for(op, np.array([1.0, 0.0]), np.zeros(len(cell.facets)))
     assert np.max(np.abs(c)) > 1e-3
     assert abs(op.data.vol * c.sum()) < 1e-14
 
@@ -150,9 +151,9 @@ def test_linear_step_matches_dense_monolithic_oracle(dim, macro_res, cell_res):
     macro_d, corr_d, w_d = dense.step(kappa, w_prev, 0.37)
     scale = max(1.0, np.max(np.abs(w_d)))
     assert np.max(np.abs(res.jump - w_d)) / scale < 1e-9
-    macro, corr = system.recover(0.37, res.jump)
-    assert np.max(np.abs(macro - macro_d)) < 1e-9
-    assert np.max(np.abs(corr - corr_d)) < 1e-9
+    st = system.state_at(0.37, res.jump)
+    assert np.max(np.abs(st.macro - macro_d)) < 1e-9
+    assert np.max(np.abs(st.corrector - corr_d)) < 1e-9
 
 
 # -- per-node condensation against the stacked dense elimination -------------
@@ -183,14 +184,13 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
     # matrix-free reconstruction against the stacked (macro, corrector) lift
     drive = system.drive.temporal(0.37)
     for w in rng.normal(size=(2, system.n_w)):
-        macro, corr = system.recover(0.37, w)
+        st = system.state_at(0.37, w)
         want = dense.lift_jump @ w + drive * dense.lift_drive
-        assert rel_gap(np.concatenate([macro, corr.reshape(-1)]), want) \
-            <= 1e-12
+        assert rel_gap(np.concatenate([st.macro, st.corrector.reshape(-1)]),
+                       want) <= 1e-12
         # the state's flux comes from its own node gradients, not ``apply``
-        flux = system.state_at(0.37, w).flux.reshape(-1)
         want = (drive * dense.load - dense.response @ w) / system.weights
-        assert rel_gap(flux, want) <= 1e-12
+        assert rel_gap(st.flux.reshape(-1), want) <= 1e-12
     # decay norms of a stack of gaps against norms of their dense lifts
     w, w_orbit = rng.normal(size=(2, 3, system.n_w))
     dw = w - w_orbit
@@ -204,6 +204,22 @@ def test_node_flux_matches_stacked_dense_elimination(dim, macro_res, cell_res,
                               "norm_corrector_grad")]
     assert rel_gap(np.array(got), np.array([np.hypot(l2, grad), cl2, cgrad])) \
         <= 1e-12
+
+
+@pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
+def test_flux_product_is_the_stacked_field_path(dim, macro_res, cell_res,
+                                                cond):
+    # ``apply``, the one-vector product every correction runs, keeps its
+    # own copy of the field path: it equals W R_b + G V' with G the node
+    # gradients of the stacked ``macro_fields`` at drive 0, bit for bit
+    system = make_two_scale(cond=cond, macro_res=macro_res, dim=dim,
+                            cell_res=cell_res)
+    fl = system.flux_map
+    rng = np.random.default_rng(53)
+    for w in rng.normal(size=(2, system.n_w)):
+        g = fl.macro_fields(w[None], np.zeros(1))[1][0]
+        want = w.reshape(fl.n_nodes, -1) @ fl.r_block + g @ fl.v.T
+        assert np.array_equal(fl.apply(w), want.reshape(-1))
 
 
 @pytest.mark.parametrize("dim,macro_res,cell_res,cond", CONDENSATION_GRID)
@@ -245,8 +261,7 @@ def test_unchecked_lapack_solves_equal_the_scipy_wrappers(dim, macro_res,
     for w in rng.normal(size=(2, system.n_w)):
         rhs = mac.gbar_t((w.reshape(fl.n_nodes, -1) @ fl.v).reshape(-1)) \
             + drive * fl.load_u
-        macro, _ = system.recover(0.37, w)
-        assert np.array_equal(macro,
+        assert np.array_equal(system.state_at(0.37, w).macro,
                               -cho_solve_banded((fl.schur_cf, True), rhs))
 
 
@@ -408,7 +423,7 @@ def test_grounded_cell_solves_equal_the_mean_penalty(dim, macro_res, cell_res,
         drive = cfd.axis_select @ g + cfd.slope_w @ w
         c = penalized_cell_solve(
             op, -cfd.slope_c.T @ (cfd.vol * cfd.sigma_face * drive))
-        assert rel_gap(op.corrector_for(g, w), c - cfd.vol * c.sum()) \
+        assert rel_gap(corrector_for(op, g, w), c - cfd.vol * c.sum()) \
             <= 1e-12
 
 
@@ -478,8 +493,8 @@ def test_held_factors_are_read_only():
             arr[(0,) * arr.ndim] = 1.0
     traj = simulate_two_scale(system, w, 5 * dt)
     assert traj.factorizations.sum() == 0
-    macro, corr = system.recover(0.37, traj.jumps[-1])
-    assert np.isfinite(macro).all() and np.isfinite(corr).all()
+    st = system.state_at(0.37, traj.jumps[-1])
+    assert np.isfinite(st.macro).all() and np.isfinite(st.corrector).all()
 
 
 def _oracle_stepper(system):
@@ -549,7 +564,7 @@ def test_9216_jumps_past_the_old_lift_budget_step_and_rebuild_correctors():
     grads = (gbar @ st.macro + system.drive.temporal(st.t)
              * gbar_load).reshape(system.n_nodes, -1)
     for g, w, corr in zip(grads, st.jump, st.corrector):
-        assert rel_gap(corr, system.cell_op.corrector_for(g, w)) <= 1e-12
+        assert rel_gap(corr, corrector_for(system.cell_op, g, w)) <= 1e-12
 
 
 def test_bulk_hessian_matches_dense_loops():
@@ -575,7 +590,7 @@ def test_membrane_flux_continuity_two_scale():
     system = make_two_scale(cond=(4.0, 1.0), law=("sin",), macro_res=2)
     w0 = initial_two_scale_jump(system, "random", 2.0, seed=2)
     st = system.state_at(0.2, w0)
-    q_in, q_out = system.one_sided_membrane_fluxes(st)
+    q_in, q_out = one_sided_membrane_fluxes(system, st)
     scale = max(1.0, np.max(np.abs(q_in)))
     assert np.max(np.abs(q_in - q_out)) / scale < 1e-8
     assert np.max(np.abs(q_in - st.flux)) / scale < 1e-10
@@ -725,9 +740,9 @@ def test_stacked_state_is_the_stack_of_sample_states():
     for i, (t, w) in enumerate(zip(ts, ws)):
         one = system.state_at(float(t), w)
         for name in ("macro", "corrector", "jump", "flux"):
-            assert rel_gap(getattr(stacked, name)[i], getattr(one, name)) \
-                <= 1e-13, name
-        assert abs(stacked.mean_defect[i] - one.mean_defect) <= 1e-15
+            assert np.array_equal(getattr(stacked, name)[i],
+                                  getattr(one, name)), name
+        assert stacked.mean_defect[i] == one.mean_defect
 
 
 def test_decay_metrics_serves_two_scale_runs():
@@ -988,8 +1003,8 @@ def test_transient_energy_bound():
     jump_sq = 0.0
     for n in range(1, len(traj.ts)):
         w = traj.jumps[n]
-        macro, corr = system.recover(float(traj.ts[n]), w)
-        x = np.concatenate([macro, corr.reshape(-1), w])
+        st = system.state_at(float(traj.ts[n]), w)
+        x = np.concatenate([st.macro, st.corrector.reshape(-1), w])
         vals = samples @ x + system.drive.temporal(float(traj.ts[n])) \
             * sample_load
         bulk_sq += dt * float(vals @ vals)          # sigma-weighted gradient

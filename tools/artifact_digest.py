@@ -19,7 +19,14 @@ configuration, the subcommand and ``--method`` alone:
   decay;
 - the largest resolved grid, ``geometry.epsilon = 0.03125`` (16,384
   facets, the tiling's 65,536-cell cap) with ``time.horizon = 0.01``
-  (``OUT_DIR/fine``): simulate.
+  (``OUT_DIR/fine``): simulate;
+- spacings that are not powers of two: ``geometry.cell_resolution = 12``
+  (cell grid spacing 1/48) and ``macro.resolution = 3``, with
+  ``init.kind = modulated`` and ``time.horizon = 2.0``
+  (``OUT_DIR/nondyadic``): simulate, periodic, decay, homogenize, compare
+  and verify.  Every other set has power-of-two spacings, where products
+  with the spacing or the facet measure are exact, so a refactor that
+  reorders such products would leave their bytes alone.
 
 Prints each subcommand's exit code, then one ``sha256  path`` line per file
 under OUT_DIR, sorted by path.  A refactor that must leave the artifacts
@@ -45,6 +52,8 @@ CONFIGS = {
     "weak": "f.kind = linear\nf.kappa = 0.01\nconductivity.sigma_int = 0.05\n"
             "conductivity.sigma_out = 0.05\ntime.dt = 0.01\ntime.horizon = 2.0\n",
     "fine": "geometry.epsilon = 0.03125\ntime.horizon = 0.01\n",
+    "nondyadic": "geometry.cell_resolution = 12\nmacro.resolution = 3\n"
+                 "init.kind = modulated\ntime.horizon = 2.0\n",
 }
 
 # (config, output directory, subcommand and its extra arguments)
@@ -68,7 +77,8 @@ RUNS = [
     ("weak", "weak", ["periodic"]),
     ("weak", "weak", ["decay"]),
     ("fine", "fine", ["simulate"]),
-]
+] + [("nondyadic", "nondyadic", [cmd]) for cmd in (
+    "simulate", "periodic", "decay", "homogenize", "compare", "verify")]
 
 
 def run_all(out: Path) -> None:
