@@ -81,10 +81,13 @@ class SolverParams:
     newton_max_iter: int = 30
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.dt <= 0:
-            raise ValueError("alpha and dt must be positive")
-        if self.newton_tol <= 0:
-            raise ValueError("the tolerance must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.dt)):
+            raise ValueError("alpha and dt must be finite and positive")
+        # an infinite tolerance would accept any finite residual
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("the tolerance must be finite and positive")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
 
 
 class FluxMap(Protocol):
@@ -193,6 +196,16 @@ class JumpStepper:
     raises ``NewtonError``.  A linear law converges in one pass.  Either
     path accepts on the true residual at the tolerance of the step from
     w_n.
+
+    That tolerance is newton_tol max(1, |drive| L, max |f(w_n/eps)|)
+    + 10 u a max(1, max |w_n|), with L the largest drive load per unit
+    weight and u the unit roundoff: the data scale, plus a floor for the
+    roundoff of the rate term.  Every comparison with it is first made with
+    its scalar lower bound newton_tol max(1, |drive| L) + 10 u a, and the
+    two array maxima are taken only when the bound does not decide, at most
+    once per step.  Each term of the bound rounds to at most the
+    tolerance's, so every acceptance, skip and handover is the one the full
+    tolerance makes; the bound decides most continued steps alone.
     """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
@@ -251,6 +264,13 @@ class JumpStepper:
             * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
         return self.params.newton_tol * scale + floor
 
+    def _tolerance_bound(self, drive: float) -> float:
+        """``_tolerance`` with f_max = 0 and w_prev = 0, from scalars alone:
+        each of its terms rounds to at most the tolerance's own."""
+        scale = max(1.0, abs(drive) * self._load_scale)
+        return self.params.newton_tol * scale \
+            + 10.0 * _EPS * self.rate_coeff / self.params.dt
+
     def step(self, t_next: float, w_prev: np.ndarray | StepResult,
              dt: float) -> StepResult:
         # the step length is params.dt; the argument stays because the
@@ -258,7 +278,7 @@ class JumpStepper:
         if dt != self.params.dt:
             raise ValueError(f"the stepper steps at dt = {self.params.dt}, "
                              f"not {dt}")
-        f_prev = rho = None
+        rho = None
         if isinstance(w_prev, StepResult):
             held, f_prev, rho = w_prev.block, w_prev.law_values, \
                 w_prev.contraction
@@ -266,15 +286,17 @@ class JumpStepper:
         else:
             # the initial jump: no step accepted it, so its flux is unknown
             held = np.stack([w_prev, np.full(w_prev.shape, np.nan)])[None]
+            f_prev = self._f(self._arg(w_prev))
         drive = self.temporal(t_next)
+        tol = _StepTolerance(self, w_prev, f_prev, drive)
         start, done, history = None, None, []
         if len(held) > 1:
             start, r_start = extrapolate(held)
-            done, rho = self._correct(start, r_start, w_prev, f_prev, rho,
-                                      drive, history)
+            done, rho = self._correct(start, r_start, w_prev, rho, drive,
+                                      tol, history)
         if done is None:
             tried = len(history)
-            done = self._iterate(w_prev, drive, start, history)
+            done = self._iterate(w_prev, f_prev, drive, start, tol, history)
             if done is None:
                 # the failed corrections are not the factor path's
                 raise NewtonError("implicit step failed to converge in "
@@ -286,16 +308,17 @@ class JumpStepper:
                          + held.shape[1:])
         block[0, 0], block[0, 1] = w, flux_w
         block[1:] = held[:len(block) - 1]
+        # numpy's pairwise sum, whose bits do not depend on the BLAS threads
+        balance = abs(float(np.add.reduce(self.flux.weights * g * w)))
         return StepResult(jump=block[0, 0], iterations=len(history),
-                          residual=history[-1],
-                          balance=abs(float(np.dot(self.flux.weights * g, w))),
+                          residual=history[-1], balance=balance,
                           factorizations=built, history=history,
                           flux=block[0, 1], law_values=f_w, block=block,
                           contraction=rho)
 
     def _correct(self, start: np.ndarray, r_start: np.ndarray,
-                 w_prev: np.ndarray, f_prev: np.ndarray,
-                 rho: Optional[float], drive: float,
+                 w_prev: np.ndarray, rho: Optional[float], drive: float,
+                 tol: _StepTolerance,
                  history: list) -> tuple[Optional[tuple], Optional[float]]:
         """The step corrected with the capacitance diagonal from ``start``,
         whose flux is ``r_start``: the accepted (w, f(w/eps), R w, g, 0)
@@ -311,12 +334,10 @@ class JumpStepper:
         rnorm = float(np.abs(g).max(initial=0.0))
         if not math.isfinite(rnorm):        # a start that is not finite
             return None, rho
-        tol = self._tolerance(w_prev, float(np.abs(f_prev).max(initial=0.0)),
-                              drive)
         # two corrections cost what the cheapest factor-path step does, a
         # pass solve and the acceptance product: skip or stop correcting
         # when the residual ratio predicts that two would not reach tol
-        if rho is not None and rnorm * rho * rho > tol:
+        if rho is not None and tol.exceeded(rnorm * rho * rho):
             return None, rho
         c = self._corrector_slope
         for _ in range(self.params.newton_max_iter):
@@ -328,34 +349,32 @@ class JumpStepper:
             last, rnorm = rnorm, float(np.abs(g).max(initial=0.0))
             rho = rnorm / last if last else 0.0
             history.append(rnorm)
-            if rnorm <= tol:
+            if tol.met(rnorm):
                 return (w, f_w, flux_w, g, 0), rho
-            if not rnorm * rho * rho <= tol:
+            if not tol.met(rnorm * rho * rho):
                 break
         return None, rho
 
-    def _iterate(self, w_prev: np.ndarray, drive: float,
-                 start: Optional[np.ndarray], history: list
-                 ) -> Optional[tuple]:
+    def _iterate(self, w_prev: np.ndarray, f_prev: np.ndarray, drive: float,
+                 start: Optional[np.ndarray], tol: _StepTolerance,
+                 history: list) -> Optional[tuple]:
         """The step by the factor path: the converged (w, f(w/eps), R w, g,
         factors built), or None if it failed.  Each pass's residual is
         appended to ``history``.  The first pass starts from ``start`` when
-        given and the law is finite there, and from w_prev otherwise."""
+        given and the law is finite there, and from w_prev, where the law
+        values are ``f_prev``, otherwise."""
         fl, f, df, eps, a = self.flux, self._f, self._df, self.arg_scale, \
             self._a
         c0 = self._slope
         max_iter = self.params.newton_max_iter
         load_t = drive * self._load_w
-        w, s = w_prev, self._arg(w_prev)
-        f_w = f(s)
-        f_max = float(np.abs(f_w).max(initial=0.0))
-        if not np.isfinite(f_max):
+        w, s, f_w = w_prev, self._arg(w_prev), f_prev
+        if not np.isfinite(f_w).all():
             # no pass can converge, and an infinite tolerance would accept
             # any finite residual: fail the attempt on its starting residual
             g = self._residual(w, w_prev, f_w, fl.apply(w), load_t)
             history.append(float(np.abs(g).max()))
             return None
-        tol = self._tolerance(w_prev, f_max, drive)
         rhs = fl.weights * a * w_prev + drive * fl.load
         if start is not None:
             s_start = self._arg(start)
@@ -396,19 +415,19 @@ class JumpStepper:
                 if step_len < 1.0:
                     g_try += (1.0 - step_len) * g
                 rnorm_try = float(np.abs(g_try).max(initial=0.0))
-                if rnorm_try < rnorm or rnorm_try <= tol:
+                if rnorm_try < rnorm or tol.met(rnorm_try):
                     break
                 step_len *= 0.5
             last = rnorm
             w, s, f_w, g, rnorm = w_try, s_try, f_try, g_try, rnorm_try
             history.append(rnorm)
-            if rnorm <= tol:
+            if tol.met(rnorm):
                 # the estimate leaves out the solve's roundoff: accept on the
                 # residual itself, or iterate on from it
                 flux_w = fl.apply(w)
                 g = self._residual(w, w_prev, f_w, flux_w, load_t)
                 rnorm = history[-1] = float(np.abs(g).max(initial=0.0))
-                if rnorm <= tol:
+                if tol.met(rnorm):
                     return w, f_w, flux_w, g, built
             if not np.isfinite(rnorm):
                 break
@@ -417,8 +436,42 @@ class JumpStepper:
                 # the passes left hands the rest of the step over to Newton
                 rho = rnorm / last
                 handover = rho >= 1.0 \
-                    or rnorm * rho ** (max_iter - taken) > tol
+                    or tol.exceeded(rnorm * rho ** (max_iter - taken))
         return None
+
+
+class _StepTolerance:
+    """The tolerance of one step, decided by its scalar lower bound
+    (``JumpStepper._tolerance_bound``) where that suffices: the full
+    tolerance (``JumpStepper._tolerance``) and its two array maxima,
+    max |f(w_prev/eps)| and max |w_prev|, are taken on the first comparison
+    that the bound leaves open, at most once per step.  As the bound is at
+    most the tolerance, every comparison decides as the tolerance does."""
+
+    __slots__ = ("bound", "_stepper", "_w_prev", "_f_prev", "_drive",
+                 "_value")
+
+    def __init__(self, stepper: JumpStepper, w_prev: np.ndarray,
+                 f_prev: np.ndarray, drive: float):
+        self.bound = stepper._tolerance_bound(drive)
+        self._stepper, self._w_prev, self._f_prev, self._drive = \
+            stepper, w_prev, f_prev, drive
+        self._value = None
+
+    def value(self) -> float:
+        if self._value is None:
+            self._value = self._stepper._tolerance(
+                self._w_prev, float(np.abs(self._f_prev).max(initial=0.0)),
+                self._drive)
+        return self._value
+
+    def met(self, x: float) -> bool:
+        """x <= tol (False for NaN)."""
+        return x <= self.bound or x <= self.value()
+
+    def exceeded(self, x: float) -> bool:
+        """x > tol (False for NaN)."""
+        return x > self.bound and x > self.value()
 
 
 class MembraneSystem:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tissue
 from tissue.cli import main
 from tissue.config import finalize_config, parse_config
 from tissue.errors import ConfigError
@@ -369,3 +373,32 @@ def test_periodic_rejects_bad_config_values(tmp_path, capsys, key, value,
 def test_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
+
+
+# the "fine" set of tools/artifact_digest.py, with every step written
+FINE = """
+geometry.epsilon = 0.03125
+time.horizon = 0.01
+output.stride = 1
+"""
+
+
+def test_fine_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 16,384 facets: a BLAS dot product of that length splits across the
+    # threads; at stride 1 every step's dissipation_residual is written
+    src = Path(tissue.__file__).resolve().parents[1]
+    cfg = write_cfg(tmp_path, FINE)
+    written = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               **{name: threads for name in ("OPENBLAS_NUM_THREADS",
+                                             "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS")}}
+        out = tmp_path / f"threads{threads}"
+        run = subprocess.run([sys.executable, "-m", "tissue", "simulate",
+                              "--config", str(cfg), "--out", str(out)],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        written.add((out / "simulate.csv").read_bytes())
+    assert len(written) == 1

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import tissue as T
-from tissue.membrane import PREDICTOR_ORDER, StepResult, extrapolate
+from tissue.cli import _two_scale_system
+from tissue.config import finalize_config
+from tissue.membrane import (PREDICTOR_ORDER, JumpStepper, StepResult,
+                             extrapolate)
 from tissue.micro import initial_jump
 from tissue.twoscale import initial_two_scale_jump, simulate_two_scale
 
@@ -30,7 +33,8 @@ def system_and_w0(request, small_domain):
 
 def _balance_defect(system, w_prev, w, t):
     """|R(w)·w| recomputed from the public pieces of the step equation, in
-    the stepper's order: the residual per unit weight, then weighted."""
+    the stepper's order: the residual per unit weight, then weighted, then
+    numpy's pairwise sum of the products."""
     st = system.stepper
     fl = system.flux_map
     a = st.rate_coeff / system.params.dt
@@ -38,7 +42,7 @@ def _balance_defect(system, w_prev, w, t):
     g = (a * (w - w_prev) + system.law(w / st.arg_scale)
          + fl.apply(w) * inv_weights
          - system.drive.temporal(t) * (fl.load * inv_weights))
-    return float(abs((fl.weights * g) @ w))
+    return float(abs(np.add.reduce((fl.weights * g) * w)))
 
 
 def test_simulate_records_balance_residuals(system_and_w0):
@@ -471,9 +475,12 @@ def test_non_finite_pass_ends_the_attempt(stack, small_domain):
         return s ** 3 if len(calls) == 1 else np.full_like(s, np.nan)
 
     twin = system.with_law(replace(system.law, base=finite_once))
-    history = []
-    assert twin.stepper._iterate(w, 1.0, None, history) is None
-    assert len(history) == 1 and np.isnan(history[0])
+    dt = system.params.dt
+    with pytest.raises(T.NewtonError) as err:
+        twin.stepper.step(dt, w, dt)
+    # one finite call at the start, one NaN call in the first pass
+    assert len(calls) == 2
+    assert len(err.value.residuals) == 1 and np.isnan(err.value.residuals[0])
 
 
 def _stress_run(system, sd, n_steps=20):
@@ -591,3 +598,84 @@ def test_caller_errors_survive_python_optimize():
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr + out.stdout
     assert out.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("kw", [
+    {"alpha": np.nan}, {"alpha": np.inf}, {"dt": np.nan}, {"dt": np.inf},
+    {"newton_tol": np.nan}, {"newton_tol": np.inf}, {"newton_max_iter": 0},
+    {"newton_max_iter": -3}])
+def test_solver_params_reject_what_the_config_rejects(kw):
+    # an infinite tolerance would accept any finite residual, and NaN or
+    # infinity pass a "<= 0" test
+    with pytest.raises(ValueError):
+        T.SolverParams(**kw)
+
+
+@pytest.mark.parametrize("dt", [1e-2, 0.25])
+@pytest.mark.parametrize("stack", ["micro", "twoscale"])
+@pytest.mark.parametrize("law", LAWS)
+def test_tolerance_bound_decides_as_the_tolerance(monkeypatch, law, stack, dt,
+                                                  cell8, default_domain):
+    # the scalar bound only short-cuts comparisons: with every comparison
+    # made against the full tolerance, the steps keep their bits
+    def run():
+        system, w0 = _default_dt_system(stack, law, _law_kw(law), cell8,
+                                        default_domain, 52, dt=dt)
+        return [(res.jump.tobytes(), res.iterations, res.factorizations,
+                 res.history, res.balance)
+                for res in _continued_steps(system, w0, 40)]
+
+    bounded = run()
+    monkeypatch.setattr(JumpStepper, "_tolerance_bound",
+                        lambda self, drive: -np.inf)
+    assert run() == bounded
+
+
+def test_tolerance_bound_decides_most_continued_steps(monkeypatch):
+    # the default two-scale run from its seeded random start: the array
+    # maxima of the full tolerance are rarely needed
+    cfg = finalize_config({})
+    system = _two_scale_system(cfg)
+    w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
+                                seed=cfg["seed"])
+    full = JumpStepper._tolerance
+    calls = []
+    monkeypatch.setattr(JumpStepper, "_tolerance",
+                        lambda self, *args: calls.append(1) or
+                        full(self, *args))
+    traj = T.simulate(system, w0, 2.0)
+    continued = len(traj.newton_iters) - 1
+    assert continued == 1999
+    assert len(calls) < continued / 10
+
+
+_BALANCE_BITS = """
+import hashlib
+import tissue as T
+from tissue.twoscale import initial_two_scale_jump
+cell = T.build_cell_geometry(0.25, 8)
+system = T.TwoScaleSystem(cell, T.make_conductivity(cell, 2.0, 1.0),
+                          T.make_nonlinearity("sin"), T.make_boundary_data(),
+                          T.SolverParams(), macro_res=32)
+w0 = initial_two_scale_jump(system, "random", 5.0, seed=53)
+traj = T.simulate(system, w0, 10 * system.params.dt)
+print(hashlib.sha256(traj.jumps.tobytes()).hexdigest(),
+      hashlib.sha256(traj.balance_residuals.tobytes()).hexdigest())
+"""
+
+
+def test_balance_bits_do_not_depend_on_the_blas_thread_count():
+    # 16,384 jumps: a BLAS dot product of that length splits across the
+    # threads, so the balance is numpy's pairwise sum instead
+    src = Path(T.__file__).resolve().parents[1]
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               **{name: threads for name in ("OPENBLAS_NUM_THREADS",
+                                             "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS")}}
+        out = subprocess.run([sys.executable, "-c", _BALANCE_BITS], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

@@ -3,8 +3,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import tissue as T
+from tissue import micro
 from tissue.errors import NonlinearityError
 from tissue.micro import (MicroSystem, SeriesFlux, bulk_l2,
                           dissipation_identity, elliptic_solve_given_jump,
@@ -34,6 +36,31 @@ def test_operator_symmetry(small_domain):
     op = T.BulkOperator(small_domain, cond)
     asym = abs(op.A - op.A.T).max()
     assert asym < 1e-14
+
+
+@pytest.mark.parametrize("name", ["small_domain", "domain_1d"])
+def test_factored_matrices_are_symmetric_and_solve_through_the_transpose(
+        name, request, monkeypatch):
+    # a transposed solve is the same system only for an exactly symmetric
+    # matrix: the bulk assembly at any face conductances, and the matrix
+    # that a pass factor factors
+    domain = request.getfixturevalue(name)
+    system = make_micro(domain, cond=(2.0, 0.5))
+    op = system.op
+    rng = np.random.default_rng(51)
+    factored = []
+    splu = micro._splu
+    monkeypatch.setattr(micro, "_splu",
+                        lambda m: factored.append(m) or splu(m))
+    series = system.flux_map.factor(rng.uniform(0.5, 2.0, domain.n_facets))
+    for a in (op.matrix(rng.uniform(0.1, 10.0, op.k_face.size)), factored[0]):
+        gap = (a - a.T).tocsc()
+        gap.eliminate_zeros()
+        assert gap.nnz == 0
+    for a, lu in ((op.A, op.lu), (factored[0], series.lu)):
+        for rhs in (rng.normal(size=domain.n_cells),
+                    rng.normal(size=(domain.n_cells, 3))):
+            assert rel_gap(lu.solve(rhs), spla.spsolve(a, rhs)) <= 1e-12
 
 
 def test_hand_assembled_1d_two_cells():

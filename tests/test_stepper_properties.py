@@ -12,7 +12,13 @@ amplitude and offset), and the runs keep the paper's discrete invariants
 at the bounds of the ``verify`` suite: the paired-jump Lyapunov energy
 never rises, negating the drive and the start negates every jump, and zero
 drive from a zero start gives zero jumps.
+
+The step tolerance's scalar bound: Hypothesis draws the drive, the load
+scale, the tolerance, dt, the rate coefficient, the previous jump and the
+law's largest value, and the bound never exceeds the tolerance.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import tissue as T  # noqa: E402
 from tissue.decay import lyapunov_series  # noqa: E402
+from tissue.membrane import JumpStepper  # noqa: E402
 from tissue.micro import initial_jump  # noqa: E402
 from tissue.twoscale import initial_two_scale_jump  # noqa: E402
 
@@ -106,3 +113,24 @@ def test_runs_dissipate_are_odd_and_stay_zero_at_zero_data(
     # zero drive from a zero start gives zero jumps
     tzero = T.simulate(build(0.0)[0], np.zeros_like(wa), horizon)
     assert np.max(np.abs(tzero.jumps)) <= 1e-13
+
+
+_SCALES = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drive=st.floats(-1e6, 1e6),
+       load_scale=_SCALES,
+       newton_tol=st.floats(1e-16, 1e6),
+       dt=st.floats(1e-6, 1e6),
+       rate_coeff=st.floats(1e-6, 1e6),
+       w_prev=st.lists(st.floats(-1e6, 1e6), max_size=4),
+       f_max=_SCALES)
+def test_tolerance_bound_never_exceeds_the_tolerance(
+        drive, load_scale, newton_tol, dt, rate_coeff, w_prev, f_max):
+    flux = SimpleNamespace(weights=np.ones(1), load=np.array([load_scale]))
+    stepper = JumpStepper(flux, T.make_nonlinearity("linear"),
+                          lambda t: 1.0, rate_coeff=rate_coeff, arg_scale=1.0,
+                          params=T.SolverParams(dt=dt, newton_tol=newton_tol))
+    assert stepper._tolerance_bound(drive) <= \
+        stepper._tolerance(np.array(w_prev), f_max, drive)

@@ -32,6 +32,12 @@ Prints each subcommand's exit code, then one ``sha256  path`` line per file
 under OUT_DIR, sorted by path.  A refactor that must leave the artifacts
 byte-identical is checked by one ``diff`` of two such outputs.  The tissue
 package is imported from the ``src`` directory next to this script.
+
+The digest does not depend on the BLAS thread count: the output is the
+same under ``OPENBLAS_NUM_THREADS=1`` and ``=2``.  The largest set,
+``fine``, is where a threaded reduction would show first, and
+``tests/test_cli.py::test_fine_simulate_bytes_do_not_depend_on_the_blas_thread_count``
+runs its ``simulate`` at both thread counts with every step written.
 """
 
 from __future__ import annotations
