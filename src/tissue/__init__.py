@@ -15,11 +15,10 @@ from .nonlinearity import (BoundaryData, Nonlinearity, make_boundary_data,
                            make_nonlinearity, regularize)
 from .micro import (BulkOperator, MicroState, MicroSystem,
                     dissipation_identity, elliptic_solve_given_jump,
-                    initial_jump)
+                    initial_jump, verify_energy_estimates)
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
-                       orbit_distance, poincare_map, verify_energy_estimates)
+                       orbit_distance, poincare_map)
 from .decay import (DecayReport, LyapunovSeries, decay_metrics, fit_rate,
                     lyapunov_series)
 from .twoscale import (CellOperator, TwoScaleState, TwoScaleSystem,
-                       initial_two_scale_jump, simulate_two_scale,
-                       two_scale_decay_metrics)
+                       initial_two_scale_jump)

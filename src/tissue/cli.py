@@ -23,13 +23,12 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .decay import decay_metrics
 from .errors import TissueError
-from .micro import (MicroSystem, bulk_l2, gradient_l2, initial_jump, jump_l2,
-                    simulate)
+from .micro import (MicroSystem, bulk_l2, gradient_l2, initial_jump,
+                    simulate, verify_energy_estimates)
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
-                       orbit_distance, verify_energy_estimates)
+                       orbit_distance)
 from .twoscale import (TwoScaleSystem, initial_two_scale_jump,
-                       micro_two_scale_gap, simulate_two_scale,
-                       two_scale_decay_metrics)
+                       micro_two_scale_gap)
 from .verify import run_invariant_suite
 
 log = logging.getLogger("tissue")
@@ -123,7 +122,8 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
         bvals = system.drive.values(dom.boundary.midpoint, t)
         step_idx = int(round(t / system.params.dt))
         rows.append((
-            t, bulk_l2(dom, u), gradient_l2(dom, u, w, bvals), jump_l2(dom, w),
+            t, bulk_l2(dom, u), gradient_l2(dom, u, w, bvals),
+            system.jump_norm(w),
             traj.balance_residuals[step_idx - 1] if step_idx > 0 else 0.0,
             traj.newton_iters[step_idx - 1] if step_idx > 0 else 0,
         ))
@@ -143,7 +143,7 @@ def _orbit_rows(system, orbit: PeriodicOrbit):
         t = n * orbit.dt
         w = orbit.jumps[n]
         u = system.bulk_at(t, w)
-        rows.append((t, jump_l2(dom, w), bulk_l2(dom, u)))
+        rows.append((t, system.jump_norm(w), bulk_l2(dom, u)))
     return rows
 
 
@@ -204,7 +204,7 @@ def _load_orbit(cfg: RunConfig, out: Path, system) -> PeriodicOrbit:
     dt = float(data[1, 0] - data[0, 0])
     return PeriodicOrbit(jumps=jumps, dt=dt,
                          defect=system.jump_norm(jumps[-1] - jumps[0]),
-                         method="loaded", iterations=0)
+                         iterations=0)
 
 
 def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
@@ -214,8 +214,7 @@ def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
                       seed=cfg["seed"])
     traj = simulate(system, w0, cfg["time.horizon"], stride=cfg["output.stride"])
     report = decay_metrics(traj, orbit)
-    rows = zip(report.ts, *(report.columns[k] for k in (
-        "norm_l2", "norm_grad", "norm_jump", "lyapunov")))
+    rows = zip(report.ts, *report.columns.values())
     _write_csv(out / "decay.csv", cfg,
                ["t", "norm_L2", "norm_grad", "norm_jump", "E"], rows)
     _write_json(out / "decay_report.json", cfg, report.as_dict())
@@ -229,9 +228,9 @@ def _cmd_homogenize(cfg: RunConfig, out: Path, args) -> int:
                           max_iters=cfg["periodic.max_iters"])
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
-    traj = simulate_two_scale(system, w0, cfg["time.horizon"],
-                              stride=cfg["output.stride"])
-    report = two_scale_decay_metrics(traj, orbit)
+    traj = simulate(system, w0, cfg["time.horizon"],
+                    stride=cfg["output.stride"])
+    report = decay_metrics(traj, orbit)
     rows = zip(report.ts, *report.columns.values())
     _write_csv(out / "homogenize.csv", cfg,
                ["t", "norm_macro_H1", "norm_corrector", "norm_corrector_grad",

@@ -77,7 +77,6 @@ class RunConfig:
     """Validated configuration with builder helpers for the solver objects."""
 
     values: dict
-    source: Optional[str] = None
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -177,10 +176,10 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}",
                               exit_code=2) from exc
-    return finalize_config(values, source=str(path))
+    return finalize_config(values)
 
 
-def finalize_config(values: dict, source: Optional[str] = None) -> RunConfig:
+def finalize_config(values: dict) -> RunConfig:
     """Fill defaults, validate ranges and cross-field constraints."""
     full = {}
     for key, (_, default, _, _) in _SCHEMA.items():
@@ -204,7 +203,7 @@ def finalize_config(values: dict, source: Optional[str] = None) -> RunConfig:
     if full["macro.dimension"] != full["geometry.dimension"]:
         raise ConfigError(
             "field macro.dimension must equal geometry.dimension", exit_code=3)
-    cfg = RunConfig(values=full, source=source)
+    cfg = RunConfig(values=full)
     # surface geometry construction problems as validation errors
     try:
         cell = cfg.build_cell()

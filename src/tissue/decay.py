@@ -5,9 +5,11 @@ w_orbit)``: the norms of the gaps between a stack of trajectory samples and
 the orbit at the same times, one column entry per sample, including the
 jump norm ``norm_jump`` and the stored membrane energy of the gap
 ``lyapunov`` (the quantity the scheme provably never increases).
-``decay_metrics`` collects them one chunk of samples at a time and fits a
-log-linear rate with an exponential/subexponential classification.
-``lyapunov_series`` tracks the same energy between two runs.
+``decay_metrics`` collects them one chunk of samples at a time, fits a
+log-linear rate with an exponential/subexponential classification and adds
+the largest mean defect of the states where the system has one (the
+two-scale corrector mean).  ``lyapunov_series`` tracks the same energy
+between two runs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ __all__ = [
     "lyapunov_series", "fit_rate",
 ]
 
+FIT_WINDOW = 0.4         # trailing share of a series that fit_rate fits
+R2_EXPONENTIAL = 0.99    # r^2 from which a falling fit is exponential
+LYAPUNOV_SLACK = 1e-10   # energy increase per sample taken as roundoff
+
 
 @dataclass
 class RateFit:
@@ -40,9 +46,9 @@ class DecayReport:
     ``columns`` maps each name that the system's ``gap_norms`` returns to
     its series, in that order.  ``fit_samples`` is the number of leading
     samples above the orbit's accuracy floor, the series whose trailing
-    window the rate is fitted to.  ``max_mean_defect`` is the largest
-    corrector mean defect of a two-scale run (see
-    ``twoscale.two_scale_decay_metrics``); None otherwise.
+    window the rate is fitted to.  ``max_mean_defect`` is the largest of
+    the trajectory's ``mean_defects`` (the corrector mean defect of a
+    two-scale run); None where the system has none.
     """
 
     ts: np.ndarray
@@ -108,10 +114,13 @@ def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
         fit = RateFit(rate=None, r_squared=None,
                       classification="reached_floor")
     else:
-        fit = fit_rate(gaps[:n_fit], window=0.4, dt=sample_dt)
-    monotone = bool(np.all(np.diff(cols["lyapunov"]) <= 1e-10))
+        fit = fit_rate(gaps[:n_fit], dt=sample_dt)
+    monotone = bool(np.all(np.diff(cols["lyapunov"]) <= LYAPUNOV_SLACK))
+    means = traj.mean_defects
     return DecayReport(ts=traj.ts.copy(), columns=cols, fit=fit,
-                       fit_samples=n_fit, lyapunov_monotone=monotone)
+                       fit_samples=n_fit, lyapunov_monotone=monotone,
+                       max_mean_defect=None if means is None
+                       else float(np.max(means)))
 
 
 @dataclass
@@ -122,13 +131,13 @@ class LyapunovSeries:
     max_increase: float
 
 
-def lyapunov_series(traj_a: Trajectory, traj_b: Trajectory,
-                    slack: float = 1e-10) -> LyapunovSeries:
+def lyapunov_series(traj_a: Trajectory,
+                    traj_b: Trajectory) -> LyapunovSeries:
     """Weighted squared jump gap of two runs of the same discrete system.
 
     The scheme dissipates this quantity unconditionally, so an increase
-    beyond the slack is flagged as a solver bug rather than a property of
-    the data.
+    beyond ``LYAPUNOV_SLACK`` is flagged as a solver bug rather than a
+    property of the data.
     """
     sys_a = traj_a.system
     if traj_a.jumps.shape != traj_b.jumps.shape or \
@@ -138,13 +147,13 @@ def lyapunov_series(traj_a: Trajectory, traj_b: Trajectory,
     inc = np.diff(vals)
     max_inc = float(inc.max(initial=0.0))
     return LyapunovSeries(ts=traj_a.ts.copy(), values=vals,
-                          monotone=bool(max_inc <= slack),
+                          monotone=bool(max_inc <= LYAPUNOV_SLACK),
                           max_increase=max_inc)
 
 
-def fit_rate(series: np.ndarray, window: float = 0.4, dt: float = 1.0,
-             r2_threshold: float = 0.99) -> RateFit:
-    """Least-squares slope of the log series over the trailing window.
+def fit_rate(series: np.ndarray, dt: float = 1.0) -> RateFit:
+    """Least-squares slope of the log series over its trailing
+    ``FIT_WINDOW``.
 
     The rate is per unit of ``dt``-scaled time.  The window holds at least
     three samples, since a line through two fits exactly.  A nonpositive
@@ -154,7 +163,7 @@ def fit_rate(series: np.ndarray, window: float = 0.4, dt: float = 1.0,
     series = np.asarray(series, dtype=float)
     if series.size < 3:
         return RateFit(rate=None, r_squared=None, classification="too_few_samples")
-    m = max(3, int(np.ceil(window * series.size)))
+    m = max(3, int(np.ceil(FIT_WINDOW * series.size)))
     tail = series[-m:]
     if np.any(tail <= 0.0):
         return RateFit(rate=None, r_squared=None, classification="reached_floor")
@@ -167,5 +176,5 @@ def fit_rate(series: np.ndarray, window: float = 0.4, dt: float = 1.0,
     ss_res = float(np.sum((ym - slope * xm) ** 2))
     ss_tot = float(np.sum(ym * ym))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    cls = "exponential" if r2 >= r2_threshold and slope < 0.0 else "subexponential"
+    cls = "exponential" if r2 >= R2_EXPONENTIAL and slope < 0.0 else "subexponential"
     return RateFit(rate=slope, r_squared=r2, classification=cls)

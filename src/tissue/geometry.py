@@ -168,12 +168,12 @@ class CellGeometry:
         }
 
 
-def smallest_aligned_resolution(margin: float, limit: int = 100000) -> int:
+def smallest_aligned_resolution(margin: float) -> int:
     """Smallest grid resolution whose lines contain the inclusion boundary."""
-    for m in range(1, limit + 1):
+    for m in range(1, 100001):
         if abs(margin * m - round(margin * m)) < 1e-9 and round(margin * m) >= 1:
             return m
-    raise GeometryError(f"no aligned resolution below {limit} for margin {margin}")
+    raise GeometryError(f"no aligned resolution below 100000 for margin {margin}")
 
 
 def build_cell_geometry(margin: float, resolution: int, dim: int = 2) -> CellGeometry:

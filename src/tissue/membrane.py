@@ -32,7 +32,9 @@ itself keeps no state between steps.
 
 The time loop (``simulate``, ``step``), the trajectory record and the
 decay report (``decay.decay_metrics``) are shared by both systems too; a
-system supplies ``params``, ``stepper``, ``state_at`` and ``gap_norms``.
+system supplies ``params``, ``stepper``, ``state_at`` and ``gap_norms``,
+and may supply ``mean_defects``: the two-scale system gives the corrector
+mean defect per sample, which its trajectories and decay reports carry.
 The stored membrane energy (``lyapunov``) and the weighted jump norm
 (``jump_norm``) are the same for both and live on ``MembraneSystem``.
 """
@@ -480,7 +482,8 @@ class MembraneSystem:
     A subclass sets ``params``, ``drive`` and the condensed ``flux_map``,
     binds its law through ``_bind_law`` and provides ``state_at`` and
     ``gap_norms(w, w_orbit)``, the norms of the decay report: one column
-    entry per row of two (m, n) stacks of jump vectors.
+    entry per row of two (m, n) stacks of jump vectors.  A subclass whose
+    states carry a mean defect overrides ``mean_defects``.
     """
 
     def _bind_law(self, law: Nonlinearity, rate_coeff: float,
@@ -512,6 +515,11 @@ class MembraneSystem:
         """Weighted jump norm, sqrt(sum(weights * w^2)); one per row of a
         stack."""
         return np.sqrt(np.sum(self.weights * w * w, axis=-1))
+
+    def mean_defects(self, ts: np.ndarray,
+                     jumps: np.ndarray) -> Optional[np.ndarray]:
+        """Mean defect of each sample's state; these states carry none."""
+        return None
 
 
 def jump_family(kind: str, x: np.ndarray, scale: float, seed: int = 0,
@@ -546,8 +554,6 @@ class Trajectory:
 
     Sample 0 is the initial state, then every ``stride`` steps.  The step
     records are ``StepResult`` fields, one entry per step.
-    ``mean_defects`` holds the corrector mean defect per sample of a
-    two-scale run (see ``twoscale.simulate_two_scale``); None otherwise.
     """
 
     system: MembraneSystem
@@ -557,11 +563,19 @@ class Trajectory:
     newton_iters: np.ndarray          # StepResult.iterations
     factorizations: np.ndarray
     balance_residuals: np.ndarray     # StepResult.balance
-    mean_defects: Optional[np.ndarray] = None
 
     @property
     def dt(self) -> float:
         return self.system.params.dt
+
+    @property
+    def mean_defects(self) -> Optional[np.ndarray]:
+        """The system's ``mean_defects`` of the samples, computed on the
+        first read and kept (no lock: concurrent first reads may both
+        compute it)."""
+        if not hasattr(self, "_mean_defects"):
+            self._mean_defects = self.system.mean_defects(self.ts, self.jumps)
+        return self._mean_defects
 
     def state(self, i: int):
         return self.system.state_at(float(self.ts[i]), self.jumps[i])

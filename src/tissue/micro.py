@@ -28,12 +28,13 @@ from .geometry import Conductivity, EpsilonDomain
 from .membrane import (MembraneSystem, SolverParams, jump_family, simulate,
                        step)
 from .nonlinearity import BoundaryData, Nonlinearity
+from .periodic import PeriodicOrbit
 
 __all__ = [
     "SolverParams", "BulkOperator", "SeriesFlux", "MicroState", "MicroSystem",
     "elliptic_solve_given_jump", "step", "simulate", "initial_jump",
-    "dissipation_identity", "bulk_l2", "jump_l2", "gradient_l2",
-    "sigma_gradient_energy",
+    "dissipation_identity", "verify_energy_estimates", "bulk_l2",
+    "gradient_l2", "sigma_gradient_energy",
 ]
 
 
@@ -270,24 +271,19 @@ class MicroSystem(MembraneSystem):
 
     def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
         """Bulk, gradient and jump norms and stored energies of the gaps
-        between the rows of two (m, n_facets) stacks of solutions, and the
-        extreme secant slopes of the law across them: one column entry per
-        row.
+        between the rows of two (m, n_facets) stacks of solutions: one
+        column entry per row.
 
         The bulk gaps are reconstructed from the jump gaps by one
         multi-column bulk solve (the drive cancels in the difference).
         """
         dom = self.domain
-        eps = dom.epsilon
         r_w = w - w_orbit
         r_u = self.op.lift(r_w.T).T
-        sec = _secant_slopes(self.law, w / eps, w_orbit / eps)
         return {"norm_l2": bulk_l2(dom, r_u),
                 "norm_grad": gradient_l2(dom, r_u, r_w, None),
-                "norm_jump": jump_l2(dom, r_w),
-                "lyapunov": self.lyapunov(w, w_orbit),
-                "secant_min": sec.min(axis=1, initial=np.inf),
-                "secant_max": sec.max(axis=1, initial=-np.inf)}
+                "norm_jump": self.jump_norm(r_w),
+                "lyapunov": self.lyapunov(w, w_orbit)}
 
 
 def initial_jump(domain: EpsilonDomain, kind: str, amplitude: float,
@@ -338,13 +334,11 @@ def dissipation_identity(system: MicroSystem, prev: tuple,
     }
 
 
-def _secant_slopes(law: Nonlinearity, a: np.ndarray, b: np.ndarray,
-                   floor: float = 1e-12) -> np.ndarray:
-    gap = a - b
-    out = np.where(np.abs(gap) > floor,
-                   (law(a) - law(b)) / np.where(np.abs(gap) > floor, gap, 1.0),
-                   law.deriv(0.5 * (a + b)))
-    return out
+def _secant_slopes(law: Nonlinearity, a: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+    apart = np.abs(a - b) > 1e-12     # else the slope at the midpoint
+    return np.where(apart, (law(a) - law(b)) / np.where(apart, a - b, 1.0),
+                    law.deriv(0.5 * (a + b)))
 
 
 # -- discrete norms ---------------------------------------------------------
@@ -354,10 +348,6 @@ def _secant_slopes(law: Nonlinearity, a: np.ndarray, b: np.ndarray,
 
 def bulk_l2(domain: EpsilonDomain, u: np.ndarray) -> float | np.ndarray:
     return np.sqrt(domain.cell_volume * np.sum(u * u, axis=-1))
-
-
-def jump_l2(domain: EpsilonDomain, w: np.ndarray) -> float | np.ndarray:
-    return np.sqrt(domain.facets.measure * np.sum(w * w, axis=-1))
 
 
 def _face_differences(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
@@ -407,3 +397,70 @@ def sigma_gradient_energy(domain: EpsilonDomain, cond: Conductivity,
     sig_bnd = cond.sigma_out
     return float(np.sum(vi * sig_face * si * si)
                  + np.sum(vb * sig_bnd * sb * sb))
+
+
+def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
+    """Period-averaged energy bounds of the orbit against the data energy.
+
+    Checks the two discrete estimates that control the orbit: the gradient
+    plus weighted-jump energy against the data gradient energy plus the
+    growth slack, and the jump-rate energy against the data plus its time
+    derivative, with the growth constants of the law's certificate.  Margins
+    should be nonnegative.
+    """
+    cert = system.law.certificate
+    lam_q, lam_a = cert.growth_quad, cert.growth_abs
+    dom = system.domain
+    cond = system.cond
+    drive = system.drive
+    p = system.params
+    dt = orbit.dt
+    n = orbit.steps_per_period
+    eps = dom.epsilon
+    s = system.weights
+
+    grad_u = 0.0
+    jump_sq = 0.0
+    rate_sq = 0.0
+    data_grad = 0.0
+    data_grad_rate = 0.0
+    centers = dom.centers
+    vol = dom.cell_volume
+    sig_cells = np.where(dom.inside, cond.sigma_int, cond.sigma_out)
+    for k in range(1, n + 1):
+        t = k * dt
+        w = orbit.jumps[k]
+        u = system.bulk_at(t, w)
+        bvals = drive.values(dom.boundary.midpoint, t)
+        grad_u += dt * 0.5 * sigma_gradient_energy(dom, cond, u, w, bvals)
+        jump_sq += dt * np.sum(s * w * w)
+        dw = (orbit.jumps[k] - orbit.jumps[k - 1]) / dt
+        rate_sq += dt * np.sum(s * dw * dw)
+        g = drive.gradient(centers, t)
+        data_grad += dt * 0.5 * vol * float(np.sum(sig_cells * np.sum(g * g, axis=1)))
+        gr = drive.gradient_rate(centers, t)
+        data_grad_rate += dt * 0.5 * vol * float(
+            np.sum(sig_cells * np.sum(gr * gr, axis=1)))
+
+    slack = eps / (2.0 * lam_q) * lam_a ** 2 * dom.memb_measure
+    lhs_grad = grad_u + lam_q / (2.0 * eps) * jump_sq
+    rhs_grad = data_grad + slack
+    lhs_rate = p.alpha / (2.0 * eps) * rate_sq
+    rhs_rate = data_grad_rate + data_grad + slack
+    report = {
+        "growth_quad": lam_q,
+        "growth_abs": lam_a,
+        "gradient_bound": {
+            "lhs": lhs_grad, "rhs": rhs_grad,
+            "margin": rhs_grad - lhs_grad,
+            "passed": lhs_grad <= rhs_grad + 1e-12,
+        },
+        "rate_bound": {
+            "lhs": lhs_rate, "rhs": rhs_rate,
+            "margin": rhs_rate - lhs_rate,
+            "passed": lhs_rate <= rhs_rate + 1e-12,
+        },
+    }
+    report["passed"] = bool(report["gradient_bound"]["passed"]
+                            and report["rate_bound"]["passed"])
+    return report

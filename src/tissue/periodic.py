@@ -8,7 +8,8 @@ Numer. Anal. 49, 2011), safeguarded by falling back to the damped Picard
 step, yields the periodic orbit; for noncoercive laws the map contracts
 weakly, and plain Picard needs many more periods.  The regularized route
 adds a linear shift to the law, finds the coercive orbits and lets the
-shift go to zero.
+shift go to zero.  The energy estimates of a resolved orbit are checked by
+``micro.verify_energy_estimates``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import FixedPointError
 from .membrane import simulate
-from .micro import MicroSystem, sigma_gradient_energy
 from .nonlinearity import regularize
 
 # differences of past iterates and defects the Anderson mixing fits over
@@ -28,7 +28,7 @@ ANDERSON_DEPTH = 3
 
 __all__ = [
     "PeriodicOrbit", "poincare_map", "find_periodic",
-    "find_periodic_regularized", "verify_energy_estimates", "orbit_distance",
+    "find_periodic_regularized", "orbit_distance",
 ]
 
 
@@ -43,9 +43,7 @@ class PeriodicOrbit:
     jumps: np.ndarray
     dt: float
     defect: float
-    method: str
     iterations: int
-    delta: Optional[float] = None
 
     @property
     def steps_per_period(self) -> int:
@@ -95,8 +93,7 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
         defects.append(defect)
         if defect <= tol:
             return PeriodicOrbit(jumps=jumps, dt=system.params.dt,
-                                 defect=defect, method="picard",
-                                 iterations=it + 1)
+                                 defect=defect, iterations=it + 1)
         del jumps         # hold at most one period of jumps at a time
         if it > 0:
             if defect > defects[-2]:
@@ -123,9 +120,10 @@ def find_periodic_regularized(system, deltas: Sequence[float] = (1e-1, 1e-2, 1e-
                               tol: float = 1e-8, max_iters: int = 500) -> list:
     """Periodic orbits of the shifted laws along a decreasing shift sequence.
 
-    Returns one orbit per shift; consecutive orbit distances (period jump
-    norm) shrink as the shift vanishes, certifying the limit passage
-    numerically.  Shifts below 1e-6 are rejected to protect conditioning.
+    Returns one orbit per shift, in the order of the shifts; consecutive
+    orbit distances (period jump norm) shrink as the shift vanishes,
+    certifying the limit passage numerically.  Shifts below 1e-6 are
+    rejected to protect conditioning.
     """
     deltas = list(deltas)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -138,7 +136,6 @@ def find_periodic_regularized(system, deltas: Sequence[float] = (1e-1, 1e-2, 1e-
         shifted = system.with_law(regularize(system.law, d))
         orbit = find_periodic(shifted, tol=tol, max_iters=max_iters,
                               w0=w_start)
-        orbit.method, orbit.delta = "delta_sequence", d
         orbits.append(orbit)
         w_start = orbit.jumps[0].copy()   # warm start the next, smaller shift
     return orbits
@@ -154,70 +151,3 @@ def orbit_distance(system, orbit_a: PeriodicOrbit,
     diff = orbit_a.jumps[:-1] - orbit_b.jumps[:-1]
     sq = np.sum(system.weights * diff * diff, axis=1)
     return float(np.sqrt(orbit_a.dt * np.sum(sq)))
-
-
-def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
-    """Period-averaged energy bounds of the orbit against the data energy.
-
-    Checks the two discrete estimates that control the orbit: the gradient
-    plus weighted-jump energy against the data gradient energy plus the
-    growth slack, and the jump-rate energy against the data plus its time
-    derivative, with the growth constants of the law's certificate.  Margins
-    should be nonnegative.
-    """
-    cert = system.law.certificate
-    lam_q, lam_a = cert.growth_quad, cert.growth_abs
-    dom = system.domain
-    cond = system.cond
-    drive = system.drive
-    p = system.params
-    dt = orbit.dt
-    n = orbit.steps_per_period
-    eps = dom.epsilon
-    s = system.weights
-
-    grad_u = 0.0
-    jump_sq = 0.0
-    rate_sq = 0.0
-    data_grad = 0.0
-    data_grad_rate = 0.0
-    centers = dom.centers
-    vol = dom.cell_volume
-    sig_cells = np.where(dom.inside, cond.sigma_int, cond.sigma_out)
-    for k in range(1, n + 1):
-        t = k * dt
-        w = orbit.jumps[k]
-        u = system.bulk_at(t, w)
-        bvals = drive.values(dom.boundary.midpoint, t)
-        grad_u += dt * 0.5 * sigma_gradient_energy(dom, cond, u, w, bvals)
-        jump_sq += dt * np.sum(s * w * w)
-        dw = (orbit.jumps[k] - orbit.jumps[k - 1]) / dt
-        rate_sq += dt * np.sum(s * dw * dw)
-        g = drive.gradient(centers, t)
-        data_grad += dt * 0.5 * vol * float(np.sum(sig_cells * np.sum(g * g, axis=1)))
-        gr = drive.gradient_rate(centers, t)
-        data_grad_rate += dt * 0.5 * vol * float(
-            np.sum(sig_cells * np.sum(gr * gr, axis=1)))
-
-    slack = eps / (2.0 * lam_q) * lam_a ** 2 * dom.memb_measure
-    lhs_grad = grad_u + lam_q / (2.0 * eps) * jump_sq
-    rhs_grad = data_grad + slack
-    lhs_rate = p.alpha / (2.0 * eps) * rate_sq
-    rhs_rate = data_grad_rate + data_grad + slack
-    report = {
-        "growth_quad": lam_q,
-        "growth_abs": lam_a,
-        "gradient_bound": {
-            "lhs": lhs_grad, "rhs": rhs_grad,
-            "margin": rhs_grad - lhs_grad,
-            "passed": lhs_grad <= rhs_grad + 1e-12,
-        },
-        "rate_bound": {
-            "lhs": lhs_rate, "rhs": rhs_rate,
-            "margin": rhs_rate - lhs_rate,
-            "passed": lhs_rate <= rhs_rate + 1e-12,
-        },
-    }
-    report["passed"] = bool(report["gradient_bound"]["passed"]
-                            and report["rate_bound"]["passed"])
-    return report

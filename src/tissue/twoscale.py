@@ -56,11 +56,10 @@ from .membrane import (SAMPLE_CHUNK, MembraneSystem, SolverParams, Trajectory,
                        jump_family, simulate)
 from .nonlinearity import BoundaryData, Nonlinearity
 from .periodic import PeriodicOrbit, find_periodic
-from .decay import DecayReport, decay_metrics
+from .decay import decay_metrics
 
 __all__ = [
     "CellOperator", "NodeFlux", "TwoScaleSystem", "TwoScaleState",
-    "simulate_two_scale", "two_scale_decay_metrics",
     "initial_two_scale_jump", "transient_weak_residual",
     "periodic_weak_residual",
 ]
@@ -607,6 +606,14 @@ class TwoScaleSystem(MembraneSystem):
                              flux=flux, mean_defect=defect if w.ndim > 1
                              else float(defect))
 
+    def mean_defects(self, ts: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+        """Corrector mean defect per sample, from one stacked ``state_at`` per
+        chunk of ``SAMPLE_CHUNK`` samples."""
+        return np.concatenate([
+            self.state_at(ts[lo:lo + SAMPLE_CHUNK],
+                          jumps[lo:lo + SAMPLE_CHUNK]).mean_defect
+            for lo in range(0, len(ts), SAMPLE_CHUNK)])
+
 
 @dataclass(frozen=True)
 class TwoScaleState:
@@ -621,26 +628,12 @@ class TwoScaleState:
     mean_defect: float | np.ndarray
 
 
-def simulate_two_scale(system: TwoScaleSystem, w0: np.ndarray, horizon: float,
-                       stride: int = 1) -> Trajectory:
-    """``simulate`` plus the corrector mean defect of every sample."""
-    traj = simulate(system, w0, horizon, stride=stride)
-    traj.mean_defects = _mean_defects(traj)
-    return traj
-
-
-def _mean_defects(traj: Trajectory) -> np.ndarray:
-    """Corrector mean defect per sample, from one stacked ``state_at`` per
-    chunk of ``SAMPLE_CHUNK`` samples."""
-    return np.concatenate([
-        traj.system.state_at(traj.ts[lo:lo + SAMPLE_CHUNK],
-                             traj.jumps[lo:lo + SAMPLE_CHUNK]).mean_defect
-        for lo in range(0, len(traj), SAMPLE_CHUNK)])
-
-
-# the two-scale orbit is ``find_periodic``'s; the alias goes with the
-# benchmark's next revision (ROADMAP item 1), its one caller
+# a two-scale run, orbit and decay report come from the shared ``simulate``,
+# ``find_periodic`` and ``decay_metrics``; these aliases go with the
+# benchmark's next revision (ROADMAP item 1), their one caller
+simulate_two_scale = simulate
 find_periodic_two_scale = find_periodic
+two_scale_decay_metrics = decay_metrics
 
 
 def initial_two_scale_jump(system: TwoScaleSystem, kind: str, amplitude: float,
@@ -650,7 +643,7 @@ def initial_two_scale_jump(system: TwoScaleSystem, kind: str, amplitude: float,
                        repeat=system.cfd.n_facets)
 
 
-# -- norms and decay ----------------------------------------------------------
+# -- norms --------------------------------------------------------------------
 
 def _macro_norms(system: TwoScaleSystem, du: np.ndarray):
     """L2 and gradient norms of each row of a stack of macro fields."""
@@ -678,16 +671,6 @@ def _corrector_norms(system: TwoScaleSystem, dc: np.ndarray, dw: np.ndarray):
         + cfd.slope_w @ dw.reshape(-1, cfd.n_facets).T   # (faces, cells)
     sq = np.sum(slopes * slopes, axis=0).reshape(dc.shape[:2])
     return l2, np.sqrt(hdim * cfd.vol * np.sum(sq, axis=1))
-
-
-def two_scale_decay_metrics(traj: Trajectory,
-                            orbit: PeriodicOrbit) -> DecayReport:
-    """``decay_metrics`` plus the largest corrector mean defect of the run."""
-    report = decay_metrics(traj, orbit)
-    means = traj.mean_defects if traj.mean_defects is not None \
-        else _mean_defects(traj)
-    report.max_mean_defect = float(np.max(means))
-    return report
 
 
 # -- comparison against the resolved solver ----------------------------------

@@ -728,7 +728,7 @@ def picard_orbit(system, tol: float = 1e-8, max_iters: int = 500,
         if defect <= tol:
             return PeriodicOrbit(jumps=simulate(system, w, 1.0).jumps,
                                  dt=system.params.dt, defect=defect,
-                                 method="picard", iterations=it + 1)
+                                 iterations=it + 1)
         if it - window_start >= 20 and defects[-1] > 0.999 * defects[-21]:
             theta = max(theta / 2.0, 1.0 / 64.0)
             window_start = it

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 import tissue as T
+from tissue import twoscale
 from tissue.cli import _two_scale_system
 from tissue.config import finalize_config
+from tissue.decay import decay_metrics
 from tissue.membrane import (PREDICTOR_ORDER, JumpStepper, StepResult,
                              extrapolate)
 from tissue.micro import initial_jump
-from tissue.twoscale import initial_two_scale_jump, simulate_two_scale
+from tissue.twoscale import initial_two_scale_jump
 
 from conftest import hands_over, make_micro, record_passes, rel_gap
-from oracles import dense_flux, dense_newton_step
+from oracles import dense_flux, dense_newton_step, per_sample_mean_defects
 from test_twoscale import make_two_scale
 
 
@@ -80,15 +82,35 @@ def test_simulate_rejects_bad_stride(system_and_w0):
 
 
 def test_simulate_two_scale_is_simulate_plus_mean_defects():
+    # the two-scale names are aliases of the one run and report path
+    assert twoscale.simulate_two_scale is T.simulate
+    assert twoscale.two_scale_decay_metrics is decay_metrics
     system = make_two_scale(law=("sin",))
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=4)
-    plain = T.simulate(system, w0, 0.2, stride=5)
-    traj = simulate_two_scale(system, w0, 0.2, stride=5)
-    assert np.array_equal(traj.jumps, plain.jumps)
-    assert plain.mean_defects is None
-    expected = [system.state_at(float(t), w).mean_defect
-                for t, w in zip(traj.ts, traj.jumps)]
-    assert traj.mean_defects.tolist() == expected
+    traj = T.simulate(system, w0, 0.2, stride=5)
+    assert np.array_equal(traj.mean_defects, per_sample_mean_defects(traj))
+
+
+def test_mean_defects_are_computed_on_first_read_and_kept(small_domain):
+    system = make_two_scale(law=("sin",))
+    w0 = initial_two_scale_jump(system, "random", 5.0, seed=4)
+    calls = []
+    state_at = system.state_at
+
+    def counted(t, w):
+        calls.append(t)
+        return state_at(t, w)
+
+    system.state_at = counted
+    traj = T.simulate(system, w0, 0.2, stride=5)
+    assert calls == []          # the run computes no mean defects
+    first = traj.mean_defects
+    assert len(calls) == 1      # one stacked state of the 5 samples
+    assert traj.mean_defects is first
+    assert len(calls) == 1      # kept from the first read
+    resolved = make_micro(small_domain, law=("sin",))
+    run = T.simulate(resolved, initial_jump(small_domain, "random", 5.0), 0.1)
+    assert run.mean_defects is None
 
 
 def _default_dt_system(stack, law, kw, cell8, default_domain, seed,
@@ -569,7 +591,7 @@ def raises(exc, fn, *args):
         return
     raise SystemExit(f"{fn.__name__} did not raise {exc.__name__}")
 
-orbit = lambda n: PeriodicOrbit(np.zeros((n + 1, 2)), 1.0 / n, 0.0, "x", 0)
+orbit = lambda n: PeriodicOrbit(np.zeros((n + 1, 2)), 1.0 / n, 0.0, 0)
 raises(ValueError, T.orbit_distance, None, orbit(2), orbit(4))
 raises(ValueError, periodic_weak_residual, None, orbit(2),
        lambda n, t: (np.full(1, n), np.zeros(1), np.zeros(1)))

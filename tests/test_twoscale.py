@@ -25,8 +25,7 @@ from tissue import twoscale
 from tissue.config import finalize_config
 from tissue.twoscale import (CellOperator, NodeFlux, TwoScaleSystem,
                              initial_two_scale_jump, micro_two_scale_gap,
-                             periodic_weak_residual, simulate_two_scale,
-                             transient_weak_residual, two_scale_decay_metrics,
+                             periodic_weak_residual, transient_weak_residual,
                              _corrector_norms, _macro_norms)
 
 from conftest import record_passes, rel_gap, steps_agree, stepper_on
@@ -110,7 +109,7 @@ def test_constant_drive_zero_state():
 
 def test_zero_data_zero_trajectory():
     system = make_two_scale(drive=("constant", "constant", 0.0))
-    traj = simulate_two_scale(system, np.zeros(system.n_w), 0.2)
+    traj = simulate(system, np.zeros(system.n_w), 0.2)
     assert np.max(np.abs(traj.jumps)) <= 1e-13
 
 
@@ -118,7 +117,7 @@ def test_affine_drive_stays_affine_without_contrast():
     system = make_two_scale(cond=(2.0, 2.0), law=("linear",), kappa=1.0,
                             macro_res=4)
     w0 = initial_two_scale_jump(system, "uniform", 1.0)
-    traj = simulate_two_scale(system, w0, 0.3)
+    traj = simulate(system, w0, 0.3)
     for i in (0, len(traj) - 1):
         st = traj.state(i)
         exact = system.macro.centers[:, 0] * system.drive.temporal(st.t)
@@ -491,7 +490,7 @@ def test_held_factors_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
-    traj = simulate_two_scale(system, w, 5 * dt)
+    traj = simulate(system, w, 5 * dt)
     assert traj.factorizations.sum() == 0
     st = system.state_at(0.37, traj.jumps[-1])
     assert np.isfinite(st.macro).all() and np.isfinite(st.corrector).all()
@@ -556,7 +555,7 @@ def test_9216_jumps_past_the_old_lift_budget_step_and_rebuild_correctors():
                             dt=1e-3)
     assert system.n_w == 9216
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=47)
-    traj = simulate_two_scale(system, w0, 3e-3)
+    traj = simulate(system, w0, 3e-3)
     assert len(traj) == 4
     assert float(traj.mean_defects.max()) <= 1e-12
     st = traj.state(len(traj) - 1)
@@ -582,7 +581,7 @@ def test_bulk_hessian_matches_dense_loops():
 def test_zero_mean_preserved_along_trajectory():
     system = make_two_scale(cond=(2.0, 1.0), law=("sin",), macro_res=2)
     w0 = initial_two_scale_jump(system, "random", 3.0, seed=1)
-    traj = simulate_two_scale(system, w0, 0.5)
+    traj = simulate(system, w0, 0.5)
     assert float(traj.mean_defects.max()) <= 1e-12
 
 
@@ -600,8 +599,8 @@ def test_two_scale_lyapunov_never_increases():
     system = make_two_scale(law=("sin",), macro_res=2)
     wa = initial_two_scale_jump(system, "random", 5.0, seed=3)
     wb = initial_two_scale_jump(system, "random", 5.0, seed=4)
-    ta = simulate_two_scale(system, wa, 2.0)
-    tb = simulate_two_scale(system, wb, 2.0)
+    ta = simulate(system, wa, 2.0)
+    tb = simulate(system, wb, 2.0)
     diff = ta.jumps - tb.jumps
     e = np.sum(system.weights * diff * diff, axis=1)
     assert np.all(np.diff(e) <= 1e-10)
@@ -618,7 +617,7 @@ def test_reduction_to_micro_at_unit_scale():
     ts = TwoScaleSystem(cell, cond, law, drive, params, macro_res=1)
     ms = MicroSystem(T.tile_domain(cell, 1.0), cond, law, drive, params)
     w0 = initial_two_scale_jump(ts, "uniform", 2.0)
-    ta = simulate_two_scale(ts, w0, 0.5)
+    ta = simulate(ts, w0, 0.5)
     tb = simulate(ms, initial_jump(ms.domain, "uniform", 2.0), 0.5)
     assert np.max(np.abs(ta.jumps - tb.jumps)) < 1e-9
 
@@ -672,15 +671,14 @@ def test_two_scale_delta_orbits_contract():
 def test_two_scale_trajectory_on_orbit_stays():
     system = make_two_scale(law=("sin",), macro_res=2)
     orbit = find_periodic(system, tol=1e-10)
-    traj = simulate_two_scale(system, orbit.jumps[0].copy(), 2.0)
-    rep = two_scale_decay_metrics(traj, orbit)
+    traj = simulate(system, orbit.jumps[0].copy(), 2.0)
+    rep = decay_metrics(traj, orbit)
     tol = 100 * max(orbit.defect, 1e-12)
     assert np.max(rep.columns["norm_macro_h1"]) < tol
     assert np.max(rep.columns["norm_jump"]) < tol
 
 
 def test_two_scale_linear_rate_matches_dense_eigen_oracle():
-    from tissue.decay import decay_metrics  # noqa: F401  (fit shares the code)
     kappa = 1.0
     system = make_two_scale(law=("linear",), kappa=kappa, cond=(2.0, 1.0),
                             macro_res=2)
@@ -699,8 +697,8 @@ def test_two_scale_linear_rate_matches_dense_eigen_oracle():
     oracle_rate = np.log(mu_max) / p.dt
     orbit = find_periodic(system, tol=1e-11)
     w0 = initial_two_scale_jump(system, "random", 3.0, seed=12)
-    traj = simulate_two_scale(system, w0, 8.0, stride=5)
-    rep = two_scale_decay_metrics(traj, orbit)
+    traj = simulate(system, w0, 8.0, stride=5)
+    rep = decay_metrics(traj, orbit)
     assert rep.fit.classification == "exponential"
     assert rep.fit.rate == pytest.approx(oracle_rate, rel=0.05)
 
@@ -709,8 +707,8 @@ def test_two_scale_decay_report(small_domain):
     system = make_two_scale(law=("sin",), macro_res=2)
     orbit = find_periodic(system, tol=1e-9)
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=5)
-    traj = simulate_two_scale(system, w0, 20.0, stride=10)
-    rep = two_scale_decay_metrics(traj, orbit)
+    traj = simulate(system, w0, 20.0, stride=10)
+    rep = decay_metrics(traj, orbit)
     ratios = rep.as_dict()["final_over_initial"]
     for key in ("norm_macro_h1", "norm_corrector", "norm_corrector_grad",
                 "norm_jump"):
@@ -724,7 +722,7 @@ def test_stacked_mean_defects_match_per_sample_states(dim):
     # more samples than one chunk, the last chunk partly filled
     system = make_two_scale(cond=(2.0, 1.0), dim=dim,
                             macro_res=4 if dim == 1 else 2)
-    traj = simulate_two_scale(
+    traj = simulate(
         system, initial_two_scale_jump(system, "random", 5.0, seed=3), 0.4)
     assert len(traj) > 2 * SAMPLE_CHUNK and len(traj) % SAMPLE_CHUNK
     want = per_sample_mean_defects(traj)
@@ -749,23 +747,18 @@ def test_decay_metrics_serves_two_scale_runs():
     system = make_two_scale(law=("sin",), macro_res=2)
     orbit = find_periodic(system, tol=1e-9)
     w0 = initial_two_scale_jump(system, "random", 5.0, seed=5)
-    traj = simulate(system, w0, 1.0, stride=10)     # no mean defects recorded
-    plain = decay_metrics(traj, orbit)
-    full = two_scale_decay_metrics(traj, orbit)
+    traj = simulate(system, w0, 1.0, stride=10)
+    report = decay_metrics(traj, orbit)
     names = ["norm_macro_h1", "norm_corrector", "norm_corrector_grad",
              "norm_jump", "lyapunov"]
-    assert list(plain.columns) == list(full.columns) == names
-    for name in names:
-        assert np.array_equal(plain.columns[name], full.columns[name]), name
-    assert plain.fit == full.fit
-    assert plain.lyapunov_monotone == full.lyapunov_monotone
-    assert plain.max_mean_defect is None
-    assert 0.0 <= full.max_mean_defect <= 1e-12
+    assert list(report.columns) == names
+    assert report.max_mean_defect == \
+        float(np.max(per_sample_mean_defects(traj)))
+    assert 0.0 <= report.max_mean_defect <= 1e-12
     keys = {"rate", "r_squared", "classification", "fit_samples",
-            "lyapunov_monotone", "final_over_initial"}
-    assert set(plain.as_dict()) == keys
-    assert set(full.as_dict()) == keys | {"max_mean_defect"}
-    assert set(full.as_dict()["final_over_initial"]) == set(names[:4])
+            "lyapunov_monotone", "final_over_initial", "max_mean_defect"}
+    assert set(report.as_dict()) == keys
+    assert set(report.as_dict()["final_over_initial"]) == set(names[:4])
 
 
 def test_report_lyapunov_column_is_the_lyapunov_series():
@@ -787,8 +780,8 @@ def test_roundoff_level_norm_has_no_ratio():
     system = make_two_scale(law=("sin",), macro_res=2)
     orbit = find_periodic(system, tol=1e-9)
     w0 = initial_two_scale_jump(system, "modulated", 1.0)
-    traj = simulate_two_scale(system, w0, 2.0, stride=10)
-    rep = two_scale_decay_metrics(traj, orbit)
+    traj = simulate(system, w0, 2.0, stride=10)
+    rep = decay_metrics(traj, orbit)
     cols = rep.columns
     assert cols["norm_macro_h1"][0] <= 1e-12 * cols["norm_jump"][0]
     ratios = rep.as_dict()["final_over_initial"]
@@ -802,7 +795,7 @@ def test_roundoff_level_norm_has_no_ratio():
 def test_transient_weak_form_certification():
     system = make_two_scale(cond=(2.0, 1.0), law=("sin",), macro_res=2)
     w0 = initial_two_scale_jump(system, "random", 2.0, seed=6)
-    traj = simulate_two_scale(system, w0, 0.3)
+    traj = simulate(system, w0, 0.3)
     rng = np.random.default_rng(7)
     n_steps = len(traj.ts) - 1
     scale = max(1.0, float(np.max(np.abs(traj.jumps))))
@@ -845,7 +838,7 @@ def test_periodic_weak_residual_rejects_ends_apart_by_1e7(part):
     traj = simulate(system, initial_two_scale_jump(system, "random", 2.0,
                                                    seed=1), 1.0)
     orbit = PeriodicOrbit(jumps=traj.jumps, dt=traj.dt, defect=0.0,
-                          method="picard", iterations=0)
+                          iterations=0)
     rng = np.random.default_rng(5)
     parts = (rng.normal(size=system.n_nodes),
              rng.normal(size=(system.n_nodes, system.n_y)),
@@ -869,7 +862,7 @@ def test_weak_residuals_hold_one_chunk_of_tests():
     traj = simulate(system, initial_two_scale_jump(system, "random", 5.0,
                                                    seed=1), 1.0)
     orbit = PeriodicOrbit(jumps=traj.jumps, dt=traj.dt, defect=0.0,
-                          method="picard", iterations=0)
+                          iterations=0)
     rng = np.random.default_rng(9)
     phi = rng.normal(size=system.n_nodes)
     phc = rng.normal(size=(system.n_nodes, system.n_y))
@@ -933,7 +926,7 @@ def test_weak_residuals_match_the_per_step_pairing(dim, monkeypatch):
     system = make_two_scale(cond=(2.0, 1.0), law=("sin",), dim=dim,
                             macro_res=4 if dim == 1 else 2)
     orbit = find_periodic(system, tol=1e-10)
-    traj = simulate_two_scale(
+    traj = simulate(
         system, initial_two_scale_jump(system, "random", 2.0, seed=6), 0.5)
     assert len(traj.ts) - 1 > SAMPLE_CHUNK
     rng = np.random.default_rng(10 + dim)
@@ -976,7 +969,7 @@ def test_micro_two_scale_error_decreases_in_epsilon():
     params = T.SolverParams(dt=1e-2)
     ts = TwoScaleSystem(cell, cond, law, drive, params, macro_res=8)
     w0 = initial_two_scale_jump(ts, "uniform", 1.0)
-    traj = simulate_two_scale(ts, w0, 1.0, stride=100)
+    traj = simulate(ts, w0, 1.0, stride=100)
     st = ts.state_at(1.0, traj.jumps[-1])
     gaps = []
     for eps in (0.5, 0.25, 0.125):
@@ -992,7 +985,7 @@ def test_transient_energy_bound():
     # the released initial storage
     system = make_two_scale(cond=(2.0, 1.0), law=("sin",), macro_res=2)
     w0 = initial_two_scale_jump(system, "random", 3.0, seed=9)
-    traj = simulate_two_scale(system, w0, 1.0)
+    traj = simulate(system, w0, 1.0)
     p = system.params
     cert = system.law.certificate
     lam_q, lam_a = cert.growth_quad, cert.growth_abs

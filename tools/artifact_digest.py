@@ -26,7 +26,13 @@ configuration, the subcommand and ``--method`` alone:
   (``OUT_DIR/nondyadic``): simulate, periodic, decay, homogenize, compare
   and verify.  Every other set has power-of-two spacings, where products
   with the spacing or the facet measure are exact, so a refactor that
-  reorders such products would leave their bytes alone.
+  reorders such products would leave their bytes alone;
+- a conductivity contrast, ``conductivity.sigma_int = 0.37`` and
+  ``conductivity.sigma_out = 2.9``, with ``init.kind = modulated`` and
+  ``time.horizon = 2.0`` (``OUT_DIR/contrast``): simulate, periodic, decay
+  and homogenize.  Every other set has ``sigma_int = sigma_out``, so all
+  face conductances of an assembly are one number and a change of the
+  order in which it sums them would leave their bytes alone.
 
 Prints each subcommand's exit code, then one ``sha256  path`` line per file
 under OUT_DIR, sorted by path.  A refactor that must leave the artifacts
@@ -60,6 +66,8 @@ CONFIGS = {
     "fine": "geometry.epsilon = 0.03125\ntime.horizon = 0.01\n",
     "nondyadic": "geometry.cell_resolution = 12\nmacro.resolution = 3\n"
                  "init.kind = modulated\ntime.horizon = 2.0\n",
+    "contrast": "conductivity.sigma_int = 0.37\nconductivity.sigma_out = 2.9\n"
+                "init.kind = modulated\ntime.horizon = 2.0\n",
 }
 
 # (config, output directory, subcommand and its extra arguments)
@@ -84,7 +92,9 @@ RUNS = [
     ("weak", "weak", ["decay"]),
     ("fine", "fine", ["simulate"]),
 ] + [("nondyadic", "nondyadic", [cmd]) for cmd in (
-    "simulate", "periodic", "decay", "homogenize", "compare", "verify")]
+    "simulate", "periodic", "decay", "homogenize", "compare", "verify")] + [
+    ("contrast", "contrast", [cmd]) for cmd in (
+        "simulate", "periodic", "decay", "homogenize")]
 
 
 def run_all(out: Path) -> None:
