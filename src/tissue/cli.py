@@ -25,8 +25,9 @@ from .decay import decay_metrics
 from .errors import TissueError
 from .micro import (MicroSystem, bulk_l2, gradient_l2, initial_jump,
                     simulate, verify_energy_estimates)
+from .nonlinearity import PERIOD
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
-                       orbit_distance)
+                       orbit_distance, poincare_map)
 from .twoscale import (TwoScaleSystem, initial_two_scale_jump,
                        micro_two_scale_gap)
 from .verify import run_invariant_suite
@@ -120,12 +121,12 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
         w = traj.jumps[i]
         u = system.bulk_at(t, w)
         bvals = system.drive.values(dom.boundary.midpoint, t)
-        step_idx = int(round(t / system.params.dt))
+        n = traj.stride * i
         rows.append((
             t, bulk_l2(dom, u), gradient_l2(dom, u, w, bvals),
             system.jump_norm(w),
-            traj.balance_residuals[step_idx - 1] if step_idx > 0 else 0.0,
-            traj.newton_iters[step_idx - 1] if step_idx > 0 else 0,
+            traj.balance_residuals[n - 1] if n > 0 else 0.0,
+            traj.newton_iters[n - 1] if n > 0 else 0,
         ))
     _write_csv(out / "simulate.csv", cfg,
                ["t", "L2_bulk", "L2_grad", "L2_jump", "dissipation_residual",
@@ -199,10 +200,9 @@ def _load_orbit(cfg: RunConfig, out: Path, system) -> PeriodicOrbit:
         raise ConfigError(
             f"orbit artifact has method {method!r}, not 'picard'; rerun "
             "`tissue periodic` without `--method delta`", exit_code=3)
-    data = np.loadtxt(lines[2:], delimiter=",")
-    jumps = data[:, 1:]
-    dt = float(data[1, 0] - data[0, 0])
-    return PeriodicOrbit(jumps=jumps, dt=dt,
+    # the stamp ties the orbit to the configured time step
+    jumps = np.loadtxt(lines[2:], delimiter=",")[:, 1:]
+    return PeriodicOrbit(jumps=jumps, dt=cfg["time.dt"],
                          defect=system.jump_norm(jumps[-1] - jumps[0]),
                          iterations=0)
 
@@ -254,10 +254,8 @@ def _compare_one(cfg: RunConfig, system_ts, state, eps: float) -> tuple:
                         cfg.build_params())
     w0 = initial_jump(dom, cfg["init.kind"], cfg["init.amplitude"],
                       seed=cfg["seed"])
-    horizon = 1.0
-    traj = simulate(micro, w0, horizon, stride=max(1, int(round(
-        horizon / micro.params.dt))))
-    gap = micro_two_scale_gap(micro, traj.jumps[-1], system_ts, state, horizon)
+    gap = micro_two_scale_gap(micro, poincare_map(micro, w0), system_ts,
+                              state, PERIOD)
     return eps, gap
 
 
@@ -269,9 +267,7 @@ def _cmd_compare(cfg: RunConfig, out: Path, args) -> int:
     system = _two_scale_system(cfg)
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
-    traj = simulate(system, w0, 1.0,
-                    stride=int(round(1.0 / system.params.dt)))
-    state = system.state_at(1.0, traj.jumps[-1])
+    state = system.state_at(PERIOD, poincare_map(system, w0))
     results = [_compare_one(cfg, system, state, e)
                for e in cfg["compare.epsilons"]]
     _write_csv(out / "compare.csv", cfg, ["epsilon", "l2_error"], results)

@@ -17,13 +17,14 @@ from typing import Optional
 from .errors import ConfigError, GeometryError, NonlinearityError
 from .geometry import (CellGeometry, Conductivity, EpsilonDomain,
                        build_cell_geometry, make_conductivity, tile_domain)
-from .membrane import SolverParams
-from .nonlinearity import (BoundaryData, Nonlinearity, make_boundary_data,
-                           make_nonlinearity)
+from . import nonlinearity
+from .membrane import SolverParams, whole_steps
+from .nonlinearity import (PERIOD, BoundaryData, Nonlinearity,
+                           make_boundary_data, make_nonlinearity)
 
-_F_KINDS = ("linear", "tanh", "sin", "cubic")
-_SPATIAL = ("constant", "affine", "sines")
-_TEMPORAL = ("constant", "sin", "offset_sin")
+_F_KINDS = tuple(nonlinearity._BUILTINS)
+_SPATIAL = tuple(nonlinearity._SPATIAL)
+_TEMPORAL = nonlinearity._TEMPORAL
 _INIT = ("zero", "uniform", "modulated", "random")
 
 
@@ -48,7 +49,7 @@ _SCHEMA = {
     "psi.temporal": (str, "sin", lambda v: v in _TEMPORAL, f"one of {_TEMPORAL}"),
     "psi.amplitude": (float, 1.0, lambda v: True, "any finite float"),
     "psi.offset": (float, 0.0, lambda v: True, "any finite float"),
-    "time.dt": (float, 1e-3, lambda v: v > 0, "finite positive"),
+    "time.dt": (float, 1e-3, lambda v: v > 0, "finite positive, divides 1"),
     "time.horizon": (float, 10.0, lambda v: v > 0,
                      "finite positive multiple of dt"),
     "alpha": (float, 1.0, lambda v: v > 0, "finite positive"),
@@ -143,8 +144,8 @@ def parse_config(path) -> RunConfig:
 
     Raises ConfigError with exit code 2 for malformed text and 3 for unknown
     keys or out-of-range values; cross-field checks (tiling closure, aligned
-    membrane, horizon divisibility) also surface as code 3 here rather than
-    from deep inside a solver run.
+    membrane, a time grid that tiles the horizon and the drive period) also
+    surface as code 3 here rather than from deep inside a solver run.
     """
     path = Path(path)
     if not path.exists():
@@ -195,11 +196,13 @@ def finalize_config(values: dict) -> RunConfig:
         raise ConfigError(
             "fields geometry.inclusion_margin * geometry.cell_resolution must "
             f"be integral (got {am:.6g}); pick an aligned resolution", exit_code=3)
-    steps = full["time.horizon"] / full["time.dt"]
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-6:
-        raise ConfigError(
-            f"field time.horizon = {full['time.horizon']} is not a multiple "
-            f"of time.dt = {full['time.dt']}", exit_code=3)
+    for span, name in ((full["time.horizon"], "field time.horizon ="),
+                       (PERIOD, "the drive period")):
+        try:
+            whole_steps(span, full["time.dt"])
+        except ValueError:
+            raise ConfigError(f"{name} {span} is not a multiple of time.dt = "
+                              f"{full['time.dt']}", exit_code=3) from None
     if full["macro.dimension"] != full["geometry.dimension"]:
         raise ConfigError(
             "field macro.dimension must equal geometry.dimension", exit_code=3)

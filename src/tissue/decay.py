@@ -100,13 +100,12 @@ def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
         raise ValueError("trajectory and orbit use different time steps")
     if orbit.jumps.shape[1] != traj.jumps.shape[1]:
         raise ValueError("trajectory and orbit use different grids")
-    steps = np.rint(traj.ts / dt).astype(np.int64)
+    steps = traj.stride * np.arange(len(traj))
     chunks = [system.gap_norms(traj.jumps[lo:lo + SAMPLE_CHUNK],
                                orbit.jump_at_step(steps[lo:lo + SAMPLE_CHUNK]))
               for lo in range(0, len(traj), SAMPLE_CHUNK)]
     cols = {name: np.concatenate([c[name] for c in chunks])
             for name in chunks[0]}
-    sample_dt = float(traj.ts[1] - traj.ts[0]) if len(traj) > 1 else dt
     gaps = cols["norm_jump"]
     floored = np.flatnonzero(gaps <= 100.0 * orbit.defect)
     n_fit = int(floored[0]) if floored.size else gaps.size
@@ -114,7 +113,7 @@ def decay_metrics(traj: Trajectory, orbit: PeriodicOrbit) -> DecayReport:
         fit = RateFit(rate=None, r_squared=None,
                       classification="reached_floor")
     else:
-        fit = fit_rate(gaps[:n_fit], dt=sample_dt)
+        fit = fit_rate(gaps[:n_fit], dt=traj.stride * dt)
     monotone = bool(np.all(np.diff(cols["lyapunov"]) <= LYAPUNOV_SLACK))
     means = traj.mean_defects
     return DecayReport(ts=traj.ts.copy(), columns=cols, fit=fit,

@@ -30,6 +30,8 @@ stepper (``JumpStepper``).  Its factors are never modified after they are
 built, so one system can be stepped from several threads; the stepper
 itself keeps no state between steps.
 
+The time grid has one rule, ``whole_steps``: a span (the horizon, the drive
+period) is a whole number of steps, and every step count comes from it.
 The time loop (``simulate``, ``step``), the trajectory record and the
 decay report (``decay.decay_metrics``) are shared by both systems too; a
 system supplies ``params``, ``stepper``, ``state_at`` and ``gap_norms``,
@@ -205,9 +207,9 @@ class JumpStepper:
     roundoff of the rate term.  Every comparison with it is first made with
     its scalar lower bound newton_tol max(1, |drive| L) + 10 u a, and the
     two array maxima are taken only when the bound does not decide, at most
-    once per step.  Each term of the bound rounds to at most the
-    tolerance's, so every acceptance, skip and handover is the one the full
-    tolerance makes; the bound decides most continued steps alone.
+    once per step (``_StepTolerance``).  Each term of the bound rounds to at
+    most the tolerance's, so every acceptance, skip and handover is the one
+    the full tolerance makes; the bound decides most continued steps alone.
     """
 
     def __init__(self, flux: FluxMap, law: Nonlinearity,
@@ -236,6 +238,8 @@ class JumpStepper:
         self._inv_weights = 1.0 / flux.weights
         self._load_w = flux.load * self._inv_weights
         self._load_scale = float(np.max(np.abs(self._load_w), initial=0.0))
+        # the tolerance floor before its max(1, max |w_n|) factor
+        self._floor = 10.0 * _EPS * rate_coeff / params.dt
         # built on first use: a factor is as costly as the system set-up
         self._frozen = None
 
@@ -256,22 +260,6 @@ class JumpStepper:
         g += flux_w * self._inv_weights
         g -= load_t
         return g
-
-    def _tolerance(self, w_prev: np.ndarray, f_max: float,
-                   drive: float) -> float:
-        # reference: flux/data scale, not the (much larger) Jacobian scale;
-        # the floor term covers roundoff of the rate term at that scale
-        scale = max(1.0, abs(drive) * self._load_scale, f_max)
-        floor = 10.0 * _EPS * self.rate_coeff / self.params.dt \
-            * max(1.0, float(np.abs(w_prev).max(initial=0.0)))
-        return self.params.newton_tol * scale + floor
-
-    def _tolerance_bound(self, drive: float) -> float:
-        """``_tolerance`` with f_max = 0 and w_prev = 0, from scalars alone:
-        each of its terms rounds to at most the tolerance's own."""
-        scale = max(1.0, abs(drive) * self._load_scale)
-        return self.params.newton_tol * scale \
-            + 10.0 * _EPS * self.rate_coeff / self.params.dt
 
     def step(self, t_next: float, w_prev: np.ndarray | StepResult,
              dt: float) -> StepResult:
@@ -443,28 +431,28 @@ class JumpStepper:
 
 
 class _StepTolerance:
-    """The tolerance of one step, decided by its scalar lower bound
-    (``JumpStepper._tolerance_bound``) where that suffices: the full
-    tolerance (``JumpStepper._tolerance``) and its two array maxima,
-    max |f(w_prev/eps)| and max |w_prev|, are taken on the first comparison
-    that the bound leaves open, at most once per step.  As the bound is at
-    most the tolerance, every comparison decides as the tolerance does."""
+    """The tolerance of one step (``JumpStepper``) and its scalar lower
+    ``bound``, the tolerance with both array maxima at zero; the maxima
+    enter on the first comparison that the bound leaves open."""
 
-    __slots__ = ("bound", "_stepper", "_w_prev", "_f_prev", "_drive",
+    __slots__ = ("bound", "_tol", "_scale", "_floor", "_w_prev", "_f_prev",
                  "_value")
 
     def __init__(self, stepper: JumpStepper, w_prev: np.ndarray,
                  f_prev: np.ndarray, drive: float):
-        self.bound = stepper._tolerance_bound(drive)
-        self._stepper, self._w_prev, self._f_prev, self._drive = \
-            stepper, w_prev, f_prev, drive
+        self._tol = stepper.params.newton_tol
+        self._scale = max(1.0, abs(drive) * stepper._load_scale)
+        self._floor = stepper._floor
+        self.bound = self._tol * self._scale + self._floor
+        self._w_prev, self._f_prev = w_prev, f_prev
         self._value = None
 
     def value(self) -> float:
         if self._value is None:
-            self._value = self._stepper._tolerance(
-                self._w_prev, float(np.abs(self._f_prev).max(initial=0.0)),
-                self._drive)
+            f_max = float(np.abs(self._f_prev).max(initial=0.0))
+            w_max = float(np.abs(self._w_prev).max(initial=0.0))
+            self._value = self._tol * max(self._scale, f_max) \
+                + self._floor * max(1.0, w_max)
         return self._value
 
     def met(self, x: float) -> bool:
@@ -584,17 +572,25 @@ class Trajectory:
         return len(self.ts)
 
 
+def whole_steps(span: float, dt: float) -> int:
+    """The number of steps of length ``dt`` in ``span``, which must be a
+    whole number of them to within 1e-9: the one rule of the time grid."""
+    ratio = span / dt
+    n = round(ratio) if math.isfinite(ratio) else None
+    if n is None or abs(n * dt - span) > 1e-9:
+        raise ValueError(f"time span {span} is not a multiple of dt {dt}")
+    return n
+
+
 def simulate(system: MembraneSystem, w0: np.ndarray, horizon: float,
              stride: int = 1) -> Trajectory:
     """Advance from the initial jump over ``horizon`` time units.
 
-    The horizon must be a whole number of steps.  Bulk fields are
-    reconstructed on demand from the sampled jumps.
+    The horizon must be a whole number of steps (``whole_steps``).  Bulk
+    fields are reconstructed on demand from the sampled jumps.
     """
     dt = system.params.dt
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9:
-        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
+    n_steps = whole_steps(horizon, dt)
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
     w = np.asarray(w0, dtype=float).reshape(-1)

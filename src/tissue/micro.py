@@ -363,10 +363,8 @@ def _face_differences(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
     s_face = h ** (domain.dim - 1)
     du = u[..., faces.cell_b] - u[..., faces.cell_a]
     jump_corr = np.zeros(du.shape)
-    memb = np.flatnonzero(faces.membrane)
     # jump is oriented inner->outer; convert to the a->b face orientation
-    sign = np.where(faces.a_inside[memb], 1.0, -1.0)
-    jump_corr[..., memb] = sign * w
+    jump_corr[..., faces.membrane] = domain.facets.sign * w
     slopes_int = (du - jump_corr) / h
     vol_int = np.full(len(faces), s_face * h)
 

@@ -181,6 +181,8 @@ def _sines_grad(x: np.ndarray) -> np.ndarray:
     return grad
 
 
+# every temporal profile has period PERIOD, which a run's time grid tiles
+PERIOD = 1.0
 _TEMPORAL = ("constant", "sin", "offset_sin")
 
 
@@ -188,8 +190,8 @@ _TEMPORAL = ("constant", "sin", "offset_sin")
 class BoundaryData:
     """Separable Dirichlet data ``amplitude * spatial(x) * temporal(t)``.
 
-    The temporal profile has period 1 and an exact derivative, so the energy
-    estimates use analytic time derivatives of the data.
+    The temporal profile has period ``PERIOD`` and an exact derivative, so
+    the energy estimates use analytic time derivatives of the data.
     """
 
     spatial_kind: str

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FixedPointError
-from .membrane import simulate
-from .nonlinearity import regularize
+from .membrane import simulate, whole_steps
+from .nonlinearity import PERIOD, regularize
 
 # differences of past iterates and defects the Anderson mixing fits over
 ANDERSON_DEPTH = 3
@@ -55,8 +55,8 @@ class PeriodicOrbit:
 
 def poincare_map(system, w0: np.ndarray) -> np.ndarray:
     """Advance the jump vector through one full period of the drive."""
-    steps = int(round(1.0 / system.params.dt))
-    return simulate(system, w0, 1.0, stride=steps).jumps[-1]
+    return simulate(system, w0, PERIOD,
+                    stride=whole_steps(PERIOD, system.params.dt)).jumps[-1]
 
 
 def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
@@ -87,7 +87,7 @@ def find_periodic(system, tol: float = 1e-8, max_iters: int = 500,
     window_start = 0      # index of the defect that opens the stall window
     d_w, d_f = [], []     # differences of consecutive iterates and defects
     for it in range(max_iters):
-        jumps = simulate(system, w, 1.0).jumps
+        jumps = simulate(system, w, PERIOD).jumps
         f = jumps[-1] - w
         defect = system.jump_norm(f)
         defects.append(defect)

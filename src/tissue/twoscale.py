@@ -174,10 +174,10 @@ def _cell_face_data(cell: CellGeometry, cond: Conductivity) -> CellFaceData:
                              np.arange(0, 2 * nfa + 1, 2)), shape=(nfa, n_y))
 
     memb = faces.membrane
-    sign = np.where(faces.a_inside[memb], 1.0, -1.0)
     nf = len(facets)
     slope_w = sp.csr_matrix(
-        (-sign / h, np.arange(nf), np.concatenate([[0], np.cumsum(memb)])),
+        (-facets.sign / h, np.arange(nf),
+         np.concatenate([[0], np.cumsum(memb)])),
         shape=(nfa, nf))
 
     axis_select = sp.csr_matrix((np.ones(nfa), faces.axis, np.arange(nfa + 1)),

@@ -135,11 +135,15 @@ def test_non_finite_float_exits_3(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("data,code", [
     (b"geometry.epsilon = 5e-324\n", 3),
     (b"time.dt = 1e-300\ntime.horizon = 1e300\n", 3),
-    (b"time.dt = 0.01 \xff\n", 2)])
+    (b"time.dt = 0.01 \xff\n", 2),
+    (b"time.dt = 0.3\ntime.horizon = 0.9\n", 3),
+    (b"time.dt = 1.0\ntime.horizon = 5.0000009\n", 3)])
 def test_config_fuzz_findings_exit_2_or_3(tmp_path, data, code):
     # raw tracebacks that tests/test_config_fuzz.py found: 1/epsilon and
     # horizon/dt overflow to inf, which no tiling closes and no step count
-    # divides, and a file that is not UTF-8 text
+    # divides, and a file that is not UTF-8 text; and two time grids that
+    # a run could not step, a dt that does not divide the drive period and
+    # a horizon 9e-7 off a whole number of steps
     path = tmp_path / "run.cfg"
     path.write_bytes(data)
     with pytest.raises(ConfigError) as err:
@@ -317,6 +321,16 @@ def test_verify_exit_code_and_report(tmp_path):
     values = {c["name"]: c["value"] for c in rep["checks"]}
     assert values["two_scale_weak_form"] is not None
     assert values["refinement_stability"] is None
+
+
+def test_verify_short_runs_take_whole_steps(tmp_path):
+    # dt = 0.125 divides the drive period but not verify's 0.2-unit runs,
+    # which take the nearest whole number of steps instead
+    cfg = write_cfg(tmp_path, **{"time.dt": 0.125, "time.horizon": 2.0,
+                                 "f.kind": "cubic"})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "verify_report.json").read_text())["passed"]
 
 
 def test_solver_failure_exit_code(tmp_path):

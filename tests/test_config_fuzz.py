@@ -5,9 +5,12 @@ drawn from floats (infinities, NaN and subnormals included), small
 integers, float lists and arbitrary text, mixed with lines of arbitrary
 text, and files of arbitrary bytes.  ``parse_config`` must return a
 configuration or raise ``ConfigError`` with exit code 2 (malformed text)
-or 3 (unknown key or rejected value), and nothing else.  Integers stay
-small: the parser builds the cell, so an unbounded
-``geometry.cell_resolution`` would allocate without limit.
+or 3 (unknown key or rejected value), and nothing else.  A configuration
+it returns has a time grid that every run can step: its horizon and the
+drive period are whole numbers of steps by ``membrane.whole_steps``, the
+rule that ``simulate`` applies.  Integers stay small: the parser builds
+the cell, so an unbounded ``geometry.cell_resolution`` would allocate
+without limit.
 """
 
 import pytest
@@ -17,6 +20,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tissue.config import _SCHEMA, RunConfig, parse_config  # noqa: E402
 from tissue.errors import ConfigError  # noqa: E402
+from tissue.membrane import whole_steps  # noqa: E402
+from tissue.nonlinearity import PERIOD  # noqa: E402
 
 # text that encodes to UTF-8: no lone surrogates
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=16)
@@ -61,3 +66,5 @@ def test_parse_config_returns_or_raises_config_error(tmp_path_factory, data):
     else:
         assert isinstance(cfg, RunConfig)
         assert set(cfg.values) == set(_SCHEMA)
+        whole_steps(cfg["time.horizon"], cfg["time.dt"])
+        whole_steps(PERIOD, cfg["time.dt"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tissue as T
-from tissue import twoscale
+from tissue import membrane, twoscale
 from tissue.cli import _two_scale_system
 from tissue.config import finalize_config
 from tissue.decay import decay_metrics
@@ -648,8 +648,13 @@ def test_tolerance_bound_decides_as_the_tolerance(monkeypatch, law, stack, dt,
                 for res in _continued_steps(system, w0, 40)]
 
     bounded = run()
-    monkeypatch.setattr(JumpStepper, "_tolerance_bound",
-                        lambda self, drive: -np.inf)
+    init = membrane._StepTolerance.__init__
+
+    def unbounded(self, *args):
+        init(self, *args)
+        self.bound = -np.inf
+
+    monkeypatch.setattr(membrane._StepTolerance, "__init__", unbounded)
     assert run() == bounded
 
 
@@ -660,15 +665,18 @@ def test_tolerance_bound_decides_most_continued_steps(monkeypatch):
     system = _two_scale_system(cfg)
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
-    full = JumpStepper._tolerance
-    calls = []
-    monkeypatch.setattr(JumpStepper, "_tolerance",
-                        lambda self, *args: calls.append(1) or
-                        full(self, *args))
+    value = membrane._StepTolerance.value
+    computed = []
+
+    def counted(self):
+        computed.append(self._value is None)
+        return value(self)
+
+    monkeypatch.setattr(membrane._StepTolerance, "value", counted)
     traj = T.simulate(system, w0, 2.0)
     continued = len(traj.newton_iters) - 1
     assert continued == 1999
-    assert len(calls) < continued / 10
+    assert sum(computed) < continued / 10
 
 
 _BALANCE_BITS = """

@@ -28,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import tissue as T  # noqa: E402
 from tissue.decay import lyapunov_series  # noqa: E402
-from tissue.membrane import JumpStepper  # noqa: E402
+from tissue.membrane import JumpStepper, _StepTolerance  # noqa: E402
 from tissue.micro import initial_jump  # noqa: E402
 from tissue.twoscale import initial_two_scale_jump  # noqa: E402
 
@@ -132,5 +132,5 @@ def test_tolerance_bound_never_exceeds_the_tolerance(
     stepper = JumpStepper(flux, T.make_nonlinearity("linear"),
                           lambda t: 1.0, rate_coeff=rate_coeff, arg_scale=1.0,
                           params=T.SolverParams(dt=dt, newton_tol=newton_tol))
-    assert stepper._tolerance_bound(drive) <= \
-        stepper._tolerance(np.array(w_prev), f_max, drive)
+    tol = _StepTolerance(stepper, np.array(w_prev), np.array([f_max]), drive)
+    assert tol.bound <= tol.value()

@@ -32,10 +32,16 @@ configuration, the subcommand and ``--method`` alone:
   ``time.horizon = 2.0`` (``OUT_DIR/contrast``): simulate, periodic, decay
   and homogenize.  Every other set has ``sigma_int = sigma_out``, so all
   face conductances of an assembly are one number and a change of the
-  order in which it sums them would leave their bytes alone.
+  order in which it sums them would leave their bytes alone;
+- the cubic law on a coarse grid, ``f.kind = cubic``, ``time.dt = 0.125``
+  and ``time.horizon = 2.0`` (``OUT_DIR/coarse``): simulate, periodic,
+  decay, homogenize and verify.  No other set has the cubic law, whose
+  steps take Newton passes with fresh factors, and no other step length
+  fails to divide the 0.2-unit runs of ``verify``.
 
-Prints each subcommand's exit code, then one ``sha256  path`` line per file
-under OUT_DIR, sorted by path.  A refactor that must leave the artifacts
+Prints each subcommand's exit code, or ``raised TYPE: message`` for a run
+that raises, and carries on; then one ``sha256  path`` line per file under
+OUT_DIR, sorted by path.  A refactor that must leave the artifacts
 byte-identical is checked by one ``diff`` of two such outputs.  The tissue
 package is imported from the ``src`` directory next to this script.
 
@@ -68,6 +74,7 @@ CONFIGS = {
                  "init.kind = modulated\ntime.horizon = 2.0\n",
     "contrast": "conductivity.sigma_int = 0.37\nconductivity.sigma_out = 2.9\n"
                 "init.kind = modulated\ntime.horizon = 2.0\n",
+    "coarse": "f.kind = cubic\ntime.dt = 0.125\ntime.horizon = 2.0\n",
 }
 
 # (config, output directory, subcommand and its extra arguments)
@@ -94,7 +101,9 @@ RUNS = [
 ] + [("nondyadic", "nondyadic", [cmd]) for cmd in (
     "simulate", "periodic", "decay", "homogenize", "compare", "verify")] + [
     ("contrast", "contrast", [cmd]) for cmd in (
-        "simulate", "periodic", "decay", "homogenize")]
+        "simulate", "periodic", "decay", "homogenize")] + [
+    ("coarse", "coarse", [cmd]) for cmd in (
+        "simulate", "periodic", "decay", "homogenize", "verify")]
 
 
 def run_all(out: Path) -> None:
@@ -102,8 +111,11 @@ def run_all(out: Path) -> None:
     for name, text in CONFIGS.items():
         (out / f"{name}.cfg").write_text(text)
     for cfg, sub, cmd in RUNS:
-        code = main(cmd + ["--config", str(out / f"{cfg}.cfg"),
-                           "--out", str(out / sub)])
+        try:
+            code = main(cmd + ["--config", str(out / f"{cfg}.cfg"),
+                               "--out", str(out / sub)])
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
         print(f"exit {code}  {sub}: {' '.join(cmd)}", flush=True)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
