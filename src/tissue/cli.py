@@ -27,7 +27,7 @@ from .micro import (MicroSystem, bulk_l2, gradient_l2, initial_jump,
                     simulate, verify_energy_estimates)
 from .nonlinearity import PERIOD
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
-                       orbit_distance, poincare_map)
+                       orbit_distance)
 from .twoscale import (TwoScaleSystem, initial_two_scale_jump,
                        micro_two_scale_gap)
 from .verify import run_invariant_suite
@@ -137,6 +137,11 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
+def _orbit(cfg: RunConfig, system) -> PeriodicOrbit:
+    return find_periodic(system, tol=cfg["periodic.tol"],
+                         max_iters=cfg["periodic.max_iters"])
+
+
 def _orbit_rows(system, orbit: PeriodicOrbit):
     dom = system.domain
     rows = []
@@ -179,63 +184,37 @@ def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _load_orbit(cfg: RunConfig, out: Path, system) -> PeriodicOrbit:
-    path = out / "orbit_jumps.csv"
-    if not path.exists():
-        raise ConfigError(
-            f"decay needs a periodic orbit artifact; run `tissue periodic` "
-            f"first (missing {path})", exit_code=3)
-    lines = path.read_text().splitlines()
-    stamp = lines[0]
-    if cfg.sha256() not in stamp:
-        raise ConfigError(
-            "orbit artifact was produced under a different configuration; "
-            "rerun `tissue periodic`", exit_code=3)
-    # the delta route writes the orbit of its last shifted law, under the
-    # same stamp, not that of the configured law
-    report = out / "periodic_report.json"
-    method = (json.loads(report.read_text()).get("method")
-              if report.exists() else None)
-    if method != "picard":
-        raise ConfigError(
-            f"orbit artifact has method {method!r}, not 'picard'; rerun "
-            "`tissue periodic` without `--method delta`", exit_code=3)
-    # the stamp ties the orbit to the configured time step
-    jumps = np.loadtxt(lines[2:], delimiter=",")[:, 1:]
-    return PeriodicOrbit(jumps=jumps, dt=cfg["time.dt"],
-                         defect=system.jump_norm(jumps[-1] - jumps[0]),
-                         iterations=0)
+def _decay_run(cfg: RunConfig, out: Path, system, w0, name: str,
+               header: list[str]) -> tuple[dict, PeriodicOrbit]:
+    """Write ``name``.csv, the transient from w0 against the system's
+    periodic orbit; return the decay report's payload and the orbit."""
+    orbit = _orbit(cfg, system)
+    traj = simulate(system, w0, cfg["time.horizon"], stride=cfg["output.stride"])
+    report = decay_metrics(traj, orbit)
+    _write_csv(out / f"{name}.csv", cfg, ["t"] + header,
+               zip(report.ts, *report.columns.values()))
+    return report.as_dict(), orbit
 
 
 def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
     system = _micro_system(cfg)
-    orbit = _load_orbit(cfg, out, system)
     w0 = initial_jump(system.domain, cfg["init.kind"], cfg["init.amplitude"],
                       seed=cfg["seed"])
-    traj = simulate(system, w0, cfg["time.horizon"], stride=cfg["output.stride"])
-    report = decay_metrics(traj, orbit)
-    rows = zip(report.ts, *report.columns.values())
-    _write_csv(out / "decay.csv", cfg,
-               ["t", "norm_L2", "norm_grad", "norm_jump", "E"], rows)
-    _write_json(out / "decay_report.json", cfg, report.as_dict())
+    payload, _ = _decay_run(cfg, out, system, w0, "decay",
+                            ["norm_L2", "norm_grad", "norm_jump", "E"])
+    _write_json(out / "decay_report.json", cfg, payload)
     _write_json(out / "run_header.json", cfg, _run_header(system))
     return 0
 
 
 def _cmd_homogenize(cfg: RunConfig, out: Path, args) -> int:
     system = _two_scale_system(cfg)
-    orbit = find_periodic(system, tol=cfg["periodic.tol"],
-                          max_iters=cfg["periodic.max_iters"])
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
-    traj = simulate(system, w0, cfg["time.horizon"],
-                    stride=cfg["output.stride"])
-    report = decay_metrics(traj, orbit)
-    rows = zip(report.ts, *report.columns.values())
-    _write_csv(out / "homogenize.csv", cfg,
-               ["t", "norm_macro_H1", "norm_corrector", "norm_corrector_grad",
-                "norm_jump", "lyapunov"], rows)
-    payload = report.as_dict()
+    payload, orbit = _decay_run(
+        cfg, out, system, w0, "homogenize",
+        ["norm_macro_H1", "norm_corrector", "norm_corrector_grad",
+         "norm_jump", "lyapunov"])
     payload["orbit"] = {"defect": orbit.defect, "iterations": orbit.iterations}
     payload["cell_geometry"] = system.cell.summary()
     payload["macro_grid"] = {"dimension": system.macro.dim,
@@ -252,22 +231,14 @@ def _compare_one(cfg: RunConfig, system_ts, state, eps: float) -> tuple:
     cond = cfg.build_conductivity(cell)
     micro = MicroSystem(dom, cond, cfg.build_law(), cfg.build_drive(),
                         cfg.build_params())
-    w0 = initial_jump(dom, cfg["init.kind"], cfg["init.amplitude"],
-                      seed=cfg["seed"])
-    gap = micro_two_scale_gap(micro, poincare_map(micro, w0), system_ts,
+    gap = micro_two_scale_gap(micro, _orbit(cfg, micro).jumps[-1], system_ts,
                               state, PERIOD)
     return eps, gap
 
 
 def _cmd_compare(cfg: RunConfig, out: Path, args) -> int:
-    if cfg["init.kind"] == "random":
-        raise ConfigError(
-            "field init.kind = 'random' has no scale-consistent two-scale "
-            "limit; use zero, uniform or modulated for compare", exit_code=3)
     system = _two_scale_system(cfg)
-    w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
-                                seed=cfg["seed"])
-    state = system.state_at(PERIOD, poincare_map(system, w0))
+    state = system.state_at(PERIOD, _orbit(cfg, system).jumps[-1])
     results = [_compare_one(cfg, system, state, e)
                for e in cfg["compare.epsilons"]]
     _write_csv(out / "compare.csv", cfg, ["epsilon", "l2_error"], results)

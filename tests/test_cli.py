@@ -202,12 +202,20 @@ def test_determinism_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_decay_requires_periodic_artifact(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
+def test_every_subcommand_runs_from_the_empty_config(tmp_path):
+    # init.kind stays random: decay and compare solve their own orbits, so
+    # decay needs no periodic run before it and compare takes any start
+    cfg = write_cfg(tmp_path, "", **{"time.horizon": 1.0,
+                                     "compare.epsilons": "0.5, 0.25"})
     out = tmp_path / "out"
-    code = main(["decay", "--config", str(cfg), "--out", str(out)])
-    assert code == 3
-    assert "periodic" in capsys.readouterr().err
+    for cmd in ("decay", "periodic", "simulate", "homogenize", "compare",
+                "verify"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
+    rep = json.loads((out / "compare_report.json").read_text())
+    assert rep["monotone_decreasing"] is True
+    # the orbits' gap halves with the cell size: first order
+    first, second = rep["l2_errors"]
+    assert 1.9 <= first / second <= 2.1
 
 
 def test_decay_after_periodic(tmp_path):
@@ -221,27 +229,20 @@ def test_decay_after_periodic(tmp_path):
     assert lines[1] == "t,norm_L2,norm_grad,norm_jump,E"
 
 
-def test_decay_rejects_stale_orbit(tmp_path):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert main(["periodic", "--config", str(cfg), "--out", str(out)]) == 0
-    cfg2 = write_cfg(tmp_path, name="other.cfg", **{"psi.amplitude": 2.0})
-    assert main(["decay", "--config", str(cfg2), "--out", str(out)]) == 3
-
-
-def test_decay_rejects_delta_orbit(tmp_path, capsys):
-    # the delta route's orbit is that of the last shifted law, under the
-    # same stamp: decay must not take it for the orbit of the configured law
+def test_decay_ignores_the_periodic_artifacts(tmp_path):
+    # decay solves its orbit itself: an empty directory, a picard orbit and
+    # the orbit of the last shifted law leave the same bytes
     cfg = write_cfg(tmp_path, **{"periodic.deltas": "0.1, 0.01"})
-    out = tmp_path / "out"
-    assert main(["periodic", "--config", str(cfg), "--out", str(out),
-                 "--method", "delta"]) == 0
-    capsys.readouterr()
-    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "without `--method delta`" in capsys.readouterr().err
-    assert not (out / "decay.csv").exists()
-    assert main(["periodic", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+    written = set()
+    for name, before in (("empty", []), ("picard", ["periodic"]),
+                         ("delta", ["periodic", "--method", "delta"])):
+        out = tmp_path / name
+        if before:
+            assert main(before + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+        written.add(tuple((out / f).read_bytes()
+                          for f in ("decay.csv", "decay_report.json")))
+    assert len(written) == 1
 
 
 def test_periodic_delta_method(tmp_path):
@@ -278,8 +279,6 @@ def test_one_sample_decay_report_is_strict_json(tmp_path, cmd, report):
     # 5 steps at stride 10 leave only the initial sample: no rate to fit
     cfg = write_cfg(tmp_path, **{"time.horizon": 0.05})
     out = tmp_path / "out"
-    if cmd == "decay":
-        assert main(["periodic", "--config", str(cfg), "--out", str(out)]) == 0
     assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
     rep = _strict_json(out / report)
     assert rep["rate"] is None and rep["r_squared"] is None
@@ -295,12 +294,6 @@ def test_compare_monotone(tmp_path):
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads((out / "compare_report.json").read_text())
     assert rep["monotone_decreasing"] is True
-
-
-def test_compare_rejects_random_init(tmp_path):
-    cfg = write_cfg(tmp_path, **{"init.kind": "random"})
-    out = tmp_path / "out"
-    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3
 
 
 def test_verify_exit_code_and_report(tmp_path):

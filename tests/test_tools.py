@@ -1,5 +1,6 @@
-"""``tools/artifact_diff.py`` on small artifact directories and a smoke run
-of ``tools/twoscale_sizes.py``."""
+"""``tools/artifact_diff.py`` on small artifact directories, the exit code
+of ``tools/artifact_digest.py`` and a smoke run of
+``tools/twoscale_sizes.py``."""
 
 import importlib.util
 import io
@@ -15,6 +16,10 @@ _spec = importlib.util.spec_from_file_location("artifact_diff",
                                                _TOOLS / "artifact_diff.py")
 artifact_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(artifact_diff)
+_spec = importlib.util.spec_from_file_location("artifact_digest",
+                                               _TOOLS / "artifact_digest.py")
+artifact_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_digest)
 
 
 def _write(root: Path, files: dict) -> Path:
@@ -91,6 +96,34 @@ def test_missing_files_and_changed_shape(tmp_path):
     assert lines[0] == "one.csv  max rel 0.000e+00  max abs 0.000e+00"
     assert lines[1] == "    differs: 2 rows against 1"
     assert lines[2].startswith("only_a.json  only in ")
+
+
+def test_artifact_digest_counts_a_failing_run_and_carries_on(
+        tmp_path, monkeypatch, capsys):
+    # one run exits 3 and one raises; every run is still printed, every
+    # file still digested, and the two count as failures
+    def fake_main(argv):
+        out = Path(argv[argv.index("--out") + 1])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{argv[0]}.csv").write_text(argv[0])
+        if argv[0] == "bad":
+            return 3
+        if argv[0] == "boom":
+            raise ValueError("no step")
+        return 0
+    monkeypatch.setattr(artifact_digest, "main", fake_main)
+    monkeypatch.setattr(artifact_digest, "CONFIGS", {"one": ""})
+    monkeypatch.setattr(artifact_digest, "RUNS", [
+        ("one", "one", ["good"]), ("one", "one", ["bad"]),
+        ("one", "one", ["boom"])])
+    assert artifact_digest.run_all(tmp_path) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["exit 0  one: good", "exit 3  one: bad",
+                         "exit raised ValueError: no step  one: boom"]
+    assert [ln.split("  ")[1] for ln in lines[3:]] == [
+        "one/bad.csv", "one/boom.csv", "one/good.csv", "one.cfg"]
+    monkeypatch.setattr(artifact_digest, "RUNS", [("one", "one", ["good"])])
+    assert artifact_digest.run_all(tmp_path) == 0
 
 
 def test_twoscale_sizes_prints_one_row_per_resolution():

@@ -41,7 +41,9 @@ configuration, the subcommand and ``--method`` alone:
 
 Prints each subcommand's exit code, or ``raised TYPE: message`` for a run
 that raises, and carries on; then one ``sha256  path`` line per file under
-OUT_DIR, sorted by path.  A refactor that must leave the artifacts
+OUT_DIR, sorted by path.  Every run of every set exits 0, so the tool
+exits 1 after the last digest line if any run exited non-zero or raised,
+and 0 otherwise.  A refactor that must leave the artifacts
 byte-identical is checked by one ``diff`` of two such outputs.  The tissue
 package is imported from the ``src`` directory next to this script.
 
@@ -106,23 +108,28 @@ RUNS = [
         "simulate", "periodic", "decay", "homogenize", "verify")]
 
 
-def run_all(out: Path) -> None:
+def run_all(out: Path) -> int:
+    """Run every set into ``out``, print the digest, and return the
+    number of runs that exited non-zero or raised."""
     out.mkdir(parents=True, exist_ok=True)
     for name, text in CONFIGS.items():
         (out / f"{name}.cfg").write_text(text)
+    failed = 0
     for cfg, sub, cmd in RUNS:
         try:
             code = main(cmd + ["--config", str(out / f"{cfg}.cfg"),
                                "--out", str(out / sub)])
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
+        failed += code != 0
         print(f"exit {code}  {sub}: {' '.join(cmd)}", flush=True)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return failed
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: python tools/artifact_digest.py OUT_DIR")
-    run_all(Path(sys.argv[1]))
+    sys.exit(1 if run_all(Path(sys.argv[1])) else 0)
