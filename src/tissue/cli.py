@@ -171,10 +171,6 @@ def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
 
     _write_csv(out / "periodic.csv", cfg, ["t", "jump_norm", "bulk_energy"],
                _orbit_rows(system, orbit))
-    header = ["t"] + [f"w{k}" for k in range(orbit.jumps.shape[1])]
-    rows = [(n * orbit.dt, *orbit.jumps[n])
-            for n in range(orbit.steps_per_period + 1)]
-    _write_csv(out / "orbit_jumps.csv", cfg, header, rows)
     energy = verify_energy_estimates(orbit, system)
     report = {"defect": orbit.defect, "iterations": orbit.iterations,
               "energy_check": energy}
@@ -272,7 +268,7 @@ _COMMANDS = {
 
 _CSV_DOC = {
     "simulate": "t, L2_bulk, L2_grad, L2_jump, dissipation_residual, newton_iters",
-    "periodic": "periodic.csv: t, jump_norm, bulk_energy; orbit_jumps.csv: t, w0..",
+    "periodic": "t, jump_norm, bulk_energy",
     "decay": "t, norm_L2, norm_grad, norm_jump, E",
     "homogenize": "t, norm_macro_H1, norm_corrector, norm_corrector_grad, "
                   "norm_jump, lyapunov",

@@ -413,32 +413,24 @@ def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
     drive = system.drive
     p = system.params
     dt = orbit.dt
-    n = orbit.steps_per_period
     eps = dom.epsilon
     s = system.weights
+    ts = dt * np.arange(1, orbit.steps_per_period + 1)
 
     grad_u = 0.0
-    jump_sq = 0.0
-    rate_sq = 0.0
-    data_grad = 0.0
-    data_grad_rate = 0.0
-    centers = dom.centers
-    vol = dom.cell_volume
-    sig_cells = np.where(dom.inside, cond.sigma_int, cond.sigma_out)
-    for k in range(1, n + 1):
-        t = k * dt
-        w = orbit.jumps[k]
+    bnd = drive.spatial(dom.boundary.midpoint)
+    for t, w in zip(ts, orbit.jumps[1:]):
         u = system.bulk_at(t, w)
-        bvals = drive.values(dom.boundary.midpoint, t)
-        grad_u += dt * 0.5 * sigma_gradient_energy(dom, cond, u, w, bvals)
-        jump_sq += dt * np.sum(s * w * w)
-        dw = (orbit.jumps[k] - orbit.jumps[k - 1]) / dt
-        rate_sq += dt * np.sum(s * dw * dw)
-        g = drive.gradient(centers, t)
-        data_grad += dt * 0.5 * vol * float(np.sum(sig_cells * np.sum(g * g, axis=1)))
-        gr = drive.gradient_rate(centers, t)
-        data_grad_rate += dt * 0.5 * vol * float(
-            np.sum(sig_cells * np.sum(gr * gr, axis=1)))
+        grad_u += dt * 0.5 * sigma_gradient_energy(
+            dom, cond, u, w, bnd * drive.temporal(t))
+    jump_sq = dt * float(np.sum(orbit.jumps[1:] ** 2 @ s))
+    rate_sq = float(np.sum(np.diff(orbit.jumps, axis=0) ** 2 @ s)) / dt
+    # separable data: the gradient at (x, t) is spatial_gradient(x) temporal(t)
+    g = drive.spatial_gradient(dom.centers)
+    sig_cells = np.where(dom.inside, cond.sigma_int, cond.sigma_out)
+    data = 0.5 * dom.cell_volume * float(np.sum(sig_cells * np.sum(g * g, axis=1)))
+    data_grad = data * dt * sum(drive.temporal(t) ** 2 for t in ts)
+    data_grad_rate = data * dt * sum(drive.temporal_rate(t) ** 2 for t in ts)
 
     slack = eps / (2.0 * lam_q) * lam_a ** 2 * dom.memb_measure
     lhs_grad = grad_u + lam_q / (2.0 * eps) * jump_sq

@@ -220,12 +220,6 @@ class BoundaryData:
     def values(self, points: np.ndarray, t: float) -> np.ndarray:
         return self.spatial(points) * self.temporal(t)
 
-    def gradient(self, points: np.ndarray, t: float) -> np.ndarray:
-        return self.spatial_gradient(points) * self.temporal(t)
-
-    def gradient_rate(self, points: np.ndarray, t: float) -> np.ndarray:
-        return self.spatial_gradient(points) * self.temporal_rate(t)
-
 
 def make_boundary_data(spatial: str = "affine", temporal: str = "sin",
                        amplitude: float = 1.0, offset: float = 0.0) -> BoundaryData:

@@ -15,7 +15,9 @@ through, and ``per_step_weak_sum`` pairs every two-scale step with its test
 through S itself, the reference for their chunked pairing.
 ``per_sample_mean_defects`` and ``per_sample_gap_columns`` rebuild one
 trajectory sample at a time, the references for the stacked chunks of the
-mean defects and decay rows.  ``fit_growth_constants`` samples a law's
+mean defects and decay rows.  ``per_step_energy_estimates`` sums the
+orbit's energy bounds one step at a time, data terms included, the
+reference for their closed form.  ``fit_growth_constants`` samples a law's
 growth bound, the reference for the declared certificates of the built-in
 laws.  ``per_pattern_samples`` is the per-pattern sample assembly, the
 reference for that one pass; ``dense_gbar`` is the corner-averaged macro
@@ -45,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from tissue.errors import FixedPointError
 from tissue.membrane import simulate
-from tissue.micro import MicroSystem
+from tissue.micro import MicroSystem, sigma_gradient_energy
 from tissue.periodic import PeriodicOrbit, poincare_map
 
 
@@ -657,6 +659,49 @@ def per_sample_gap_columns(traj, orbit) -> dict:
     return {name: np.concatenate([row[name] for row in rows])
             for name in rows[0]}
 
+
+
+def per_step_energy_estimates(orbit, system) -> dict:
+    """``verify_energy_estimates`` with every term summed step by step,
+    the data gradient included: the reference for its closed-form data
+    terms and whole-orbit jump sums."""
+    cert = system.law.certificate
+    lam_q, lam_a = cert.growth_quad, cert.growth_abs
+    dom, cond, drive = system.domain, system.cond, system.drive
+    dt, eps, s = orbit.dt, dom.epsilon, system.weights
+    sig_cells = np.where(dom.inside, cond.sigma_int, cond.sigma_out)
+    grad_u = jump_sq = rate_sq = data_grad = data_grad_rate = 0.0
+    for k in range(1, orbit.steps_per_period + 1):
+        t = k * dt
+        w = orbit.jumps[k]
+        u = system.bulk_at(t, w)
+        bvals = drive.values(dom.boundary.midpoint, t)
+        grad_u += dt * 0.5 * sigma_gradient_energy(dom, cond, u, w, bvals)
+        jump_sq += dt * np.sum(s * w * w)
+        dw = (orbit.jumps[k] - orbit.jumps[k - 1]) / dt
+        rate_sq += dt * np.sum(s * dw * dw)
+        g = drive.spatial_gradient(dom.centers) * drive.temporal(t)
+        data_grad += dt * 0.5 * dom.cell_volume * float(
+            np.sum(sig_cells * np.sum(g * g, axis=1)))
+        gr = drive.spatial_gradient(dom.centers) * drive.temporal_rate(t)
+        data_grad_rate += dt * 0.5 * dom.cell_volume * float(
+            np.sum(sig_cells * np.sum(gr * gr, axis=1)))
+    slack = eps / (2.0 * lam_q) * lam_a ** 2 * dom.memb_measure
+    lhs_grad = grad_u + lam_q / (2.0 * eps) * jump_sq
+    rhs_grad = data_grad + slack
+    lhs_rate = system.params.alpha / (2.0 * eps) * rate_sq
+    rhs_rate = data_grad_rate + data_grad + slack
+    grad_ok = lhs_grad <= rhs_grad + 1e-12
+    rate_ok = lhs_rate <= rhs_rate + 1e-12
+    return {
+        "growth_quad": lam_q,
+        "growth_abs": lam_a,
+        "gradient_bound": {"lhs": lhs_grad, "rhs": rhs_grad,
+                           "margin": rhs_grad - lhs_grad, "passed": grad_ok},
+        "rate_bound": {"lhs": lhs_rate, "rhs": rhs_rate,
+                       "margin": rhs_rate - lhs_rate, "passed": rate_ok},
+        "passed": bool(grad_ok and rate_ok),
+    }
 
 # -- dense decay constants ------------------------------------------------------
 

@@ -197,9 +197,20 @@ def test_determinism_byte_identical(tmp_path):
     for out in (out1, out2):
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["periodic", "--config", str(cfg), "--out", str(out)]) == 0
-    for name in ("simulate.csv", "periodic.csv", "orbit_jumps.csv",
-                 "periodic_report.json", "effective_config.txt"):
+    for name in ("simulate.csv", "periodic.csv", "periodic_report.json",
+                 "effective_config.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("method", ["picard", "delta"])
+def test_periodic_writes_exactly_its_four_files(tmp_path, method):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["periodic", "--config", str(cfg), "--out", str(out),
+                 "--method", method]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "effective_config.txt", "periodic.csv", "periodic_report.json",
+        "run_header.json"]
 
 
 def test_every_subcommand_runs_from_the_empty_config(tmp_path):

@@ -1,9 +1,9 @@
 """Grid enumeration order of the cell, the tiled domain and the macro grid.
 
-Facet order is the column order of ``orbit_jumps.csv`` and the order in
-which random initial jumps are drawn; macro face order fixes the summation
-order of the macro Schur complement.  The arrays below are spelled out so a
-change of enumeration shows up here and not only as moved artifacts.
+Facet order is the order in which random initial jumps are drawn; macro
+face order fixes the summation order of the macro Schur complement.  The
+arrays below are spelled out so a change of enumeration shows up here and
+not only as moved artifacts.
 """
 
 import numpy as np

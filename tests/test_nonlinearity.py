@@ -233,7 +233,7 @@ def test_boundary_data_spatial_profiles():
     pts = np.array([[0.25, 0.5], [1.0, 0.25]])
     bd = T.make_boundary_data("affine", "constant", amplitude=2.0)
     assert np.allclose(bd.values(pts, 0.0), [0.5, 2.0])
-    grad = bd.gradient(pts, 0.0)
+    grad = bd.spatial_gradient(pts)
     assert np.allclose(grad, [[2.0, 0.0], [2.0, 0.0]])
     bd2 = T.make_boundary_data("sines", "constant", amplitude=1.0)
     assert np.allclose(bd2.values(np.array([[0.5, 0.5]]), 0.0), [1.0])
@@ -242,8 +242,8 @@ def test_boundary_data_spatial_profiles():
     for d in range(2):
         dp = np.zeros((1, 2))
         dp[0, d] = h
-        fd = (bd2.values(p + dp, 0.0) - bd2.values(p - dp, 0.0)) / (2 * h)
-        assert fd[0] == pytest.approx(bd2.gradient(p, 0.0)[0, d], abs=1e-6)
+        fd = (bd2.spatial(p + dp) - bd2.spatial(p - dp)) / (2 * h)
+        assert fd[0] == pytest.approx(bd2.spatial_gradient(p)[0, d], abs=1e-6)
 
 
 def test_unknown_profiles_rejected():

@@ -16,7 +16,8 @@ from tissue.periodic import (find_periodic, find_periodic_regularized,
                              orbit_distance, poincare_map)
 
 from conftest import make_micro
-from oracles import DenseLinearStepper, picard_orbit
+from oracles import (DenseLinearStepper, per_step_energy_estimates,
+                     picard_orbit)
 from test_twoscale import make_two_scale
 
 
@@ -336,6 +337,35 @@ def test_energy_estimates_hold_with_margin(small_domain, law, kw):
     assert rep["passed"]
     assert rep["gradient_bound"]["margin"] >= 0.0
     assert rep["rate_bound"]["margin"] >= 0.0
+
+
+def _leaves(report: dict, prefix: str = ""):
+    for key, value in report.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}/")
+        else:
+            yield f"{prefix}{key}", value
+
+
+@pytest.mark.parametrize("temporal", ["constant", "sin", "offset_sin"])
+@pytest.mark.parametrize("spatial", ["constant", "affine", "sines"])
+def test_energy_estimates_match_the_per_step_sums(small_domain, spatial,
+                                                  temporal):
+    # the data terms are closed forms of the separable drive and the jump
+    # terms whole-orbit sums; the oracle sums every term step by step.  A
+    # one-period run from a random start (not an orbit) keeps the jump
+    # rate large, and a conductivity contrast weights the data gradient.
+    system = make_micro(small_domain, cond=(2.0, 0.5), law=("cubic",),
+                        drive=(spatial, temporal, 1.5, 0.75), dt=0.0625)
+    w0 = initial_jump(small_domain, "random", 1.0, seed=3)
+    traj = simulate(system, w0, 1.0)
+    orbit = T.PeriodicOrbit(jumps=traj.jumps, dt=0.0625, defect=0.0,
+                            iterations=0)
+    got = dict(_leaves(verify_energy_estimates(orbit, system)))
+    want = dict(_leaves(per_step_energy_estimates(orbit, system)))
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 def test_orbit_states_satisfy_step_contracts(small_domain):

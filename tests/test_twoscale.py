@@ -1005,7 +1005,8 @@ def test_transient_energy_bound():
     data_sq = 0.0
     for n in range(1, len(traj.ts)):
         t = float(traj.ts[n])
-        g = system.drive.gradient(system.macro.centers, t)
+        g = (system.drive.spatial_gradient(system.macro.centers)
+             * system.drive.temporal(t))
         hdim = system.macro.spacing ** system.macro.dim
         data_sq += dt * system.cond.mean * hdim * float(np.sum(g * g))
     memb_total = float(np.sum(s2))
