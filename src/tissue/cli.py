@@ -173,7 +173,7 @@ def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
                _orbit_rows(system, orbit))
     energy = verify_energy_estimates(orbit, system)
     report = {"defect": orbit.defect, "iterations": orbit.iterations,
-              "energy_check": energy}
+              "map": orbit.map, "energy_check": energy}
     report.update(extra)
     _write_json(out / "periodic_report.json", cfg, report)
     _write_json(out / "run_header.json", cfg, _run_header(system))
@@ -211,7 +211,8 @@ def _cmd_homogenize(cfg: RunConfig, out: Path, args) -> int:
         cfg, out, system, w0, "homogenize",
         ["norm_macro_H1", "norm_corrector", "norm_corrector_grad",
          "norm_jump", "lyapunov"])
-    payload["orbit"] = {"defect": orbit.defect, "iterations": orbit.iterations}
+    payload["orbit"] = {"defect": orbit.defect, "iterations": orbit.iterations,
+                        "map": orbit.map}
     payload["cell_geometry"] = system.cell.summary()
     payload["macro_grid"] = {"dimension": system.macro.dim,
                              "resolution": system.macro.res,

@@ -388,9 +388,13 @@ def gradient_l2(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
 
 def sigma_gradient_energy(domain: EpsilonDomain, cond: Conductivity,
                           u: np.ndarray, w: np.ndarray,
-                          boundary_values: Optional[np.ndarray] = None) -> float:
-    """Conductivity-weighted squared gradient energy (not a norm)."""
-    sig_face = cond.on_faces(domain.inside, domain.faces)
+                          boundary_values: Optional[np.ndarray] = None,
+                          sig_face: Optional[np.ndarray] = None) -> float:
+    """Conductivity-weighted squared gradient energy (not a norm);
+    ``sig_face``, the conductivity per interior face, is formed from
+    ``cond`` unless given."""
+    if sig_face is None:
+        sig_face = cond.on_faces(domain.inside, domain.faces)
     si, vi, sb, vb = _face_differences(domain, u, w, boundary_values)
     sig_bnd = cond.sigma_out
     return float(np.sum(vi * sig_face * si * si)
@@ -419,10 +423,12 @@ def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
 
     grad_u = 0.0
     bnd = drive.spatial(dom.boundary.midpoint)
+    sig_face = cond.on_faces(dom.inside, dom.faces)
     for t, w in zip(ts, orbit.jumps[1:]):
         u = system.bulk_at(t, w)
         grad_u += dt * 0.5 * sigma_gradient_energy(
-            dom, cond, u, w, bnd * drive.temporal(t))
+            dom, cond, u, w, bnd * drive.temporal(t),
+            sig_face=sig_face)
     jump_sq = dt * float(np.sum(orbit.jumps[1:] ** 2 @ s))
     rate_sq = float(np.sum(np.diff(orbit.jumps, axis=0) ** 2 @ s)) / dt
     # separable data: the gradient at (x, t) is spatial_gradient(x) temporal(t)

@@ -10,10 +10,11 @@ next to its formula, as a function of kappa:
 ``sin``     s + sin(s)           q = 1 + cos(s*)  no bound     sup f' 2
 ``cubic``   s^3 + s              q = 1            f' >= 1      no sup f'
 
-Every built-in has growth_abs = 0.  ``sin`` is monotone but not coercive:
-its secant f(s)/s = 1 + sin(s)/s is smallest at s*, the first positive root
-of tan s = s, where sin(s*)/s* = cos(s*), and its slope 1 + cos(s) vanishes
-at every odd multiple of pi, so no threshold gives a positive tail slope.
+Every built-in has growth_abs = 0 and is odd.  ``sin`` is monotone but not
+coercive: its secant f(s)/s = 1 + sin(s)/s is smallest at s*, the first
+positive root of tan s = s, where sin(s*)/s* = cos(s*), and its slope
+1 + cos(s) vanishes at every odd multiple of pi, so no threshold gives a
+positive tail slope.
 The declared sup f' (``slope_max``) lets the implicit step correct with the
 law's slope at zero (``membrane.JumpStepper``); ``tanh``'s slope uses
 sech(s)^2 = 4 e^(-2|s|) / (1 + e^(-2|s|))^2, which cannot overflow.
@@ -64,7 +65,9 @@ class Nonlinearity:
 
     Evaluators are pure and vectorized; instances are immutable and safe to
     share.  ``shift`` records the accumulated linear regularization added to
-    the base law, so repeated regularization composes exactly.
+    the base law, so repeated regularization composes exactly.  ``odd``
+    declares f(-s) = -f(s), which ``find_periodic`` relies on to solve
+    half-wave orbits; it is declared, never tested numerically.
     """
 
     kind: str
@@ -73,6 +76,7 @@ class Nonlinearity:
     shift: float
     certificate: Certificate
     linear_slope: Optional[float] = None    # set iff the law is exactly linear
+    odd: bool = False                       # declared f(-s) = -f(s)
 
     def __call__(self, s):
         if self.shift:      # adding a zero shift is exact: skip it
@@ -128,7 +132,7 @@ def make_nonlinearity(kind: str, kappa: float = 1.0,
     fn, deriv, cert = _BUILTINS[kind](kappa)
     slope = kappa if kind == "linear" else None
     law = Nonlinearity(kind=kind, base=fn, base_deriv=deriv, shift=0.0,
-                       certificate=cert, linear_slope=slope)
+                       certificate=cert, linear_slope=slope, odd=True)
     if delta_shift > 0.0:
         law = regularize(law, delta_shift)
     return law
@@ -138,7 +142,8 @@ def regularize(law: Nonlinearity, delta: float) -> Nonlinearity:
     """Add ``delta * s`` to the law, restoring coercivity.
 
     Regularizations compose additively on the recorded shift so applying
-    delta1 then delta2 equals applying delta1 + delta2 exactly.
+    delta1 then delta2 equals applying delta1 + delta2 exactly.  The shift
+    is odd, so the result is odd iff the law is.
     """
     if delta <= 0.0:
         raise NonlinearityError(f"delta must be positive, got {delta}")
@@ -156,7 +161,8 @@ def regularize(law: Nonlinearity, delta: float) -> Nonlinearity:
                        else cert.slope_max + delta)
     slope = (law.linear_slope + delta) if law.is_linear else None
     return Nonlinearity(kind=law.kind, base=law.base, base_deriv=law.base_deriv,
-                        shift=shift, certificate=new_cert, linear_slope=slope)
+                        shift=shift, certificate=new_cert, linear_slope=slope,
+                        odd=law.odd)
 
 
 _SPATIAL = {
@@ -219,6 +225,13 @@ class BoundaryData:
 
     def values(self, points: np.ndarray, t: float) -> np.ndarray:
         return self.spatial(points) * self.temporal(t)
+
+    @property
+    def antiperiodic(self) -> bool:
+        """Whether the data change sign over half a period,
+        g(t + PERIOD/2) = -g(t)."""
+        return self.temporal_kind == "sin" or (
+            self.temporal_kind == "offset_sin" and self.offset == 0.0)
 
 
 def make_boundary_data(spatial: str = "affine", temporal: str = "sin",

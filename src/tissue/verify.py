@@ -150,7 +150,7 @@ def run_invariant_suite(cfg: RunConfig) -> list[dict]:
     # periodic ----------------------------------------------------------------
     orbit = find_periodic(system, tol=1e-7, max_iters=200)
     record("periodic_defect", orbit.defect <= 1e-7,
-           f"defect after {orbit.iterations} iterations", orbit.defect)
+           f"defect after {orbit.iterations} {orbit.map} maps", orbit.defect)
 
     # two-scale ----------------------------------------------------------------
     ts = TwoScaleSystem(cell, cond, law, drive, params,

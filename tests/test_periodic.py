@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from tissue.errors import FixedPointError
 from tissue.membrane import StepResult
 from tissue.micro import (initial_jump, simulate,
                           verify_energy_estimates)
+from tissue.nonlinearity import regularize
 from tissue.periodic import (find_periodic, find_periodic_regularized,
                              orbit_distance, poincare_map)
 
@@ -129,10 +131,13 @@ class _DriftingPeriodMap:
     """Stub system whose period map, two steps of the stub stepper, shifts
     the jump by ``drift``: it has no fixed point, so every iteration
     stalls.  All values are dyadic, so the defect is ``drift`` exactly and
-    the differences of defects the mixing fits are zero."""
+    the differences of defects the mixing fits are zero.  A constant drive
+    is not antiperiodic, so the loop iterates the period map."""
 
     weights = np.ones(3)
     params = T.SolverParams(dt=0.5)
+    law = T.make_nonlinearity("linear")
+    drive = T.make_boundary_data(temporal="constant")
     drift = np.array([1.0, -2.0, 0.5])
 
     def __init__(self):
@@ -181,30 +186,56 @@ def test_stalled_iteration_halves_damping_once_per_window():
 
 
 LAWS = ("linear", "tanh", "sin", "cubic")
+# weakly coercive: the period map contracts slowly
+WEAK = {"cond": (0.05, 0.05), "kappa": 0.01}
+
+
+def _system(stack, law, small_domain, **kw):
+    if stack == "resolved":
+        return make_micro(small_domain, law=(law,), **kw)
+    return make_two_scale(law=(law,), **kw)
 
 
 @pytest.mark.parametrize("stack,law,kw", [
     *[("resolved", law, {}) for law in LAWS],
     *[("two_scale", law, {}) for law in LAWS],
-    # weakly coercive: the period map contracts slowly
-    ("resolved", "linear", {"cond": (0.05, 0.05), "kappa": 0.01}),
+    ("resolved", "linear", WEAK),
+    ("two_scale", "linear", WEAK),
 ])
 def test_accelerated_orbit_matches_picard_oracle(small_domain, stack, law, kw):
-    if stack == "resolved":
-        system = make_micro(small_domain, law=(law,), **kw)
-    else:
-        system = make_two_scale(law=(law,), **kw)
+    # odd laws under the sin drive: the solve iterates the half-period map,
+    # and the oracle the period map, so they are compared in steps run
+    system = _system(stack, law, small_domain, **kw)
     tol = 1e-9
     orbit = find_periodic(system, tol=tol)
     oracle = picard_orbit(system, tol=tol)
     assert orbit.defect <= tol
-    assert orbit.iterations <= oracle.iterations
+    assert orbit.map == "half_period"
+    assert (orbit.iterations * orbit.steps_per_period // 2
+            <= oracle.iterations * oracle.steps_per_period)
     # a defect d leaves an iterate up to d / (1 - q) from the orbit of a map
     # contracting by q, so the reference orbit is converged ten times tighter
     oracle = picard_orbit(system, tol=tol / 10, w0=oracle.jumps[0])
     gap = max(system.jump_norm(a - b)
               for a, b in zip(orbit.jumps, oracle.jumps))
     assert gap <= 10 * tol
+
+
+@pytest.mark.parametrize("stack,law,kw", [
+    *[("resolved", law, {}) for law in LAWS],
+    *[("two_scale", law, {}) for law in LAWS],
+    ("resolved", "linear", WEAK),
+    ("two_scale", "linear", WEAK),
+])
+def test_half_wave_start_is_a_fixed_point_of_the_period_map(
+        small_domain, stack, law, kw):
+    # P = Q o Q and Q is nonexpansive, so |P(w) - w| <= |Q(Q(w)) - Q(w)|
+    # + |Q(w) - w| <= 2 |Q(w) - w|
+    system = _system(stack, law, small_domain, **kw)
+    tol = 1e-9
+    orbit = find_periodic(system, tol=tol)
+    w0 = orbit.jumps[0]
+    assert system.jump_norm(poincare_map(system, w0) - w0) <= 2 * tol + 1e-14
 
 
 class _CountingSystem:
@@ -224,10 +255,47 @@ class _CountingSystem:
 
 
 def test_converged_period_runs_once(micro_sin_small):
+    # each map runs once, half a period on the half-wave path; the orbit's
+    # second half is the negated first, and costs no steps
     counting = _CountingSystem(micro_sin_small)
     orbit = find_periodic(counting, tol=1e-9)
-    assert orbit.iterations > 1
+    assert orbit.map == "half_period" and orbit.iterations > 1
+    assert counting.steps == orbit.iterations * orbit.steps_per_period // 2
+    not_odd = replace(micro_sin_small.law, odd=False)
+    counting = _CountingSystem(micro_sin_small.with_law(not_odd))
+    orbit = find_periodic(counting, tol=1e-9)
+    assert orbit.map == "period" and orbit.iterations > 1
     assert counting.steps == orbit.iterations * orbit.steps_per_period
+
+
+@pytest.mark.parametrize("case", ["constant", "offset", "odd_steps",
+                                  "not_odd"])
+def test_period_map_runs_without_a_half_wave_orbit(small_domain, case):
+    kw = {"constant": {"drive": ("affine", "constant", 1.0)},
+          "offset": {"drive": ("affine", "offset_sin", 1.0, 0.5)},
+          "odd_steps": {"dt": 1.0 / 99},
+          "not_odd": {}}[case]
+    system = make_micro(small_domain, **kw)
+    if case == "not_odd":
+        system = system.with_law(replace(system.law, odd=False))
+    counting = _CountingSystem(system)
+    tol = 1e-9
+    orbit = find_periodic(counting, tol=tol)
+    assert orbit.map == "period" and orbit.defect <= tol
+    assert counting.steps == orbit.iterations * orbit.steps_per_period
+
+
+@pytest.mark.parametrize("kind", LAWS)
+def test_declared_oddness_matches_the_law(kind):
+    # to roundoff: numpy's power of a negative base may differ in the last
+    # bit from the negated power
+    s = np.linspace(0.0, 20.0, 2001)
+    for law in (T.make_nonlinearity(kind),
+                regularize(T.make_nonlinearity(kind), 0.1)):
+        assert law.odd
+        np.testing.assert_allclose(law(-s), -law(s), rtol=1e-15, atol=0.0)
+    assert not regularize(replace(T.make_nonlinearity(kind), odd=False),
+                          0.1).odd
 
 
 _ORBIT_BITS = """
@@ -371,8 +439,18 @@ def test_energy_estimates_match_the_per_step_sums(small_domain, spatial,
 def test_orbit_states_satisfy_step_contracts(small_domain):
     system = make_micro(small_domain, law=("cubic",))
     orbit = find_periodic(system, tol=1e-9)
+    assert orbit.map == "half_period"
     # re-advancing each stored state reproduces the next stored state
+    # within each half-period run (rows 0..50, and their negations 50..100)
     dt = orbit.dt
-    for n in (0, 17, 50, 99):
+    for n in (0, 17, 49, 50, 99):
         res = system.stepper.step((n + 1) * dt, orbit.jumps[n].copy(), dt)
-        assert np.max(np.abs(res.jump - orbit.jumps[n + 1])) < 1e-12
+        gap = res.jump - orbit.jumps[n + 1]
+        if n == orbit.steps_per_period // 2:
+            # the seam: row 51 negates row 1, the step from w_0, and by odd
+            # symmetry the step from w_50 negates the step from -w_50 =
+            # w_100, which lies within the defect of w_0; a step is
+            # nonexpansive in the jump norm
+            assert system.jump_norm(gap) <= orbit.defect + 1e-12
+        else:
+            assert np.max(np.abs(gap)) < 1e-12
