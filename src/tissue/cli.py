@@ -23,8 +23,8 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .decay import decay_metrics
 from .errors import TissueError
-from .micro import (MicroSystem, bulk_l2, gradient_l2, initial_jump,
-                    simulate, verify_energy_estimates)
+from .micro import (MicroSystem, initial_jump, simulate,
+                    verify_energy_estimates)
 from .nonlinearity import PERIOD
 from .periodic import (PeriodicOrbit, find_periodic, find_periodic_regularized,
                        orbit_distance)
@@ -45,12 +45,24 @@ def _stamp(cfg: RunConfig) -> str:
     return f"# tissue {__version__} config {cfg.sha256()}"
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: list[str],
-               rows) -> None:
-    lines = [_stamp(cfg), ",".join(header)]
+# the header of each subcommand's CSV, which its --help text lists too
+_CSV_COLUMNS = {
+    "simulate": ("t", "L2_bulk", "L2_grad", "L2_jump", "dissipation_residual",
+                 "newton_iters"),
+    "periodic": ("t", "jump_norm", "bulk_energy"),
+    "decay": ("t", "norm_L2", "norm_grad", "norm_jump", "E"),
+    "homogenize": ("t", "norm_macro_H1", "norm_corrector",
+                   "norm_corrector_grad", "norm_jump", "lyapunov"),
+    "compare": ("epsilon", "l2_error"),
+}
+
+
+def _write_csv(out: Path, cfg: RunConfig, name: str, rows) -> None:
+    """Write ``name``.csv under ``out`` with the header of ``name``."""
+    lines = [_stamp(cfg), ",".join(_CSV_COLUMNS[name])]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
@@ -114,23 +126,13 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
     w0 = initial_jump(system.domain, cfg["init.kind"], cfg["init.amplitude"],
                       seed=cfg["seed"])
     traj = simulate(system, w0, cfg["time.horizon"], stride=cfg["output.stride"])
-    dom = system.domain
-    rows = []
-    for i in range(len(traj)):
-        t = float(traj.ts[i])
-        w = traj.jumps[i]
-        u = system.bulk_at(t, w)
-        bvals = system.drive.values(dom.boundary.midpoint, t)
-        n = traj.stride * i
-        rows.append((
-            t, bulk_l2(dom, u), gradient_l2(dom, u, w, bvals),
-            system.jump_norm(w),
-            traj.balance_residuals[n - 1] if n > 0 else 0.0,
-            traj.newton_iters[n - 1] if n > 0 else 0,
-        ))
-    _write_csv(out / "simulate.csv", cfg,
-               ["t", "L2_bulk", "L2_grad", "L2_jump", "dissipation_residual",
-                "newton_iters"], rows)
+    norms = system.bulk_norms(traj.jumps, system.drive_factors(traj.ts))
+    # the step records of the step that ends each sample after the first
+    last = slice(traj.stride - 1, None, traj.stride)
+    _write_csv(out, cfg, "simulate", zip(
+        traj.ts, norms["norm_l2"], norms["norm_grad"], norms["norm_jump"],
+        np.r_[0.0, traj.balance_residuals[last]],
+        np.r_[0, traj.newton_iters[last]]))
     _write_json(out / "run_header.json", cfg, _run_header(system))
     log.info("simulate: %d steps, max newton iters %d",
              len(traj.newton_iters), int(traj.newton_iters.max(initial=0)))
@@ -140,17 +142,6 @@ def _cmd_simulate(cfg: RunConfig, out: Path, args) -> int:
 def _orbit(cfg: RunConfig, system) -> PeriodicOrbit:
     return find_periodic(system, tol=cfg["periodic.tol"],
                          max_iters=cfg["periodic.max_iters"])
-
-
-def _orbit_rows(system, orbit: PeriodicOrbit):
-    dom = system.domain
-    rows = []
-    for n in range(orbit.steps_per_period + 1):
-        t = n * orbit.dt
-        w = orbit.jumps[n]
-        u = system.bulk_at(t, w)
-        rows.append((t, system.jump_norm(w), bulk_l2(dom, u)))
-    return rows
 
 
 def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
@@ -169,8 +160,10 @@ def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
         orbit = find_periodic(system, tol=tol, max_iters=max_iters)
         extra = {"method": "picard"}
 
-    _write_csv(out / "periodic.csv", cfg, ["t", "jump_norm", "bulk_energy"],
-               _orbit_rows(system, orbit))
+    ts = orbit.dt * np.arange(orbit.steps_per_period + 1)
+    norms = system.bulk_norms(orbit.jumps, system.drive_factors(ts))
+    _write_csv(out, cfg, "periodic",
+               zip(ts, norms["norm_jump"], norms["norm_l2"]))
     energy = verify_energy_estimates(orbit, system)
     report = {"defect": orbit.defect, "iterations": orbit.iterations,
               "map": orbit.map, "energy_check": energy}
@@ -180,15 +173,14 @@ def _cmd_periodic(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _decay_run(cfg: RunConfig, out: Path, system, w0, name: str,
-               header: list[str]) -> tuple[dict, PeriodicOrbit]:
+def _decay_run(cfg: RunConfig, out: Path, system, w0,
+               name: str) -> tuple[dict, PeriodicOrbit]:
     """Write ``name``.csv, the transient from w0 against the system's
     periodic orbit; return the decay report's payload and the orbit."""
     orbit = _orbit(cfg, system)
     traj = simulate(system, w0, cfg["time.horizon"], stride=cfg["output.stride"])
     report = decay_metrics(traj, orbit)
-    _write_csv(out / f"{name}.csv", cfg, ["t"] + header,
-               zip(report.ts, *report.columns.values()))
+    _write_csv(out, cfg, name, zip(report.ts, *report.columns.values()))
     return report.as_dict(), orbit
 
 
@@ -196,8 +188,7 @@ def _cmd_decay(cfg: RunConfig, out: Path, args) -> int:
     system = _micro_system(cfg)
     w0 = initial_jump(system.domain, cfg["init.kind"], cfg["init.amplitude"],
                       seed=cfg["seed"])
-    payload, _ = _decay_run(cfg, out, system, w0, "decay",
-                            ["norm_L2", "norm_grad", "norm_jump", "E"])
+    payload, _ = _decay_run(cfg, out, system, w0, "decay")
     _write_json(out / "decay_report.json", cfg, payload)
     _write_json(out / "run_header.json", cfg, _run_header(system))
     return 0
@@ -207,10 +198,7 @@ def _cmd_homogenize(cfg: RunConfig, out: Path, args) -> int:
     system = _two_scale_system(cfg)
     w0 = initial_two_scale_jump(system, cfg["init.kind"], cfg["init.amplitude"],
                                 seed=cfg["seed"])
-    payload, orbit = _decay_run(
-        cfg, out, system, w0, "homogenize",
-        ["norm_macro_H1", "norm_corrector", "norm_corrector_grad",
-         "norm_jump", "lyapunov"])
+    payload, orbit = _decay_run(cfg, out, system, w0, "homogenize")
     payload["orbit"] = {"defect": orbit.defect, "iterations": orbit.iterations,
                         "map": orbit.map}
     payload["cell_geometry"] = system.cell.summary()
@@ -238,7 +226,7 @@ def _cmd_compare(cfg: RunConfig, out: Path, args) -> int:
     state = system.state_at(PERIOD, _orbit(cfg, system).jumps[-1])
     results = [_compare_one(cfg, system, state, e)
                for e in cfg["compare.epsilons"]]
-    _write_csv(out / "compare.csv", cfg, ["epsilon", "l2_error"], results)
+    _write_csv(out, cfg, "compare", results)
     gaps = [g for _, g in results]
     _write_json(out / "compare_report.json", cfg, {
         "epsilons": [e for e, _ in results],
@@ -267,16 +255,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
 }
 
-_CSV_DOC = {
-    "simulate": "t, L2_bulk, L2_grad, L2_jump, dissipation_residual, newton_iters",
-    "periodic": "t, jump_norm, bulk_energy",
-    "decay": "t, norm_L2, norm_grad, norm_jump, E",
-    "homogenize": "t, norm_macro_H1, norm_corrector, norm_corrector_grad, "
-                  "norm_jump, lyapunov",
-    "compare": "epsilon, l2_error",
-    "verify": "(JSON report only)",
-}
-
 
 def run(subcommand: str, cfg: RunConfig, out: Path, args) -> int:
     """Dispatch a validated configuration to a subcommand."""
@@ -298,7 +276,8 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=f"{name} (CSV columns: {_CSV_DOC[name]})")
+        columns = ", ".join(_CSV_COLUMNS.get(name, ("(JSON report only)",)))
+        p = sub.add_parser(name, help=f"{name} (CSV columns: {columns})")
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default="out", help="output directory")
         if name == "periodic":

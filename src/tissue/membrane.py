@@ -193,11 +193,13 @@ class JumpStepper:
     residual, when the frozen factor would contract by less than a half,
     max |f'(w/eps) - c| > (alpha/dt + c)/2.  After a chord pass with
     residual ratio rho, every later pass of the step is a Newton pass when
-    rho >= 1 or r rho^left > tol, with ``left`` the passes of the
+    r min(rho, 1)^left > tol, with ``left`` the passes of the
     ``newton_max_iter`` budget not yet taken: the budget form of the
-    corrector's r rho^2 rule.  The factor path is the step's one attempt;
-    a step that it does not converge within ``newton_max_iter`` passes
-    raises ``NewtonError``.  A linear law converges in one pass.  Either
+    corrector's r rho^2 rule.  A chord pass that is not accepted has
+    r > tol, so rho >= 1 hands over, and the cap at 1 keeps the power
+    finite.  The factor path is the step's one attempt; a step that it
+    does not converge within ``newton_max_iter`` passes raises
+    ``NewtonError``.  A linear law converges in one pass.  Either
     path accepts on the true residual at the tolerance of the step from
     w_n.
 
@@ -424,9 +426,8 @@ class JumpStepper:
             if not fresh:
                 # a chord pass that cannot reach tol at its contraction in
                 # the passes left hands the rest of the step over to Newton
-                rho = rnorm / last
-                handover = rho >= 1.0 \
-                    or tol.exceeded(rnorm * rho ** (max_iter - taken))
+                rho = min(rnorm / last, 1.0)
+                handover = tol.exceeded(rnorm * rho ** (max_iter - taken))
         return None
 
 
@@ -470,8 +471,9 @@ class MembraneSystem:
     A subclass sets ``params``, ``drive`` and the condensed ``flux_map``,
     binds its law through ``_bind_law`` and provides ``state_at`` and
     ``gap_norms(w, w_orbit)``, the norms of the decay report: one column
-    entry per row of two (m, n) stacks of jump vectors.  A subclass whose
-    states carry a mean defect overrides ``mean_defects``.
+    entry per row of two (m, n) stacks of jump vectors.  The stacked
+    readers take each sample's drive factor from ``drive_factors``.  A
+    subclass whose states carry a mean defect overrides ``mean_defects``.
     """
 
     def _bind_law(self, law: Nonlinearity, rate_coeff: float,
@@ -490,6 +492,11 @@ class MembraneSystem:
     @property
     def weights(self) -> np.ndarray:
         return self.flux_map.weights
+
+    def drive_factors(self, ts: float | np.ndarray) -> np.ndarray:
+        """The drive's temporal factor at each of the times ``ts``."""
+        return np.array([self.drive.temporal(float(t))
+                         for t in np.reshape(ts, -1)])
 
     def lyapunov(self, w_a: np.ndarray,
                  w_b: np.ndarray) -> float | np.ndarray:

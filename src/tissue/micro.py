@@ -11,7 +11,10 @@ conductances: the bulk matrix is that assembly at the face conductances,
 and a factor of the stepper's matrix is the same assembly with the
 membrane diagonal condensed into series face conductances, so one sparse
 factorization of bulk size solves it; the jump update follows facet by
-facet.  No facet-sized dense matrix is formed.
+facet.  No facet-sized dense matrix is formed.  Every per-sample reader
+(the CSV rows, the orbit's energy check, the decay gaps) reconstructs the
+bulk of a stack of jump vectors through ``MicroSystem.bulk_norms`` or its
+chunks: one multi-column solve per ``SAMPLE_CHUNK`` samples.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveError
 from .geometry import Conductivity, EpsilonDomain
-from .membrane import (MembraneSystem, SolverParams, jump_family, simulate,
-                       step)
+from .membrane import (SAMPLE_CHUNK, MembraneSystem, SolverParams,
+                       jump_family, simulate, step)
 from .nonlinearity import BoundaryData, Nonlinearity
 from .periodic import PeriodicOrbit
 
@@ -64,7 +67,7 @@ def _splu(matrix: sp.csc_matrix) -> _TransposedLU:
     at 1,024 cells, 127 against 164 us at 4,096, 0.79 against 0.93 ms at
     16,384 and 7.6 against 8.1 ms at 65,536 (medians of interleaved runs,
     one OpenBLAS thread).  On a stack of 16 columns (a chunk of
-    ``gap_norms``) the two are level up to 4,096 cells, and the transposed
+    ``bulk_norms``) the two are level up to 4,096 cells, and the transposed
     solve is 4-13% slower at 16,384 and 19% at 65,536."""
     try:
         return _TransposedLU(spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
@@ -241,7 +244,9 @@ class MicroSystem(MembraneSystem):
 
     Precomputes the bulk factorization and the separable boundary response.
     The flux response of the jump vector stays condensed in the sparse bulk
-    operator (``SeriesFlux``).
+    operator (``SeriesFlux``).  ``bulk_at`` and ``state_at`` rebuild one
+    sample; ``bulk_norms`` and ``gap_norms`` read a stack of samples in
+    chunks.
     """
 
     def __init__(self, domain: EpsilonDomain, cond: Conductivity,
@@ -269,20 +274,37 @@ class MicroSystem(MembraneSystem):
         return MicroState(t=t, u=u, jump=w.copy(), flux=self.op.flux_density(u, w),
                           trace_in=t_in, trace_out=t_out)
 
-    def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
-        """Bulk, gradient and jump norms and stored energies of the gaps
-        between the rows of two (m, n_facets) stacks of solutions: one
-        column entry per row.
+    def _chunks(self, w: np.ndarray, drive: np.ndarray):
+        """The jumps, bulk potentials and boundary values of each chunk of
+        ``SAMPLE_CHUNK`` rows of the stack ``w`` at the drive factors
+        ``drive``, one per row: one multi-column bulk solve per chunk,
+        whose columns are the single-column solves bit for bit.  The
+        potentials are C-ordered, so every per-row sum over them is
+        numpy's pairwise sum, the bits of the same sum over one sample."""
+        bnd = self.drive.spatial(self.domain.boundary.midpoint)
+        for lo in range(0, len(w), SAMPLE_CHUNK):
+            wc, d = w[lo:lo + SAMPLE_CHUNK], drive[lo:lo + SAMPLE_CHUNK, None]
+            u = d * self.u_drive
+            u += self.op.lift(wc.T).T
+            yield wc, u, d * bnd
 
-        The bulk gaps are reconstructed from the jump gaps by one
-        multi-column bulk solve (the drive cancels in the difference).
-        """
+    def bulk_norms(self, w: np.ndarray, drive: np.ndarray) -> dict:
+        """Bulk, gradient and jump norms of the rows of the (m, n_facets)
+        stack ``w`` at the drive factors ``drive``: one column entry per
+        row, equal to the norms of ``bulk_at`` of each row."""
         dom = self.domain
+        chunks = [(bulk_l2(dom, u), gradient_l2(dom, u, wc, b))
+                  for wc, u, b in self._chunks(w, drive)]
+        return {"norm_l2": np.concatenate([c[0] for c in chunks]),
+                "norm_grad": np.concatenate([c[1] for c in chunks]),
+                "norm_jump": self.jump_norm(w)}
+
+    def gap_norms(self, w: np.ndarray, w_orbit: np.ndarray) -> dict:
+        """``bulk_norms`` of the gaps between the rows of two (m, n_facets)
+        stacks of solutions at drive factor 0 (the drive cancels in the
+        difference), and their stored energies."""
         r_w = w - w_orbit
-        r_u = self.op.lift(r_w.T).T
-        return {"norm_l2": bulk_l2(dom, r_u),
-                "norm_grad": gradient_l2(dom, r_u, r_w, None),
-                "norm_jump": self.jump_norm(r_w),
+        return {**self.bulk_norms(r_w, np.zeros(len(r_w))),
                 "lyapunov": self.lyapunov(w, w_orbit)}
 
 
@@ -388,17 +410,13 @@ def gradient_l2(domain: EpsilonDomain, u: np.ndarray, w: np.ndarray,
 
 def sigma_gradient_energy(domain: EpsilonDomain, cond: Conductivity,
                           u: np.ndarray, w: np.ndarray,
-                          boundary_values: Optional[np.ndarray] = None,
-                          sig_face: Optional[np.ndarray] = None) -> float:
-    """Conductivity-weighted squared gradient energy (not a norm);
-    ``sig_face``, the conductivity per interior face, is formed from
-    ``cond`` unless given."""
-    if sig_face is None:
-        sig_face = cond.on_faces(domain.inside, domain.faces)
+                          boundary_values: Optional[np.ndarray] = None
+                          ) -> float | np.ndarray:
+    """Conductivity-weighted squared gradient energy (not a norm)."""
+    sig_face = cond.on_faces(domain.inside, domain.faces)
     si, vi, sb, vb = _face_differences(domain, u, w, boundary_values)
-    sig_bnd = cond.sigma_out
-    return float(np.sum(vi * sig_face * si * si)
-                 + np.sum(vb * sig_bnd * sb * sb))
+    return (np.sum(vi * sig_face * si * si, axis=-1)
+            + np.sum(vb * cond.sigma_out * sb * sb, axis=-1))
 
 
 def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
@@ -408,7 +426,8 @@ def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
     plus weighted-jump energy against the data gradient energy plus the
     growth slack, and the jump-rate energy against the data plus its time
     derivative, with the growth constants of the law's certificate.  Margins
-    should be nonnegative.
+    should be nonnegative.  The orbit's bulk comes from the chunks of
+    ``bulk_norms``, and the gradient energy is summed step by step.
     """
     cert = system.law.certificate
     lam_q, lam_a = cert.growth_quad, cert.growth_abs
@@ -422,13 +441,10 @@ def verify_energy_estimates(orbit: PeriodicOrbit, system: MicroSystem) -> dict:
     ts = dt * np.arange(1, orbit.steps_per_period + 1)
 
     grad_u = 0.0
-    bnd = drive.spatial(dom.boundary.midpoint)
-    sig_face = cond.on_faces(dom.inside, dom.faces)
-    for t, w in zip(ts, orbit.jumps[1:]):
-        u = system.bulk_at(t, w)
-        grad_u += dt * 0.5 * sigma_gradient_energy(
-            dom, cond, u, w, bnd * drive.temporal(t),
-            sig_face=sig_face)
+    for w, u, bvals in system._chunks(orbit.jumps[1:],
+                                      system.drive_factors(ts)):
+        for energy in sigma_gradient_energy(dom, cond, u, w, bvals):
+            grad_u += dt * 0.5 * energy
     jump_sq = dt * float(np.sum(orbit.jumps[1:] ** 2 @ s))
     rate_sq = float(np.sum(np.diff(orbit.jumps, axis=0) ** 2 @ s)) / dt
     # separable data: the gradient at (x, t) is spatial_gradient(x) temporal(t)

@@ -40,8 +40,6 @@ class Certificate:
     growth_quad: float                  # lower quadratic growth coefficient
     growth_abs: float                   # linear slack in the growth bound
     coercivity: Optional[float]         # global lower bound on the slope
-    tail_slope_min: Optional[float]     # slope bound beyond the threshold
-    tail_threshold: Optional[float]
     slope_max: Optional[float]          # global upper bound on the slope
 
 
@@ -49,7 +47,6 @@ def _coercive(slope: float, slope_max: Optional[float]) -> Certificate:
     """Certificate of a law with f(s) s >= slope * s^2 and
     slope <= f' <= slope_max."""
     return Certificate(growth_quad=slope, growth_abs=0.0, coercivity=slope,
-                       tail_slope_min=slope, tail_threshold=0.0,
                        slope_max=slope_max)
 
 
@@ -75,7 +72,6 @@ class Nonlinearity:
     base_deriv: Callable[[np.ndarray], np.ndarray]
     shift: float
     certificate: Certificate
-    linear_slope: Optional[float] = None    # set iff the law is exactly linear
     odd: bool = False                       # declared f(-s) = -f(s)
 
     def __call__(self, s):
@@ -90,11 +86,15 @@ class Nonlinearity:
 
     @property
     def is_linear(self) -> bool:
-        return self.linear_slope is not None
+        return self.kind == "linear"
 
     def describe(self) -> dict:
+        """Kind, shift and certificate; the tail slope bound beyond the
+        tail threshold is the coercivity beyond 0, when there is one."""
+        coer = self.certificate.coercivity
         return {"kind": self.kind, "shift": self.shift,
-                **asdict(self.certificate)}
+                **asdict(self.certificate), "tail_slope_min": coer,
+                "tail_threshold": None if coer is None else 0.0}
 
 
 _BUILTINS = {
@@ -110,8 +110,7 @@ _BUILTINS = {
         lambda s: np.asarray(s, dtype=float) + np.sin(s),
         lambda s: 1.0 + np.cos(np.asarray(s, dtype=float)),
         Certificate(growth_quad=1.0 + math.cos(SIN_SECANT_ARGMIN),
-                    growth_abs=0.0, coercivity=None, tail_slope_min=None,
-                    tail_threshold=None, slope_max=2.0)),
+                    growth_abs=0.0, coercivity=None, slope_max=2.0)),
     "cubic": lambda kappa: (
         lambda s: np.asarray(s, dtype=float) ** 3 + np.asarray(s, dtype=float),
         lambda s: 3.0 * np.asarray(s, dtype=float) ** 2 + 1.0,
@@ -130,9 +129,8 @@ def make_nonlinearity(kind: str, kappa: float = 1.0,
     if delta_shift < 0.0:
         raise NonlinearityError(f"delta_shift must be nonnegative, got {delta_shift}")
     fn, deriv, cert = _BUILTINS[kind](kappa)
-    slope = kappa if kind == "linear" else None
     law = Nonlinearity(kind=kind, base=fn, base_deriv=deriv, shift=0.0,
-                       certificate=cert, linear_slope=slope, odd=True)
+                       certificate=cert, odd=True)
     if delta_shift > 0.0:
         law = regularize(law, delta_shift)
     return law
@@ -155,14 +153,10 @@ def regularize(law: Nonlinearity, delta: float) -> Nonlinearity:
     new_cert = replace(cert,
                        growth_quad=cert.growth_quad + delta,
                        coercivity=new_coer,
-                       tail_slope_min=new_coer,
-                       tail_threshold=0.0,
                        slope_max=None if cert.slope_max is None
                        else cert.slope_max + delta)
-    slope = (law.linear_slope + delta) if law.is_linear else None
     return Nonlinearity(kind=law.kind, base=law.base, base_deriv=law.base_deriv,
-                        shift=shift, certificate=new_cert, linear_slope=slope,
-                        odd=law.odd)
+                        shift=shift, certificate=new_cert, odd=law.odd)
 
 
 _SPATIAL = {

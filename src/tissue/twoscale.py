@@ -585,17 +585,13 @@ class TwoScaleSystem(MembraneSystem):
                 corr.reshape(lead + corr.shape[1:]),
                 g.reshape(lead + g.shape[1:]))
 
-    def _drives(self, ts: float | np.ndarray) -> np.ndarray:
-        return np.array([self.drive.temporal(float(t))
-                         for t in np.reshape(ts, -1)])
-
     def state_at(self, t: float | np.ndarray,
                  w: np.ndarray) -> "TwoScaleState":
         """The state of the jumps ``w`` at time ``t``.  A stack of jump
         vectors, one per row of ``w``, at the times ``t`` gives one state
         whose fields have a leading sample axis, with one mean defect per
         sample."""
-        macro, corr, g = self._fields(w, self._drives(t))
+        macro, corr, g = self._fields(w, self.drive_factors(t))
         means = self.cfd.vol * corr.sum(axis=-1)
         defect = np.max(np.abs(means), axis=-1, initial=0.0)
         corr -= means[..., None]
@@ -791,7 +787,7 @@ def _weak_sum(system: TwoScaleSystem, ts: np.ndarray, jumps: np.ndarray,
         # the test jumps from the step before the chunk on
         phiw = np.concatenate([phiw[-1:], chunk_phiw])
         w = jumps[lo:hi]
-        drive = system._drives(ts[lo:hi])
+        drive = system.drive_factors(ts[lo:hi])
         macro, g = system.flux_map.macro_fields(w, drive)
         # the chunk's (node gradient, jump) pairs in the layout of z
         gw = np.concatenate([g, w.reshape(g.shape[:2] + (-1,))],

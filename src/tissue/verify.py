@@ -184,9 +184,9 @@ def certificate_margin(law, s: np.ndarray) -> float:
     """Smallest relative margin of the law's declared bounds at ``s``.
 
     The bounds are f(s) s >= q s^2 - a |s| at every nonzero sample, and
-    f'(s) >= coercivity, f'(s) >= tail_slope_min beyond tail_threshold and
-    f'(s) <= slope_max where the certificate declares them; each margin is
-    (lhs - rhs) / lhs, and (slope_max - f'(s)) / slope_max for the last.
+    f'(s) >= coercivity and f'(s) <= slope_max where the certificate
+    declares them; each margin is (lhs - rhs) / lhs, and
+    (slope_max - f'(s)) / slope_max for the last.
     """
     cert = law.certificate
     s = s[s != 0.0]
@@ -196,9 +196,6 @@ def certificate_margin(law, s: np.ndarray) -> float:
     slope = law.deriv(s)
     if cert.coercivity is not None:
         margins.append((slope - cert.coercivity) / slope)
-    if cert.tail_slope_min is not None:
-        tail = slope[np.abs(s) >= cert.tail_threshold]
-        margins.append((tail - cert.tail_slope_min) / tail)
     if cert.slope_max is not None:
         margins.append((cert.slope_max - slope) / cert.slope_max)
     return float(min(m.min() for m in margins))

@@ -505,6 +505,23 @@ def test_non_finite_pass_ends_the_attempt(stack, small_domain):
     assert len(err.value.residuals) == 1 and np.isnan(err.value.residuals[0])
 
 
+def test_growing_chord_pass_hands_over_at_any_budget(small_domain):
+    # a cubic law whose declared slope reads f'(0) everywhere: the first
+    # pass is a chord pass whose residual grows, and at a budget of 2,000
+    # passes its ratio to the power of the passes left overflows a float;
+    # the step hands over and fails with NewtonError, not OverflowError
+    system = make_micro(small_domain, law=("cubic",), dt=0.5)
+    flat = replace(system.law, base_deriv=np.ones_like)
+    twin = T.MicroSystem(system.domain, system.cond, flat, system.drive,
+                         T.SolverParams(dt=0.5, newton_max_iter=2000))
+    kinds = record_passes(twin.stepper)
+    w = np.random.default_rng(7).normal(0.0, 12.5, system.weights.size)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(T.NewtonError):
+        twin.stepper.step(0.5, w, 0.5)
+    assert hands_over(kinds)
+
+
 def _stress_run(system, sd, n_steps=20):
     """``n_steps`` continued steps from normal jumps of standard deviation
     ``sd``: every step converges with no more factors than passes, and a

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 import tissue as T
 from tissue import micro
 from tissue.errors import NonlinearityError
+from tissue.membrane import SAMPLE_CHUNK
 from tissue.micro import (MicroSystem, SeriesFlux, bulk_l2,
                           dissipation_identity, elliptic_solve_given_jump,
                           gradient_l2, initial_jump,
@@ -154,6 +155,72 @@ def test_sigma_gradient_energy_matches_dense_loops(small_domain):
     fast = sigma_gradient_energy(small_domain, cond, st.u, w, bvals)
     slow = dense_sigma_gradient_energy(small_domain, cond, st.u, w, bvals)
     assert fast == pytest.approx(slow, rel=1e-12)
+
+
+# -- stacked reconstruction ----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def contrast_nondyadic():
+    # cell grid spacing 1/48 and unequal conductivities: products with the
+    # spacing and sums of face conductances round
+    cell = T.build_cell_geometry(0.25, 12)
+    return make_micro(T.tile_domain(cell, 0.5), cond=(0.37, 2.9))
+
+
+def _sample_stack(system, seed):
+    """Times off the step grid and a stack of jump vectors: more samples
+    than two chunks, and not a whole number of chunks."""
+    m = 2 * SAMPLE_CHUNK + 5
+    ts = np.arange(m) / 37.0
+    w = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                            (m, system.weights.size))
+    return ts, w
+
+
+def test_bulk_norms_equal_the_norms_of_each_bulk_at(contrast_nondyadic):
+    system = contrast_nondyadic
+    dom = system.domain
+    ts, w = _sample_stack(system, 11)
+    got = system.bulk_norms(w, system.drive_factors(ts))
+    assert list(got) == ["norm_l2", "norm_grad", "norm_jump"]
+    want = []
+    for t, wi in zip(ts, w):
+        u = system.bulk_at(t, wi)
+        bvals = system.drive.values(dom.boundary.midpoint, t)
+        want.append((bulk_l2(dom, u), gradient_l2(dom, u, wi, bvals),
+                     system.jump_norm(wi)))
+    assert np.array_equal(np.column_stack(list(got.values())), want)
+
+
+def test_sigma_gradient_energy_of_a_stack_is_its_rows(contrast_nondyadic):
+    system = contrast_nondyadic
+    dom, cond = system.domain, system.cond
+    ts, w = _sample_stack(system, 12)
+    u = np.array([system.bulk_at(t, wi) for t, wi in zip(ts, w)])
+    bvals = np.array([system.drive.values(dom.boundary.midpoint, t)
+                      for t in ts])
+    got = sigma_gradient_energy(dom, cond, u, w, bvals)
+    assert got.shape == (len(ts),)
+    assert np.array_equal(got, [sigma_gradient_energy(dom, cond, *row)
+                                for row in zip(u, w, bvals)])
+
+
+def test_gap_norms_are_bulk_norms_of_the_gap_at_zero_drive(
+        contrast_nondyadic):
+    system = contrast_nondyadic
+    ts, w = _sample_stack(system, 13)
+    w_orbit = np.roll(w, 1, axis=0)
+    got = system.gap_norms(w, w_orbit)
+    want = system.bulk_norms(w - w_orbit, np.zeros(len(w)))
+    assert list(got) == list(want) + ["lyapunov"]
+    for name, col in want.items():
+        assert np.array_equal(got[name], col), name
+    assert np.array_equal(got["lyapunov"], system.lyapunov(w, w_orbit))
+    # the drive cancels in the gap of the bulk fields at any time
+    gap_u = np.array([system.bulk_at(t, a) - system.bulk_at(t, b)
+                      for t, a, b in zip(ts, w, w_orbit)])
+    assert np.allclose(got["norm_l2"], bulk_l2(system.domain, gap_u),
+                       rtol=1e-10, atol=0.0)
 
 
 # -- stepping -------------------------------------------------------------------

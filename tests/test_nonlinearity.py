@@ -21,7 +21,8 @@ def test_sin_law_certificate():
     assert cert.growth_quad == 1.0 + math.cos(s_star)
     assert cert.growth_abs == 0.0
     assert cert.coercivity is None
-    assert (cert.tail_slope_min, cert.tail_threshold) == (None, None)
+    desc = law.describe()
+    assert (desc["tail_slope_min"], desc["tail_threshold"]) == (None, None)
     assert law(0.0) == 0.0
     assert law.deriv(np.pi) == pytest.approx(0.0, abs=1e-15)
 
@@ -31,8 +32,9 @@ def test_linear_law_certificate():
     cert = law.certificate
     assert (cert.growth_quad, cert.growth_abs) == (2.0, 0.0)
     assert cert.coercivity == 2.0
-    assert (cert.tail_slope_min, cert.tail_threshold) == (2.0, 0.0)
-    assert law.is_linear and law.linear_slope == 2.0
+    desc = law.describe()
+    assert (desc["tail_slope_min"], desc["tail_threshold"]) == (2.0, 0.0)
+    assert law.is_linear and law.deriv(0.0) == 2.0
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.1])
@@ -53,9 +55,10 @@ def test_declared_certificate_holds(kind, kappa, shift):
     slope = law.deriv(s)
     if cert.coercivity is not None:
         assert np.all(slope >= cert.coercivity * (1.0 - 1e-12))
-    if cert.tail_slope_min is not None:
-        beyond = slope[np.abs(s) >= cert.tail_threshold]
-        assert np.all(beyond >= cert.tail_slope_min * (1.0 - 1e-12))
+    desc = law.describe()
+    if desc["tail_slope_min"] is not None:
+        beyond = slope[np.abs(s) >= desc["tail_threshold"]]
+        assert np.all(beyond >= desc["tail_slope_min"] * (1.0 - 1e-12))
     if cert.slope_max is not None:
         assert np.all(slope <= cert.slope_max)
         # sup f' is attained at zero by every law that declares it
@@ -167,14 +170,15 @@ def test_regularize_shifts_values_and_restores_coercivity():
     assert reg(np.pi) == pytest.approx(np.pi + 0.1 * np.pi, rel=1e-14)
     assert reg.certificate.growth_quad == law.certificate.growth_quad + 0.1
     assert reg.certificate.coercivity == pytest.approx(0.1, rel=1e-12)
-    assert reg.certificate.tail_slope_min == reg.certificate.coercivity
-    assert reg.certificate.tail_threshold == 0.0
+    desc = reg.describe()
+    assert desc["tail_slope_min"] == reg.certificate.coercivity
+    assert desc["tail_threshold"] == 0.0
 
 
 def test_regularize_linear_stays_linear():
     law = T.make_nonlinearity("linear", kappa=1.0)
     reg = T.regularize(law, 0.5)
-    assert reg.is_linear and reg.linear_slope == pytest.approx(1.5)
+    assert reg.is_linear and reg.deriv(0.0) == pytest.approx(1.5)
     s = np.linspace(-5, 5, 101)
     assert np.allclose(reg(s), 1.5 * s, atol=1e-14)
 
